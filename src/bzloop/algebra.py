@@ -2,10 +2,12 @@
 
 An algebra is stored as structure-constant tables: for every basis element
 b of degree d < class_bound, the masks of [b,x] and [b,y] in degree d+1.
-Every basis element of degree >= 2 carries a definition (parent, generator),
-so arbitrary brackets can be recovered from the action tables alone by
-expanding the right factor along its definition chain.  Brackets whose
-degree sum exceeds class_bound are truncated to zero.
+Every basis element of degree >= 2 is defined as [p, g] by the index of its
+parent p in the degree below and a generator g, so the basis is flat: each
+element is a few integers and its label.  Arbitrary brackets are recovered
+from the action tables alone by a `BracketTable`, which fills dense
+per-degree blocks bottom-up, one degree of the right factor at a time.
+Brackets whose degree sum exceeds class_bound are truncated to zero.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from .words import (
     X,
     Y,
     Z,
-    make_word,
+    extend_label,
+    parse_word,
 )
 
 GEN_ORDER = (X, Y)
@@ -35,35 +38,120 @@ def _as_symbol(g) -> GeneratorSymbol:
     raise ValueError(f"not a generator: {g!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BasisElement:
     """One graded basis element.
 
-    For degree 1 the definition is the generator symbol itself; for degree
-    >= 2 it is (parent, generator) with parent one degree lower, so every
-    element is a left-normed chain of generators.
+    Degree 1 holds the generators themselves (parent None).  An element of
+    degree >= 2 is [p, generator] where p is element `parent` of the degree
+    below, so every element is a left-normed chain of generators; `label`
+    is that chain in run-length form, e.g. ``y x^2 y``.
     """
 
     degree: int
     index: int
-    definition: object
+    parent: int | None
+    generator: GeneratorSymbol
     label: str
 
-    @property
-    def parent(self) -> "BasisElement | None":
-        return self.definition[0] if self.degree >= 2 else None
-
-    @property
-    def generator(self) -> GeneratorSymbol:
-        return self.definition[1] if self.degree >= 2 else self.definition
-
     def letters(self) -> tuple[GeneratorSymbol, ...]:
-        chain: list[GeneratorSymbol] = []
-        elt: BasisElement | None = self
-        while elt is not None:
-            chain.append(elt.generator)
-            elt = elt.parent
-        return tuple(reversed(chain))
+        return parse_word(self.label).letters()
+
+
+GENERATORS = (BasisElement(1, 0, None, X, "x"), BasisElement(1, 1, None, Y, "y"))
+
+
+class BracketTable:
+    """Brackets of basis elements, filled bottom-up in dense per-degree blocks.
+
+    ``rows[i][a][offset[j] + b]`` is the mask of [e(i,a), e(j,b)] in degree
+    i + j, where e(d,k) is basis element k of degree d.  Each row holds the
+    blocks j = 1 .. filled[i]; block 1 is the action row ([e,x], [e,y]).
+    Block j >= 2 follows from the definition e(j,b) = [e(j-1,p), g] by
+
+        [u, [p, g]] = [[u, p], g] + [[u, g], p],
+
+    which reads only blocks (i, j-1) and (i+1, j-1).  So blocks are filled
+    in increasing j and no recursion is needed.
+    """
+
+    __slots__ = ("rows", "defs", "offset", "filled")
+
+    def __init__(self):
+        self.rows: list[list[list[int]]] = [[], [[], []]]
+        self.defs: list[list[tuple[int, int]]] = [[], []]  # (parent index, generator index)
+        self.offset: list[int] = [0, 0]
+        self.filled: list[int] = [0, 0]
+
+    def add_degree(self, defs: Iterable[tuple[int, int]]) -> None:
+        """Append the next degree, given its elements' (parent index, generator index)."""
+        self.defs.append(list(defs))
+        self.offset.append(self.offset[-1] + len(self.rows[-1]))
+        self.rows.append([[] for _ in self.defs[-1]])
+        self.filled.append(0)
+
+    def set_action(self, degree: int, action: Iterable[tuple[int, int]]) -> None:
+        """Set the action rows of a degree that has no other block yet."""
+        for row, (mx, my) in zip(self.rows[degree], action):
+            row[:] = (mx, my)
+        self.filled[degree] = 1
+
+    def ensure(self, i: int, j: int) -> None:
+        """Fill the rows of degree i up to block j.
+
+        Needs the action of every degree below i + j.  Row i needs row i+1
+        up to block j-1, and so on down to block 1; `filled` never drops by
+        more than one from a row to the next, so the walk stops at the first
+        row that is already deep enough.
+        """
+        filled = self.filled
+        k = 0
+        while filled[i + k] < j - k:
+            k += 1
+        for r in range(i + k - 1, i - 1, -1):
+            for jj in range(filled[r] + 1, j - (r - i) + 1):
+                self._block(r, jj)
+
+    def _block(self, i: int, j: int) -> None:
+        """Append block j >= 2 to the rows of degree i."""
+        rows = self.rows
+        top = rows[i + j - 1]
+        below = rows[i + 1]
+        start = self.offset[j - 1]
+        defs = self.defs[j]
+        for row in rows[i]:
+            for p, g in defs:
+                out = 0
+                m = row[start + p]  # [u, p]
+                while m:
+                    low = m & -m
+                    out ^= top[low.bit_length() - 1][g]
+                    m ^= low
+                m = row[g]  # [u, g]
+                while m:
+                    low = m & -m
+                    out ^= below[low.bit_length() - 1][start + p]
+                    m ^= low
+                row.append(out)
+        self.filled[i] = j
+
+    def rebase(self, s: int, img: Sequence[int]) -> None:
+        """Re-express every block (i, s - i) in a new basis of degree s.
+
+        img[k] is the mask of old basis vector k over the new basis.  Each
+        row of degree i < s must end with block s - i.
+        """
+        for i in range(1, s):
+            start = self.offset[s - i]
+            for row in self.rows[i]:
+                for k in range(start, len(row)):
+                    m = row[k]
+                    out = 0
+                    while m:
+                        low = m & -m
+                        out ^= img[low.bit_length() - 1]
+                        m ^= low
+                    row[k] = out
 
 
 class Element:
@@ -144,15 +232,20 @@ class GradedAlgebra:
             if len(rows) != len(layer):
                 raise ValueError(f"degree {d}: action rows do not match basis size")
             nxt = len(basis[d]) if d < class_bound else 0
+            below = self._basis[d - 1]
             for i, elt in enumerate(layer):
                 if elt.degree != d or elt.index != i:
                     raise ValueError(f"degree {d}: basis element out of place")
-                if d >= 2:
-                    parent, gen = elt.definition
-                    if parent is not self._basis[d - 1][parent.index]:
-                        raise ValueError(f"degree {d}: definition parent not in previous layer")
-                    if gen not in GEN_INDEX:
-                        raise ValueError(f"degree {d}: definition generator must be x or y")
+                if d == 1:
+                    if i > 1 or elt != GENERATORS[i]:
+                        raise ValueError("degree 1 must hold the generators x, y")
+                    continue
+                if elt.generator not in GEN_INDEX:
+                    raise ValueError(f"degree {d}: definition generator must be x or y")
+                if not (isinstance(elt.parent, int) and 0 <= elt.parent < len(below)):
+                    raise ValueError(f"degree {d}: definition parent not in previous layer")
+                if elt.label != extend_label(below[elt.parent].label, elt.generator):
+                    raise ValueError(f"degree {d}: label {elt.label!r} does not extend its parent's")
             for mx, my in rows:
                 if mx >> nxt or my >> nxt:
                     raise ValueError(f"degree {d}: action mask outside next degree")
@@ -160,7 +253,7 @@ class GradedAlgebra:
             self._action.append(rows)
         if self.dim(1) != 2:
             raise ValueError("degree 1 must be two-dimensional")
-        self._pair_memo: dict[tuple[int, int, int, int], int] = {}
+        self._table: BracketTable | None = None
 
     # -- structure access ------------------------------------------------
 
@@ -247,21 +340,16 @@ class GradedAlgebra:
 
     def _pair(self, i: int, a: int, j: int, b: int) -> int:
         """Mask of [basis(i,a), basis(j,b)] in degree i+j (requires i+j <= bound)."""
-        if j == 1:
-            return self._action[i][a][b]
-        key = (i, a, j, b)
-        got = self._pair_memo.get(key)
-        if got is not None:
-            return got
-        parent, gen = self._basis[j][b].definition
-        p, g = parent.index, GEN_INDEX[gen]
-        out = 0
-        for w in iter_bits(self._pair(i, a, j - 1, p)):
-            out ^= self._action[i + j - 1][w][g]
-        for w in iter_bits(self._action[i][a][g]):
-            out ^= self._pair(i + 1, w, j - 1, p)
-        self._pair_memo[key] = out
-        return out
+        table = self._table
+        if table is None:
+            table = self._table = BracketTable()
+            for d in range(2, self.class_bound + 1):
+                table.add_degree((e.parent, GEN_INDEX[e.generator]) for e in self._basis[d])
+            for d in range(1, self.class_bound):
+                table.set_action(d, self._action[d])
+        if table.filled[i] < j:
+            table.ensure(i, j)
+        return table.rows[i][a][table.offset[j] + b]
 
     def bracket(self, u: Element, v: Element) -> Element:
         if u.algebra is not self or v.algebra is not self:
@@ -277,16 +365,28 @@ class GradedAlgebra:
 
     def eval_word(self, w: CommutatorWord) -> Element:
         """Evaluate a left-normed word; z letters evaluate as x+y."""
-        letters = w.letters()
-        weight = len(letters)
-        first = letters[0]
-        mask = 0b11 if first is Z else 1 << GEN_INDEX[first]
-        degree = 1
-        for letter in letters[1:]:
-            if degree >= self.class_bound or mask == 0:
-                return Element(self, weight, 0)
-            mask = self.act_mask(degree, mask, letter)
-            degree += 1
+        weight = w.weight
+        action = self._action
+        mask = 0
+        degree = 0
+        for letter, count in w.runs():
+            gi = 0 if letter is X else 1 if letter is Y else 2
+            if not degree:
+                mask = gi + 1  # x, y, z = 0b01, 0b10, 0b11
+                degree = 1
+                count -= 1
+            for _ in range(count):
+                if degree >= self.class_bound or mask == 0:
+                    return Element(self, weight, 0)
+                rows = action[degree]
+                out = 0
+                while mask:
+                    low = mask & -mask
+                    row = rows[low.bit_length() - 1]
+                    out ^= row[0] ^ row[1] if gi == 2 else row[gi]
+                    mask ^= low
+                mask = out
+                degree += 1
         return Element(self, weight, mask)
 
     def eval_letters(self, v: Element, letters: Iterable[GeneratorSymbol]) -> Element:
@@ -306,7 +406,7 @@ class GradedAlgebra:
                         "degree": d,
                         "index": elt.index,
                         "label": elt.label,
-                        "parent": elt.parent.index if d >= 2 else None,
+                        "parent": elt.parent,
                         "generator": str(elt.generator),
                     }
                 )
@@ -460,9 +560,7 @@ def quotient(A: GradedAlgebra, ideal: GradedSubspaceFamily) -> GradedAlgebra:
                 if not nxt.contains(A.act_mask(d, row, GEN_ORDER[gi])):
                     raise ValueError(f"family is not an ideal at degree {d}")
 
-    x0 = BasisElement(1, 0, X, "x")
-    y0 = BasisElement(1, 1, Y, "y")
-    basis: list[list[BasisElement]] = [[x0, y0]]
+    basis: list[list[BasisElement]] = [list(GENERATORS)]
     action: list[list[tuple[int, int]]] = []
     reps = [0b01, 0b10]
     for d in range(2, bound + 1):
@@ -479,10 +577,8 @@ def quotient(A: GradedAlgebra, ideal: GradedSubspaceFamily) -> GradedAlgebra:
         layer = []
         for new_index, k in enumerate(survivors):
             p, gi = divmod(k, 2)
-            parent = parents[p]
             gen = GEN_ORDER[gi]
-            label = str(make_word(*(parent.letters() + (gen,))))
-            layer.append(BasisElement(d, new_index, (parent, gen), label))
+            layer.append(BasisElement(d, new_index, p, gen, extend_label(parents[p].label, gen)))
         solver = SpanSolver([cands[k] for k in survivors], A.dim(d))
         rows = []
         for p in range(len(parents)):

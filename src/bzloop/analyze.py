@@ -212,8 +212,8 @@ def _chain_word_for_spec(p: BlParams, spec):
 
 
 def _mask_labels(A: GradedAlgebra, degree: int, mask: int) -> str:
-    labels = A.labels[degree]
-    return " + ".join(labels[i] for i in iter_bits(mask))
+    layer = A.basis_at(degree)
+    return " + ".join(layer[i].label for i in iter_bits(mask))
 
 
 def _center_entries(A, family, matched_by_degree) -> tuple[CenterEntry, ...]:

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import BasisElement, GradedAlgebra, two_step_centralizers
+from .algebra import GENERATORS, BasisElement, GradedAlgebra, two_step_centralizers
 from .nq import Presentation
-from .words import CommutatorWord, GenPower, GroupPower, X, Y, make_word
+from .words import CommutatorWord, GenPower, GroupPower, X, Y, extend_label, make_word
 
 FX = "x"
 FY = "y"
@@ -176,20 +176,16 @@ def construct_bl(g, h=None, class_bound: int = 0) -> GradedAlgebra:
     p = _params(g, h)
     if class_bound < 2:
         raise ValueError("need class_bound >= 2")
-    x0 = BasisElement(1, 0, X, "x")
-    y0 = BasisElement(1, 1, Y, "y")
-    basis: list[list[BasisElement]] = [[x0, y0]]
+    basis: list[list[BasisElement]] = [list(GENERATORS)]
     action: list[list[tuple[int, int]]] = [[(0, 1), (1, 0)]]
     cents = bl_centralizer_sequence(p, up_to=class_bound - 1) if class_bound >= 3 else None
-    prev = BasisElement(2, 0, (y0, X), "y x")
+    prev = BasisElement(2, 0, 1, X, "y x")
     basis.append([prev])
     for i in range(2, class_bound):
         gen = X if cents.at(i) == FY else Y
         action.append([(1, 0) if gen is X else (0, 1)])
-        label = str(make_word(*(prev.letters() + (gen,))))
-        nxt = BasisElement(i + 1, 0, (prev, gen), label)
-        basis.append([nxt])
-        prev = nxt
+        prev = BasisElement(i + 1, 0, 0, gen, extend_label(prev.label, gen))
+        basis.append([prev])
     action.append([(0, 0)])
     return GradedAlgebra(class_bound, basis, action)
 

@@ -121,7 +121,7 @@ def _cmd_nq(cfg: CliConfig) -> int:
     print(f"class bound {bound}")
     print("dims:", " ".join(str(M.dim(d)) for d in range(1, bound + 1)))
     for d in range(1, bound + 1):
-        print(f"{d}: " + ", ".join(M.labels[d]))
+        print(f"{d}: " + ", ".join(e.label for e in M.basis_at(d)))
     return 0
 
 

@@ -154,7 +154,8 @@ def echelonize(rows: Iterable[int], dim_ambient: int) -> EchelonBasis:
     """Reduced row-echelon basis of the span of the given bitmask rows."""
     basis = EchelonBasis(dim_ambient)
     for row in rows:
-        basis.add(row)
+        if row:
+            basis.add(row)
     return basis
 
 

@@ -5,16 +5,22 @@ presented by frontier symbols [b, x], [b, y] over the current top degree's
 basis, and three families of GF(2) relations are imposed: alternation and
 antisymmetry of the bracket, Jacobi instances landing in the new degree,
 and the defining relators of that weight.  Surviving symbols become the new
-basis, so every basis element keeps a (parent, generator) definition.
+basis, so every basis element keeps a (parent index, generator) definition.
+
+All brackets live in one `BracketTable`.  To cut degree n + 1, the top
+degree's action is set to the frontier symbols themselves and the table's
+blocks of total degree n + 1 are filled; every relation row is then a
+lookup.  Once the cut is known, that slice is re-expressed over the
+survivors, which makes it the true bracket table of degree n + 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import GEN_ORDER, BasisElement, GradedAlgebra
+from .algebra import GEN_ORDER, GENERATORS, BasisElement, BracketTable, GradedAlgebra
 from .gf2 import echelonize, iter_bits
-from .words import CommutatorWord, GeneratorSymbol, X, Y, Z, make_word
+from .words import CommutatorWord, X, Y, Z, extend_label
 
 GEN_BITS = {X: 0b01, Y: 0b10, Z: 0b11}
 
@@ -55,71 +61,22 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
         by_weight.setdefault(r.weight, []).append(r)
 
     dims = [0, 2]
-    x0 = BasisElement(1, 0, X, "x")
-    y0 = BasisElement(1, 1, Y, "y")
-    basis: list[list[BasisElement]] = [[], [x0, y0]]
-    act: list[list[tuple[int, int]]] = [[]]  # act[d] appended once degree d+1 is cut
-
-    pair_memo: dict[tuple[int, int, int, int], int] = {}
-
-    def pair(i: int, a: int, j: int, b: int) -> int:
-        """Completed-table mask of [basis(i,a), basis(j,b)] (i + j <= top degree)."""
-        if j == 1:
-            return act[i][a][b]
-        key = (i, a, j, b)
-        got = pair_memo.get(key)
-        if got is not None:
-            return got
-        p, g = basis[j][b].definition
-        p = p.index
-        g = 0 if g is X else 1
-        out = 0
-        for w in iter_bits(pair(i, a, j - 1, p)):
-            out ^= act[i + j - 1][w][g]
-        for w in iter_bits(act[i][a][g]):
-            out ^= pair(i + 1, w, j - 1, p)
-        pair_memo[key] = out
-        return out
+    basis: list[list[BasisElement]] = [[], list(GENERATORS)]
+    table = BracketTable()
+    # R[i][a][off[j] + b] is [e(i,a), e(j,b)]; while degree n + 1 is cut,
+    # the entries of total degree n + 1 are masks over frontier symbols.
+    R = table.rows
+    off = table.offset
 
     for n in range(1, class_bound):
         if dims[n] == 0:
             dims.append(0)
             basis.append([])
-            act.append([])  # degree n is empty, so its action layer is too
+            table.add_degree(())  # degree n is empty, so degree n + 1 is too
             continue
         nsym = 2 * dims[n]
-
-        sym_memo: dict[tuple[int, int, int, int], int] = {}
-
-        def sym(i: int, a: int, j: int, b: int) -> int:
-            """Frontier-symbol mask of [basis(i,a), basis(j,b)], i + j = n + 1."""
-            if j == 1:
-                return 1 << (2 * a + b)
-            key = (i, a, j, b)
-            got = sym_memo.get(key)
-            if got is not None:
-                return got
-            p, g = basis[j][b].definition
-            p = p.index
-            g = 0 if g is X else 1
-            out = 0
-            for w in iter_bits(pair(i, a, j - 1, p)):
-                out ^= 1 << (2 * w + g)
-            for w in iter_bits(act[i][a][g]):
-                out ^= sym(i + 1, w, j - 1, p)
-            sym_memo[key] = out
-            return out
-
-        def jrow(d1: int, a: int, d2: int, b: int, d3: int, c: int) -> int:
-            out = 0
-            for u, ui, v, vi, w, wi in (
-                (d1, a, d2, b, d3, c),
-                (d2, b, d3, c, d1, a),
-                (d3, c, d1, a, d2, b),
-            ):
-                for m in iter_bits(pair(u, ui, v, vi)):
-                    out ^= sym(u + v, m, w, wi)
-            return out
+        table.set_action(n, [(1 << 2 * w, 2 << 2 * w) for w in range(dims[n])])
+        table.ensure(1, n)
 
         rows = []
 
@@ -127,19 +84,15 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
         if (n + 1) % 2 == 0:
             h = (n + 1) // 2
             for a in range(dims[h]):
-                rows.append(sym(h, a, h, a))
+                rows.append(R[h][a][off[h] + a])
 
         # antisymmetry: [u, v] = [v, u] across all degree splits
         for i in range(1, (n + 1) // 2 + 1):
             j = n + 1 - i
-            if i < j:
-                for a in range(dims[i]):
-                    for b in range(dims[j]):
-                        rows.append(sym(i, a, j, b) ^ sym(j, b, i, a))
-            else:
-                for a in range(dims[i]):
-                    for b in range(a + 1, dims[j]):
-                        rows.append(sym(i, a, j, b) ^ sym(j, b, i, a))
+            Ri, Rj, oi, oj = R[i], R[j], off[i], off[j]
+            for a in range(dims[i]):
+                for b in range(a + 1 if i == j else 0, dims[j]):
+                    rows.append(Ri[a][oj + b] ^ Rj[b][oi + a])
 
         # Jacobi instances landing in degree n + 1
         if full_jacobi:
@@ -155,7 +108,7 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
                             for c in range(dims[d3]):
                                 if d3 == d2 and c <= b:
                                     continue
-                                rows.append(jrow(d1, a, d2, b, d3, c))
+                                rows.append(_jacobi_row(R, off, d1, a, d2, b, d3, c))
         else:
             for d1 in range(1, n // 2 + 1):
                 d2 = n - d1
@@ -166,62 +119,67 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
                         for g in (0, 1):
                             if (d1, a) == (1, g) or (d2, b) == (1, g):
                                 continue
-                            rows.append(jrow(d1, a, d2, b, 1, g))
+                            rows.append(_jacobi_row(R, off, d1, a, d2, b, 1, g))
 
-        # defining relators of the new weight
+        # defining relators of the new weight; the last letter meets the
+        # frontier symbols through the top degree's action
         for r in by_weight.get(n + 1, ()):
             letters = r.letters()
             mask = GEN_BITS[letters[0]]
             deg = 1
-            for letter in letters[1:-1]:
+            for letter in letters[1:]:
                 nxt = 0
                 bits = GEN_BITS[letter]
                 for w in iter_bits(mask):
                     if bits & 0b01:
-                        nxt ^= act[deg][w][0]
+                        nxt ^= R[deg][w][0]
                     if bits & 0b10:
-                        nxt ^= act[deg][w][1]
+                        nxt ^= R[deg][w][1]
                 mask = nxt
                 deg += 1
                 if not mask:
                     break
-            if not mask:
-                continue
-            row = 0
-            bits = GEN_BITS[letters[-1]]
-            for w in iter_bits(mask):
-                if bits & 0b01:
-                    row ^= 1 << (2 * w)
-                if bits & 0b10:
-                    row ^= 1 << (2 * w + 1)
-            rows.append(row)
+            if mask:
+                rows.append(mask)
 
         rel = echelonize(rows, nsym)
         killed = set(rel.pivots)
         survivors = [s for s in range(nsym) if s not in killed]
         pos = {s: k for k, s in enumerate(survivors)}
+        img = [0] * nsym
+        for s, k in pos.items():
+            img[s] = 1 << k
+        for pivot, row in zip(rel.pivots, rel):
+            for s in iter_bits(row ^ (1 << pivot)):
+                img[pivot] |= 1 << pos[s]
+        table.rebase(n + 1, img)
 
+        table.add_degree((s >> 1, s & 1) for s in survivors)
         layer = []
-        for new_index, s in enumerate(survivors):
-            parent = basis[n][s >> 1]
+        for k, s in enumerate(survivors):
             gen = GEN_ORDER[s & 1]
-            label = str(make_word(*(parent.letters() + (gen,))))
-            layer.append(BasisElement(n + 1, new_index, (parent, gen), label))
-
-        def remap(sym_id: int) -> int:
-            out = 0
-            for s in iter_bits(rel.reduce(1 << sym_id)):
-                out |= 1 << pos[s]
-            return out
-
-        act.append([(remap(2 * k), remap(2 * k + 1)) for k in range(dims[n])])
-        dims.append(len(survivors))
+            layer.append(BasisElement(n + 1, k, s >> 1, gen, extend_label(basis[n][s >> 1].label, gen)))
         basis.append(layer)
+        dims.append(len(survivors))
 
-    action_layers = []
-    for d in range(1, class_bound + 1):
-        if d < class_bound:
-            action_layers.append(act[d])
-        else:
-            action_layers.append([(0, 0)] * dims[d])
+    action_layers = [[(row[0], row[1]) for row in R[d]] for d in range(1, class_bound)]
+    action_layers.append([(0, 0)] * dims[class_bound])
     return GradedAlgebra(class_bound, basis[1:], action_layers)
+
+
+def _jacobi_row(R, off, d1: int, a: int, d2: int, b: int, d3: int, c: int) -> int:
+    """Frontier row of [[u,v],w] + [[v,w],u] + [[w,u],v] for basis elements u, v, w."""
+    out = 0
+    for u, ui, v, vi, w, wi in (
+        (d1, a, d2, b, d3, c),
+        (d2, b, d3, c, d1, a),
+        (d3, c, d1, a, d2, b),
+    ):
+        uv = R[u + v]
+        col = off[w] + wi
+        m = R[u][ui][off[v] + vi]
+        while m:
+            low = m & -m
+            out ^= uv[low.bit_length() - 1][col]
+            m ^= low
+    return out

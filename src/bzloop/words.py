@@ -120,19 +120,23 @@ class CommutatorWord:
             _push(out, item)
         return tuple(out)
 
-    def letters(self) -> tuple[GeneratorSymbol, ...]:
-        out: list[GeneratorSymbol] = []
+    def runs(self) -> tuple[tuple[GeneratorSymbol, int], ...]:
+        """The letters as (letter, run length) pairs, with groups expanded."""
+        out: list[tuple[GeneratorSymbol, int]] = []
 
         def emit(items):
             for item in items:
                 if isinstance(item, GenPower):
-                    out.extend([item.gen] * item.exp)
+                    out.append((item.gen, item.exp))
                 else:
                     for _ in range(item.exp):
                         emit(item.body)
 
         emit(self.items())
         return tuple(out)
+
+    def letters(self) -> tuple[GeneratorSymbol, ...]:
+        return tuple(gen for gen, exp in self.runs() for _ in range(exp))
 
     def __str__(self) -> str:
         return " ".join(str(item) for item in self.items())
@@ -169,6 +173,19 @@ def make_word(*parts) -> CommutatorWord:
 
 def word_from_letters(letters: Iterable[GeneratorSymbol]) -> CommutatorWord:
     return make_word(*letters)
+
+
+def extend_label(label: str, gen: GeneratorSymbol) -> str:
+    """The label of a word's letters followed by `gen`, given the label of the letters.
+
+    A label is the run-length text ``str(make_word(*letters))``, such as
+    ``y x^2 y``; only its last run is read and rewritten.
+    """
+    head, _, last = label.rpartition(" ")
+    if last[0] != gen.value:
+        return f"{label} {gen.value}"
+    exp = int(last[2:]) + 1 if len(last) > 1 else 2
+    return f"{head} {gen.value}^{exp}" if head else f"{gen.value}^{exp}"
 
 
 class WordSyntaxError(ValueError):

@@ -4,6 +4,7 @@ import pytest
 
 from bzloop.algebra import (
     AmbiguousPreimageError,
+    BasisElement,
     GradedAlgebra,
     GradedSubspaceFamily,
     InapplicableError,
@@ -139,6 +140,19 @@ def test_constructor_validation(B8):
     bad_rows = [B8.action[1], ((4, 0),)]  # mask outside degree 3
     with pytest.raises(ValueError):
         GradedAlgebra(2, B8.basis[1:3], bad_rows)
+    x, y = B8.basis_at(1)
+    action = [B8.action[1], ((0, 0),)]
+    assert GradedAlgebra(2, [(x, y), B8.basis_at(2)], action) == construct_bl(2, 1, 2)
+    for bad_degree_2, match in (
+        (BasisElement(2, 0, 2, X, "y x"), "parent"),
+        (BasisElement(2, 0, 1, Z, "y z"), "generator"),
+        (BasisElement(2, 0, 1, X, "x y"), "label"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            GradedAlgebra(2, [(x, y), (bad_degree_2,)], action)
+    swapped = (BasisElement(1, 0, None, Y, "y"), BasisElement(1, 1, None, X, "x"))
+    with pytest.raises(ValueError, match="generators"):
+        GradedAlgebra(2, [swapped, B8.basis_at(2)], action)
 
 
 # -- centers and quotients ---------------------------------------------------

@@ -3,6 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from bzloop.algebra import BasisElement
+
 from bzloop.words import (
     CommutatorWord,
     GeneratorSymbol,
@@ -12,6 +14,7 @@ from bzloop.words import (
     X,
     Y,
     Z,
+    extend_label,
     make_word,
     parse_word,
     word_from_letters,
@@ -128,3 +131,13 @@ def test_str_parse_fixpoint_with_groups():
     text = "y x^3 (y x^2 (y x^3)^2 y x^2)^2 x"
     w = parse_word(text)
     assert parse_word(str(w)) == w
+
+
+@given(st.lists(st.sampled_from([X, Y]), min_size=1, max_size=60))
+def test_extended_label_is_the_word_label(letters):
+    label = str(letters[0])
+    for letter in letters[1:]:
+        label = extend_label(label, letter)
+    assert label == str(make_word(*letters))
+    elt = BasisElement(len(letters), 0, None if len(letters) == 1 else 0, letters[-1], label)
+    assert elt.letters() == tuple(letters)
