@@ -8,6 +8,11 @@ element is a few integers and its label.  Arbitrary brackets are recovered
 from the action tables alone by a `BracketTable`, which fills dense
 per-degree blocks bottom-up, one degree of the right factor at a time.
 Brackets whose degree sum exceeds class_bound are truncated to zero.
+
+`jacobi_sum` is the one Jacobi expansion over a `BracketTable`: `nq_compute`
+reads its relation rows from it, and `jacobi_check` reads every square and
+every Jacobi sum straight from the algebra's filled table, building an
+`Element` only for a failure.
 """
 
 from __future__ import annotations
@@ -152,6 +157,38 @@ class BracketTable:
                         out ^= img[low.bit_length() - 1]
                         m ^= low
                     row[k] = out
+
+
+def jacobi_sum(rows, offset, d1: int, a: int, d2: int, b: int, d3: int, c: int) -> int:
+    """Mask of [[u,v],w] + [[v,w],u] + [[w,u],v] for u = e(d1,a), v = e(d2,b), w = e(d3,c).
+
+    `rows` and `offset` are those of a `BracketTable` filled up to total
+    degree d1 + d2 + d3.  Each term reads one inner bracket and then one
+    column of the rows of its degree.
+    """
+    out = 0
+    m = rows[d1][a][offset[d2] + b]  # [u, v]
+    if m:
+        top, col = rows[d1 + d2], offset[d3] + c
+        while m:
+            low = m & -m
+            out ^= top[low.bit_length() - 1][col]
+            m ^= low
+    m = rows[d2][b][offset[d3] + c]  # [v, w]
+    if m:
+        top, col = rows[d2 + d3], offset[d1] + a
+        while m:
+            low = m & -m
+            out ^= top[low.bit_length() - 1][col]
+            m ^= low
+    m = rows[d3][c][offset[d1] + a]  # [w, u]
+    if m:
+        top, col = rows[d3 + d1], offset[d2] + b
+        while m:
+            low = m & -m
+            out ^= top[low.bit_length() - 1][col]
+            m ^= low
+    return out
 
 
 class Element:
@@ -338,8 +375,8 @@ class GradedAlgebra:
             return Element(self, v.degree + 1, 0)
         return Element(self, v.degree + 1, self.act_mask(v.degree, v.bits, g))
 
-    def _pair(self, i: int, a: int, j: int, b: int) -> int:
-        """Mask of [basis(i,a), basis(j,b)] in degree i+j (requires i+j <= bound)."""
+    def bracket_table(self) -> BracketTable:
+        """The algebra's `BracketTable`, built on first use; blocks are filled on demand."""
         table = self._table
         if table is None:
             table = self._table = BracketTable()
@@ -347,6 +384,11 @@ class GradedAlgebra:
                 table.add_degree((e.parent, GEN_INDEX[e.generator]) for e in self._basis[d])
             for d in range(1, self.class_bound):
                 table.set_action(d, self._action[d])
+        return table
+
+    def _pair(self, i: int, a: int, j: int, b: int) -> int:
+        """Mask of [basis(i,a), basis(j,b)] in degree i+j (requires i+j <= bound)."""
+        table = self.bracket_table()
         if table.filled[i] < j:
             table.ensure(i, j)
         return table.rows[i][a][table.offset[j] + b]
@@ -438,41 +480,39 @@ class JacobiReport:
 
 
 def jacobi_check(A: GradedAlgebra, max_degree: int | None = None) -> JacobiReport:
-    """Check [u,u]=0 and the Jacobi identity on all in-range basis triples."""
+    """Check [u,u]=0 and the Jacobi identity on all in-range basis triples.
+
+    Every square and Jacobi sum is read from the algebra's `BracketTable`,
+    filled once up to the checked degree.  Triples (u, v, w) run over
+    degrees d1 <= d2 <= d3 and, within equal degrees, indices in order.
+    """
     bound = min(A.class_bound, max_degree) if max_degree else A.class_bound
+    table = A.bracket_table()
+    for i in range(1, bound):
+        table.ensure(i, bound - i)
+    rows, offset = table.rows, table.offset
     checked = 0
     failures = []
     for d in range(1, bound // 2 + 1):
-        for e in A.basis_at(d):
-            u = A.element(d, 1 << e.index)
-            sq = A.bracket(u, u)
+        col = offset[d]
+        for a, row in enumerate(rows[d]):
             checked += 1
-            if sq.bits:
-                failures.append(("square", e.label, sq))
+            sq = row[col + a]
+            if sq:
+                failures.append(("square", A.basis_at(d)[a].label, Element(A, 2 * d, sq)))
     for d1 in range(1, bound - 1):
         for d2 in range(d1, bound - d1):
             for d3 in range(d2, bound - d1 - d2 + 1):
-                for a in A.basis_at(d1):
-                    u = A.element(d1, 1 << a.index)
-                    for b in A.basis_at(d2):
-                        if d2 == d1 and b.index < a.index:
-                            continue
-                        v = A.element(d2, 1 << b.index)
-                        uv = A.bracket(u, v)
-                        for c in A.basis_at(d3):
-                            if d3 == d2 and c.index < b.index:
-                                continue
-                            w = A.element(d3, 1 << c.index)
-                            jac = (
-                                A.bracket(uv, w).bits
-                                ^ A.bracket(A.bracket(v, w), u).bits
-                                ^ A.bracket(A.bracket(w, u), v).bits
-                            )
-                            checked += 1
+                n1, n2, n3 = A.dim(d1), A.dim(d2), A.dim(d3)
+                for a in range(n1):
+                    for b in range(a if d2 == d1 else 0, n2):
+                        cs = range(b if d3 == d2 else 0, n3)
+                        checked += len(cs)
+                        for c in cs:
+                            jac = jacobi_sum(rows, offset, d1, a, d2, b, d3, c)
                             if jac:
-                                failures.append(
-                                    ("jacobi", (a.label, b.label, c.label), A.element(d1 + d2 + d3, jac))
-                                )
+                                labels = tuple(A.basis_at(d)[k].label for d, k in ((d1, a), (d2, b), (d3, c)))
+                                failures.append(("jacobi", labels, Element(A, d1 + d2 + d3, jac)))
     return JacobiReport(not failures, checked, failures)
 
 

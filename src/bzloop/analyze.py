@@ -24,6 +24,7 @@ from .bl import (
     check_CL,
     constituent_lengths,
     construct_bl,
+    lambda_admissible,
     presentation_R,
     theta_specs,
     theta_word,
@@ -175,12 +176,6 @@ def _window_gen_word(p: BlParams, n: int, k: int):
     if k:
         parts += (GenPower(X, k),)
     return make_word(*parts)
-
-
-def _lambda_admissible(p: BlParams) -> list[int]:
-    """Loop exponents i with a one-dimensional component at the k = 2q-1 slot."""
-    excluded = {p.eta - 2 ** gamma for gamma in range(1, p.g)}
-    return [i for i in range(p.eta - 1) if i not in excluded]
 
 
 def _theta_weight_formula(p: BlParams, kind, n: int) -> int:
@@ -575,7 +570,7 @@ def analyze(g, h=None, class_bound: int | None = None) -> AnalysisReport:
                 ),
             )
             for n in periods(2 * twoq)
-            for i in _lambda_admissible(p)
+            for i in lambda_admissible(p)
             if 2 * twoq + twoq * i + (twoq - 1) + p.d * n <= bound
         ),
     )

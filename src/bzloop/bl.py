@@ -290,6 +290,16 @@ def theta_specs(g, h=None, max_weight: int = 0) -> list[ThetaSpec]:
 # -- the finite presentation ---------------------------------------------------
 
 
+def lambda_admissible(p: BlParams) -> list[int]:
+    """Loop exponents 0 <= i < eta - 1 other than eta - 2^gamma, 1 <= gamma < g.
+
+    These index the mu relators of R(g, h), the one-dimensional components
+    at the k = 2q - 1 slot of each period, and the mu-shift parity claims.
+    """
+    excluded = {p.eta - 2 ** gamma for gamma in range(1, p.g)}
+    return [i for i in range(p.eta - 1) if i not in excluded]
+
+
 def presentation_R(g, h=None) -> Presentation:
     """The defining relators of B(g, h): exactly q + h + eta words."""
     p = _params(g, h)
@@ -299,10 +309,7 @@ def presentation_R(g, h=None) -> Presentation:
     for t in range(1, p.g + p.h + 1):
         rels.append(make_word(*theta_word(p, kind=t, n=0).letters(), X))
     rels.append(make_word(*_v_parts(p, 1), X, Y, X))
-    powers = {2 ** a for a in range(1, p.g)}
-    for t in range(p.eta - 1):
-        if p.eta - t in powers:
-            continue
-        rels.append(make_word(*mu_word(p, n=0, i=t + 2).letters(), Y))
+    for i in lambda_admissible(p):
+        rels.append(make_word(*mu_word(p, n=0, i=i + 2).letters(), Y))
     assert len(rels) == p.q + p.h + p.eta
     return Presentation(tuple(rels))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bl import BlParams, bl_params
+from .bl import BlParams, bl_params, lambda_admissible
 
 PASCAL_MAX_ROW = 1 << 20
 
@@ -436,15 +436,10 @@ def _claims_two_power_window(p: BlParams, out: list) -> None:
                 )
 
 
-def _lambda_admissible(p: BlParams) -> list[int]:
-    excluded = {2 ** p.g - 2 ** gamma - 1 for gamma in range(1, p.g)}
-    return [i for i in range(p.eta - 2) if i not in excluded]
-
-
 def _claims_mu_shift(p: BlParams, out: list) -> None:
     # shifting the mu words: assembled coefficient is odd for admissible i
     q = p.q
-    for i in _lambda_admissible(p):
+    for i in lambda_admissible(p):
         lam = ((i + 1) & -(i + 1)).bit_length() - 1
         N = 2 * q * (i + 1 + 2 ** lam) + 2 * q - 3
         main = binom_mod2(N, 2 * q * 2 ** lam)

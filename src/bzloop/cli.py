@@ -3,8 +3,9 @@
 Every report starts with the derived parameters (q, eta, d, m) so text
 output is self-describing.  Exit codes: 0 when all requested checks pass
 or plain output was produced, 1 when a verification check failed, 2 on
-usage or parse errors.  JSON output is byte-deterministic: stable key
-order, no timestamps.
+usage or parse errors, on input past the limits below and on any internal
+error (reported as an ``error:`` line, never a traceback).  JSON output is
+byte-deterministic: stable key order, no timestamps.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .analyze import analyze
 from .bl import bl_params, construct_bl, presentation_R
@@ -25,24 +25,15 @@ from .char2 import (
     verify_appendix,
 )
 from .nq import nq_compute
-from .words import WordSyntaxError, parse_word
+from .words import parse_word
 
 
-@dataclass
-class CliConfig:
-    """Parsed invocation: one subcommand plus its knobs."""
-
-    subcommand: str
-    g: int | None = None
-    h: int | None = None
-    class_bound: int | None = None
-    json_path: str | None = None
-    word: str | None = None
-    gh_max: int = 6
-    check_max: int = 1024
-    Q: int = 4
-    s_max: int = 4
-    verbosity: int = 0
+# Input limits, checked before any other work.  Each bounds the work one flag
+# can ask for while keeping the stretch range g + h = 8 in reach: there the
+# default class bound m + 2d is at most 1660 (at g = 2, h = 6).
+MAX_GH = 8  # largest g + h, for --g/--h and verify-appendix --gh-max
+MAX_CLASS = 2048  # largest --class
+MAX_WORD_WEIGHT = 2048  # largest weight of an eval --word
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -85,37 +76,45 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(ns: argparse.Namespace) -> CliConfig:
-    cfg = CliConfig(subcommand=ns.subcommand, verbosity=ns.verbose)
-    for name in ("g", "h", "class_bound", "json_path", "word", "gh_max", "check_max", "s_max", "Q"):
-        if hasattr(ns, name):
-            setattr(cfg, name, getattr(ns, name))
-    return cfg
+def _check_limits(ns: argparse.Namespace) -> None:
+    """Raise ValueError if a flag asks for more than the input limits allow."""
+    g, h = getattr(ns, "g", None), getattr(ns, "h", None)
+    if g is not None and h is not None and g + h > MAX_GH:
+        raise ValueError(f"g + h = {g + h} is above the limit {MAX_GH}")
+    if getattr(ns, "gh_max", 0) > MAX_GH:
+        raise ValueError(f"--gh-max {ns.gh_max} is above the limit {MAX_GH}")
+    class_bound = getattr(ns, "class_bound", None)
+    if class_bound is not None and class_bound > MAX_CLASS:
+        raise ValueError(f"--class {class_bound} is above the limit {MAX_CLASS}")
+    if getattr(ns, "word", None) is not None:
+        weight = parse_word(ns.word).weight
+        if weight > MAX_WORD_WEIGHT:
+            raise ValueError(f"word weight {weight} is above the limit {MAX_WORD_WEIGHT}")
 
 
 def _header(p) -> str:
     return f"g={p.g} h={p.h}: q={p.q} eta={p.eta} d={p.d} m={p.m}"
 
 
-def _bound(cfg: CliConfig, p) -> int:
-    return cfg.class_bound if cfg.class_bound is not None else p.m + 2 * p.d
+def _bound(ns: argparse.Namespace, p) -> int:
+    return ns.class_bound if ns.class_bound is not None else p.m + 2 * p.d
 
 
 def _element_text(v) -> str:
     return " + ".join(v.labels()) if v.bits else "0"
 
 
-def _cmd_present(cfg: CliConfig) -> int:
-    p = bl_params(cfg.g, cfg.h)
+def _cmd_present(ns: argparse.Namespace) -> int:
+    p = bl_params(ns.g, ns.h)
     print(_header(p))
     for rel in presentation_R(p).relators:
         print(rel)
     return 0
 
 
-def _cmd_nq(cfg: CliConfig) -> int:
-    p = bl_params(cfg.g, cfg.h)
-    bound = _bound(cfg, p)
+def _cmd_nq(ns: argparse.Namespace) -> int:
+    p = bl_params(ns.g, ns.h)
+    bound = _bound(ns, p)
     M = nq_compute(presentation_R(p), bound)
     print(_header(p))
     print(f"class bound {bound}")
@@ -125,20 +124,20 @@ def _cmd_nq(cfg: CliConfig) -> int:
     return 0
 
 
-def _cmd_analyze(cfg: CliConfig) -> int:
-    p = bl_params(cfg.g, cfg.h)
-    report = analyze(p, class_bound=_bound(cfg, p))
-    if cfg.json_path:
+def _cmd_analyze(ns: argparse.Namespace) -> int:
+    p = bl_params(ns.g, ns.h)
+    report = analyze(p, class_bound=_bound(ns, p))
+    if ns.json_path:
         payload = json.dumps(report.to_json_dict(), indent=2) + "\n"
-        with open(cfg.json_path, "w", encoding="utf-8") as fh:
+        with open(ns.json_path, "w", encoding="utf-8") as fh:
             fh.write(payload)
     print(report.render_text())
     return 0 if report.ok else 1
 
 
-def _cmd_construct(cfg: CliConfig) -> int:
-    p = bl_params(cfg.g, cfg.h)
-    bound = _bound(cfg, p)
+def _cmd_construct(ns: argparse.Namespace) -> int:
+    p = bl_params(ns.g, ns.h)
+    bound = _bound(ns, p)
     B = construct_bl(p, class_bound=bound)
     print(_header(p))
     print(f"class bound {bound}")
@@ -150,19 +149,19 @@ def _cmd_construct(cfg: CliConfig) -> int:
     return 0
 
 
-def _cmd_eval(cfg: CliConfig) -> int:
-    p = bl_params(cfg.g, cfg.h)
-    word = parse_word(cfg.word)
+def _cmd_eval(ns: argparse.Namespace) -> int:
+    p = bl_params(ns.g, ns.h)
+    word = parse_word(ns.word)
     bound = max(2, word.weight)
     M = nq_compute(presentation_R(p), bound)
     print(_element_text(M.eval_word(word)))
     return 0
 
 
-def _cmd_verify_appendix(cfg: CliConfig) -> int:
+def _cmd_verify_appendix(ns: argparse.Namespace) -> int:
     pairs = [
         (g, h)
-        for total in range(3, cfg.gh_max + 1)
+        for total in range(3, ns.gh_max + 1)
         for g in range(2, total)
         for h in (total - g,)
         if h >= 1
@@ -175,7 +174,7 @@ def _cmd_verify_appendix(cfg: CliConfig) -> int:
         grand_total += len(claims)
         grand_failed += len(failed)
         print(f"g={g} h={h}: {len(claims) - len(failed)}/{len(claims)} claims pass")
-        shown = claims if cfg.verbosity else failed
+        shown = claims if ns.verbose else failed
         for c in shown:
             print(f"  {c}")
     print(f"total: {grand_total - grand_failed}/{grand_total} claims pass")
@@ -186,8 +185,8 @@ def _cmd_verify_appendix(cfg: CliConfig) -> int:
     return 0
 
 
-def _cmd_binom(cfg: CliConfig) -> int:
-    n_max = cfg.check_max
+def _cmd_binom(ns: argparse.Namespace) -> int:
+    n_max = ns.check_max
     bad = []
     for n in range(n_max + 1):
         row = pascal_row(n)
@@ -204,8 +203,8 @@ def _cmd_binom(cfg: CliConfig) -> int:
     return 0
 
 
-def _cmd_identity_i(cfg: CliConfig) -> int:
-    Q, s_max = cfg.Q, cfg.s_max
+def _cmd_identity_i(ns: argparse.Namespace) -> int:
+    Q, s_max = ns.Q, ns.s_max
     mismatches = 0
     corner = 0
     total = 0
@@ -245,11 +244,14 @@ def run(argv=None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    cfg = _config(ns)
     try:
-        return _COMMANDS[cfg.subcommand](cfg)
-    except (ValueError, WordSyntaxError) as exc:
+        _check_limits(ns)
+        return _COMMANDS[ns.subcommand](ns)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # an internal fault: reported, never a traceback
+        print(f"error: internal {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -3,7 +3,9 @@
 A vector in GF(2)^n is an int whose bit i is coordinate i; addition is XOR.
 Echelon bases keep their rows fully reduced with the pivot at the lowest set
 bit, which makes reduction a single pass and membership tests, coordinates,
-kernels and span solving cheap.
+kernels and span solving cheap.  A basis also keeps the OR of its pivot bits
+and a pivot -> row map, so `reduce` visits only the pivots a vector meets:
+clearing one pivot with its fully reduced row never sets another.
 """
 
 from __future__ import annotations
@@ -75,10 +77,11 @@ class EchelonBasis:
     """Mutable reduced row-echelon basis of a subspace of GF(2)^dim_ambient.
 
     Rows are fully reduced (each pivot bit occurs in exactly one row) and
-    sorted by pivot; the pivot of a row is its lowest set bit.
+    sorted by pivot; the pivot of a row is its lowest set bit.  `_mask` is
+    the OR of the pivot bits and `_row_at` maps each pivot to its row.
     """
 
-    __slots__ = ("dim_ambient", "_rows", "pivots")
+    __slots__ = ("dim_ambient", "_rows", "pivots", "_mask", "_row_at")
 
     def __init__(self, dim_ambient: int):
         if dim_ambient < 0:
@@ -86,6 +89,8 @@ class EchelonBasis:
         self.dim_ambient = dim_ambient
         self._rows: list[int] = []
         self.pivots: list[int] = []
+        self._mask = 0
+        self._row_at: dict[int, int] = {}
 
     @property
     def rank(self) -> int:
@@ -100,9 +105,12 @@ class EchelonBasis:
 
     def reduce(self, v: int) -> int:
         """Canonical coset representative of v modulo the row space."""
-        for pivot, row in zip(self.pivots, self._rows):
-            if (v >> pivot) & 1:
-                v ^= row
+        row_at = self._row_at
+        m = v & self._mask
+        while m:
+            low = m & -m
+            v ^= row_at[low.bit_length() - 1]
+            m ^= low
         return v
 
     def add(self, v: int) -> bool:
@@ -112,13 +120,17 @@ class EchelonBasis:
         v = self.reduce(v)
         if v == 0:
             return False
-        pivot = (v & -v).bit_length() - 1
-        for i, row in enumerate(self._rows):
-            if (row >> pivot) & 1:
-                self._rows[i] = row ^ v
+        low = v & -v
+        pivot = low.bit_length() - 1
+        rows, row_at = self._rows, self._row_at
+        for i, row in enumerate(rows):
+            if row & low:
+                rows[i] = row_at[self.pivots[i]] = row ^ v
         at = bisect_left(self.pivots, pivot)
         self.pivots.insert(at, pivot)
-        self._rows.insert(at, v)
+        rows.insert(at, v)
+        row_at[pivot] = v
+        self._mask |= low
         return True
 
     def contains(self, v: int) -> bool:
@@ -138,6 +150,8 @@ class EchelonBasis:
         out = EchelonBasis(self.dim_ambient)
         out._rows = list(self._rows)
         out.pivots = list(self.pivots)
+        out._mask = self._mask
+        out._row_at = dict(self._row_at)
         return out
 
     def __iter__(self) -> Iterator[int]:

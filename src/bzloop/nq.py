@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import GEN_ORDER, GENERATORS, BasisElement, BracketTable, GradedAlgebra
+from .algebra import GEN_ORDER, GENERATORS, BasisElement, BracketTable, GradedAlgebra, jacobi_sum
 from .gf2 import echelonize, iter_bits
 from .words import CommutatorWord, X, Y, Z, extend_label
 
@@ -108,7 +108,7 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
                             for c in range(dims[d3]):
                                 if d3 == d2 and c <= b:
                                     continue
-                                rows.append(_jacobi_row(R, off, d1, a, d2, b, d3, c))
+                                rows.append(jacobi_sum(R, off, d1, a, d2, b, d3, c))
         else:
             for d1 in range(1, n // 2 + 1):
                 d2 = n - d1
@@ -119,7 +119,7 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
                         for g in (0, 1):
                             if (d1, a) == (1, g) or (d2, b) == (1, g):
                                 continue
-                            rows.append(_jacobi_row(R, off, d1, a, d2, b, 1, g))
+                            rows.append(jacobi_sum(R, off, d1, a, d2, b, 1, g))
 
         # defining relators of the new weight; the last letter meets the
         # frontier symbols through the top degree's action
@@ -165,21 +165,3 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
     action_layers = [[(row[0], row[1]) for row in R[d]] for d in range(1, class_bound)]
     action_layers.append([(0, 0)] * dims[class_bound])
     return GradedAlgebra(class_bound, basis[1:], action_layers)
-
-
-def _jacobi_row(R, off, d1: int, a: int, d2: int, b: int, d3: int, c: int) -> int:
-    """Frontier row of [[u,v],w] + [[v,w],u] + [[w,u],v] for basis elements u, v, w."""
-    out = 0
-    for u, ui, v, vi, w, wi in (
-        (d1, a, d2, b, d3, c),
-        (d2, b, d3, c, d1, a),
-        (d3, c, d1, a, d2, b),
-    ):
-        uv = R[u + v]
-        col = off[w] + wi
-        m = R[u][ui][off[v] + vi]
-        while m:
-            low = m & -m
-            out ^= uv[low.bit_length() - 1][col]
-            m ^= low
-    return out

@@ -13,6 +13,7 @@ from bzloop.bl import (
     check_CL,
     constituent_lengths,
     construct_bl,
+    lambda_admissible,
     mu_word,
     presentation_R,
     theta_specs,
@@ -229,3 +230,15 @@ def test_presentation_round_trips_through_parser():
     for g, h in ((2, 1), (3, 2)):
         for r in presentation_R(g, h).relators:
             assert parse_word(str(r)) == r
+
+
+def test_lambda_admissible_rule():
+    assert lambda_admissible(bl_params(2, 1)) == [0]
+    assert lambda_admissible(bl_params(3, 1)) == [0, 1, 2, 4]
+    for g in range(2, 8):
+        p = bl_params(g, 1)
+        # the same set written as 2^g - 2^gamma - 1 excluded from 0 <= i < eta - 2
+        excluded = {2 ** g - 2 ** gamma - 1 for gamma in range(1, g)}
+        assert lambda_admissible(p) == [i for i in range(p.eta - 2) if i not in excluded]
+        # exactly eta - g of the eta - 1 exponents survive, one mu relator each
+        assert len(lambda_admissible(p)) == p.eta - g

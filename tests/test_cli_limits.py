@@ -1,0 +1,92 @@
+"""CLI input limits and the catch-all error path.
+
+Every command that would do work past a limit has its work functions
+replaced by ones that fail the test at once, so a missing guard shows up
+as a failure, never as a long run.
+"""
+
+import subprocess
+import sys
+
+import pytest
+
+from bzloop import cli
+
+PAST_LIMITS = [
+    ["present", "--g", str(cli.MAX_GH - 1), "--h", "2"],
+    ["nq", "--g", "2", "--h", str(cli.MAX_GH - 1)],
+    ["nq", "--g", "2", "--h", "1", "--class", str(cli.MAX_CLASS + 1)],
+    ["analyze", "--g", "2", "--h", "1", "--class", str(cli.MAX_CLASS + 1)],
+    ["construct", "--g", "2", "--h", "1", "--class", str(cli.MAX_CLASS + 1)],
+    ["eval", "--g", "2", "--h", "1", "--word", f"y x^{cli.MAX_WORD_WEIGHT}"],
+    ["verify-appendix", "--gh-max", str(cli.MAX_GH + 1)],
+]
+
+AT_LIMITS = [
+    ["present", "--g", str(cli.MAX_GH - 1), "--h", "1"],
+    ["nq", "--g", "2", "--h", "1", "--class", str(cli.MAX_CLASS)],
+    ["eval", "--g", "2", "--h", "1", "--word", f"y x^{cli.MAX_WORD_WEIGHT - 1}"],
+    ["verify-appendix", "--gh-max", str(cli.MAX_GH)],
+]
+
+
+def _work_started(*args, **kwargs):
+    pytest.fail("work started past an input limit")
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    for name in ("bl_params", "presentation_R", "nq_compute", "analyze", "construct_bl", "verify_appendix"):
+        monkeypatch.setattr(cli, name, _work_started)
+
+
+def _namespace(argv):
+    return cli._build_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize("argv", PAST_LIMITS, ids=lambda argv: " ".join(argv))
+def test_guard_rejects_values_past_each_limit(argv):
+    with pytest.raises(ValueError, match="above the limit"):
+        cli._check_limits(_namespace(argv))
+
+
+@pytest.mark.parametrize("argv", AT_LIMITS, ids=lambda argv: " ".join(argv))
+def test_guard_accepts_values_at_each_limit(argv):
+    cli._check_limits(_namespace(argv))
+
+
+def test_stretch_range_is_inside_the_limits():
+    from bzloop.bl import bl_params
+
+    for g in range(2, cli.MAX_GH):
+        p = bl_params(g, cli.MAX_GH - g)
+        assert p.m + 2 * p.d <= cli.MAX_CLASS
+
+
+@pytest.mark.parametrize("argv", PAST_LIMITS, ids=lambda argv: " ".join(argv))
+def test_run_exits_2_before_any_work(argv, no_work, capsys):
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "above the limit" in captured.err
+
+
+def test_huge_presentation_exits_2_without_a_traceback():
+    proc = subprocess.run(
+        [sys.executable, "-m", "bzloop", "present", "--g", "28", "--h", "1"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: g + h = 29 is above the limit")
+
+
+def test_internal_error_exits_2_without_a_traceback(monkeypatch, capsys):
+    def broken(g, h):
+        raise RuntimeError("table corrupted")
+
+    monkeypatch.setattr(cli, "bl_params", broken)
+    assert cli.run(["present", "--g", "2", "--h", "1"]) == 2
+    assert capsys.readouterr().err == "error: internal RuntimeError: table corrupted\n"

@@ -1,0 +1,206 @@
+"""The bit-mask kernels against plain references.
+
+`jacobi_check` reads squares and Jacobi sums straight from the bracket
+table; its reference is the per-triple loop over `Element` brackets it
+replaced.  The GF(2) echelon routines are compared with naive Gaussian
+elimination and brute-force kernels on random matrices.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, strategies as st
+
+from bzloop.algebra import GradedAlgebra, jacobi_check
+from bzloop.bl import presentation_R
+from bzloop.gf2 import EchelonBasis, SpanSolver, echelonize, iter_bits, kernel
+from bzloop.nq import nq_compute
+
+# -- jacobi_check --------------------------------------------------------------
+
+
+def reference_jacobi(A: GradedAlgebra, max_degree=None):
+    """The Element-based loop: (ok, checked, [(kind, labels, degree, bits)])."""
+    bound = min(A.class_bound, max_degree) if max_degree else A.class_bound
+    checked = 0
+    failures = []
+    for d in range(1, bound // 2 + 1):
+        for e in A.basis_at(d):
+            u = A.element(d, 1 << e.index)
+            sq = A.bracket(u, u)
+            checked += 1
+            if sq.bits:
+                failures.append(("square", e.label, sq.degree, sq.bits))
+    for d1 in range(1, bound - 1):
+        for d2 in range(d1, bound - d1):
+            for d3 in range(d2, bound - d1 - d2 + 1):
+                for a in A.basis_at(d1):
+                    u = A.element(d1, 1 << a.index)
+                    for b in A.basis_at(d2):
+                        if d2 == d1 and b.index < a.index:
+                            continue
+                        v = A.element(d2, 1 << b.index)
+                        uv = A.bracket(u, v)
+                        for c in A.basis_at(d3):
+                            if d3 == d2 and c.index < b.index:
+                                continue
+                            w = A.element(d3, 1 << c.index)
+                            jac = (
+                                A.bracket(uv, w).bits
+                                ^ A.bracket(A.bracket(v, w), u).bits
+                                ^ A.bracket(A.bracket(w, u), v).bits
+                            )
+                            checked += 1
+                            if jac:
+                                failures.append(
+                                    ("jacobi", (a.label, b.label, c.label), d1 + d2 + d3, jac)
+                                )
+    return not failures, checked, failures
+
+
+def _report(A: GradedAlgebra, max_degree=None):
+    rep = jacobi_check(A, max_degree)
+    return rep.ok, rep.checked, [(kind, labels, e.degree, e.bits) for kind, labels, e in rep.failures]
+
+
+def _corrupted(A: GradedAlgebra, rng: random.Random) -> GradedAlgebra:
+    """A copy of A with 1-3 action bits flipped."""
+    rows = [[list(r) for r in layer] for layer in A.action[1:]]
+    degrees = [d for d in range(1, A.class_bound) if A.dim(d + 1)]
+    for _ in range(rng.randint(1, 3)):
+        d = rng.choice(degrees)
+        row = rows[d - 1][rng.randrange(A.dim(d))]
+        row[rng.randrange(2)] ^= 1 << rng.randrange(A.dim(d + 1))
+    return GradedAlgebra(A.class_bound, A.basis[1:], [tuple(tuple(r) for r in layer) for layer in rows])
+
+
+@pytest.fixture(scope="module")
+def presented():
+    return [nq_compute(presentation_R(g, h), c) for g, h, c in ((2, 1, 20), (3, 1, 30), (2, 2, 25))]
+
+
+def test_jacobi_check_matches_reference_on_sound_tables(presented):
+    for A in presented:
+        assert _report(A) == reference_jacobi(A)
+        assert _report(A)[0]
+
+
+def test_jacobi_check_matches_reference_on_corrupted_tables(presented):
+    failing = 0
+    for seed in range(20):
+        rng = random.Random(seed)
+        for A in presented:
+            bad = _corrupted(A, rng)
+            cut = rng.randint(4, A.class_bound - 1)
+            for max_degree in (None, cut):
+                got = _report(bad, max_degree)
+                assert got == reference_jacobi(bad, max_degree), (seed, A.class_bound, max_degree)
+                failing += not got[0]
+    assert failing >= 60  # most corruptions are caught, so the failure lists were compared
+
+
+# -- GF(2) echelon routines ----------------------------------------------------
+
+DIM = 10
+
+
+def naive_rref(vectors, dim):
+    """Reduced echelon rows by column-wise Gaussian elimination, sorted by pivot."""
+    rest = [v for v in vectors if v]
+    out = []
+    for col in range(dim):
+        pick = next((r for r in rest if r >> col & 1), None)
+        if pick is None:
+            continue
+        rest.remove(pick)
+        rest = [r ^ pick if r >> col & 1 else r for r in rest]
+        out = [r ^ pick if r >> col & 1 else r for r in out]
+        out.append(pick)
+    return out
+
+
+def naive_reduce(rows, v):
+    for r in rows:
+        if v >> ((r & -r).bit_length() - 1) & 1:
+            v ^= r
+    return v
+
+
+def combos(vectors):
+    """(mask, XOR of the vectors the mask selects) for every subset."""
+    for mask in range(1 << len(vectors)):
+        acc = 0
+        for i in iter_bits(mask):
+            acc ^= vectors[i]
+        yield mask, acc
+
+
+def assert_matches(basis: EchelonBasis, vectors, probes):
+    rows = naive_rref(vectors, basis.dim_ambient)
+    assert basis.row_bits() == rows
+    assert list(basis) == rows
+    assert basis.pivots == [(r & -r).bit_length() - 1 for r in rows]
+    for v in probes:
+        red = naive_reduce(rows, v)
+        assert basis.reduce(v) == red
+        assert basis.contains(v) == (red == 0)
+        coords = basis.coordinates(v)
+        if red:
+            assert coords is None
+        else:
+            assert coords == [v >> p & 1 for p in basis.pivots]
+
+
+_vec = st.integers(min_value=0, max_value=(1 << DIM) - 1)
+_matrix = st.lists(_vec, max_size=8)
+
+
+@given(_matrix, st.lists(_vec, max_size=6))
+def test_echelon_basis_matches_gaussian_elimination(vectors, probes):
+    probes = probes + vectors + [1 << i for i in range(DIM)]
+    basis = EchelonBasis(DIM)
+    for k, v in enumerate(vectors):
+        grew = basis.add(v)
+        assert grew == (len(naive_rref(vectors[: k + 1], DIM)) > len(naive_rref(vectors[:k], DIM)))
+        assert_matches(basis, vectors[: k + 1], probes)
+    assert_matches(echelonize(vectors, DIM), vectors, probes)
+
+
+@given(_matrix, st.lists(_vec, max_size=6))
+def test_echelon_copy_is_independent(vectors, probes):
+    probes = probes + [1 << i for i in range(DIM)]
+    basis = echelonize(vectors, DIM)
+    before = [basis.reduce(v) for v in probes]
+    for col in range(DIM):
+        if col in basis.pivots:
+            continue
+        # a new pivot at a non-pivot column back-eliminates every row holding that bit
+        twin = basis.copy()
+        assert twin.add(1 << col)
+        assert_matches(twin, vectors + [1 << col], probes)
+        assert [basis.reduce(v) for v in probes] == before
+        assert_matches(basis, vectors, probes)
+        # and the other way round: growing the original leaves the copy alone
+        twin = basis.copy()
+        grown = basis.copy()
+        grown.add(1 << col)
+        assert_matches(twin, vectors, probes)
+
+
+@given(_matrix, st.integers(min_value=0, max_value=DIM))
+def test_kernel_matches_brute_force(images, width):
+    images = [im & ((1 << width) - 1) for im in images]
+    null = [mask for mask, acc in combos(images) if acc == 0]
+    assert kernel(images, width).row_bits() == naive_rref(null, len(images))
+
+
+@given(_matrix, _vec)
+def test_span_solver_matches_brute_force(vectors, target):
+    solutions = [mask for mask, acc in combos(vectors) if acc == target]
+    got = SpanSolver(vectors, DIM).express(target)
+    if not solutions:
+        assert got is None
+    else:
+        assert got in solutions
+        if len(solutions) == 1:  # independent vectors: the solution is unique
+            assert got == solutions[0]
