@@ -12,7 +12,11 @@ Brackets whose degree sum exceeds class_bound are truncated to zero.
 `jacobi_sum` is the one Jacobi expansion over a `BracketTable`: `nq_compute`
 reads its relation rows from it, and `jacobi_check` reads every square and
 every Jacobi sum straight from the algebra's filled table, building an
-`Element` only for a failure.
+`Element` only for a failure.  Two more rules live here once each:
+`eval_runs` evaluates a left-normed word over action rows (for `eval_word`
+and the relator rows of `nq_compute`), and `define_layer` builds a degree's
+basis from surviving symbols 2 * parent + generator (for `nq_compute` and
+`quotient`).
 """
 
 from __future__ import annotations
@@ -191,6 +195,50 @@ def jacobi_sum(rows, offset, d1: int, a: int, d2: int, b: int, d3: int, c: int) 
     return out
 
 
+def eval_runs(rows, runs, top: int) -> int:
+    """Mask of the left-normed word with the given (letter, count) runs.
+
+    ``rows[d][i][0]`` and ``rows[d][i][1]`` are the masks of [e(d,i), x]
+    and [e(d,i), y], so both `GradedAlgebra` action rows and `BracketTable`
+    rows fit; z acts as x + y.  A word that would pass degree `top` is zero.
+    """
+    mask = 0
+    degree = 0
+    for letter, count in runs:
+        gi = 0 if letter is X else 1 if letter is Y else 2
+        if not degree:
+            mask = gi + 1  # x, y, z = 0b01, 0b10, 0b11
+            degree = 1
+            count -= 1
+        for _ in range(count):
+            if degree >= top or mask == 0:
+                return 0
+            layer = rows[degree]
+            out = 0
+            while mask:
+                low = mask & -mask
+                row = layer[low.bit_length() - 1]
+                out ^= row[0] ^ row[1] if gi == 2 else row[gi]
+                mask ^= low
+            mask = out
+            degree += 1
+    return mask
+
+
+def define_layer(
+    degree: int, parents: Sequence[BasisElement], symbols: Iterable[int]
+) -> list[BasisElement]:
+    """Basis of `degree` defined by symbols s = 2 * parent index + generator index.
+
+    Element k is [parents[s >> 1], x or y] for the k-th symbol s.
+    """
+    layer = []
+    for k, s in enumerate(symbols):
+        p, gen = s >> 1, GEN_ORDER[s & 1]
+        layer.append(BasisElement(degree, k, p, gen, extend_label(parents[p].label, gen)))
+    return layer
+
+
 class Element:
     """A homogeneous element: a degree plus a coefficient mask."""
 
@@ -200,10 +248,6 @@ class Element:
         self.algebra = algebra
         self.degree = degree
         self.bits = bits
-
-    @property
-    def is_zero(self) -> bool:
-        return self.bits == 0
 
     def __bool__(self) -> bool:
         return self.bits != 0
@@ -407,35 +451,7 @@ class GradedAlgebra:
 
     def eval_word(self, w: CommutatorWord) -> Element:
         """Evaluate a left-normed word; z letters evaluate as x+y."""
-        weight = w.weight
-        action = self._action
-        mask = 0
-        degree = 0
-        for letter, count in w.runs():
-            gi = 0 if letter is X else 1 if letter is Y else 2
-            if not degree:
-                mask = gi + 1  # x, y, z = 0b01, 0b10, 0b11
-                degree = 1
-                count -= 1
-            for _ in range(count):
-                if degree >= self.class_bound or mask == 0:
-                    return Element(self, weight, 0)
-                rows = action[degree]
-                out = 0
-                while mask:
-                    low = mask & -mask
-                    row = rows[low.bit_length() - 1]
-                    out ^= row[0] ^ row[1] if gi == 2 else row[gi]
-                    mask ^= low
-                mask = out
-                degree += 1
-        return Element(self, weight, mask)
-
-    def eval_letters(self, v: Element, letters: Iterable[GeneratorSymbol]) -> Element:
-        out = v
-        for letter in letters:
-            out = self.bracket_gen(out, letter)
-        return out
+        return Element(self, w.weight, eval_runs(self._action, w.runs(), self.class_bound))
 
     # -- serialization ---------------------------------------------------
 
@@ -479,14 +495,14 @@ class JacobiReport:
         return f"jacobi check: {status}, {self.checked} instances"
 
 
-def jacobi_check(A: GradedAlgebra, max_degree: int | None = None) -> JacobiReport:
+def jacobi_check(A: GradedAlgebra) -> JacobiReport:
     """Check [u,u]=0 and the Jacobi identity on all in-range basis triples.
 
     Every square and Jacobi sum is read from the algebra's `BracketTable`,
-    filled once up to the checked degree.  Triples (u, v, w) run over
-    degrees d1 <= d2 <= d3 and, within equal degrees, indices in order.
+    filled once up to the class bound.  Triples (u, v, w) run over degrees
+    d1 <= d2 <= d3 and, within equal degrees, indices in order.
     """
-    bound = min(A.class_bound, max_degree) if max_degree else A.class_bound
+    bound = A.class_bound
     table = A.bracket_table()
     for i in range(1, bound):
         table.ensure(i, bound - i)
@@ -614,11 +630,6 @@ def quotient(A: GradedAlgebra, ideal: GradedSubspaceFamily) -> GradedAlgebra:
         survivors = [k for k in range(len(cands)) if k not in killed]
         if len(survivors) != A.dim(d) - idl.rank:
             raise AssertionError("quotient candidates failed to span")
-        layer = []
-        for new_index, k in enumerate(survivors):
-            p, gi = divmod(k, 2)
-            gen = GEN_ORDER[gi]
-            layer.append(BasisElement(d, new_index, p, gen, extend_label(parents[p].label, gen)))
         solver = SpanSolver([cands[k] for k in survivors], A.dim(d))
         rows = []
         for p in range(len(parents)):
@@ -630,45 +641,13 @@ def quotient(A: GradedAlgebra, ideal: GradedSubspaceFamily) -> GradedAlgebra:
                 masks.append(m)
             rows.append((masks[0], masks[1]))
         action.append(rows)
-        basis.append(layer)
+        basis.append(define_layer(d, parents, survivors))
         reps = [cands[k] for k in survivors]
     action.append([(0, 0)] * len(basis[-1]))
     return GradedAlgebra(bound, basis, action)
 
 
 # -- derived structure -------------------------------------------------------
-
-
-class NoPreimageError(ValueError):
-    pass
-
-
-class AmbiguousPreimageError(ValueError):
-    pass
-
-
-def adx_preimage(A: GradedAlgebra, v: Element, c: int) -> Element:
-    """The unique u with [u x^c] = v, when it exists and is unique."""
-    if c < 1:
-        raise ValueError("need a positive power")
-    d0 = v.degree - c
-    if d0 < 1:
-        raise ValueError("preimage degree would fall below 1")
-    if v.bits == 0:
-        raise AmbiguousPreimageError("zero has no distinguished preimage")
-    images = []
-    for i in range(A.dim(d0)):
-        m = 1 << i
-        for step in range(c):
-            m = A.act_mask(d0 + step, m, X)
-        images.append(m)
-    if kernel(images, A.dim(v.degree)).rank:
-        raise AmbiguousPreimageError(f"x^{c} has a kernel in degree {d0}")
-    solver = SpanSolver(images, A.dim(v.degree))
-    mask = solver.express(v.bits)
-    if mask is None:
-        raise NoPreimageError(f"no degree-{d0} element maps onto the target")
-    return A.element(d0, mask)
 
 
 def two_step_centralizers(A: GradedAlgebra) -> list:
@@ -697,32 +676,3 @@ def two_step_centralizers(A: GradedAlgebra) -> list:
             out.append("all")
     return out
 
-
-class InapplicableError(ValueError):
-    """The centralizer window needed by a check is not available."""
-
-
-def z_substitution_holds(A: GradedAlgebra, v: Element, letters) -> bool:
-    """Whether [v l_1 ... l_n] = [v z^n], given an {x,y}-centralized window.
-
-    Requires the two-step centralizers at degrees deg(v) .. deg(v)+n-1 to be
-    spanned by a generator (the degree-1 window uses the degree-2 entry);
-    otherwise InapplicableError is raised.
-    """
-    syms = [_as_symbol(l) for l in letters]
-    if any(s is Z for s in syms):
-        raise ValueError("the substituted letters must be x or y")
-    n = len(syms)
-    if n == 0:
-        return True
-    last = v.degree + n - 1
-    if last > A.class_bound - 1:
-        raise InapplicableError("window extends past the known centralizer range")
-    cents = two_step_centralizers(A)
-    for j in range(v.degree, last + 1):
-        entry = cents[max(j, 2) - 2]
-        if entry not in ("x", "y"):
-            raise InapplicableError(f"degree {j}: centralizer is not a generator")
-    plain = A.eval_letters(v, syms)
-    zed = A.eval_letters(v, [Z] * n)
-    return plain.bits == 0 or plain.bits == zed.bits

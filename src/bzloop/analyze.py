@@ -56,6 +56,13 @@ class CenterEntry:
     basis_labels: tuple[str, ...]
     matched_theta: tuple[dict, ...]
 
+    def to_json_dict(self) -> dict:
+        return {
+            "degree": self.degree,
+            "basis_labels": list(self.basis_labels),
+            "matched_theta": [dict(t) for t in self.matched_theta],
+        }
+
 
 @dataclass(frozen=True)
 class AnalysisReport:
@@ -91,22 +98,8 @@ class AnalysisReport:
             "class_bound": self.class_bound,
             "ok": self.ok,
             "dims": list(self.dims[1:]),
-            "centers": [
-                {
-                    "degree": e.degree,
-                    "basis_labels": list(e.basis_labels),
-                    "matched_theta": [dict(t) for t in e.matched_theta],
-                }
-                for e in self.centers
-            ],
-            "second_center_extras": [
-                {
-                    "degree": e.degree,
-                    "basis_labels": list(e.basis_labels),
-                    "matched_theta": [dict(t) for t in e.matched_theta],
-                }
-                for e in self.second_center_extras
-            ],
+            "centers": [e.to_json_dict() for e in self.centers],
+            "second_center_extras": [e.to_json_dict() for e in self.second_center_extras],
             "quotient": {
                 "class_bound": len(self.quotient_dims) - 1,
                 "dims": list(self.quotient_dims[1:]),
@@ -423,11 +416,11 @@ def analyze(g, h=None, class_bound: int | None = None) -> AnalysisReport:
     )
 
     consts = constituent_lengths(cents)
-    expected_consts = bl_constituent_lengths(p, count=len(consts.lengths))
+    expected_consts = bl_constituent_lengths(p, count=len(consts))
     check(
         "quotient-constituents",
-        consts.lengths == expected_consts and check_CL(consts, p),
-        " ".join(str(v) for v in consts.lengths),
+        consts == expected_consts and check_CL(consts, p),
+        " ".join(str(v) for v in consts),
     )
 
     # Two-dimensional components are spanned by the chain word and the theta word.
@@ -606,6 +599,6 @@ def analyze(g, h=None, class_bound: int | None = None) -> AnalysisReport:
         second_center_extras=tuple(extras),
         quotient_dims=(0,) + tuple(Q.dim(d) for d in range(1, Q.class_bound + 1)),
         quotient_centralizers=cents.entries,
-        quotient_constituents=consts.lengths,
+        quotient_constituents=consts,
         checks=tuple(checks),
     )

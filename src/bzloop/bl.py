@@ -132,12 +132,7 @@ def centralizer_sequence(A: GradedAlgebra) -> CentralizerSequence:
     return CentralizerSequence(tuple(entries))
 
 
-@dataclass(frozen=True)
-class ConstituentSequence:
-    lengths: tuple[int, ...]
-
-
-def constituent_lengths(seq) -> ConstituentSequence:
+def constituent_lengths(seq) -> tuple[int, ...]:
     """Split a centralizer sequence into complete constituents.
 
     A constituent is a run of y-entries closed off by its first non-y entry
@@ -155,7 +150,7 @@ def constituent_lengths(seq) -> ConstituentSequence:
         if e != FY:
             lengths.append(run)
             run = 0
-    return ConstituentSequence(tuple(lengths))
+    return tuple(lengths)
 
 
 def check_CL(lengths, g, h=None) -> bool:
@@ -163,8 +158,6 @@ def check_CL(lengths, g, h=None) -> bool:
     p = _params(g, h)
     twoq = 2 * p.q
     allowed = {twoq} | {twoq - 2 ** s for s in range(p.h + 1)}
-    if isinstance(lengths, ConstituentSequence):
-        lengths = lengths.lengths
     return all(l in allowed for l in lengths)
 
 

@@ -17,6 +17,7 @@ import sys
 from .analyze import analyze
 from .bl import bl_params, construct_bl, presentation_R
 from .char2 import (
+    _check_Q,
     binom_mod2,
     identity_I_check,
     identity_I_expected,
@@ -30,10 +31,15 @@ from .words import parse_word
 
 # Input limits, checked before any other work.  Each bounds the work one flag
 # can ask for while keeping the stretch range g + h = 8 in reach: there the
-# default class bound m + 2d is at most 1660 (at g = 2, h = 6).
+# default class bound m + 2d is at most 1660 (at g = 2, h = 6).  The parity
+# sweeps are sized so the largest allowed run takes a few seconds: binom is
+# quadratic in --check-max, identity-i about s_max^2 * Q^2 / 2 binomials.
 MAX_GH = 8  # largest g + h, for --g/--h and verify-appendix --gh-max
 MAX_CLASS = 2048  # largest --class
 MAX_WORD_WEIGHT = 2048  # largest weight of an eval --word
+MAX_BINOM_ROW = 4096  # largest binom --check-max
+MAX_Q = 64  # largest identity-i --Q
+MAX_S = 64  # largest identity-i --s-max
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -77,7 +83,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_limits(ns: argparse.Namespace) -> None:
-    """Raise ValueError if a flag asks for more than the input limits allow."""
+    """Raise ValueError if a flag asks for more than the input limits allow.
+
+    A --Q that is not a power of two >= 2 and a negative count are refused
+    too: the sweeps would run no instance and still report a pass.
+    """
     g, h = getattr(ns, "g", None), getattr(ns, "h", None)
     if g is not None and h is not None and g + h > MAX_GH:
         raise ValueError(f"g + h = {g + h} is above the limit {MAX_GH}")
@@ -90,6 +100,20 @@ def _check_limits(ns: argparse.Namespace) -> None:
         weight = parse_word(ns.word).weight
         if weight > MAX_WORD_WEIGHT:
             raise ValueError(f"word weight {weight} is above the limit {MAX_WORD_WEIGHT}")
+    if getattr(ns, "Q", None) is not None:
+        _check_Q(ns.Q)
+        if ns.Q > MAX_Q:
+            raise ValueError(f"--Q {ns.Q} is above the limit {MAX_Q}")
+    for flag, value, limit in (
+        ("--s-max", getattr(ns, "s_max", None), MAX_S),
+        ("--check-max", getattr(ns, "check_max", None), MAX_BINOM_ROW),
+    ):
+        if value is None:
+            continue
+        if value < 0:
+            raise ValueError(f"{flag} {value} is negative")
+        if value > limit:
+            raise ValueError(f"{flag} {value} is above the limit {limit}")
 
 
 def _header(p) -> str:

@@ -2,16 +2,15 @@
 
 A vector in GF(2)^n is an int whose bit i is coordinate i; addition is XOR.
 Echelon bases keep their rows fully reduced with the pivot at the lowest set
-bit, which makes reduction a single pass and membership tests, coordinates,
-kernels and span solving cheap.  A basis also keeps the OR of its pivot bits
-and a pivot -> row map, so `reduce` visits only the pivots a vector meets:
+bit, which makes reduction a single pass and membership tests, kernels and
+span solving cheap.  A basis also keeps the OR of its pivot bits and a
+pivot -> row map, so `reduce` visits only the pivots a vector meets:
 clearing one pivot with its fully reduced row never sets another.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 
@@ -21,56 +20,6 @@ def iter_bits(x: int) -> Iterator[int]:
         low = x & -x
         yield low.bit_length() - 1
         x ^= low
-
-
-def from_coeffs(coeffs: Iterable[int]) -> int:
-    bits = 0
-    for i, c in enumerate(coeffs):
-        if c & 1:
-            bits |= 1 << i
-    return bits
-
-
-def to_coeffs(bits: int, length: int) -> list[int]:
-    return [(bits >> i) & 1 for i in range(length)]
-
-
-@dataclass(frozen=True)
-class BitVec:
-    """Fixed-length GF(2) vector; coordinate i is bit i of `bits`."""
-
-    len: int
-    bits: int = 0
-
-    def __post_init__(self):
-        if self.len < 0:
-            raise ValueError("negative length")
-        if not 0 <= self.bits < (1 << self.len):
-            raise ValueError("coordinates outside the declared length")
-
-    @classmethod
-    def from_coeffs(cls, coeffs: Iterable[int]) -> "BitVec":
-        coeffs = list(coeffs)
-        return cls(len(coeffs), from_coeffs(coeffs))
-
-    def coeffs(self) -> list[int]:
-        return to_coeffs(self.bits, self.len)
-
-    def __getitem__(self, i: int) -> int:
-        if not 0 <= i < self.len:
-            raise IndexError(i)
-        return (self.bits >> i) & 1
-
-    def __xor__(self, other: "BitVec") -> "BitVec":
-        if self.len != other.len:
-            raise ValueError("length mismatch")
-        return BitVec(self.len, self.bits ^ other.bits)
-
-    def __bool__(self) -> bool:
-        return self.bits != 0
-
-    def __str__(self) -> str:
-        return "[" + " ".join(str(c) for c in self.coeffs()) + "]"
 
 
 class EchelonBasis:
@@ -95,10 +44,6 @@ class EchelonBasis:
     @property
     def rank(self) -> int:
         return len(self._rows)
-
-    @property
-    def rows(self) -> list[BitVec]:
-        return [BitVec(self.dim_ambient, r) for r in self._rows]
 
     def row_bits(self) -> list[int]:
         return list(self._rows)
@@ -135,24 +80,6 @@ class EchelonBasis:
 
     def contains(self, v: int) -> bool:
         return self.reduce(v) == 0
-
-    def coordinates(self, v: int) -> list[int] | None:
-        """Coefficients of v over self.rows, or None if v is not in the span."""
-        coords = [0] * len(self._rows)
-        acc = 0
-        for i, (pivot, row) in enumerate(zip(self.pivots, self._rows)):
-            if (v >> pivot) & 1:
-                coords[i] = 1
-                acc ^= row
-        return coords if acc == v else None
-
-    def copy(self) -> "EchelonBasis":
-        out = EchelonBasis(self.dim_ambient)
-        out._rows = list(self._rows)
-        out.pivots = list(self.pivots)
-        out._mask = self._mask
-        out._row_at = dict(self._row_at)
-        return out
 
     def __iter__(self) -> Iterator[int]:
         return iter(self._rows)
@@ -214,7 +141,3 @@ class SpanSolver:
             return None
         return red >> self.dim_ambient
 
-
-def solve_in_span(vectors: Iterable[int], target: int, dim_ambient: int) -> int | None:
-    """One-shot SpanSolver.express."""
-    return SpanSolver(vectors, dim_ambient).express(target)

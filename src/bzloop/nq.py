@@ -4,8 +4,9 @@ The quotient is built degree by degree.  At each stage the next degree is
 presented by frontier symbols [b, x], [b, y] over the current top degree's
 basis, and three families of GF(2) relations are imposed: alternation and
 antisymmetry of the bracket, Jacobi instances landing in the new degree,
-and the defining relators of that weight.  Surviving symbols become the new
-basis, so every basis element keeps a (parent index, generator) definition.
+and the defining relators of that weight, whose rows `eval_runs` reads off
+the table.  Surviving symbols become the new basis through `define_layer`,
+so every basis element keeps a (parent index, generator) definition.
 
 All brackets live in one `BracketTable`.  To cut degree n + 1, the top
 degree's action is set to the frontier symbols themselves and the table's
@@ -18,11 +19,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import GEN_ORDER, GENERATORS, BasisElement, BracketTable, GradedAlgebra, jacobi_sum
+from .algebra import (
+    GENERATORS,
+    BasisElement,
+    BracketTable,
+    GradedAlgebra,
+    define_layer,
+    eval_runs,
+    jacobi_sum,
+)
 from .gf2 import echelonize, iter_bits
-from .words import CommutatorWord, X, Y, Z, extend_label
-
-GEN_BITS = {X: 0b01, Y: 0b10, Z: 0b11}
+from .words import CommutatorWord
 
 
 @dataclass(frozen=True)
@@ -124,21 +131,7 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
         # defining relators of the new weight; the last letter meets the
         # frontier symbols through the top degree's action
         for r in by_weight.get(n + 1, ()):
-            letters = r.letters()
-            mask = GEN_BITS[letters[0]]
-            deg = 1
-            for letter in letters[1:]:
-                nxt = 0
-                bits = GEN_BITS[letter]
-                for w in iter_bits(mask):
-                    if bits & 0b01:
-                        nxt ^= R[deg][w][0]
-                    if bits & 0b10:
-                        nxt ^= R[deg][w][1]
-                mask = nxt
-                deg += 1
-                if not mask:
-                    break
+            mask = eval_runs(R, r.runs(), n + 1)
             if mask:
                 rows.append(mask)
 
@@ -155,11 +148,7 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
         table.rebase(n + 1, img)
 
         table.add_degree((s >> 1, s & 1) for s in survivors)
-        layer = []
-        for k, s in enumerate(survivors):
-            gen = GEN_ORDER[s & 1]
-            layer.append(BasisElement(n + 1, k, s >> 1, gen, extend_label(basis[n][s >> 1].label, gen)))
-        basis.append(layer)
+        basis.append(define_layer(n + 1, basis[n], survivors))
         dims.append(len(survivors))
 
     action_layers = [[(row[0], row[1]) for row in R[d]] for d in range(1, class_bound)]

@@ -128,62 +128,3 @@ def free_nq_oracle(relators, class_bound: int) -> tuple[int, ...]:
         prev_rows = list(ideal.row_bits())
     return tuple(dims)
 
-
-# -- Hall basis ---------------------------------------------------------------
-
-
-def hall_basis(max_degree: int) -> list[list]:
-    """Hall trees on {x < y} per degree 1..max_degree.
-
-    Trees are nested pairs over leaf generators 0 (x) and 1 (y).  A node
-    (u, v) is admitted when u > v in (degree, position) order and, if u is
-    itself a node (a, b), additionally b <= v.  Per degree the count matches
-    Witt's formula and the expansions are independent, so they form a basis.
-    """
-    if max_degree < 1:
-        raise ValueError("need max_degree >= 1")
-    layers: list[list] = [[], [0, 1]]
-    key: dict[object, tuple[int, int]] = {0: (1, 0), 1: (1, 1)}
-    for n in range(2, max_degree + 1):
-        layer = []
-        for a in range(1, n):
-            for u in layers[a]:
-                for v in layers[n - a]:
-                    if key[u] <= key[v]:
-                        continue
-                    if isinstance(u, tuple) and key[u[1]] > key[v]:
-                        continue
-                    layer.append((u, v))
-        layer.sort(key=lambda t: (key[t[0]], key[t[1]]))
-        for i, t in enumerate(layer):
-            key[t] = (n, i)
-        layers.append(layer)
-    return layers
-
-
-def tree_degree(tree) -> int:
-    if isinstance(tree, tuple):
-        return tree_degree(tree[0]) + tree_degree(tree[1])
-    return 1
-
-
-def tree_to_assoc(tree) -> int:
-    """Associative expansion of a Hall tree."""
-    if not isinstance(tree, tuple):
-        return 1 << tree
-    u, v = tree
-    return assoc_bracket(
-        tree_to_assoc(u), tree_degree(u), tree_to_assoc(v), tree_degree(v)
-    )
-
-
-def hall_basis_selfcheck(max_degree: int) -> bool:
-    """Counts match Witt's formula and expansions are independent per degree."""
-    layers = hall_basis(max_degree)
-    for n in range(1, max_degree + 1):
-        if len(layers[n]) != witt_dimension(n):
-            return False
-        rows = [tree_to_assoc(t) for t in layers[n]]
-        if echelonize(rows, 1 << n).rank != len(rows):
-            return False
-    return True

@@ -5,7 +5,6 @@ import pytest
 from bzloop.bl import (
     BlParams,
     CentralizerSequence,
-    ConstituentSequence,
     bl_centralizer_sequence,
     bl_constituent_lengths,
     bl_params,
@@ -79,17 +78,17 @@ def test_centralizer_sequence_matches_construction():
 
 
 def test_constituents_from_raw_entries():
-    assert constituent_lengths(("y", "y", "x")).lengths == (3,)
+    assert constituent_lengths(("y", "y", "x")) == (3,)
     # a trailing run with no terminator is dropped
-    assert constituent_lengths(("y", "y", "x", "y", "y")).lengths == (3,)
-    assert constituent_lengths(("y", "x", "other", "y", "x")).lengths == (2, 1, 2)
+    assert constituent_lengths(("y", "y", "x", "y", "y")) == (3,)
+    assert constituent_lengths(("y", "x", "other", "y", "x")) == (2, 1, 2)
 
 
 def test_constituents_count_virtual_first_entry():
     seq = bl_centralizer_sequence(2, 1, up_to=11)
     got = constituent_lengths(seq)
-    assert isinstance(got, ConstituentSequence)
-    assert got.lengths == bl_constituent_lengths(2, 1, len(got.lengths))
+    assert isinstance(got, tuple)
+    assert got == bl_constituent_lengths(2, 1, len(got))
 
 
 def test_check_cl():

@@ -20,6 +20,9 @@ PAST_LIMITS = [
     ["construct", "--g", "2", "--h", "1", "--class", str(cli.MAX_CLASS + 1)],
     ["eval", "--g", "2", "--h", "1", "--word", f"y x^{cli.MAX_WORD_WEIGHT}"],
     ["verify-appendix", "--gh-max", str(cli.MAX_GH + 1)],
+    ["binom", "--check-max", str(cli.MAX_BINOM_ROW + 1)],
+    ["identity-i", "--Q", str(2 * cli.MAX_Q)],
+    ["identity-i", "--Q", "8", "--s-max", str(cli.MAX_S + 1)],
 ]
 
 AT_LIMITS = [
@@ -27,6 +30,20 @@ AT_LIMITS = [
     ["nq", "--g", "2", "--h", "1", "--class", str(cli.MAX_CLASS)],
     ["eval", "--g", "2", "--h", "1", "--word", f"y x^{cli.MAX_WORD_WEIGHT - 1}"],
     ["verify-appendix", "--gh-max", str(cli.MAX_GH)],
+    ["binom", "--check-max", str(cli.MAX_BINOM_ROW)],
+    ["binom", "--check-max", "0"],
+    ["identity-i", "--Q", str(cli.MAX_Q), "--s-max", str(cli.MAX_S)],
+    ["identity-i", "--Q", "2", "--s-max", "0"],
+    # the README examples
+    ["binom", "--check-max", "2048"],
+    ["identity-i", "--Q", "8", "--s-max", "4"],
+]
+
+INVALID_Q = ["1", "0", "-4", "3", "6"]
+
+NEGATIVE = [
+    ["identity-i", "--Q", "8", "--s-max", "-2"],
+    ["binom", "--check-max", "-3"],
 ]
 
 
@@ -36,7 +53,18 @@ def _work_started(*args, **kwargs):
 
 @pytest.fixture
 def no_work(monkeypatch):
-    for name in ("bl_params", "presentation_R", "nq_compute", "analyze", "construct_bl", "verify_appendix"):
+    for name in (
+        "bl_params",
+        "presentation_R",
+        "nq_compute",
+        "analyze",
+        "construct_bl",
+        "verify_appendix",
+        "pascal_row",
+        "lucas_row",
+        "binom_mod2",
+        "identity_I_check",
+    ):
         monkeypatch.setattr(cli, name, _work_started)
 
 
@@ -69,6 +97,22 @@ def test_run_exits_2_before_any_work(argv, no_work, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and "above the limit" in captured.err
+
+
+@pytest.mark.parametrize("Q", INVALID_Q)
+def test_run_rejects_a_Q_that_is_not_a_power_of_two(Q, no_work, capsys):
+    assert cli.run(["identity-i", "--Q", Q]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: Q must be a power of 2, at least 2\n"
+
+
+@pytest.mark.parametrize("argv", NEGATIVE, ids=lambda argv: " ".join(argv))
+def test_run_rejects_negative_counts(argv, no_work, capsys):
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {argv[-2]} {argv[-1]} is negative\n"
 
 
 def test_huge_presentation_exits_2_without_a_traceback():

@@ -11,11 +11,7 @@ from bzloop.oracle import (
     assoc_bracket,
     bracket_letter,
     free_nq_oracle,
-    hall_basis,
-    hall_basis_selfcheck,
     lie_word_to_assoc,
-    tree_degree,
-    tree_to_assoc,
     witt_dimension,
 )
 from bzloop.words import X, Y, parse_word
@@ -80,30 +76,6 @@ def test_bracket_squares_vanish():
         assert bracket_letter(1 << g, 1, g) == 0
     for degree, poly in ((2, lie_word_to_assoc((Y, X))), (3, lie_word_to_assoc((Y, X, X)))):
         assert assoc_bracket(poly, degree, poly, degree) == 0
-
-
-# -- Hall basis ---------------------------------------------------------------
-
-
-def test_hall_selfcheck():
-    assert hall_basis_selfcheck(8)
-
-
-def test_hall_counts_match_witt():
-    layers = hall_basis(10)
-    for n in range(1, 11):
-        assert len(layers[n]) == witt_dimension(n)
-
-
-def test_hall_frozen_small():
-    layers = hall_basis(4)
-    assert layers[1] == [0, 1]
-    assert layers[2] == [(1, 0)]
-    assert layers[3] == [((1, 0), 0), ((1, 0), 1)]
-    assert layers[4] == [(((1, 0), 0), 0), (((1, 0), 0), 1), (((1, 0), 1), 1)]
-    assert tree_degree(layers[4][0]) == 4
-    assert tree_to_assoc(0) == 0b01 and tree_to_assoc(1) == 0b10
-    assert tree_to_assoc((1, 0)) == lie_word_to_assoc((Y, X))
 
 
 # -- engine cross-checks ------------------------------------------------------
