@@ -14,9 +14,11 @@ reads its relation rows from it, and `jacobi_check` reads every square and
 every Jacobi sum straight from the algebra's filled table, building an
 `Element` only for a failure.  Two more rules live here once each:
 `eval_runs` evaluates a left-normed word over action rows (for `eval_word`
-and the relator rows of `nq_compute`), and `define_layer` builds a degree's
-basis from surviving symbols 2 * parent + generator (for `nq_compute` and
-`quotient`).
+and the relator rows of `nq_compute`), and `define_layer` cuts a degree:
+given an echelon basis of the relations among the symbols
+2 * parent + generator, it returns the surviving basis and every symbol's
+image over it.  `nq_compute` cuts by its relation rows, `quotient` by the
+kernel of its candidate vectors.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .gf2 import EchelonBasis, SpanSolver, iter_bits, kernel
+from .gf2 import EchelonBasis, iter_bits, kernel
 from .words import (
     CommutatorWord,
     GeneratorSymbol,
@@ -226,17 +228,31 @@ def eval_runs(rows, runs, top: int) -> int:
 
 
 def define_layer(
-    degree: int, parents: Sequence[BasisElement], symbols: Iterable[int]
-) -> list[BasisElement]:
-    """Basis of `degree` defined by symbols s = 2 * parent index + generator index.
+    degree: int, parents: Sequence[BasisElement], relations: EchelonBasis
+) -> tuple[list[BasisElement], list[int]]:
+    """Cut `degree` out of its symbols s = 2 * parent index + generator index.
 
-    Element k is [parents[s >> 1], x or y] for the k-th symbol s.
+    `relations` is a reduced echelon basis of the relations among the
+    2 * len(parents) symbols.  Each relation kills its pivot, its lowest
+    symbol; the other symbols survive, and element k of the new layer is
+    [parents[s >> 1], x or y] for the k-th survivor s.  Returns the layer
+    and `img`, where img[s] is the mask of symbol s over the survivors: one
+    bit for a survivor, and for a pivot the survivors its relation holds
+    (the rows are fully reduced, so those are survivors only).
     """
+    killed = set(relations.pivots)
     layer = []
-    for k, s in enumerate(symbols):
+    img = [0] * (2 * len(parents))
+    for s in range(len(img)):
+        if s in killed:
+            continue
         p, gen = s >> 1, GEN_ORDER[s & 1]
-        layer.append(BasisElement(degree, k, p, gen, extend_label(parents[p].label, gen)))
-    return layer
+        img[s] = 1 << len(layer)
+        layer.append(BasisElement(degree, len(layer), p, gen, extend_label(parents[p].label, gen)))
+    for pivot, row in zip(relations.pivots, relations):
+        for s in iter_bits(row ^ (1 << pivot)):
+            img[pivot] |= img[s]
+    return layer, img
 
 
 class Element:
@@ -598,9 +614,11 @@ def quotient(A: GradedAlgebra, ideal: GradedSubspaceFamily) -> GradedAlgebra:
     The family must vanish in degree 1 (the quotient keeps both generators)
     and must be closed under bracketing with the generators inside its
     validity range.  The new basis is re-derived canonically: candidate
-    spanning vectors [b, x], [b, y] are taken in basis order, a dependency
-    eliminates its lowest-indexed participant, and the survivors become the
-    defined basis of the next degree.
+    spanning vectors [b, x], [b, y] are taken in basis order, and
+    `define_layer` cuts the degree by the kernel of the candidates, the
+    same cut `nq_compute` makes: a dependency eliminates its lowest-indexed
+    participant, the survivors become the defined basis of the degree, and
+    the action rows are the candidates' images over the survivors.
     """
     if ideal.algebra is not A:
         raise ValueError("subspace family belongs to a different algebra")
@@ -621,28 +639,13 @@ def quotient(A: GradedAlgebra, ideal: GradedSubspaceFamily) -> GradedAlgebra:
     reps = [0b01, 0b10]
     for d in range(2, bound + 1):
         idl = ideal.at(d)
-        parents = basis[-1]
-        cands = []
-        for rep in reps:
-            for gi in (0, 1):
-                cands.append(idl.reduce(A.act_mask(d - 1, rep, GEN_ORDER[gi])))
-        killed = set(kernel(cands, A.dim(d)).pivots)
-        survivors = [k for k in range(len(cands)) if k not in killed]
-        if len(survivors) != A.dim(d) - idl.rank:
+        cands = [idl.reduce(A.act_mask(d - 1, rep, g)) for rep in reps for g in GEN_ORDER]
+        layer, img = define_layer(d, basis[-1], kernel(cands, A.dim(d)))
+        if len(layer) != A.dim(d) - idl.rank:
             raise AssertionError("quotient candidates failed to span")
-        solver = SpanSolver([cands[k] for k in survivors], A.dim(d))
-        rows = []
-        for p in range(len(parents)):
-            masks = []
-            for gi in (0, 1):
-                m = solver.express(cands[2 * p + gi])
-                if m is None:
-                    raise AssertionError("quotient action row not in surviving span")
-                masks.append(m)
-            rows.append((masks[0], masks[1]))
-        action.append(rows)
-        basis.append(define_layer(d, parents, survivors))
-        reps = [cands[k] for k in survivors]
+        action.append([(img[s], img[s + 1]) for s in range(0, len(img), 2)])
+        basis.append(layer)
+        reps = [cands[2 * e.parent + GEN_INDEX[e.generator]] for e in layer]
     action.append([(0, 0)] * len(basis[-1]))
     return GradedAlgebra(bound, basis, action)
 

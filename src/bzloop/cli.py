@@ -35,6 +35,7 @@ from .words import parse_word
 # sweeps are sized so the largest allowed run takes a few seconds: binom is
 # quadratic in --check-max, identity-i about s_max^2 * Q^2 / 2 binomials.
 MAX_GH = 8  # largest g + h, for --g/--h and verify-appendix --gh-max
+MIN_GH = 3  # least g + h (g >= 2, h >= 1), the least verify-appendix --gh-max
 MAX_CLASS = 2048  # largest --class
 MAX_WORD_WEIGHT = 2048  # largest weight of an eval --word
 MAX_BINOM_ROW = 4096  # largest binom --check-max
@@ -85,14 +86,19 @@ def _build_parser() -> argparse.ArgumentParser:
 def _check_limits(ns: argparse.Namespace) -> None:
     """Raise ValueError if a flag asks for more than the input limits allow.
 
-    A --Q that is not a power of two >= 2 and a negative count are refused
-    too: the sweeps would run no instance and still report a pass.
+    A --Q that is not a power of two >= 2, a negative count and a --gh-max
+    below 3 are refused too: the sweeps would run no instance and still
+    report a pass.
     """
     g, h = getattr(ns, "g", None), getattr(ns, "h", None)
     if g is not None and h is not None and g + h > MAX_GH:
         raise ValueError(f"g + h = {g + h} is above the limit {MAX_GH}")
-    if getattr(ns, "gh_max", 0) > MAX_GH:
-        raise ValueError(f"--gh-max {ns.gh_max} is above the limit {MAX_GH}")
+    gh_max = getattr(ns, "gh_max", None)
+    if gh_max is not None:
+        if gh_max < MIN_GH:
+            raise ValueError(f"--gh-max {gh_max} is below {MIN_GH}, the least g + h")
+        if gh_max > MAX_GH:
+            raise ValueError(f"--gh-max {gh_max} is above the limit {MAX_GH}")
     class_bound = getattr(ns, "class_bound", None)
     if class_bound is not None and class_bound > MAX_CLASS:
         raise ValueError(f"--class {class_bound} is above the limit {MAX_CLASS}")
@@ -185,7 +191,7 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
 def _cmd_verify_appendix(ns: argparse.Namespace) -> int:
     pairs = [
         (g, h)
-        for total in range(3, ns.gh_max + 1)
+        for total in range(MIN_GH, ns.gh_max + 1)
         for g in range(2, total)
         for h in (total - g,)
         if h >= 1

@@ -2,11 +2,13 @@
 
 The quotient is built degree by degree.  At each stage the next degree is
 presented by frontier symbols [b, x], [b, y] over the current top degree's
-basis, and three families of GF(2) relations are imposed: alternation and
-antisymmetry of the bracket, Jacobi instances landing in the new degree,
-and the defining relators of that weight, whose rows `eval_runs` reads off
-the table.  Surviving symbols become the new basis through `define_layer`,
-so every basis element keeps a (parent index, generator) definition.
+basis, and three families of GF(2) relations are imposed: alternation of
+the bracket (plus the one antisymmetry row [x, y] = [y, x] in degree 2),
+Jacobi instances landing in the new degree, and the defining relators of
+that weight, whose rows `eval_runs` reads off the table.  `define_layer`
+cuts the degree by the echelon basis of these rows: the surviving symbols
+become the new basis, so every basis element keeps a (parent index,
+generator) definition.
 
 All brackets live in one `BracketTable`.  To cut degree n + 1, the top
 degree's action is set to the frontier symbols themselves and the table's
@@ -20,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import (
+    GEN_INDEX,
     GENERATORS,
     BasisElement,
     BracketTable,
@@ -28,7 +31,7 @@ from .algebra import (
     eval_runs,
     jacobi_sum,
 )
-from .gf2 import echelonize, iter_bits
+from .gf2 import echelonize
 from .words import CommutatorWord
 
 
@@ -59,6 +62,25 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
     degree down exactly (antisymmetry plus generator-triple Jacobi force the
     general identity degree by degree).  `full_jacobi=True` imposes every
     basis triple instead.
+
+    Antisymmetry is imposed by one row only, [x, y] = [y, x] in degree 2;
+    in every higher degree each antisymmetry row is a Jacobi row already.
+    Take degree n + 1 >= 3, u in degree i and v = e(j, b) with j >= 2,
+    defined as [p, g], where i + j = n + 1.  The table fills [u, v] as
+    [[u, p], g] + [[u, g], p].  The generator-Jacobi row of the pair {u, p}
+    with g is [[u, p], g] + [[p, g], u] + [[g, u], p].  In degrees <= n the
+    table is already a Lie algebra, so [g, u] = [u, g]; and [p, g] = v
+    exactly, because a survivor's image is one bit.  So that Jacobi row is
+    [u, v] + [v, u], the antisymmetry row itself.  The Jacobi loop skips
+    only u = p and u = g (p = g cannot occur: [g, g] = 0 is no survivor),
+    and there the antisymmetry row is zero too:
+    [p, v] = [[p, p], g] + [[p, g], p] = [v, p] and [g, v] =
+    [[g, p], g] + [[g, g], p] = [v, g].  Degree 2 has no such triple, so
+    [x, y] = [y, x] stays.  The full-Jacobi rows include these triples
+    (the Jacobi sum does not depend on the order of the triple while the
+    degrees below are antisymmetric), so the argument covers both modes.
+    Alternation rows are not covered and stay: J(u, p, g) is trivially
+    zero when u = [p, g].
     """
     if class_bound < 1:
         raise ValueError("class bound must be at least 1")
@@ -93,13 +115,9 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
             for a in range(dims[h]):
                 rows.append(R[h][a][off[h] + a])
 
-        # antisymmetry: [u, v] = [v, u] across all degree splits
-        for i in range(1, (n + 1) // 2 + 1):
-            j = n + 1 - i
-            Ri, Rj, oi, oj = R[i], R[j], off[i], off[j]
-            for a in range(dims[i]):
-                for b in range(a + 1 if i == j else 0, dims[j]):
-                    rows.append(Ri[a][oj + b] ^ Rj[b][oi + a])
+        # antisymmetry: [x, y] = [y, x]; above degree 2 the Jacobi rows repeat it
+        if n == 1:
+            rows.append(R[1][0][1] ^ R[1][1][0])
 
         # Jacobi instances landing in degree n + 1
         if full_jacobi:
@@ -135,21 +153,11 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
             if mask:
                 rows.append(mask)
 
-        rel = echelonize(rows, nsym)
-        killed = set(rel.pivots)
-        survivors = [s for s in range(nsym) if s not in killed]
-        pos = {s: k for k, s in enumerate(survivors)}
-        img = [0] * nsym
-        for s, k in pos.items():
-            img[s] = 1 << k
-        for pivot, row in zip(rel.pivots, rel):
-            for s in iter_bits(row ^ (1 << pivot)):
-                img[pivot] |= 1 << pos[s]
+        layer, img = define_layer(n + 1, basis[n], echelonize(rows, nsym))
         table.rebase(n + 1, img)
-
-        table.add_degree((s >> 1, s & 1) for s in survivors)
-        basis.append(define_layer(n + 1, basis[n], survivors))
-        dims.append(len(survivors))
+        table.add_degree((e.parent, GEN_INDEX[e.generator]) for e in layer)
+        basis.append(layer)
+        dims.append(len(layer))
 
     action_layers = [[(row[0], row[1]) for row in R[d]] for d in range(1, class_bound)]
     action_layers.append([(0, 0)] * dims[class_bound])

@@ -30,6 +30,7 @@ AT_LIMITS = [
     ["nq", "--g", "2", "--h", "1", "--class", str(cli.MAX_CLASS)],
     ["eval", "--g", "2", "--h", "1", "--word", f"y x^{cli.MAX_WORD_WEIGHT - 1}"],
     ["verify-appendix", "--gh-max", str(cli.MAX_GH)],
+    ["verify-appendix", "--gh-max", "3"],
     ["binom", "--check-max", str(cli.MAX_BINOM_ROW)],
     ["binom", "--check-max", "0"],
     ["identity-i", "--Q", str(cli.MAX_Q), "--s-max", str(cli.MAX_S)],
@@ -40,6 +41,8 @@ AT_LIMITS = [
 ]
 
 INVALID_Q = ["1", "0", "-4", "3", "6"]
+
+GH_MAX_BELOW_3 = ["2", "0", "-5"]
 
 NEGATIVE = [
     ["identity-i", "--Q", "8", "--s-max", "-2"],
@@ -105,6 +108,15 @@ def test_run_rejects_a_Q_that_is_not_a_power_of_two(Q, no_work, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: Q must be a power of 2, at least 2\n"
+
+
+@pytest.mark.parametrize("gh_max", GH_MAX_BELOW_3)
+def test_run_rejects_a_gh_max_below_3(gh_max, no_work, capsys):
+    """No (g, h) pair has g + h < 3, so the appendix would check nothing."""
+    assert cli.run(["verify-appendix", "--gh-max", gh_max]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --gh-max {gh_max} is below 3, the least g + h\n"
 
 
 @pytest.mark.parametrize("argv", NEGATIVE, ids=lambda argv: " ".join(argv))

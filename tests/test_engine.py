@@ -1,5 +1,7 @@
 """Graded algebra engine: nilpotent quotients, brackets, centers, quotients."""
 
+import random
+
 import pytest
 
 from bzloop.algebra import (
@@ -15,8 +17,8 @@ from bzloop.algebra import (
 from bzloop.bl import construct_bl, presentation_R
 from bzloop.gf2 import EchelonBasis
 from bzloop.nq import Presentation, nq_compute
-from bzloop.oracle import witt_dimension
-from bzloop.words import X, Y, Z, make_word, parse_word
+from bzloop.oracle import ORACLE_MAX_CLASS, free_nq_oracle, witt_dimension
+from bzloop.words import X, Y, Z, make_word, parse_word, word_from_letters
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +59,47 @@ def test_relator_validation():
         Presentation(("y x y",))
     with pytest.raises(ValueError):
         Presentation((make_word(Y),))
+
+
+def _random_presentation(seed: int) -> Presentation:
+    """1-3 relators of length 2-7 over the letters x, y, z."""
+    rng = random.Random(seed)
+    return Presentation(
+        word_from_letters(rng.choice((X, Y, Z)) for _ in range(rng.randint(2, 7)))
+        for _ in range(rng.randint(1, 3))
+    )
+
+
+ANTISYMMETRY_CASES = (
+    [("R(2,1)", presentation_R(2, 1), 48), ("R(3,1)", presentation_R(3, 1), 96)]
+    + [("R(2,2)", presentation_R(2, 2), 100), ("free", Presentation(()), 10)]
+    + [(f"random #{seed}", _random_presentation(seed), 12) for seed in range(30)]
+)
+
+
+def _assert_antisymmetric(A: GradedAlgebra) -> None:
+    bound = A.class_bound
+    table = A.bracket_table()
+    for i in range(1, bound):
+        table.ensure(i, bound - i)
+    rows, offset = table.rows, table.offset
+    for i in range(1, bound):
+        for j in range(i, bound - i + 1):
+            for a in range(A.dim(i)):
+                for b in range(A.dim(j)):
+                    assert rows[i][a][offset[j] + b] == rows[j][b][offset[i] + a], (i, a, j, b)
+
+
+@pytest.mark.parametrize("name,pres,bound", ANTISYMMETRY_CASES, ids=[c[0] for c in ANTISYMMETRY_CASES])
+def test_nq_tables_are_antisymmetric(name, pres, bound):
+    """nq_compute imposes antisymmetry only in degree 2; every table must still be antisymmetric."""
+    A = nq_compute(pres, bound)
+    F = nq_compute(pres, bound, full_jacobi=True)
+    assert A == F
+    _assert_antisymmetric(A)
+    _assert_antisymmetric(F)
+    if bound <= ORACLE_MAX_CLASS:
+        assert A.dims == free_nq_oracle(pres.relators, bound)
 
 
 # -- bracket consistency -----------------------------------------------------
