@@ -5,9 +5,10 @@ b of degree d < class_bound, the masks of [b,x] and [b,y] in degree d+1.
 Every basis element of degree >= 2 is defined as [p, g] by the index of its
 parent p in the degree below and a generator g, so the basis is flat: each
 element is a few integers and its label.  Arbitrary brackets are recovered
-from the action tables alone by a `BracketTable`, which fills dense
-per-degree blocks bottom-up, one degree of the right factor at a time.
-Brackets whose degree sum exceeds class_bound are truncated to zero.
+from the action tables alone by a `BracketTable`, which fills them
+bottom-up one anti-diagonal slice at a time: `fill(s)` computes every
+bracket of total degree s from the slice below.  Brackets whose degree sum
+exceeds class_bound are truncated to zero.
 
 `jacobi_sum` is the one Jacobi expansion over a `BracketTable`: `nq_compute`
 reads its relation rows from it, and `jacobi_check` reads every square and
@@ -73,96 +74,71 @@ GENERATORS = (BasisElement(1, 0, None, X, "x"), BasisElement(1, 1, None, Y, "y")
 
 
 class BracketTable:
-    """Brackets of basis elements, filled bottom-up in dense per-degree blocks.
+    """Brackets of basis elements, filled bottom-up one anti-diagonal slice at a time.
 
     ``rows[i][a][offset[j] + b]`` is the mask of [e(i,a), e(j,b)] in degree
-    i + j, where e(d,k) is basis element k of degree d.  Each row holds the
-    blocks j = 1 .. filled[i]; block 1 is the action row ([e,x], [e,y]).
-    Block j >= 2 follows from the definition e(j,b) = [e(j-1,p), g] by
+    i + j, where e(d,k) is basis element k of degree d.  Slice s is every
+    block (i, j) with i + j = s.  Block (i, 1) is the action row
+    ([e,x], [e,y]) of degree i, set by `set_action`; `fill(s)` computes the
+    blocks j >= 2 of slice s from the definition e(j,b) = [e(j-1,p), g] by
 
         [u, [p, g]] = [[u, p], g] + [[u, g], p],
 
-    which reads only blocks (i, j-1) and (i+1, j-1).  So blocks are filled
-    in increasing j and no recursion is needed.
+    which reads block (i, j-1) and the action of degree s - 1 from slice
+    s - 1, and block (i+1, j-1) from slice s itself.  So `fill` runs over
+    the rows i = s-2 down to 1, slices are filled in increasing s, and no
+    recursion is needed.  `top` is the highest slice filled; each row of
+    degree i < top ends with its block of slice `top`.
     """
 
-    __slots__ = ("rows", "defs", "offset", "filled")
+    __slots__ = ("rows", "defs", "offset", "top")
 
     def __init__(self):
         self.rows: list[list[list[int]]] = [[], [[], []]]
         self.defs: list[list[tuple[int, int]]] = [[], []]  # (parent index, generator index)
         self.offset: list[int] = [0, 0]
-        self.filled: list[int] = [0, 0]
+        self.top = 2  # slice 2 is the action of degree 1 alone
 
     def add_degree(self, defs: Iterable[tuple[int, int]]) -> None:
         """Append the next degree, given its elements' (parent index, generator index)."""
         self.defs.append(list(defs))
         self.offset.append(self.offset[-1] + len(self.rows[-1]))
         self.rows.append([[] for _ in self.defs[-1]])
-        self.filled.append(0)
 
     def set_action(self, degree: int, action: Iterable[tuple[int, int]]) -> None:
-        """Set the action rows of a degree that has no other block yet."""
+        """Set the action rows of a degree that holds no block of a higher slice."""
         for row, (mx, my) in zip(self.rows[degree], action):
             row[:] = (mx, my)
-        self.filled[degree] = 1
 
-    def ensure(self, i: int, j: int) -> None:
-        """Fill the rows of degree i up to block j.
+    def fill(self, s: int) -> None:
+        """Fill slice s from the slices below it and the action of degree s - 1.
 
-        Needs the action of every degree below i + j.  Row i needs row i+1
-        up to block j-1, and so on down to block 1; `filled` never drops by
-        more than one from a row to the next, so the walk stops at the first
-        row that is already deep enough.
+        A slice that was filled before is replaced, so the cut slice can be
+        refilled once the action of degree s - 1 changes basis.
         """
-        filled = self.filled
-        k = 0
-        while filled[i + k] < j - k:
-            k += 1
-        for r in range(i + k - 1, i - 1, -1):
-            for jj in range(filled[r] + 1, j - (r - i) + 1):
-                self._block(r, jj)
-
-    def _block(self, i: int, j: int) -> None:
-        """Append block j >= 2 to the rows of degree i."""
-        rows = self.rows
-        top = rows[i + j - 1]
-        below = rows[i + 1]
-        start = self.offset[j - 1]
-        defs = self.defs[j]
-        for row in rows[i]:
-            for p, g in defs:
-                out = 0
-                m = row[start + p]  # [u, p]
-                while m:
-                    low = m & -m
-                    out ^= top[low.bit_length() - 1][g]
-                    m ^= low
-                m = row[g]  # [u, g]
-                while m:
-                    low = m & -m
-                    out ^= below[low.bit_length() - 1][start + p]
-                    m ^= low
-                row.append(out)
-        self.filled[i] = j
-
-    def rebase(self, s: int, img: Sequence[int]) -> None:
-        """Re-express every block (i, s - i) in a new basis of degree s.
-
-        img[k] is the mask of old basis vector k over the new basis.  Each
-        row of degree i < s must end with block s - i.
-        """
-        for i in range(1, s):
-            start = self.offset[s - i]
-            for row in self.rows[i]:
-                for k in range(start, len(row)):
-                    m = row[k]
+        rows, offset = self.rows, self.offset
+        act = rows[s - 1]
+        for i in range(s - 2, 0, -1):
+            j = s - i
+            below = rows[i + 1]
+            start, end = offset[j - 1], offset[j]
+            defs = self.defs[j]
+            for row in rows[i]:
+                del row[end:]
+                for p, g in defs:
                     out = 0
+                    m = row[start + p]  # [u, p]
                     while m:
                         low = m & -m
-                        out ^= img[low.bit_length() - 1]
+                        out ^= act[low.bit_length() - 1][g]
                         m ^= low
-                    row[k] = out
+                    m = row[g]  # [u, g]
+                    while m:
+                        low = m & -m
+                        out ^= below[low.bit_length() - 1][start + p]
+                        m ^= low
+                    row.append(out)
+        self.top = s
 
 
 def jacobi_sum(rows, offset, d1: int, a: int, d2: int, b: int, d3: int, c: int) -> int:
@@ -435,8 +411,8 @@ class GradedAlgebra:
             return Element(self, v.degree + 1, 0)
         return Element(self, v.degree + 1, self.act_mask(v.degree, v.bits, g))
 
-    def bracket_table(self) -> BracketTable:
-        """The algebra's `BracketTable`, built on first use; blocks are filled on demand."""
+    def bracket_table(self, degree: int) -> BracketTable:
+        """The algebra's `BracketTable`, built on first use, filled through slice `degree`."""
         table = self._table
         if table is None:
             table = self._table = BracketTable()
@@ -444,13 +420,13 @@ class GradedAlgebra:
                 table.add_degree((e.parent, GEN_INDEX[e.generator]) for e in self._basis[d])
             for d in range(1, self.class_bound):
                 table.set_action(d, self._action[d])
+        for s in range(table.top + 1, degree + 1):
+            table.fill(s)
         return table
 
     def _pair(self, i: int, a: int, j: int, b: int) -> int:
         """Mask of [basis(i,a), basis(j,b)] in degree i+j (requires i+j <= bound)."""
-        table = self.bracket_table()
-        if table.filled[i] < j:
-            table.ensure(i, j)
+        table = self.bracket_table(i + j)
         return table.rows[i][a][table.offset[j] + b]
 
     def bracket(self, u: Element, v: Element) -> Element:
@@ -515,13 +491,11 @@ def jacobi_check(A: GradedAlgebra) -> JacobiReport:
     """Check [u,u]=0 and the Jacobi identity on all in-range basis triples.
 
     Every square and Jacobi sum is read from the algebra's `BracketTable`,
-    filled once up to the class bound.  Triples (u, v, w) run over degrees
+    filled once through the class bound.  Triples (u, v, w) run over degrees
     d1 <= d2 <= d3 and, within equal degrees, indices in order.
     """
     bound = A.class_bound
-    table = A.bracket_table()
-    for i in range(1, bound):
-        table.ensure(i, bound - i)
+    table = A.bracket_table(bound)
     rows, offset = table.rows, table.offset
     checked = 0
     failures = []

@@ -1,16 +1,17 @@
 """Linear algebra over GF(2) on bit-packed vectors.
 
 A vector in GF(2)^n is an int whose bit i is coordinate i; addition is XOR.
-Echelon bases keep their rows fully reduced with the pivot at the lowest set
-bit, which makes reduction a single pass and membership tests, kernels and
-span solving cheap.  A basis also keeps the OR of its pivot bits and a
-pivot -> row map, so `reduce` visits only the pivots a vector meets:
-clearing one pivot with its fully reduced row never sets another.
+An echelon basis keeps each row's pivot at its lowest set bit, the OR of
+its pivot bits and a pivot -> row map.  `add` only reduces the new vector
+and files it under its pivot; the rows are fully reduced and sorted once,
+when they or the pivots are next read, so a long run of adds (an echelon
+form, a kernel) does no back-elimination.  `reduce` clears the pivots a
+vector meets from the lowest up, re-masking after each XOR, and returns the
+same canonical representative whether or not the rows are fully reduced.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Iterable, Iterator
 
 
@@ -25,37 +26,61 @@ def iter_bits(x: int) -> Iterator[int]:
 class EchelonBasis:
     """Mutable reduced row-echelon basis of a subspace of GF(2)^dim_ambient.
 
-    Rows are fully reduced (each pivot bit occurs in exactly one row) and
-    sorted by pivot; the pivot of a row is its lowest set bit.  `_mask` is
-    the OR of the pivot bits and `_row_at` maps each pivot to its row.
+    The pivot of a row is its lowest set bit, and no two rows share one.
+    `_mask` is the OR of the pivot bits and `_row_at` maps each pivot to
+    its row.  Rows may hold other rows' pivot bits until `_settle` fully
+    reduces them (each pivot bit in exactly one row) and sorts the pivots;
+    `pivots`, `row_bits()` and iteration read the rows settled, in pivot
+    order.  `_pivots` is None while rows added since the last settle wait.
     """
 
-    __slots__ = ("dim_ambient", "_rows", "pivots", "_mask", "_row_at")
+    __slots__ = ("dim_ambient", "_mask", "_row_at", "_pivots")
 
     def __init__(self, dim_ambient: int):
         if dim_ambient < 0:
             raise ValueError("negative ambient dimension")
         self.dim_ambient = dim_ambient
-        self._rows: list[int] = []
-        self.pivots: list[int] = []
         self._mask = 0
         self._row_at: dict[int, int] = {}
+        self._pivots: list[int] | None = []
 
     @property
     def rank(self) -> int:
-        return len(self._rows)
+        return len(self._row_at)
+
+    @property
+    def pivots(self) -> list[int]:
+        return self._settle()
 
     def row_bits(self) -> list[int]:
-        return list(self._rows)
+        row_at = self._row_at
+        return [row_at[p] for p in self._settle()]
+
+    def _settle(self) -> list[int]:
+        """Fully reduce and sort the rows, once per run of adds; return the pivots."""
+        pivots = self._pivots
+        if pivots is None:
+            row_at, mask = self._row_at, self._mask
+            pivots = self._pivots = sorted(row_at)
+            # A row holds no bit below its pivot, so the other pivot bits
+            # it holds belong to rows already fully reduced.
+            for p in reversed(pivots):
+                row = row_at[p]
+                m = (row & mask) ^ (1 << p)
+                while m:
+                    low = m & -m
+                    row ^= row_at[low.bit_length() - 1]
+                    m ^= low
+                row_at[p] = row
+        return pivots
 
     def reduce(self, v: int) -> int:
         """Canonical coset representative of v modulo the row space."""
-        row_at = self._row_at
-        m = v & self._mask
+        row_at, mask = self._row_at, self._mask
+        m = v & mask
         while m:
-            low = m & -m
-            v ^= row_at[low.bit_length() - 1]
-            m ^= low
+            v ^= row_at[(m & -m).bit_length() - 1]
+            m = v & mask
         return v
 
     def add(self, v: int) -> bool:
@@ -66,26 +91,19 @@ class EchelonBasis:
         if v == 0:
             return False
         low = v & -v
-        pivot = low.bit_length() - 1
-        rows, row_at = self._rows, self._row_at
-        for i, row in enumerate(rows):
-            if row & low:
-                rows[i] = row_at[self.pivots[i]] = row ^ v
-        at = bisect_left(self.pivots, pivot)
-        self.pivots.insert(at, pivot)
-        rows.insert(at, v)
-        row_at[pivot] = v
+        self._row_at[low.bit_length() - 1] = v
         self._mask |= low
+        self._pivots = None
         return True
 
     def contains(self, v: int) -> bool:
         return self.reduce(v) == 0
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._rows)
+        return iter(self.row_bits())
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._row_at)
 
     def __repr__(self) -> str:
         return f"EchelonBasis(dim={self.dim_ambient}, rank={self.rank})"

@@ -11,10 +11,14 @@ become the new basis, so every basis element keeps a (parent index,
 generator) definition.
 
 All brackets live in one `BracketTable`.  To cut degree n + 1, the top
-degree's action is set to the frontier symbols themselves and the table's
-blocks of total degree n + 1 are filled; every relation row is then a
-lookup.  Once the cut is known, that slice is re-expressed over the
-survivors, which makes it the true bracket table of degree n + 1.
+degree's action is set to the frontier symbols themselves and slice n + 1
+(every bracket of total degree n + 1) is filled; every relation row is then
+a lookup.  Once the cut is known, the top degree's action is set to the
+survivor images and slice n + 1 is refilled from it, which makes it the
+true bracket table of degree n + 1.  The slice is linear in that action, so
+the refill equals re-expressing the frontier slice over the survivors.  The
+last slice, of degree class_bound, is not refilled: no later cut reads it,
+and the result keeps only the action rows.
 """
 
 from __future__ import annotations
@@ -105,7 +109,7 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
             continue
         nsym = 2 * dims[n]
         table.set_action(n, [(1 << 2 * w, 2 << 2 * w) for w in range(dims[n])])
-        table.ensure(1, n)
+        table.fill(n + 1)
 
         rows = []
 
@@ -154,7 +158,9 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
                 rows.append(mask)
 
         layer, img = define_layer(n + 1, basis[n], echelonize(rows, nsym))
-        table.rebase(n + 1, img)
+        table.set_action(n, [(img[s], img[s + 1]) for s in range(0, nsym, 2)])
+        if n + 1 < class_bound:  # the last slice is read only for its action rows
+            table.fill(n + 1)
         table.add_degree((e.parent, GEN_INDEX[e.generator]) for e in layer)
         basis.append(layer)
         dims.append(len(layer))

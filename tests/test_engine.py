@@ -79,9 +79,7 @@ ANTISYMMETRY_CASES = (
 
 def _assert_antisymmetric(A: GradedAlgebra) -> None:
     bound = A.class_bound
-    table = A.bracket_table()
-    for i in range(1, bound):
-        table.ensure(i, bound - i)
+    table = A.bracket_table(bound)
     rows, offset = table.rows, table.offset
     for i in range(1, bound):
         for j in range(i, bound - i + 1):
@@ -102,7 +100,48 @@ def test_nq_tables_are_antisymmetric(name, pres, bound):
         assert A.dims == free_nq_oracle(pres.relators, bound)
 
 
+@pytest.mark.parametrize("name,pres,bound", ANTISYMMETRY_CASES, ids=[c[0] for c in ANTISYMMETRY_CASES])
+def test_nq_is_the_truncation_of_a_higher_class(name, pres, bound):
+    """nq_compute does not refill its last cut slice; the table is still the truncation of class bound + 2.
+
+    At bound + 2 the slice of degree bound is refilled over its survivors and
+    read for two more cuts, so the basis, every action row below the top
+    degree (those of degree bound - 1 carry the top-degree masks) and the
+    zero top rows must all agree.
+    """
+    A = nq_compute(pres, bound)
+    deeper = nq_compute(pres, bound + 2)
+    assert A.basis == deeper.basis[: bound + 1]
+    assert A.action[:bound] == deeper.action[:bound]
+    assert A.action[bound] == ((0, 0),) * A.dim(bound)
+
+
 # -- bracket consistency -----------------------------------------------------
+
+
+def test_bracket_fills_the_table_on_demand():
+    """Brackets on a fresh algebra, highest degree first, equal those read after jacobi_check filled the table.
+
+    The first call fills every slice at once; later calls find theirs filled.
+    """
+    for A in (
+        nq_compute(presentation_R(2, 1), 20),
+        nq_compute(presentation_R(2, 2), 25),
+        nq_compute(Presentation(()), 8),
+        construct_bl(3, 1, 16),
+    ):
+        bound = A.class_bound
+        fresh = GradedAlgebra(bound, A.basis[1:], A.action[1:])
+        filled = GradedAlgebra(bound, A.basis[1:], A.action[1:])
+        assert jacobi_check(filled).ok
+        for s in range(bound, 1, -1):
+            for i in range(1, s):
+                for a in range(A.dim(i)):
+                    u, u2 = fresh.element(i, 1 << a), filled.element(i, 1 << a)
+                    for b in range(A.dim(s - i)):
+                        got = fresh.bracket(u, fresh.element(s - i, 1 << b))
+                        want = filled.bracket(u2, filled.element(s - i, 1 << b))
+                        assert (got.degree, got.bits) == (want.degree, want.bits), (s, i, a, b)
 
 
 def test_jacobi_check_passes(B8):

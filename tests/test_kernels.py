@@ -5,7 +5,8 @@ table; its reference is the per-triple loop over `Element` brackets it
 replaced.  `quotient` reads its action rows from the images `define_layer`
 returns; its reference solves each candidate over the survivors with a
 `SpanSolver`, as it once did.  The GF(2) echelon routines are compared with
-naive Gaussian elimination and brute-force kernels on random matrices.
+naive Gaussian elimination and brute-force kernels on random matrices, and
+the lazily settled `EchelonBasis` on random runs of adds and reads.
 """
 
 import random
@@ -229,6 +230,49 @@ def test_echelon_basis_matches_gaussian_elimination(vectors, probes):
         assert grew == (len(naive_rref(vectors[: k + 1], DIM)) > len(naive_rref(vectors[:k], DIM)))
         assert_matches(basis, vectors[: k + 1], probes)
     assert_matches(echelonize(vectors, DIM), vectors, probes)
+
+
+_read = st.sampled_from(("reduce", "contains", "rank", "pivots", "row_bits", "iter"))
+_steps = st.lists(st.tuples(st.one_of(st.just("add"), _read), _vec), max_size=30)
+
+
+@given(_steps)
+def test_lazy_echelon_basis_matches_rref_between_adds(steps):
+    """`add` leaves rows unsettled; every read, and every add after a read, must match naive RREF.
+
+    After each step the basis is probed without settling it (rank, and
+    `reduce` and `contains` on every unit vector, which fix the row space),
+    so runs of adds on an unsettled basis and adds on a settled one are
+    both checked.  The step's own read settles the rows when it is
+    `pivots`, `row_bits` or iteration.
+    """
+    basis = EchelonBasis(DIM)
+    added = []
+    for op, v in steps:
+        rows = naive_rref(added, DIM)
+        if op == "add":
+            added.append(v)
+            grew = len(naive_rref(added, DIM)) > len(rows)
+            assert basis.add(v) == grew
+            rows = naive_rref(added, DIM)
+        elif op == "reduce":
+            assert basis.reduce(v) == naive_reduce(rows, v)
+        elif op == "contains":
+            assert basis.contains(v) == (naive_reduce(rows, v) == 0)
+        elif op == "rank":
+            assert basis.rank == len(basis) == len(rows)
+        elif op == "pivots":
+            assert basis.pivots == [(r & -r).bit_length() - 1 for r in rows]
+        elif op == "row_bits":
+            assert basis.row_bits() == rows
+        else:
+            assert list(basis) == rows
+        assert basis.rank == len(rows)
+        for i in range(DIM):
+            red = naive_reduce(rows, 1 << i)
+            assert basis.reduce(1 << i) == red
+            assert basis.contains(1 << i) == (red == 0)
+    assert_matches(basis, added, [1 << i for i in range(DIM)])
 
 
 @given(_matrix, st.lists(_vec, max_size=6))

@@ -1,8 +1,12 @@
-"""Byte identity of the desk-scale reports and tables against perfbench/refs.json.
+"""Byte identity of the desk-scale reports and tables, and of a few wide nq tables.
 
-The reference file holds the sha256 of each report and table in the byte
-form the CLI writes; it is read here, never written (perfbench/make_refs.py
-regenerates it, only for a change meant to alter those bytes).
+perfbench/refs.json holds the sha256 of each desk report and table in the
+byte form the CLI writes; it is read here, never written
+(perfbench/make_refs.py regenerates it, only for a change meant to alter
+those bytes).  The wide tables, of presentations with relators of length
+5-7 at class 12, have their digests frozen below: their components reach a
+few hundred dimensions, so they cover echelon and slice-fill work that the
+desk tables barely reach.
 """
 
 import hashlib
@@ -14,7 +18,8 @@ import pytest
 from bzloop.algebra import quotient, second_center
 from bzloop.analyze import analyze
 from bzloop.bl import bl_params, construct_bl, presentation_R
-from bzloop.nq import nq_compute
+from bzloop.nq import Presentation, nq_compute
+from bzloop.words import parse_word
 
 REFS = json.loads((Path(__file__).resolve().parent.parent / "perfbench" / "refs.json").read_text())
 DESK = ((2, 1), (3, 1), (2, 2))
@@ -48,3 +53,18 @@ def test_tables_match_reference(g, h):
     for kind, table in (("M", M), ("Q", Q), ("B", B)):
         key = f"{kind}({g},{h})@{table.class_bound}"
         assert _digest(table.to_json_dict()) == want[key], key
+
+
+WIDE_CLASS = 12
+WIDE = {
+    ("y x y x y",): "e70bb114456af203cdae9ddd043e396e1de4912b74092884204272727423ed45",
+    ("y x y^3 x y",): "6d1ee5c5bad68e3698e867d087933b0c238120b8d0c8aeb30c6c343c7153ee92",
+    ("y x^2 y x^2", "y x y^3 x^2"): "525eb5dff527074e4388df25da2ebfb75c964fc8ac4b0b696e7532f0cb5aad2f",
+    ("y x^4", "x y^3 x y", "y x y^5"): "09f60346b23cdf3004894369df37b3a8a09ef941649667eff8d26144e9444df3",
+}
+
+
+@pytest.mark.parametrize("relators", list(WIDE), ids="; ".join)
+def test_wide_nq_table_bytes_are_frozen(relators):
+    M = nq_compute(Presentation(parse_word(r) for r in relators), WIDE_CLASS)
+    assert _digest(M.to_json_dict()) == WIDE[relators]
