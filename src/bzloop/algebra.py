@@ -11,15 +11,16 @@ bracket of total degree s from the slice below.  Brackets whose degree sum
 exceeds class_bound are truncated to zero.
 
 `jacobi_sum` is the one Jacobi expansion over a `BracketTable`: `nq_compute`
-reads its relation rows from it, and `jacobi_check` reads every square and
-every Jacobi sum straight from the algebra's filled table, building an
-`Element` only for a failure.  Two more rules live here once each:
-`eval_runs` evaluates a left-normed word over action rows (for `eval_word`
-and the relator rows of `nq_compute`), and `define_layer` cuts a degree:
-given an echelon basis of the relations among the symbols
-2 * parent + generator, it returns the surviving basis and every symbol's
-image over it.  `nq_compute` cuts by its relation rows, `quotient` by the
-kernel of its candidate vectors.
+reads its relation rows from it, and `jacobi_check` reads every square,
+every antisymmetry pair and every Jacobi sum straight from the algebra's
+filled table, building an `Element` only for a failure.  Two more rules
+live here once each: `eval_runs` evaluates a left-normed word over action
+rows, from scratch or continuing an evaluated prefix (for `eval_word`, the
+relator rows of `nq_compute` and the v_n walk of `analyze`), and
+`define_layer` cuts a degree: given an echelon basis of the relations among
+the symbols 2 * parent + generator, it returns the surviving basis and
+every symbol's image over it.  `nq_compute` cuts by its relation rows,
+`quotient` by the kernel of its candidate vectors.
 """
 
 from __future__ import annotations
@@ -173,15 +174,16 @@ def jacobi_sum(rows, offset, d1: int, a: int, d2: int, b: int, d3: int, c: int) 
     return out
 
 
-def eval_runs(rows, runs, top: int) -> int:
+def eval_runs(rows, runs, top: int, mask: int = 0, degree: int = 0) -> int:
     """Mask of the left-normed word with the given (letter, count) runs.
 
     ``rows[d][i][0]`` and ``rows[d][i][1]`` are the masks of [e(d,i), x]
     and [e(d,i), y], so both `GradedAlgebra` action rows and `BracketTable`
     rows fit; z acts as x + y.  A word that would pass degree `top` is zero.
+    The walk starts from the element `mask` of degree `degree`, so a word
+    continues an evaluated prefix; the default, degree 0, is the empty
+    prefix, and the first letter starts the word.
     """
-    mask = 0
-    degree = 0
     for letter, count in runs:
         gi = 0 if letter is X else 1 if letter is Y else 2
         if not degree:
@@ -406,11 +408,6 @@ class GradedAlgebra:
                 out ^= self._action[degree][i][gi]
         return out
 
-    def bracket_gen(self, v: Element, g) -> Element:
-        if v.degree >= self.class_bound:
-            return Element(self, v.degree + 1, 0)
-        return Element(self, v.degree + 1, self.act_mask(v.degree, v.bits, g))
-
     def bracket_table(self, degree: int) -> BracketTable:
         """The algebra's `BracketTable`, built on first use, filled through slice `degree`."""
         table = self._table
@@ -483,16 +480,19 @@ class JacobiReport:
     failures: list = field(default_factory=list)
 
     def __str__(self) -> str:
-        status = "pass" if self.ok else f"FAIL ({len(self.failures)} failing triples)"
+        status = "pass" if self.ok else f"FAIL ({len(self.failures)} failures)"
         return f"jacobi check: {status}, {self.checked} instances"
 
 
 def jacobi_check(A: GradedAlgebra) -> JacobiReport:
-    """Check [u,u]=0 and the Jacobi identity on all in-range basis triples.
+    """Check [u,u]=0, [u,v]=[v,u] and the Jacobi identity on in-range basis elements.
 
-    Every square and Jacobi sum is read from the algebra's `BracketTable`,
-    filled once through the class bound.  Triples (u, v, w) run over degrees
-    d1 <= d2 <= d3 and, within equal degrees, indices in order.
+    Every square, pair and Jacobi sum is read from the algebra's
+    `BracketTable`, filled once through the class bound.  Over GF(2) a
+    bracket alternates on all elements exactly when it does on the basis
+    and is antisymmetric on basis pairs, so both are checked.  Pairs (u, v)
+    and triples (u, v, w) run over degrees d1 <= d2 <= d3 and, within equal
+    degrees, indices in order; a pair's two elements differ.
     """
     bound = A.class_bound
     table = A.bracket_table(bound)
@@ -506,6 +506,17 @@ def jacobi_check(A: GradedAlgebra) -> JacobiReport:
             sq = row[col + a]
             if sq:
                 failures.append(("square", A.basis_at(d)[a].label, Element(A, 2 * d, sq)))
+    for d1 in range(1, bound // 2 + 1):
+        for d2 in range(d1, bound - d1 + 1):
+            col1, col2, other = offset[d1], offset[d2], rows[d2]
+            for a, row in enumerate(rows[d1]):
+                bs = range(a + 1 if d2 == d1 else 0, len(other))
+                checked += len(bs)
+                for b in bs:
+                    diff = row[col2 + b] ^ other[b][col1 + a]
+                    if diff:
+                        labels = (A.basis_at(d1)[a].label, A.basis_at(d2)[b].label)
+                        failures.append(("antisymmetry", labels, Element(A, d1 + d2, diff)))
     for d1 in range(1, bound - 1):
         for d2 in range(d1, bound - d1):
             for d3 in range(d2, bound - d1 - d2 + 1):
@@ -543,9 +554,6 @@ class GradedSubspaceFamily:
 
     def weights(self) -> list[int]:
         return [d for d in range(1, self.valid_up_to + 1) if self.per_degree[d].rank]
-
-    def contains(self, v: Element) -> bool:
-        return self.at(v.degree).contains(v.bits)
 
 
 def graded_center(A: GradedAlgebra) -> GradedSubspaceFamily:
@@ -587,12 +595,14 @@ def quotient(A: GradedAlgebra, ideal: GradedSubspaceFamily) -> GradedAlgebra:
 
     The family must vanish in degree 1 (the quotient keeps both generators)
     and must be closed under bracketing with the generators inside its
-    validity range.  The new basis is re-derived canonically: candidate
-    spanning vectors [b, x], [b, y] are taken in basis order, and
-    `define_layer` cuts the degree by the kernel of the candidates, the
-    same cut `nq_compute` makes: a dependency eliminates its lowest-indexed
-    participant, the survivors become the defined basis of the degree, and
-    the action rows are the candidates' images over the survivors.
+    validity range; an input that breaks these, or whose candidates fail to
+    span A / ideal, raises ValueError.  The new basis is re-derived
+    canonically: candidate spanning vectors [b, x], [b, y] are taken in
+    basis order, and `define_layer` cuts the degree by the kernel of the
+    candidates, the same cut `nq_compute` makes: a dependency eliminates its
+    lowest-indexed participant, the survivors become the defined basis of
+    the degree, and the action rows are the candidates' images over the
+    survivors.
     """
     if ideal.algebra is not A:
         raise ValueError("subspace family belongs to a different algebra")
@@ -616,7 +626,7 @@ def quotient(A: GradedAlgebra, ideal: GradedSubspaceFamily) -> GradedAlgebra:
         cands = [idl.reduce(A.act_mask(d - 1, rep, g)) for rep in reps for g in GEN_ORDER]
         layer, img = define_layer(d, basis[-1], kernel(cands, A.dim(d)))
         if len(layer) != A.dim(d) - idl.rank:
-            raise AssertionError("quotient candidates failed to span")
+            raise ValueError(f"degree {d}: quotient candidates failed to span")
         action.append([(img[s], img[s + 1]) for s in range(0, len(img), 2)])
         basis.append(layer)
         reps = [cands[2 * e.parent + GEN_INDEX[e.generator]] for e in layer]

@@ -5,19 +5,32 @@ presentation R(g, h), censuses its homogeneous dimensions and central
 elements against the predicted theta words, forms M / Z_2(M) and compares
 it degree-by-degree with the directly constructed loop algebra, and then
 evaluates every expansion-conclusion identity (the semantic counterparts
-of the binomial-parity claims) inside M.  Any mismatch becomes a failed
-check entry in the report, never an exception.
+of the binomial-parity claims) inside M.
+
+Every census, theta and vanishing word is v_n followed by a short suffix,
+so M evaluates the v_n chain once: `bl.v_word` gives the head v_0 and the
+block that takes v_n to v_{n+1}, and the walk over M's action rows records
+the (weight, mask) of each v_n and of each tail
+v_n y x^{2q-2} (y x^{2q-1})^i.  Each word is then one short walk from a
+recorded state (`eval_runs` continued from a prefix), and each theta word
+is walked once.  A family keeps an instance exactly when its walked weight
+is within the class bound, so no family restates its word weight.
+
+Any mismatch becomes a failed check entry in the report, never an
+exception.  A table that is no Lie algebra can make `quotient` or the
+centralizer sequence refuse its input; the quotient-stage checks then fail
+with the refusal as their detail.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
-from .algebra import GradedAlgebra, graded_center, quotient, second_center
+from .algebra import GradedAlgebra, eval_runs, graded_center, quotient, second_center
 from .bl import (
     BlParams,
     _params,
-    _v_parts,
     bl_centralizer_sequence,
     bl_constituent_lengths,
     centralizer_sequence,
@@ -27,12 +40,11 @@ from .bl import (
     lambda_admissible,
     presentation_R,
     theta_specs,
-    theta_word,
     v_word,
 )
 from .gf2 import echelonize, iter_bits
 from .nq import nq_compute
-from .words import GenPower, GroupPower, X, Y, make_word
+from .words import X, Y
 
 
 @dataclass(frozen=True)
@@ -144,31 +156,30 @@ class AnalysisReport:
         return self.render_text()
 
 
-# -- word builders for the census families -------------------------------------
+# -- the analysis pipeline ------------------------------------------------------
 
 
-def _tail_parts(p: BlParams, n: int, i: int) -> tuple:
-    """Prefix [v_n y x^{2q-2} (y x^{2q-1})^i] shared by the tail-census words."""
-    parts = _v_parts(p, n) + (Y, GenPower(X, 2 * p.q - 2))
-    if i:
-        parts += (GroupPower((Y, GenPower(X, 2 * p.q - 1)), i),)
-    return parts
+def _mask_labels(A: GradedAlgebra, degree: int, mask: int) -> str:
+    layer = A.basis_at(degree)
+    return " + ".join(layer[i].label for i in iter_bits(mask))
 
 
-def _tail_gen_word(p: BlParams, n: int, i: int, k: int):
-    """Census generator [v_n y x^{2q-2} (y x^{2q-1})^i y x^k]."""
-    parts = _tail_parts(p, n, i) + (Y,)
-    if k:
-        parts += (GenPower(X, k),)
-    return make_word(*parts)
-
-
-def _window_gen_word(p: BlParams, n: int, k: int):
-    """Census generator [v_n y x^k] of the first window past v_n."""
-    parts = _v_parts(p, n) + (Y,)
-    if k:
-        parts += (GenPower(X, k),)
-    return make_word(*parts)
+def _center_entries(A, rows_by_degree, specs) -> tuple[CenterEntry, ...]:
+    """One entry per degree with rows, matched with the specs of that weight."""
+    matched: dict[int, list] = {}
+    for s in specs:
+        matched.setdefault(s.weight, []).append(
+            {"kind": s.kind, "n": s.n, "word": str(s.word)}
+        )
+    return tuple(
+        CenterEntry(
+            d,
+            tuple(_mask_labels(A, d, row) for row in rows),
+            tuple(matched.get(d, ())),
+        )
+        for d, rows in rows_by_degree
+        if rows
+    )
 
 
 def _theta_weight_formula(p: BlParams, kind, n: int) -> int:
@@ -183,45 +194,37 @@ def _theta_weight_formula(p: BlParams, kind, n: int) -> int:
     return 2 * twoq + twoq * i + twoq - 1 + p.d * n
 
 
-def _chain_word_for_spec(p: BlParams, spec):
-    """The non-theta generator of the two-dimensional component at spec.weight."""
-    twoq = 2 * p.q
-    if spec.kind == "omega":
-        return _window_gen_word(p, 2 * spec.n + 1, 1)
-    if spec.kind == 1:
-        return _window_gen_word(p, spec.n, 0)
-    if 2 <= spec.kind <= p.h + 1:
-        return _window_gen_word(p, spec.n, twoq - 2 ** (p.h + 2 - spec.kind))
-    i = p.eta - 2 ** (p.g + p.h + 1 - spec.kind)
-    return _tail_gen_word(p, spec.n, i, twoq - 1)
+def _past(runs, k: int) -> tuple:
+    """The (letter, count) runs of a word's letters after its first k."""
+    for j, (letter, count) in enumerate(runs):
+        if k < count:
+            return ((letter, count - k),) + tuple(runs[j + 1:])
+        k -= count
+    return ()
 
 
-# -- the analysis pipeline ------------------------------------------------------
+def _yx(k: int) -> tuple:
+    """The runs of y x^k."""
+    return ((Y, 1), (X, k))
 
 
-def _mask_labels(A: GradedAlgebra, degree: int, mask: int) -> str:
-    layer = A.basis_at(degree)
-    return " + ".join(layer[i].label for i in iter_bits(mask))
+_X, _Y = ((X, 1),), ((Y, 1),)
+_EMPTY = (0, 0)  # the empty word, as (weight, mask)
+
+_QUOTIENT_CHECKS = (
+    "quotient-maximal-class",
+    "quotient-equals-construction",
+    "quotient-centralizer-sequence",
+    "quotient-constituents",
+)
 
 
-def _center_entries(A, family, matched_by_degree) -> tuple[CenterEntry, ...]:
-    entries = []
-    for d in range(1, family.valid_up_to + 1):
-        basis = family.per_degree[d]
-        if not basis.rank:
-            continue
-        entries.append(
-            CenterEntry(
-                d,
-                tuple(_mask_labels(A, d, row) for row in basis.row_bits()),
-                tuple(matched_by_degree.get(d, ())),
-            )
-        )
-    return tuple(entries)
-
-
-def _spec_json(spec) -> dict:
-    return {"kind": spec.kind, "n": spec.n, "word": str(spec.word)}
+def _attempt(stage, *args):
+    """(stage(*args), "") or, if it refuses its input, (None, the ValueError's text)."""
+    try:
+        return stage(*args), ""
+    except ValueError as exc:
+        return None, str(exc)
 
 
 def analyze(g, h=None, class_bound: int | None = None) -> AnalysisReport:
@@ -266,26 +269,46 @@ def analyze(g, h=None, class_bound: int | None = None) -> AnalysisReport:
         else:
             check(name, True, f"{total} instances")
 
-    def vanishes(word) -> bool:
-        return M.eval_word(word).bits == 0
+    action = M.action
 
-    def periods(offset: int, top: int | None = None) -> range:
-        top = bound if top is None else top
-        if offset > top:
-            return range(0)
-        return range((top - offset) // p.d + 1)
+    def walk(state, runs):
+        """The word `state`, a (weight, mask), continued by the letters of `runs`."""
+        weight, mask = state
+        weight_after = weight + sum(count for _, count in runs)
+        return weight_after, eval_runs(action, runs, bound, mask, weight)
+
+    def words(name: str, instances, nonzero: bool = False) -> None:
+        """A family of (label, walked word) pairs.
+
+        An instance is kept iff its word's weight is within the bound; a
+        kept word passes iff it is zero (nonzero=True: iff it is not).
+        """
+        family(
+            name,
+            ((label, bool(mask) == nonzero) for label, (weight, mask) in instances if weight <= bound),
+        )
+
+    # The v_n chain, walked once: v[n] is v_n and tails[n][i] is
+    # v_n y x^{2q-2} (y x^{2q-1})^i.  The block that takes v_n to v_{n+1} is
+    # a run of (y, x^k) pairs; tail i ends pair i and v_{n+1} ends the last.
+    head = v_word(p, n=0).runs()
+    block = v_word(p, n=1).runs()[len(head):]
+    v, tails = [], []
+    state = walk(_EMPTY, head)
+    while state[0] <= bound:
+        v.append(state)
+        steps = []
+        for j in range(0, len(block), 2):
+            state = walk(state, block[j:j + 2])
+            steps.append(state)
+        tails.append(steps[:-1])
 
     # (1) relators impose zero, and dims follow the 1 + theta-multiplicity law.
-    family(
-        "relators-vanish",
-        ((str(r), vanishes(r)) for r in pres.relators),
-    )
+    words("relators-vanish", ((str(r), walk(_EMPTY, r.runs())) for r in pres.relators))
 
-    spec_count = {}
-    for s in specs:
-        spec_count[s.weight] = spec_count.get(s.weight, 0) + 1
+    spec_count = Counter(s.weight for s in specs)
     dims_ok = M.dim(1) == 2 and all(
-        M.dim(w) == 1 + spec_count.get(w, 0) for w in range(2, bound + 1)
+        M.dim(w) == 1 + spec_count[w] for w in range(2, bound + 1)
     )
     check(
         "dims-pattern",
@@ -296,27 +319,27 @@ def analyze(g, h=None, class_bound: int | None = None) -> AnalysisReport:
     # First constituent: y kills every component below weight 2q.
     family(
         "first-constituent",
-        [
-            (f"[y x^{j} y] = 0", vanishes(make_word(Y, GenPower(X, j), Y)))
-            for j in range(1, twoq - 1)
-        ]
-        + [
-            (
-                f"[y x^{twoq - 1} y] != 0",
-                M.eval_word(make_word(Y, GenPower(X, twoq - 1), Y)).bits != 0,
-            )
-        ],
-    )
-
-    family(
-        "v-words-nonzero",
         (
-            (f"v_{n}", M.eval_word(v_word(p, n=n)).bits != 0)
-            for n in periods(twoq)
+            (
+                f"[y x^{j} y] != 0" if j == twoq - 1 else f"[y x^{j} y] = 0",
+                bool(walk(_EMPTY, _yx(j) + _Y)[1]) == (j == twoq - 1),
+            )
+            for j in range(1, twoq)
         ),
     )
 
+    words("v-words-nonzero", ((f"v_{n}", s) for n, s in enumerate(v)), nonzero=True)
+
     # (2)-(3) theta words: weights, non-vanishing, centrality, exact census.
+    # Theta word (kind, n) continues v_n, or v_{2n+1} for omega.
+    def theta_prefix(s):
+        return v[2 * s.n + 1] if s.kind == "omega" else v[s.n]
+
+    theta = {}
+    for s in specs:
+        start = theta_prefix(s)
+        theta[s.kind, s.n] = walk(start, _past(s.word.runs(), start[0]))[1]
+
     family(
         "theta-weight-formulas",
         (
@@ -330,10 +353,7 @@ def analyze(g, h=None, class_bound: int | None = None) -> AnalysisReport:
 
     family(
         "theta-words-nonzero",
-        (
-            (f"theta^{s.kind}_{s.n}", M.eval_word(s.word).bits != 0)
-            for s in specs
-        ),
+        ((f"theta^{s.kind}_{s.n}", theta[s.kind, s.n] != 0) for s in specs),
     )
 
     Z = graded_center(M)
@@ -343,23 +363,21 @@ def analyze(g, h=None, class_bound: int | None = None) -> AnalysisReport:
         for s in central_specs:
             if s.weight > Z.valid_up_to:
                 continue
-            v = M.eval_word(s.word)
+            mask = theta[s.kind, s.n]
             ok = (
-                Z.contains(v)
-                and M.bracket_gen(v, X).bits == 0
-                and M.bracket_gen(v, Y).bits == 0
+                Z.at(s.weight).contains(mask)
+                and not M.act_mask(s.weight, mask, X)
+                and not M.act_mask(s.weight, mask, Y)
             )
             yield f"theta^{s.kind}_{s.n}", ok
 
     family("theta-words-central", central_instances())
 
-    predicted_central = {}
-    for s in central_specs:
-        predicted_central[s.weight] = predicted_central.get(s.weight, 0) + 1
+    predicted_central = Counter(s.weight for s in central_specs)
     check(
         "center-census",
         all(
-            Z.dim(w) == predicted_central.get(w, 0)
+            Z.dim(w) == predicted_central[w]
             for w in range(1, Z.valid_up_to + 1)
         ),
         f"center ranks match predictions for degrees 1..{Z.valid_up_to}",
@@ -368,7 +386,7 @@ def analyze(g, h=None, class_bound: int | None = None) -> AnalysisReport:
     check(
         "second-center-census",
         all(
-            Z2.dim(w) == spec_count.get(w, 0)
+            Z2.dim(w) == spec_count[w]
             for w in range(1, Z2.valid_up_to + 1)
         ),
         f"second-center ranks match predictions for degrees 1..{Z2.valid_up_to}",
@@ -378,227 +396,168 @@ def analyze(g, h=None, class_bound: int | None = None) -> AnalysisReport:
         for s in odd1_specs:
             if s.weight > Z2.valid_up_to:
                 continue
-            v = M.eval_word(s.word)
-            omega = M.eval_word(theta_word(p, kind="omega", n=(s.n - 1) // 2))
-            by = M.bracket_gen(v, Y)
+            mask = theta[1, s.n]
+            by = M.act_mask(s.weight, mask, Y)
             ok = (
-                Z2.contains(v)
-                and not Z.contains(v)
-                and M.bracket_gen(v, X).bits == 0
-                and by.bits != 0
-                and by.bits == omega.bits
+                Z2.at(s.weight).contains(mask)
+                and not Z.at(s.weight).contains(mask)
+                and not M.act_mask(s.weight, mask, X)
+                and by != 0
+                and by == theta["omega", (s.n - 1) // 2]
             )
             yield f"theta^1_{s.n}", ok
 
     family("theta1-odd-second-central", odd1_instances())
 
     # (4) the quotient by the second center is the loop algebra on the nose.
-    Q = quotient(M, Z2)
-    B = construct_bl(p, class_bound=Q.class_bound)
-    check(
-        "quotient-maximal-class",
-        Q.dim(1) == 2
-        and all(Q.dim(d) == 1 for d in range(2, Q.class_bound + 1)),
-        f"quotient dims are 1 in degrees 2..{Q.class_bound}",
-    )
-    check(
-        "quotient-equals-construction",
-        Q == B,
-        "basis chain and action tables agree degree-wise",
-    )
-
-    cents = centralizer_sequence(Q)
-    expected_cents = bl_centralizer_sequence(p, up_to=Q.class_bound - 1)
-    check(
-        "quotient-centralizer-sequence",
-        cents == expected_cents,
-        f"degrees 2..{Q.class_bound - 1}",
-    )
-
-    consts = constituent_lengths(cents)
-    expected_consts = bl_constituent_lengths(p, count=len(consts))
-    check(
-        "quotient-constituents",
-        consts == expected_consts and check_CL(consts, p),
-        " ".join(str(v) for v in consts),
-    )
+    # On a table that is no Lie algebra, quotient or the centralizer sequence
+    # may refuse its input; the checks of this stage still to come then fail
+    # with the refusal as their detail.
+    first = len(checks)
+    Q, error = _attempt(quotient, M, Z2)
+    cents = None
+    if Q is not None:
+        B = construct_bl(p, class_bound=Q.class_bound)
+        check(
+            "quotient-maximal-class",
+            Q.dim(1) == 2
+            and all(Q.dim(d) == 1 for d in range(2, Q.class_bound + 1)),
+            f"quotient dims are 1 in degrees 2..{Q.class_bound}",
+        )
+        check(
+            "quotient-equals-construction",
+            Q == B,
+            "basis chain and action tables agree degree-wise",
+        )
+        cents, error = _attempt(centralizer_sequence, Q)
+    consts = ()
+    if cents is not None:
+        expected_cents = bl_centralizer_sequence(p, up_to=Q.class_bound - 1)
+        check(
+            "quotient-centralizer-sequence",
+            cents == expected_cents,
+            f"degrees 2..{Q.class_bound - 1}",
+        )
+        consts = constituent_lengths(cents)
+        expected_consts = bl_constituent_lengths(p, count=len(consts))
+        check(
+            "quotient-constituents",
+            consts == expected_consts and check_CL(consts, p),
+            " ".join(str(v) for v in consts),
+        )
+    for name in _QUOTIENT_CHECKS[len(checks) - first:]:
+        check(name, False, error)
 
     # Two-dimensional components are spanned by the chain word and the theta word.
+    def chain_word(s):
+        """The non-theta generator of the two-dimensional component at s.weight.
+
+        Kinds 1..h+1 are v_n y x^{2q - 2^{h+2-kind}}; for kind 1 that is v_n y.
+        """
+        if s.kind == "omega":
+            return walk(theta_prefix(s), _yx(1))
+        if s.kind <= p.h + 1:
+            return walk(v[s.n], _yx(twoq - 2 ** (p.h + 2 - s.kind)))
+        return walk(tails[s.n][p.eta - 2 ** (p.g + p.h + 1 - s.kind)], _yx(twoq - 1))
+
     def spanned_instances():
         for s in specs:
-            chain = _chain_word_for_spec(p, s)
-            rows = [M.eval_word(chain).bits, M.eval_word(s.word).bits]
+            pair = [chain_word(s)[1], theta[s.kind, s.n]]
             yield (
                 f"weight {s.weight}",
-                echelonize(rows, M.dim(s.weight)).rank == 2 == M.dim(s.weight),
+                echelonize(pair, M.dim(s.weight)).rank == 2 == M.dim(s.weight),
             )
 
     family("two-dim-components-spanned", spanned_instances())
 
     # Census chain generators of the one- and two-dimensional slots all survive.
-    def census_instances():
-        for n in periods(twoq):
+    def census_words():
+        for n, start in enumerate(v):
             for k in range(twoq - 1):
-                w = _window_gen_word(p, n, k)
-                if w.weight > bound:
-                    break
-                yield f"[v_{n} y x^{k}]", M.eval_word(w).bits != 0
-            for i in range(p.eta):
+                yield f"[v_{n} y x^{k}]", walk(start, _yx(k))
+            for i, tail in enumerate(tails[n]):
                 for k in range(twoq):
                     if i == p.eta - 1 and k >= twoq - 2:
                         continue  # the period boundary: v_{n+1} and theta^1
-                    w = _tail_gen_word(p, n, i, k)
-                    if w.weight > bound:
-                        break
-                    yield f"[v_{n} y x^{twoq - 2} (y x^{twoq - 1})^{i} y x^{k}]", (
-                        M.eval_word(w).bits != 0
-                    )
+                    label = f"[v_{n} y x^{twoq - 2} (y x^{twoq - 1})^{i} y x^{k}]"
+                    yield label, walk(tail, _yx(k))
 
-    family("census-chain-nonzero", census_instances())
+    words("census-chain-nonzero", census_words(), nonzero=True)
 
     # (5) expansion conclusions: the vanishing families.
-    family(
-        "v-yy-vanishes",
-        (
-            (f"[v_{n} y y]", vanishes(make_word(*_v_parts(p, n), Y, Y)))
-            for n in periods(twoq + 2)
-        ),
-    )
+    def v_then(name: str, text: str, suffix, step: int = 1) -> None:
+        words(name, ((f"[v_{n} {text}]", walk(v[n], suffix)) for n in range(0, len(v), step)))
 
-    family(
-        "v-xx-vanishes",
-        (
-            (f"[v_{n} x x]", vanishes(make_word(*_v_parts(p, n), X, X)))
-            for n in periods(twoq + 2)
-        ),
-    )
-
-    family(
-        "v-xy-even-vanishes",
-        (
-            (f"[v_{n} x y]", vanishes(make_word(*_v_parts(p, n), X, Y)))
-            for n in periods(twoq + 2)
-            if n % 2 == 0
-        ),
-    )
-
+    v_then("v-yy-vanishes", "y y", ((Y, 2),))
+    v_then("v-xx-vanishes", "x x", ((X, 2),))
+    v_then("v-xy-even-vanishes", "x y", _X + _Y, step=2)
     if p.q > 2:
-        family(
-            "v-yxy-vanishes",
-            (
-                (f"[v_{n} y x y]", vanishes(make_word(*_v_parts(p, n), Y, X, Y)))
-                for n in periods(twoq + 3)
-            ),
-        )
+        v_then("v-yxy-vanishes", "y x y", _yx(1) + _Y)
 
-    family(
+    words(
         "xi-family-vanishes",
         (
-            (
-                f"[v_{n} y x^{twoq - 2} (y x^{twoq - 1})^{i} x]",
-                vanishes(make_word(*_tail_parts(p, n, i), X)),
-            )
-            for n in periods(2 * twoq)
-            for i in range(p.eta)
-            if 2 * twoq + twoq * i + p.d * n <= bound
+            (f"[v_{n} y x^{twoq - 2} (y x^{twoq - 1})^{i} x]", walk(tail, _X))
+            for n, row in enumerate(tails)
+            for i, tail in enumerate(row)
         ),
     )
-
-    family(
+    words(
         "short-k-family-vanishes",
         (
             (
                 f"[v_{n} y x^{twoq - 2} y x^{twoq - 2 ** s - 1} y]",
-                vanishes(
-                    make_word(
-                        *_v_parts(p, n),
-                        Y,
-                        GenPower(X, twoq - 2),
-                        Y,
-                        GenPower(X, twoq - 2 ** s - 1),
-                        Y,
-                    )
-                ),
+                walk(start, _yx(twoq - 2) + _yx(twoq - 2 ** s - 1) + _Y),
             )
-            for n in periods(2 * twoq)
+            for n, start in enumerate(v)
             for s in range(1, p.h + 1)
-            if 2 * twoq + (twoq - 2 ** s) + p.d * n <= bound
         ),
     )
-
-    family(
+    words(
         "long-k-family-vanishes",
         (
             (
                 f"[v_{n} ... (y x^{twoq - 1})^{i} y x^{twoq - 2 ** s - 1} y]",
-                vanishes(
-                    make_word(
-                        *_tail_parts(p, n, i),
-                        Y,
-                        GenPower(X, twoq - 2 ** s - 1),
-                        Y,
-                    )
-                ),
+                walk(row[i], _yx(twoq - 2 ** s - 1) + _Y),
             )
-            for n in periods(2 * twoq)
+            for n, row in enumerate(tails)
             for i in range(1, p.eta)
             for s in range(1, p.h + 1)
             if not (i == p.eta - 1 and s == 1)
-            and 2 * twoq + twoq * i + (twoq - 2 ** s) + p.d * n <= bound
         ),
     )
-
-    family(
+    words(
         "mu-lambda-family-vanishes",
         (
             (
                 f"[v_{n} ... (y x^{twoq - 1})^{i} y x^{twoq - 2} y]",
-                vanishes(
-                    make_word(
-                        *_tail_parts(p, n, i),
-                        Y,
-                        GenPower(X, twoq - 2),
-                        Y,
-                    )
-                ),
+                walk(row[i], _yx(twoq - 2) + _Y),
             )
-            for n in periods(2 * twoq)
+            for n, row in enumerate(tails)
             for i in lambda_admissible(p)
-            if 2 * twoq + twoq * i + (twoq - 1) + p.d * n <= bound
         ),
     )
 
     # Assemble the report.
-    matched_central: dict[int, list] = {}
-    for s in central_specs:
-        matched_central.setdefault(s.weight, []).append(_spec_json(s))
-    matched_odd1: dict[int, list] = {}
-    for s in odd1_specs:
-        matched_odd1.setdefault(s.weight, []).append(_spec_json(s))
-
-    centers = _center_entries(M, Z, matched_central)
-    extras = []
-    for d in range(1, Z2.valid_up_to + 1):
-        extra_rank = Z2.dim(d) - (Z.dim(d) if d <= Z.valid_up_to else 0)
-        if not extra_rank:
-            continue
-        rows = [r for r in Z2.per_degree[d].row_bits() if not Z.at(d).contains(r)]
-        extras.append(
-            CenterEntry(
-                d,
-                tuple(_mask_labels(M, d, r) for r in rows),
-                tuple(matched_odd1.get(d, ())),
-            )
-        )
-
+    centers = _center_entries(
+        M, ((d, Z.at(d).row_bits()) for d in range(1, Z.valid_up_to + 1)), central_specs
+    )
+    extras = _center_entries(
+        M,
+        (
+            (d, [r for r in Z2.at(d).row_bits() if not Z.at(d).contains(r)])
+            for d in range(1, Z2.valid_up_to + 1)
+        ),
+        odd1_specs,
+    )
     return AnalysisReport(
         params=p,
         class_bound=bound,
-        dims=(0,) + tuple(M.dim(d) for d in range(1, bound + 1)),
+        dims=M.dims,
         centers=centers,
-        second_center_extras=tuple(extras),
-        quotient_dims=(0,) + tuple(Q.dim(d) for d in range(1, Q.class_bound + 1)),
-        quotient_centralizers=cents.entries,
+        second_center_extras=extras,
+        quotient_dims=Q.dims if Q is not None else (0,),
+        quotient_centralizers=cents.entries if cents is not None else (),
         quotient_constituents=consts,
         checks=tuple(checks),
     )

@@ -173,8 +173,7 @@ def _cmd_construct(ns: argparse.Namespace) -> int:
     print(f"class bound {bound}")
     for d in range(1, bound + 1):
         for e in B.basis_at(d):
-            bx = _element_text(B.bracket_gen(B.element(d, 1 << e.index), "x"))
-            by = _element_text(B.bracket_gen(B.element(d, 1 << e.index), "y"))
+            bx, by = (_element_text(B.element(d + 1, B.act_index(d, e.index, gi))) for gi in (0, 1))
             print(f"{d}: {e.label} | [.,x] = {bx} | [.,y] = {by}")
     return 0
 

@@ -1,11 +1,16 @@
 """The full verification pipeline and its report."""
 
+import hashlib
+import importlib
 import json
 
 import pytest
 
+from bzloop import cli
+from bzloop.algebra import GradedAlgebra, jacobi_check
 from bzloop.analyze import AnalysisReport, CheckResult, analyze
-from bzloop.bl import bl_params
+from bzloop.bl import bl_params, presentation_R
+from bzloop.nq import nq_compute
 
 
 @pytest.fixture(scope="module")
@@ -105,3 +110,103 @@ def test_larger_pair_passes():
     report = analyze(2, 2, class_bound=42)
     assert report.ok
     assert report.quotient_constituents[:2] == (8, 7)
+
+
+# -- wrong tables: a failed report, never an exception ---------------------------
+
+ANALYZE = importlib.import_module("bzloop.analyze")  # the module; bzloop.analyze is the function
+
+
+@pytest.fixture(scope="module")
+def M48():
+    return nq_compute(presentation_R(2, 1), 48)
+
+
+def _flipped(M, d: int, i: int, gi: int, bit: int) -> GradedAlgebra:
+    """M with bit `bit` of [e(d,i), x or y] flipped."""
+    rows = [[list(r) for r in layer] for layer in M.action[1:]]
+    rows[d - 1][i][gi] ^= 1 << bit
+    return GradedAlgebra(M.class_bound, M.basis[1:], [tuple(tuple(r) for r in layer) for layer in rows])
+
+
+def _flips(M):
+    for d in range(1, M.class_bound):
+        for i in range(M.dim(d)):
+            for gi in (0, 1):
+                for bit in range(M.dim(d + 1)):
+                    yield d, i, gi, bit
+
+
+def _analyze_on(monkeypatch, table):
+    monkeypatch.setattr(ANALYZE, "nq_compute", lambda pres, bound: table)
+    return ANALYZE.analyze(2, 1)
+
+
+def test_every_single_bit_flip_gives_a_report(M48, monkeypatch):
+    """No flip of an action bit of M(2,1)@48 raises; a report passes only on a Lie table.
+
+    The 11 flips that pass leave a table on which jacobi_check passes too
+    (antisymmetry included) and every relator vanishes.  Each of them
+    changes the action row [e(d-1, parent), g] that defines a basis
+    element, which no check compares with the element.
+    """
+    names = [c.name for c in analyze(2, 1).checks]
+    failed = passed = 0
+    for flip in _flips(M48):
+        bad = _flipped(M48, *flip)
+        report = _analyze_on(monkeypatch, bad)
+        assert [c.name for c in report.checks] == names, flip
+        if report.ok:
+            passed += 1
+            assert jacobi_check(bad).ok, flip
+        else:
+            failed += 1
+    assert (failed, passed) == (137, 11)
+
+
+def test_a_quotient_that_fails_fails_its_stage(M48, monkeypatch):
+    report = _analyze_on(monkeypatch, _flipped(M48, 10, 0, 0, 0))
+    stage = [c for c in report.checks if c.name.startswith("quotient-")]
+    assert [c.name for c in stage] == [
+        "quotient-maximal-class",
+        "quotient-equals-construction",
+        "quotient-centralizer-sequence",
+        "quotient-constituents",
+    ]
+    assert not any(c.passed for c in stage)
+    assert all(c.detail == "degree 11: quotient candidates failed to span" for c in stage)
+    assert report.quotient_dims == (0,) and report.quotient_constituents == ()
+
+
+def test_cli_analyze_exits_1_on_a_table_that_broke_the_quotient(M48, monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(ANALYZE, "nq_compute", lambda pres, bound: _flipped(M48, 15, 1, 0, 0))
+    assert cli.run(["analyze", "--g", "2", "--h", "1", "--json", str(tmp_path / "r.json")]) == 1
+    out = capsys.readouterr()
+    assert "quotient-centralizer-sequence: FAIL (degree 14: centralizer is not one-dimensional)" in out.out
+    assert out.err == ""
+    assert json.loads((tmp_path / "r.json").read_text())["ok"] is False
+
+
+# The CLI byte form (sha256) of failing reports that between them fail every
+# labelled family; each flips bit `bit` of [e(d,i), x or y] in M(2,1)@48.
+FAILING_REPORTS = {
+    (3, 0, 1, 0): "6f581a54d1d1d83c774386b59f5baddae12218b1b2f3ad1dd7f2b40d35318998",
+    (4, 0, 0, 0): "fdbc0aaf30f4846567632094b6797a257344c29b345393822fcd0b69b6f3db95",
+    (4, 0, 0, 1): "b8071b4d0d2e116db0762df9d8992c6c0c3aa08f689ddaa8596a1e93bc5dea28",
+    (5, 1, 1, 0): "4c4ccbdf5f58f7d489fbac95d417c265b89c5bb873db04f943f9541814e56c35",
+    (7, 0, 0, 0): "7ce0e07eb3c01aa0d8d123688a078d27205ee9087e0376fbb45b76807d409c83",
+    (9, 0, 1, 0): "10057264484275dc57f48b63320fbf7e6ab146f3ae9e8232f3dae4300a249f2c",
+    (10, 0, 1, 0): "156d77586c8f97edc2848616e610e7369c11afb002819a4fa5aa2b283606332a",
+    (13, 0, 1, 0): "913df94d2b4b38d4f5e95ba4a4d68ad7707fd10ffc55af5a97b76681d2924ccf",
+    (18, 0, 0, 0): "45b3a5b28b57dee9cf3e3fa669fe05e45cd248bbfba4c4127dc0cb2cfdeffac6",
+    (19, 0, 1, 0): "0a57a49d16de2dfa7cb8038bfeb859870511102573c1ba748b9de95a7610e5a0",
+    (46, 0, 1, 1): "ca15bbf42802d17e7cd6e9223cc3f387e7da0c07ac95553483e1d40665422502",
+}
+
+
+@pytest.mark.parametrize("flip", list(FAILING_REPORTS), ids=lambda f: "flip{}".format(",".join(map(str, f))))
+def test_failing_report_bytes_are_frozen(M48, monkeypatch, flip):
+    report = _analyze_on(monkeypatch, _flipped(M48, *flip))
+    assert not report.ok
+    data = (json.dumps(report.to_json_dict(), indent=2) + "\n").encode()
+    assert hashlib.sha256(data).hexdigest() == FAILING_REPORTS[flip]

@@ -147,8 +147,8 @@ def test_bracket_fills_the_table_on_demand():
 def test_jacobi_check_passes(B8):
     report = jacobi_check(B8)
     assert report.ok
-    assert report.checked == 40
-    assert str(report) == "jacobi check: pass, 40 instances"
+    assert report.checked == 40 + 19  # squares and triples, then the 19 basis pairs
+    assert str(report) == "jacobi check: pass, 59 instances"
 
 
 def _rebuilt(A, mutate):

@@ -1,23 +1,29 @@
 """The bit-mask kernels against plain references.
 
-`jacobi_check` reads squares and Jacobi sums straight from the bracket
-table; its reference is the per-triple loop over `Element` brackets it
-replaced.  `quotient` reads its action rows from the images `define_layer`
-returns; its reference solves each candidate over the survivors with a
-`SpanSolver`, as it once did.  The GF(2) echelon routines are compared with
+`jacobi_check` reads squares, pairs and Jacobi sums straight from the
+bracket table; its reference is the per-triple loop over `Element` brackets
+it replaced, with a per-pair antisymmetry loop in front of it.  `quotient`
+reads its action rows from the images `define_layer` returns; its reference
+solves each candidate over the survivors with a `SpanSolver`, as it once
+did.  The GF(2) echelon routines are compared with
 naive Gaussian elimination and brute-force kernels on random matrices, and
 the lazily settled `EchelonBasis` on random runs of adds and reads.
+`eval_runs` continued from a word's head is compared with evaluating the
+whole word.
 """
 
+import functools
 import random
+from itertools import groupby
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from bzloop.algebra import (
     GENERATORS,
     BasisElement,
     GradedAlgebra,
+    eval_runs,
     graded_center,
     jacobi_check,
     quotient,
@@ -32,7 +38,7 @@ from bzloop.words import X, Y, Z, extend_label, word_from_letters
 
 
 def reference_jacobi(A: GradedAlgebra):
-    """The Element-based loop: (ok, checked, [(kind, labels, degree, bits)])."""
+    """The Element-based loops: (ok, checked, [(kind, labels, degree, bits)])."""
     bound = A.class_bound
     checked = 0
     failures = []
@@ -43,6 +49,18 @@ def reference_jacobi(A: GradedAlgebra):
             checked += 1
             if sq.bits:
                 failures.append(("square", e.label, sq.degree, sq.bits))
+    for d1 in range(1, bound // 2 + 1):
+        for d2 in range(d1, bound - d1 + 1):
+            for a in A.basis_at(d1):
+                u = A.element(d1, 1 << a.index)
+                for b in A.basis_at(d2):
+                    if d2 == d1 and b.index <= a.index:
+                        continue
+                    v = A.element(d2, 1 << b.index)
+                    diff = A.bracket(u, v) + A.bracket(v, u)
+                    checked += 1
+                    if diff.bits:
+                        failures.append(("antisymmetry", (a.label, b.label), diff.degree, diff.bits))
     for d1 in range(1, bound - 1):
         for d2 in range(d1, bound - d1):
             for d3 in range(d2, bound - d1 - d2 + 1):
@@ -107,6 +125,21 @@ def test_jacobi_check_matches_reference_on_corrupted_tables(presented):
             assert got == reference_jacobi(bad), (seed, A.class_bound)
             failing += not got[0]
     assert failing >= 60  # most corruptions are caught, so the failure lists were compared
+
+
+def test_jacobi_check_rejects_a_table_that_is_not_antisymmetric(presented):
+    """Seed 42's third corruption of R(2,2)@25 keeps every square and Jacobi sum zero."""
+    rng = random.Random(42)
+    for A in presented:
+        bad = _corrupted(A, rng)
+    report = jacobi_check(bad)
+    assert bad.class_bound == 25
+    assert not report.ok
+    assert {kind for kind, _, _ in report.failures} == {"antisymmetry"}
+    assert all(labels[0] == "x" for _, labels, _ in report.failures)  # [x, w] != [w, x]
+    assert sorted(e.degree - 1 for _, _, e in report.failures) == [20, 22, 24]  # deg w
+    assert report.failures[0][1][1] == "y x^7 y x^6 y x^4"
+    assert _report(bad) == reference_jacobi(bad)
 
 
 # -- quotient ------------------------------------------------------------------
@@ -310,3 +343,40 @@ def test_span_solver_matches_brute_force(vectors, target):
         assert got in solutions
         if len(solutions) == 1:  # independent vectors: the solution is unique
             assert got == solutions[0]
+
+
+# -- eval_runs from an evaluated prefix ------------------------------------------
+
+
+def _runs(letters) -> tuple:
+    return tuple((letter, len(list(group))) for letter, group in groupby(letters))
+
+
+@functools.cache
+def _walk_tables() -> tuple:
+    """R(2,1)@30 and four seeded x/y/z presentations at class 12 (top dims 121, 214, 17, 7)."""
+    rng = random.Random(4)
+    seeded = [
+        nq_compute(Presentation(_random_relator(rng) for _ in range(rng.randint(1, 3))), 12)
+        for _ in range(4)
+    ]
+    return (nq_compute(presentation_R(2, 1), 30), *seeded)
+
+
+@given(
+    st.integers(0, 4),
+    st.lists(st.sampled_from((X, Y, Z)), min_size=1, max_size=36),
+    st.integers(0, 36),
+)
+@example(0, [Y, Y, X, Y], 2)  # a zero prefix
+@example(0, [Y, X, X, X, Y] + [X] * 31, 29)  # a word past the top degree
+@example(0, [Y, X, X, X, Y, X, X], 3)  # a split inside a run
+def test_eval_runs_continues_an_evaluated_prefix(which, letters, split):
+    """Splitting a word anywhere and continuing from the head's mask and degree gives the word's mask."""
+    A = _walk_tables()[which]
+    action, top = A.action, A.class_bound
+    k = split % (len(letters) + 1)
+    head = eval_runs(action, _runs(letters[:k]), top)
+    whole = eval_runs(action, _runs(letters), top)
+    assert eval_runs(action, _runs(letters[k:]), top, head, k) == whole
+    assert whole == A.eval_word(word_from_letters(letters)).bits
