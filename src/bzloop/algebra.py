@@ -88,8 +88,14 @@ class BracketTable:
     which reads block (i, j-1) and the action of degree s - 1 from slice
     s - 1, and block (i+1, j-1) from slice s itself.  So `fill` runs over
     the rows i = s-2 down to 1, slices are filled in increasing s, and no
-    recursion is needed.  `top` is the highest slice filled; each row of
-    degree i < top ends with its block of slice `top`.
+    recursion is needed.  `fill(s, lowest)` stops at row `lowest`, and
+    `mirror(s)` sets every block (i, j) of slice s with i < j to the
+    transpose of block (j, i), which is the block itself when the slice is
+    antisymmetric.  `top` is the highest slice filled.  Each row of degree
+    i < top ends with its block of slice `top`, except a row below
+    `lowest` of the last fill that no `mirror(top)` has set since:
+    `nq_compute` leaves row 1 so while it cuts a degree, and in its last
+    slice.
     """
 
     __slots__ = ("rows", "defs", "offset", "top")
@@ -111,15 +117,18 @@ class BracketTable:
         for row, (mx, my) in zip(self.rows[degree], action):
             row[:] = (mx, my)
 
-    def fill(self, s: int) -> None:
-        """Fill slice s from the slices below it and the action of degree s - 1.
+    def fill(self, s: int, lowest: int = 1) -> None:
+        """Fill the rows i = s - 2 down to `lowest` of slice s.
 
-        A slice that was filled before is replaced, so the cut slice can be
-        refilled once the action of degree s - 1 changes basis.
+        Each block reads the slices below it, the action of degree s - 1
+        and the block one row up in slice s, so any run of rows ending at
+        row s - 2 is self-contained.  A slice that was filled before is
+        replaced, so the cut slice can be refilled once the action of
+        degree s - 1 changes basis.
         """
         rows, offset = self.rows, self.offset
         act = rows[s - 1]
-        for i in range(s - 2, 0, -1):
+        for i in range(s - 2, lowest - 1, -1):
             j = s - i
             below = rows[i + 1]
             start, end = offset[j - 1], offset[j]
@@ -140,6 +149,18 @@ class BracketTable:
                         m ^= low
                     row.append(out)
         self.top = s
+
+    def mirror(self, s: int) -> None:
+        """Set each block (i, j) of slice s with i < j to the transpose of block (j, i)."""
+        rows, offset = self.rows, self.offset
+        for i in range(1, (s + 1) // 2):
+            j = s - i
+            end, col, rows_j = offset[j], offset[i], rows[j]
+            for row in rows[i]:
+                del row[end:]
+                for r in rows_j:
+                    row.append(r[col])
+                col += 1
 
 
 def jacobi_sum(rows, offset, d1: int, a: int, d2: int, b: int, d3: int, c: int) -> int:

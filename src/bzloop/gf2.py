@@ -110,11 +110,16 @@ class EchelonBasis:
 
 
 def echelonize(rows: Iterable[int], dim_ambient: int) -> EchelonBasis:
-    """Reduced row-echelon basis of the span of the given bitmask rows."""
+    """Reduced row-echelon basis of the span of the given bitmask rows.
+
+    The form depends only on the span, so each distinct nonzero row is
+    added once, in the order of its first occurrence.
+    """
     basis = EchelonBasis(dim_ambient)
-    for row in rows:
-        if row:
-            basis.add(row)
+    distinct = dict.fromkeys(rows)
+    distinct.pop(0, None)
+    for row in distinct:
+        basis.add(row)
     return basis
 
 

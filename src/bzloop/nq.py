@@ -12,13 +12,16 @@ generator) definition.
 
 All brackets live in one `BracketTable`.  To cut degree n + 1, the top
 degree's action is set to the frontier symbols themselves and slice n + 1
-(every bracket of total degree n + 1) is filled; every relation row is then
-a lookup.  Once the cut is known, the top degree's action is set to the
-survivor images and slice n + 1 is refilled from it, which makes it the
-true bracket table of degree n + 1.  The slice is linear in that action, so
-the refill equals re-expressing the frontier slice over the survivors.  The
-last slice, of degree class_bound, is not refilled: no later cut reads it,
-and the result keeps only the action rows.
+(every bracket of total degree n + 1) is filled, except row 1, which no
+relation row reads; every relation row is then a lookup.  Once the cut is
+known, the top degree's action is set to the survivor images and slice
+n + 1 is refilled from it, which makes it the true bracket table of degree
+n + 1.  The slice is linear in that action, so the refill equals
+re-expressing the frontier slice over the survivors.  The refilled slice is
+antisymmetric, so only its blocks (i, j) with i >= j are filled and the
+rest are mirrored from them.  The last slice, of degree class_bound, is not
+refilled: no later cut reads it, and the result keeps only the action rows.
+`full_jacobi=True` fills every block of both slices; it is the cross-check.
 """
 
 from __future__ import annotations
@@ -76,8 +79,8 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
     table is already a Lie algebra, so [g, u] = [u, g]; and [p, g] = v
     exactly, because a survivor's image is one bit.  So that Jacobi row is
     [u, v] + [v, u], the antisymmetry row itself.  The Jacobi loop skips
-    only u = p and u = g (p = g cannot occur: [g, g] = 0 is no survivor),
-    and there the antisymmetry row is zero too:
+    u = p and u = g (p = g cannot occur: [g, g] = 0 is no survivor), and
+    there the antisymmetry row is zero too:
     [p, v] = [[p, p], g] + [[p, g], p] = [v, p] and [g, v] =
     [[g, p], g] + [[g, g], p] = [v, g].  Degree 2 has no such triple, so
     [x, y] = [y, x] stays.  The full-Jacobi rows include these triples
@@ -85,6 +88,43 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
     degrees below are antisymmetric), so the argument covers both modes.
     Alternation rows are not covered and stay: J(u, p, g) is trivially
     zero when u = [p, g].
+
+    The default mode builds each bracket and each relation row once; the
+    four shortcuts below leave every cut, and so every table, unchanged.
+
+    The frontier fill skips row 1.  When degree n + 1 is cut, no relation
+    row reads block (1, n) of the frontier slice.  A Jacobi row
+    J(u, v, g) with u = e(d1, a), v = e(d2, b) and d1 + d2 = n reads
+    [[u, v], g] from the action of degree n, [[v, g], u] from rows of
+    degree d2 + 1 >= 2 and [[g, u], v] from rows of degree d1 + 1 >= 2.
+    The relator rows read only action rows.  Alternation reads block
+    (h, h), which for h = 1 is the action block.  Row 1 is the last row
+    `fill` computes and no other block of the slice reads it, so the rows
+    above it are as a whole fill leaves them.
+
+    The refill computes half the slice.  By linearity the refill of any
+    block is the image, over the survivors, of what a whole frontier fill
+    gives there, and the images kill exactly the span of the relation
+    rows.  By the argument above every antisymmetry row of degree n + 1 is
+    a generator-Jacobi row or zero, so the refilled slice is
+    antisymmetric.  Hence the refill fills the blocks (i, j) with i >= j
+    only; this is self-contained, since block (i, j) reads (i + 1, j - 1)
+    of its slice, also in that half.  Every block (i, j) with i < j, row 1
+    included, is then the transpose of block (j, i).
+
+    Two-generator rows are built once.  For v = e(n - 1, b), J(x, v, y)
+    and J(y, v, x) are the same row term by term: [[x, v], y] is
+    [[v, x], y], [[v, y], x] is [[y, v], x] and [[y, x], v] is
+    [[x, y], v], because [x, v] = [v, x], [v, y] = [y, v] and
+    [x, y] = [y, x] hold in the table in degrees <= n (the mirrored
+    blocks hold them bit for bit).  So for d1 = 1 the loop keeps
+    J(x, v, y) only.  The row J(y, p, x) that the antisymmetry argument
+    names for u = y is the kept J(x, p, y), so that argument still holds.
+
+    `echelonize` adds each distinct nonzero row once.  The reduced
+    echelon form depends only on the span of the rows, so every pivot and
+    every survivor image is unchanged; repeated rows are common, since
+    different triples often give the same row.
     """
     if class_bound < 1:
         raise ValueError("class bound must be at least 1")
@@ -109,7 +149,7 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
             continue
         nsym = 2 * dims[n]
         table.set_action(n, [(1 << 2 * w, 2 << 2 * w) for w in range(dims[n])])
-        table.fill(n + 1)
+        table.fill(n + 1, 1 if full_jacobi else 2)  # no default-mode row reads row 1
 
         rows = []
 
@@ -146,7 +186,8 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
                         if d2 == d1 and b <= a:
                             continue
                         for g in (0, 1):
-                            if (d1, a) == (1, g) or (d2, b) == (1, g):
+                            # J(y, v, x) is J(x, v, y) term by term, so d1 = 1 keeps a < g
+                            if (d1 == 1 and g <= a) or (d2, b) == (1, g):
                                 continue
                             rows.append(jacobi_sum(R, off, d1, a, d2, b, 1, g))
 
@@ -160,7 +201,11 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
         layer, img = define_layer(n + 1, basis[n], echelonize(rows, nsym))
         table.set_action(n, [(img[s], img[s + 1]) for s in range(0, nsym, 2)])
         if n + 1 < class_bound:  # the last slice is read only for its action rows
-            table.fill(n + 1)
+            if full_jacobi:
+                table.fill(n + 1)
+            else:  # the cut slice is antisymmetric: fill the blocks i >= j, mirror the rest
+                table.fill(n + 1, (n + 2) // 2)
+                table.mirror(n + 1)
         table.add_degree((e.parent, GEN_INDEX[e.generator]) for e in layer)
         basis.append(layer)
         dims.append(len(layer))

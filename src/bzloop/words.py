@@ -29,6 +29,7 @@ Y = GeneratorSymbol.Y
 Z = GeneratorSymbol.Z
 
 _BY_CHAR = {s.value: s for s in GeneratorSymbol}
+_CHAR = {s: s.value for s in GeneratorSymbol}  # one dict read; `.value` is a Python-level descriptor
 
 
 @dataclass(frozen=True)
@@ -181,11 +182,12 @@ def extend_label(label: str, gen: GeneratorSymbol) -> str:
     A label is the run-length text ``str(make_word(*letters))``, such as
     ``y x^2 y``; only its last run is read and rewritten.
     """
+    c = _CHAR[gen]
     head, _, last = label.rpartition(" ")
-    if last[0] != gen.value:
-        return f"{label} {gen.value}"
+    if last[0] != c:
+        return f"{label} {c}"
     exp = int(last[2:]) + 1 if len(last) > 1 else 2
-    return f"{head} {gen.value}^{exp}" if head else f"{gen.value}^{exp}"
+    return f"{head} {c}^{exp}" if head else f"{c}^{exp}"
 
 
 class WordSyntaxError(ValueError):

@@ -6,8 +6,10 @@ it replaced, with a per-pair antisymmetry loop in front of it.  `quotient`
 reads its action rows from the images `define_layer` returns; its reference
 solves each candidate over the survivors with a `SpanSolver`, as it once
 did.  The GF(2) echelon routines are compared with
-naive Gaussian elimination and brute-force kernels on random matrices, and
-the lazily settled `EchelonBasis` on random runs of adds and reads.
+naive Gaussian elimination and brute-force kernels on random matrices
+(`echelonize` also on rows with repeats and zeros: it adds each distinct
+nonzero row once), and the lazily settled `EchelonBasis` on random runs of
+adds and reads.
 `eval_runs` continued from a word's head is compared with evaluating the
 whole word.
 """
@@ -15,6 +17,7 @@ whole word.
 import functools
 import random
 from itertools import groupby
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -263,6 +266,18 @@ def test_echelon_basis_matches_gaussian_elimination(vectors, probes):
         assert grew == (len(naive_rref(vectors[: k + 1], DIM)) > len(naive_rref(vectors[:k], DIM)))
         assert_matches(basis, vectors[: k + 1], probes)
     assert_matches(echelonize(vectors, DIM), vectors, probes)
+    # With repeated and zero rows: the same form, and each distinct nonzero row added once.
+    noisy = [0] + vectors + vectors[::-1] + [0]
+    added = []
+    add = EchelonBasis.add
+
+    def recording_add(self, v):
+        added.append(v)
+        return add(self, v)
+
+    with mock.patch.object(EchelonBasis, "add", recording_add):
+        assert_matches(echelonize(noisy, DIM), vectors, probes)
+    assert sorted(added) == sorted(set(vectors) - {0})
 
 
 _read = st.sampled_from(("reduce", "contains", "rank", "pivots", "row_bits", "iter"))

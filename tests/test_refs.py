@@ -66,5 +66,8 @@ WIDE = {
 
 @pytest.mark.parametrize("relators", list(WIDE), ids="; ".join)
 def test_wide_nq_table_bytes_are_frozen(relators):
-    M = nq_compute(Presentation(parse_word(r) for r in relators), WIDE_CLASS)
-    assert _digest(M.to_json_dict()) == WIDE[relators]
+    """Both Jacobi modes: the default one mirrors half of each cut slice, `full_jacobi` fills it all."""
+    pres = Presentation(parse_word(r) for r in relators)
+    for full_jacobi in (False, True):
+        M = nq_compute(pres, WIDE_CLASS, full_jacobi=full_jacobi)
+        assert _digest(M.to_json_dict()) == WIDE[relators], f"full_jacobi={full_jacobi}"
