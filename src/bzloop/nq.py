@@ -21,7 +21,8 @@ re-expressing the frontier slice over the survivors.  The refilled slice is
 antisymmetric, so only its blocks (i, j) with i >= j are filled and the
 rest are mirrored from them.  The last slice, of degree class_bound, is not
 refilled: no later cut reads it, and the result keeps only the action rows.
-`full_jacobi=True` fills every block of both slices; it is the cross-check.
+`full_jacobi=True` refills every block of the slice and builds every
+triple row; it is the cross-check.
 """
 
 from __future__ import annotations
@@ -89,18 +90,18 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
     Alternation rows are not covered and stay: J(u, p, g) is trivially
     zero when u = [p, g].
 
-    The default mode builds each bracket and each relation row once; the
-    four shortcuts below leave every cut, and so every table, unchanged.
+    The default mode builds each bracket and each relation row once.  The
+    four shortcuts below leave every cut, and so every table, unchanged;
+    the first also holds in `full_jacobi` mode.
 
-    The frontier fill skips row 1.  When degree n + 1 is cut, no relation
-    row reads block (1, n) of the frontier slice.  A Jacobi row
-    J(u, v, g) with u = e(d1, a), v = e(d2, b) and d1 + d2 = n reads
-    [[u, v], g] from the action of degree n, [[v, g], u] from rows of
-    degree d2 + 1 >= 2 and [[g, u], v] from rows of degree d1 + 1 >= 2.
-    The relator rows read only action rows.  Alternation reads block
-    (h, h), which for h = 1 is the action block.  Row 1 is the last row
-    `fill` computes and no other block of the slice reads it, so the rows
-    above it are as a whole fill leaves them.
+    The frontier fill skips row 1, in both modes.  When degree n + 1 is
+    cut, no relation row reads block (1, n) of the frontier slice.  A
+    Jacobi row J(u, v, w) reads [[u, v], w], [[v, w], u] and [[w, u], v]
+    from rows of degree deg u + deg v, deg v + deg w and deg w + deg u,
+    each at least 2.  The relator rows read only action rows.  Alternation
+    reads block (h, h), which for h = 1 is the action block.  Row 1 is the
+    last row `fill` computes and no other block of the slice reads it, so
+    the rows above it are as a whole fill leaves them.
 
     The refill computes half the slice.  By linearity the refill of any
     block is the image, over the survivors, of what a whole frontier fill
@@ -112,14 +113,25 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
     of its slice, also in that half.  Every block (i, j) with i < j, row 1
     included, is then the transpose of block (j, i).
 
-    Two-generator rows are built once.  For v = e(n - 1, b), J(x, v, y)
-    and J(y, v, x) are the same row term by term: [[x, v], y] is
-    [[v, x], y], [[v, y], x] is [[y, v], x] and [[y, x], v] is
-    [[x, y], v], because [x, v] = [v, x], [v, y] = [y, v] and
-    [x, y] = [y, x] hold in the table in degrees <= n (the mirrored
-    blocks hold them bit for bit).  So for d1 = 1 the loop keeps
-    J(x, v, y) only.  The row J(y, p, x) that the antisymmetry argument
-    names for u = y is the kept J(x, p, y), so that argument still holds.
+    No row with two generators is built: each is zero or repeats a row
+    the loop builds.  Take J(x, v, y) with v = e(n - 1, b) = [q, g'] and
+    let z = [y, x] span degree 2 (if degree 2 is zero, so is every degree
+    above it).  J(y, v, x) is the same row term by term, because
+    [x, v] = [v, x], [v, y] = [y, v] and [x, y] = [y, x] hold bit for bit
+    in the table in degrees <= n (the mirrored blocks hold them exactly).
+    Its terms are [[x, v], y] = [[v, x], y], [[v, y], x] and [z, v], which
+    the frontier fill gives as [[z, q], g'] + [[z, g'], q].  The row
+    J(z, q, g') has the terms [[z, q], g'], [[z, g'], q] (as [[g', z], q],
+    read through the mirrored block (1, 2)) and [[q, g'], z] = [v, z],
+    which the fill gives from z's definition as [[v, x], y] + [[v, y], x].
+    So the two rows are equal bit for bit.  For n >= 5 the loop builds
+    J(z, q, g') with d1 = 2.  For n = 4, q = z, and J(z, z, g') is
+    [[z, z], g'] (its other two terms are equal), which is 0, since the
+    degree-4 cut kills [z, z].  For n = 3, v = z and J(x, z, y) is
+    [[z, x], y] + [[z, y], x] + [z, z], whose last term the fill gives as
+    the first two.  So the loop starts at d1 = 2.
+    The row J(u, p, g) that the antisymmetry argument names for a
+    generator u != g is such a row, so that argument still holds.
 
     `echelonize` adds each distinct nonzero row once.  The reduced
     echelon form depends only on the span of the rows, so every pivot and
@@ -149,7 +161,7 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
             continue
         nsym = 2 * dims[n]
         table.set_action(n, [(1 << 2 * w, 2 << 2 * w) for w in range(dims[n])])
-        table.fill(n + 1, 1 if full_jacobi else 2)  # no default-mode row reads row 1
+        table.fill(n + 1, 2)  # no relation row reads row 1
 
         rows = []
 
@@ -179,16 +191,12 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
                                     continue
                                 rows.append(jacobi_sum(R, off, d1, a, d2, b, d3, c))
         else:
-            for d1 in range(1, n // 2 + 1):
+            # a row with two generators is zero or repeats one with d1 = 2
+            for d1 in range(2, n // 2 + 1):
                 d2 = n - d1
                 for a in range(dims[d1]):
-                    for b in range(dims[d2]):
-                        if d2 == d1 and b <= a:
-                            continue
+                    for b in range(a + 1 if d2 == d1 else 0, dims[d2]):
                         for g in (0, 1):
-                            # J(y, v, x) is J(x, v, y) term by term, so d1 = 1 keeps a < g
-                            if (d1 == 1 and g <= a) or (d2, b) == (1, g):
-                                continue
                             rows.append(jacobi_sum(R, off, d1, a, d2, b, 1, g))
 
         # defining relators of the new weight; the last letter meets the

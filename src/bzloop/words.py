@@ -29,7 +29,6 @@ Y = GeneratorSymbol.Y
 Z = GeneratorSymbol.Z
 
 _BY_CHAR = {s.value: s for s in GeneratorSymbol}
-_CHAR = {s: s.value for s in GeneratorSymbol}  # one dict read; `.value` is a Python-level descriptor
 
 
 @dataclass(frozen=True)
@@ -182,7 +181,7 @@ def extend_label(label: str, gen: GeneratorSymbol) -> str:
     A label is the run-length text ``str(make_word(*letters))``, such as
     ``y x^2 y``; only its last run is read and rewritten.
     """
-    c = _CHAR[gen]
+    c = gen._value_  # a plain attribute; `.value` is a Python-level descriptor
     head, _, last = label.rpartition(" ")
     if last[0] != c:
         return f"{label} {c}"
