@@ -36,11 +36,9 @@ from .words import (
     Y,
     Z,
     extend_label,
-    parse_word,
 )
 
 GEN_ORDER = (X, Y)
-GEN_INDEX = {X: 0, Y: 1}
 
 
 def _as_symbol(g) -> GeneratorSymbol:
@@ -66,9 +64,6 @@ class BasisElement:
     parent: int | None
     generator: GeneratorSymbol
     label: str
-
-    def letters(self) -> tuple[GeneratorSymbol, ...]:
-        return parse_word(self.label).letters()
 
 
 GENERATORS = (BasisElement(1, 0, None, X, "x"), BasisElement(1, 1, None, Y, "y"))
@@ -336,7 +331,7 @@ class GradedAlgebra:
                     if i > 1 or elt != GENERATORS[i]:
                         raise ValueError("degree 1 must hold the generators x, y")
                     continue
-                if elt.generator not in GEN_INDEX:
+                if elt.generator not in GEN_ORDER:
                     raise ValueError(f"degree {d}: definition generator must be x or y")
                 if not (isinstance(elt.parent, int) and 0 <= elt.parent < len(below)):
                     raise ValueError(f"degree {d}: definition parent not in previous layer")
@@ -408,7 +403,7 @@ class GradedAlgebra:
         sym = _as_symbol(g)
         if sym is Z:
             return Element(self, 1, 0b11)
-        return Element(self, 1, 1 << GEN_INDEX[sym])
+        return Element(self, 1, 1 << GEN_ORDER.index(sym))
 
     # -- bracket machinery ---------------------------------------------------
 
@@ -424,7 +419,7 @@ class GradedAlgebra:
                 mx, my = self._action[degree][i]
                 out ^= mx ^ my
         else:
-            gi = GEN_INDEX[sym]
+            gi = GEN_ORDER.index(sym)
             for i in iter_bits(mask):
                 out ^= self._action[degree][i][gi]
         return out
@@ -435,7 +430,7 @@ class GradedAlgebra:
         if table is None:
             table = self._table = BracketTable()
             for d in range(2, self.class_bound + 1):
-                table.add_degree((e.parent, GEN_INDEX[e.generator]) for e in self._basis[d])
+                table.add_degree((e.parent, GEN_ORDER.index(e.generator)) for e in self._basis[d])
             for d in range(1, self.class_bound):
                 table.set_action(d, self._action[d])
         for s in range(table.top + 1, degree + 1):
@@ -518,6 +513,7 @@ def jacobi_check(A: GradedAlgebra) -> JacobiReport:
     bound = A.class_bound
     table = A.bracket_table(bound)
     rows, offset = table.rows, table.offset
+    dims = A.dims
     checked = 0
     failures = []
     for d in range(1, bound // 2 + 1):
@@ -541,7 +537,7 @@ def jacobi_check(A: GradedAlgebra) -> JacobiReport:
     for d1 in range(1, bound - 1):
         for d2 in range(d1, bound - d1):
             for d3 in range(d2, bound - d1 - d2 + 1):
-                n1, n2, n3 = A.dim(d1), A.dim(d2), A.dim(d3)
+                n1, n2, n3 = dims[d1], dims[d2], dims[d3]
                 for a in range(n1):
                     for b in range(a if d2 == d1 else 0, n2):
                         cs = range(b if d3 == d2 else 0, n3)
@@ -650,37 +646,6 @@ def quotient(A: GradedAlgebra, ideal: GradedSubspaceFamily) -> GradedAlgebra:
             raise ValueError(f"degree {d}: quotient candidates failed to span")
         action.append([(img[s], img[s + 1]) for s in range(0, len(img), 2)])
         basis.append(layer)
-        reps = [cands[2 * e.parent + GEN_INDEX[e.generator]] for e in layer]
+        reps = [cands[2 * e.parent + GEN_ORDER.index(e.generator)] for e in layer]
     action.append([(0, 0)] * len(basis[-1]))
     return GradedAlgebra(bound, basis, action)
-
-
-# -- derived structure -------------------------------------------------------
-
-
-def two_step_centralizers(A: GradedAlgebra) -> list:
-    """Centralizer of each component inside degree 1, for degrees 2..bound-1.
-
-    Entry j-2 describes degree j: 'x', 'y' or 'other' when the centralizer
-    is one-dimensional (spanned by x, y or x+y), None when it is trivial,
-    and 'all' when the whole degree 1 centralizes.
-    """
-    names = {0b01: "x", 0b10: "y", 0b11: "other"}
-    out = []
-    for j in range(2, A.class_bound):
-        width = A.dim(j) * A.dim(j + 1)
-        images = []
-        for gi in (0, 1):
-            packed = 0
-            for i in range(A.dim(j)):
-                packed |= A.act_index(j, i, gi) << (i * A.dim(j + 1))
-            images.append(packed)
-        ker = kernel(images, width)
-        if ker.rank == 0:
-            out.append(None)
-        elif ker.rank == 1:
-            out.append(names[ker.row_bits()[0]])
-        else:
-            out.append("all")
-    return out
-

@@ -557,7 +557,7 @@ def analyze(g, h=None, class_bound: int | None = None) -> AnalysisReport:
         centers=centers,
         second_center_extras=extras,
         quotient_dims=Q.dims if Q is not None else (0,),
-        quotient_centralizers=cents.entries if cents is not None else (),
+        quotient_centralizers=cents if cents is not None else (),
         quotient_constituents=consts,
         checks=tuple(checks),
     )

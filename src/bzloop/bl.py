@@ -3,16 +3,19 @@
 The algebra B(g, h) is graded of maximal class over GF(2), so from degree 2
 on it is one-dimensional and fully described by its two-step centralizer
 sequence: which degree-1 generator kills each component.  The sequence is
-periodic after its first two constituents, and all defined words (v_n, the
-theta and mu families) and the finite presentation are built from the same
-parameters.
+periodic after its first two constituents.  `bl_constituent_lengths` states
+that pattern once; the centralizer sequence and `construct_bl` expand it.
+All defined words (v_n, the theta and mu families) and the finite
+presentation are built from the same parameters, and `_block` is the one
+period block they repeat.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import GENERATORS, BasisElement, GradedAlgebra, two_step_centralizers
+from .algebra import GENERATORS, BasisElement, GradedAlgebra
+from .gf2 import kernel
 from .nq import Presentation
 from .words import CommutatorWord, GenPower, GroupPower, X, Y, extend_label, make_word
 
@@ -54,39 +57,6 @@ def _params(g, h=None) -> BlParams:
 # -- centralizer and constituent sequences -----------------------------------
 
 
-@dataclass(frozen=True)
-class CentralizerSequence:
-    """Two-step centralizers by degree, starting at degree 2.
-
-    Entry k describes degree k+2.  By convention the degree-1 value equals
-    the degree-2 value, and degree 2 must be centralized by y.
-    """
-
-    entries: tuple[str, ...]
-
-    def __post_init__(self):
-        for e in self.entries:
-            if e not in (FX, FY, OTHER):
-                raise ValueError(f"bad centralizer entry: {e!r}")
-        if self.entries and self.entries[0] != FY:
-            raise ValueError("degree 2 must be centralized by y")
-
-    @property
-    def max_degree(self) -> int:
-        return len(self.entries) + 1
-
-    def at(self, degree: int) -> str:
-        if degree == 1:
-            degree = 2
-        if not 2 <= degree <= self.max_degree:
-            raise ValueError(f"degree {degree} outside the known range")
-        return self.entries[degree - 2]
-
-    def with_virtual_first(self) -> tuple[str, ...]:
-        """Entries for degrees 1..max_degree (degree 1 copies degree 2)."""
-        return (self.entries[0],) + self.entries
-
-
 def bl_constituent_lengths(g, h=None, count: int = 0) -> tuple[int, ...]:
     """First `count` constituent lengths of B(g, h): 2q, 2q-1, then the cycle."""
     p = _params(g, h)
@@ -98,54 +68,55 @@ def bl_constituent_lengths(g, h=None, count: int = 0) -> tuple[int, ...]:
     return tuple(out[:count])
 
 
-def bl_centralizer_sequence(g, h=None, up_to: int = 0) -> CentralizerSequence:
-    """Two-step centralizer sequence of B(g, h) for degrees 2..up_to."""
+def bl_centralizer_sequence(g, h=None, up_to: int = 0) -> tuple[str, ...]:
+    """Two-step centralizer sequence of B(g, h) for degrees 2..up_to.
+
+    A constituent of length L is L - 1 entries y closed by one x, counted
+    from the virtual degree-1 entry.
+    """
     p = _params(g, h)
     if up_to < 2:
         raise ValueError("need up_to >= 2")
     entries: list[str] = []  # degree 1 onward; trimmed below
-
-    def emit(length: int):
+    for length in bl_constituent_lengths(p, count=up_to // (2 * p.q - 1) + 1):
         entries.extend([FY] * (length - 1))
         entries.append(FX)
-
-    twoq = 2 * p.q
-    emit(twoq)
-    emit(twoq - 1)
-    cycle = [twoq] * (p.eta - 1) + [twoq - 1] * 2
-    while len(entries) < up_to:
-        for length in cycle:
-            emit(length)
-    return CentralizerSequence(tuple(entries[1:up_to]))
+    return tuple(entries[1:up_to])
 
 
-def centralizer_sequence(A: GradedAlgebra) -> CentralizerSequence:
-    """Two-step centralizer sequence of a maximal-class table.
+def centralizer_sequence(A: GradedAlgebra) -> tuple[str, ...]:
+    """Two-step centralizer sequence of a maximal-class table, for degrees 2..class_bound-1.
 
-    Every component in degrees 2..class_bound-1 must have a one-dimensional
-    centralizer inside degree 1, and degree 2 must be centralized by y.
+    Entry j - 2 names the element of degree 1 that spans the centralizer of
+    degree j inside degree 1: "x", "y" or "other" (x + y).  Every such
+    centralizer must be one-dimensional, and degree 2 must be centralized
+    by y; otherwise ValueError.
     """
-    entries = two_step_centralizers(A)
-    for j, e in enumerate(entries, start=2):
-        if e not in (FX, FY, OTHER):
+    names = {0b01: FX, 0b10: FY, 0b11: OTHER}
+    entries = []
+    for j in range(2, A.class_bound):
+        n, width = A.dim(j), A.dim(j + 1)
+        images = [sum(A.act_index(j, i, gi) << (i * width) for i in range(n)) for gi in (0, 1)]
+        ker = kernel(images, n * width)
+        if ker.rank != 1:
             raise ValueError(f"degree {j}: centralizer is not one-dimensional")
-    return CentralizerSequence(tuple(entries))
+        entries.append(names[ker.row_bits()[0]])
+    if entries and entries[0] != FY:
+        raise ValueError("degree 2 must be centralized by y")
+    return tuple(entries)
 
 
-def constituent_lengths(seq) -> tuple[int, ...]:
-    """Split a centralizer sequence into complete constituents.
+def constituent_lengths(entries) -> tuple[int, ...]:
+    """Split centralizer entries for degrees 2 and up into complete constituents.
 
     A constituent is a run of y-entries closed off by its first non-y entry
-    (counted inclusively); the count starts at the virtual degree-1 entry.
-    A trailing run with no terminator is dropped as incomplete.
+    (counted inclusively); the count starts at the virtual degree-1 entry,
+    a copy of degree 2.  A trailing run with no terminator is dropped as
+    incomplete.
     """
-    if isinstance(seq, CentralizerSequence):
-        entries = seq.with_virtual_first()
-    else:
-        entries = tuple(seq)
     lengths = []
     run = 0
-    for e in entries:
+    for e in (*entries[:1], *entries):
         run += 1
         if e != FY:
             lengths.append(run)
@@ -171,11 +142,11 @@ def construct_bl(g, h=None, class_bound: int = 0) -> GradedAlgebra:
         raise ValueError("need class_bound >= 2")
     basis: list[list[BasisElement]] = [list(GENERATORS)]
     action: list[list[tuple[int, int]]] = [[(0, 1), (1, 0)]]
-    cents = bl_centralizer_sequence(p, up_to=class_bound - 1) if class_bound >= 3 else None
+    entries = bl_centralizer_sequence(p, up_to=class_bound - 1) if class_bound >= 3 else ()
     prev = BasisElement(2, 0, 1, X, "y x")
     basis.append([prev])
     for i in range(2, class_bound):
-        gen = X if cents.at(i) == FY else Y
+        gen = X if entries[i - 2] == FY else Y
         action.append([(1, 0) if gen is X else (0, 1)])
         prev = BasisElement(i + 1, 0, 0, gen, extend_label(prev.label, gen))
         basis.append([prev])
@@ -186,20 +157,24 @@ def construct_bl(g, h=None, class_bound: int = 0) -> GradedAlgebra:
 # -- defined words -------------------------------------------------------------
 
 
+def _block(p: BlParams, k: int) -> tuple:
+    """The parts of y x^(2q-2) (y x^(2q-1))^k y x^(2q-2)."""
+    return (
+        Y,
+        GenPower(X, 2 * p.q - 2),
+        GroupPower((Y, GenPower(X, 2 * p.q - 1)), k),
+        Y,
+        GenPower(X, 2 * p.q - 2),
+    )
+
+
 def _v_parts(p: BlParams, n: int) -> tuple:
     if n < 0:
         raise ValueError("need n >= 0")
     head = (Y, GenPower(X, 2 * p.q - 1))
     if n == 0:
         return head
-    block = (
-        Y,
-        GenPower(X, 2 * p.q - 2),
-        GroupPower((Y, GenPower(X, 2 * p.q - 1)), p.eta - 1),
-        Y,
-        GenPower(X, 2 * p.q - 2),
-    )
-    return head + (GroupPower(block, n),)
+    return head + (GroupPower(_block(p, p.eta - 1), n),)
 
 
 def v_word(g, h=None, n: int = 0) -> CommutatorWord:
@@ -221,15 +196,7 @@ def theta_word(g, h=None, kind=1, n: int = 0) -> CommutatorWord:
         return make_word(*_v_parts(p, n), Y, GenPower(X, 2 * p.q - e - 1), Y)
     if p.h + 2 <= t <= p.g + p.h:
         e = 2 ** (p.g + p.h + 1 - t)
-        return make_word(
-            *_v_parts(p, n),
-            Y,
-            GenPower(X, 2 * p.q - 2),
-            GroupPower((Y, GenPower(X, 2 * p.q - 1)), p.eta - e),
-            Y,
-            GenPower(X, 2 * p.q - 2),
-            Y,
-        )
+        return make_word(*_v_parts(p, n), *_block(p, p.eta - e), Y)
     raise ValueError(f"no theta of kind {kind!r}")
 
 
@@ -240,14 +207,7 @@ def mu_word(g, h=None, n: int = 0, i: int = 1) -> CommutatorWord:
         raise ValueError("need i >= 1")
     if i == 1:
         return make_word(*_v_parts(p, n), Y, GenPower(X, 2 * p.q - 3))
-    return make_word(
-        *_v_parts(p, n),
-        Y,
-        GenPower(X, 2 * p.q - 2),
-        GroupPower((Y, GenPower(X, 2 * p.q - 1)), i - 2),
-        Y,
-        GenPower(X, 2 * p.q - 2),
-    )
+    return make_word(*_v_parts(p, n), *_block(p, i - 2))
 
 
 @dataclass(frozen=True)

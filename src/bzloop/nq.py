@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import (
-    GEN_INDEX,
+    GEN_ORDER,
     GENERATORS,
     BasisElement,
     BracketTable,
@@ -214,7 +214,7 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
             else:  # the cut slice is antisymmetric: fill the blocks i >= j, mirror the rest
                 table.fill(n + 1, (n + 2) // 2)
                 table.mirror(n + 1)
-        table.add_degree((e.parent, GEN_INDEX[e.generator]) for e in layer)
+        table.add_degree((e.parent, GEN_ORDER.index(e.generator)) for e in layer)
         basis.append(layer)
         dims.append(len(layer))
 

@@ -1,10 +1,12 @@
 """Bi-Zassenhaus loop algebras: parameters, sequences, words, presentation."""
 
+import hashlib
+import json
+
 import pytest
 
 from bzloop.bl import (
     BlParams,
-    CentralizerSequence,
     bl_centralizer_sequence,
     bl_constituent_lengths,
     bl_params,
@@ -53,23 +55,6 @@ def test_constituent_length_pattern():
     assert bl_constituent_lengths(2, 2, 6) == (8, 7, 8, 8, 7, 7)
 
 
-def test_centralizer_sequence_access():
-    seq = bl_centralizer_sequence(2, 1, up_to=11)
-    assert seq.max_degree == 11
-    assert seq.at(1) == seq.at(2) == "y"
-    assert seq.at(4) == "x"  # the first constituent closes at degree 4
-    assert seq.with_virtual_first() == ("y",) + seq.entries
-    with pytest.raises(ValueError):
-        seq.at(12)
-
-
-def test_centralizer_sequence_validation():
-    with pytest.raises(ValueError):
-        CentralizerSequence(("x",))
-    with pytest.raises(ValueError):
-        CentralizerSequence(("y", "q"))
-
-
 def test_centralizer_sequence_matches_construction():
     for g, h in ((2, 1), (2, 2)):
         bound = bl_params(g, h).m // 2
@@ -78,10 +63,12 @@ def test_centralizer_sequence_matches_construction():
 
 
 def test_constituents_from_raw_entries():
-    assert constituent_lengths(("y", "y", "x")) == (3,)
+    # entries start at degree 2; the count starts at the virtual degree-1 copy
+    assert constituent_lengths(("y", "y", "x")) == (4,)
     # a trailing run with no terminator is dropped
-    assert constituent_lengths(("y", "y", "x", "y", "y")) == (3,)
-    assert constituent_lengths(("y", "x", "other", "y", "x")) == (2, 1, 2)
+    assert constituent_lengths(("y", "y", "x", "y", "y")) == (4,)
+    assert constituent_lengths(("y", "x", "other", "y", "x")) == (3, 1, 2)
+    assert constituent_lengths(()) == ()
 
 
 def test_constituents_count_virtual_first_entry():
@@ -95,9 +82,30 @@ def test_check_cl():
     assert check_CL((4, 3, 2), 2, 1)
     assert not check_CL((5,), 2, 1)
     assert not check_CL((1,), 2, 1)
-    assert check_CL(constituent_lengths(("y", "y", "y", "x")), 2, 1)
+    assert check_CL(constituent_lengths(("y", "y", "x")), 2, 1)  # one 2q-constituent
     assert check_CL((8, 7, 6, 4), 2, 2)
     assert not check_CL((5,), 2, 2)
+
+
+def _round_trip_bounds(g, h):
+    """Class bounds N whose top centralizer degree N - 1 closes a constituent or lies inside one."""
+    ends = []
+    for length in bl_constituent_lengths(g, h, count=6):
+        ends.append(length + (ends[-1] if ends else 0))
+    return sorted({3, 4} | {e + k for e in ends for k in (1, 2, 3)})
+
+
+@pytest.mark.parametrize("g,h", SMALL_PAIRS)
+def test_centralizer_sequence_round_trips_through_construction(g, h):
+    p = bl_params(g, h)
+    inside = 0
+    for bound in _round_trip_bounds(g, h):
+        got = centralizer_sequence(construct_bl(p, class_bound=bound))
+        assert got == bl_centralizer_sequence(p, up_to=bound - 1), bound
+        consts = constituent_lengths(got)
+        assert consts == bl_constituent_lengths(p, count=len(consts) + 1)[: len(consts)], bound
+        inside += sum(consts) < bound - 1
+    assert inside  # some bounds end inside a constituent
 
 
 # -- direct construction -------------------------------------------------------
@@ -241,3 +249,43 @@ def test_lambda_admissible_rule():
         assert lambda_admissible(p) == [i for i in range(p.eta - 2) if i not in excluded]
         # exactly eta - g of the eta - 1 exponents survive, one mu relator each
         assert len(lambda_admissible(p)) == p.eta - g
+
+
+# -- frozen shape bytes ----------------------------------------------------------
+
+
+def _shape_lines(g, h):
+    """Every word, relator, sequence and the class-200 table that the parameters fix."""
+    p = bl_params(g, h)
+    for n in range(3):
+        yield f"v_{n} {v_word(p, n=n)}"
+        for kind in (*range(1, g + h + 1), "omega"):
+            yield f"theta[{kind}]_{n} {theta_word(p, kind=kind, n=n)}"
+        for i in range(1, p.eta + 2):
+            yield f"mu_{n},{i} {mu_word(p, n=n, i=i)}"
+    for r in presentation_R(p).relators:
+        yield f"R {r}"
+    for up_to in (2, 3, 7, 50, 131):
+        yield f"cents@{up_to} " + " ".join(bl_centralizer_sequence(p, up_to=up_to))
+    yield "constituents " + " ".join(map(str, bl_constituent_lengths(p, count=12)))
+    yield json.dumps(construct_bl(p, class_bound=200).to_json_dict(), indent=2)
+
+
+SHAPE_DIGESTS = {
+    (2, 1): "7a4df4983da7645fff667f8b291e56d64126d3a13327d62c1c637de198f04e2f",
+    (2, 2): "d5f9047011b5e3086e6a998b72860bce51dff1f0f122078227440011e87a155d",
+    (2, 3): "48885a49d9c5305cb12a4fb32bd53358858b136cf5eae8bc597e12a8c306142a",
+    (2, 4): "7df6a4eb8a1e05c77a44140e844508e438ea58b8fc2ae42b08081872a9a455c0",
+    (3, 1): "421d4043240b2ca521d6a829437de317f611fcd2fc51c002466a61be418d407d",
+    (3, 2): "313ab4745b7185f869f29cfb2730aa14fd382871838e62ae6ba94e04e9519e91",
+    (3, 3): "1b66e2507bd29275b318fdcccd9620f752dceda892a25eef00f74cda77522c0f",
+    (4, 1): "add347fb925634e52bd8c8a16ed5f79d90101d86425a5a5bb013508c1bda9cda",
+    (4, 2): "099d1b6f6f822139673d823d7db5aec99ef25ede5bb08af993db8a56826d7897",
+    (5, 1): "47d5fedb8799a7a25da66a342d95de01d52cac4ac59f7f50591a9c5d38511d43",
+}
+
+
+@pytest.mark.parametrize("g,h", SMALL_PAIRS)
+def test_shape_bytes_are_frozen(g, h):
+    text = "\n".join(_shape_lines(g, h)) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == SHAPE_DIGESTS[g, h]

@@ -12,9 +12,8 @@ from bzloop.algebra import (
     jacobi_check,
     quotient,
     second_center,
-    two_step_centralizers,
 )
-from bzloop.bl import construct_bl, presentation_R
+from bzloop.bl import centralizer_sequence, construct_bl, presentation_R
 from bzloop.gf2 import EchelonBasis
 from bzloop.nq import Presentation, nq_compute
 from bzloop.oracle import ORACLE_MAX_CLASS, free_nq_oracle, witt_dimension
@@ -283,7 +282,21 @@ def test_quotient_rejects_foreign_family(B8, M8):
 # -- derived structure -------------------------------------------------------
 
 
-def test_two_step_centralizers(B8, M8):
-    assert two_step_centralizers(B8) == ["y", "y", "x", "y", "y", "x"]
-    assert two_step_centralizers(M8) == ["y", "y", None, "y", None, "x"]
+def test_centralizer_sequence_error_texts(M8):
+    # in M8 neither x, y nor x + y centralizes the degree-4 element
+    with pytest.raises(ValueError, match="^degree 4: centralizer is not one-dimensional$"):
+        centralizer_sequence(M8)
+    # [y x, x] = 0 and [y x, y] = y x y: degree 2 is centralized by x
+    basis = [
+        [BasisElement(1, 0, None, X, "x"), BasisElement(1, 1, None, Y, "y")],
+        [BasisElement(2, 0, 1, X, "y x")],
+        [BasisElement(3, 0, 0, Y, "y x y")],
+        [BasisElement(4, 0, 0, X, "y x y x")],
+    ]
+    action = [[(0, 1), (1, 0)], [(0, 1)], [(0, 0)], [(0, 0)]]
+    with pytest.raises(ValueError, match="^degree 2 must be centralized by y$"):
+        centralizer_sequence(GradedAlgebra(3, basis[:3], action[:2] + [[(0, 0)]]))
+    # a later degree that x and y both centralize is reported first
+    with pytest.raises(ValueError, match="^degree 3: centralizer is not one-dimensional$"):
+        centralizer_sequence(GradedAlgebra(4, basis, action))
 

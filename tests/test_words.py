@@ -3,8 +3,6 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from bzloop.algebra import BasisElement
-
 from bzloop.words import (
     CommutatorWord,
     GeneratorSymbol,
@@ -139,5 +137,3 @@ def test_extended_label_is_the_word_label(letters):
     for letter in letters[1:]:
         label = extend_label(label, letter)
     assert label == str(make_word(*letters))
-    elt = BasisElement(len(letters), 0, None if len(letters) == 1 else 0, letters[-1], label)
-    assert elt.letters() == tuple(letters)
