@@ -11,7 +11,9 @@ bracket of total degree s from the slice below.  Brackets whose degree sum
 exceeds class_bound are truncated to zero.
 
 `jacobi_sum` is the one Jacobi expansion over a `BracketTable`: `nq_compute`
-reads its relation rows from it, and `jacobi_check` reads every square,
+reads from it the Jacobi rows whose symbol [v, g] was cut (a surviving
+symbol w gives the row [u, w] + [w, u], two entries of the frontier slice),
+and `jacobi_check` reads every square,
 every antisymmetry pair and every Jacobi sum straight from the algebra's
 filled table, building an `Element` only for a failure.  Two more rules
 live here once each: `eval_runs` evaluates a left-normed word over action

@@ -50,6 +50,8 @@ def bl_params(g: int, h: int) -> BlParams:
 
 def _params(g, h=None) -> BlParams:
     if isinstance(g, BlParams):
+        if h is not None:
+            raise TypeError("with BlParams as the first argument, pass the later arguments by keyword")
         return g
     return bl_params(g, h)
 

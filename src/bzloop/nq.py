@@ -13,14 +13,17 @@ generator) definition.
 All brackets live in one `BracketTable`.  To cut degree n + 1, the top
 degree's action is set to the frontier symbols themselves and slice n + 1
 (every bracket of total degree n + 1) is filled, except row 1, which no
-relation row reads; every relation row is then a lookup.  Once the cut is
-known, the top degree's action is set to the survivor images and slice
-n + 1 is refilled from it, which makes it the true bracket table of degree
-n + 1.  The slice is linear in that action, so the refill equals
-re-expressing the frontier slice over the survivors.  The refilled slice is
-antisymmetric, so only its blocks (i, j) with i >= j are filled and the
-rest are mirrored from them.  The last slice, of degree class_bound, is not
-refilled: no later cut reads it, and the result keeps only the action rows.
+relation row reads; every relation row then reads that slice.  A Jacobi
+row J(u, v, g) whose symbol [v, g] survived its own cut as w is
+[u, w] + [w, u], two entries of the slice; only the rows of cut symbols
+are summed by `jacobi_sum`.  Once the cut is known, the top degree's
+action is set to the survivor images and slice n + 1 is refilled from it,
+which makes it the true bracket table of degree n + 1.  The slice is
+linear in that action, so the refill equals re-expressing the frontier
+slice over the survivors.  The refilled slice is antisymmetric, so only
+its blocks (i, j) with i >= j are filled and the rest are mirrored from
+them.  The last slice, of degree class_bound, is not refilled: no later
+cut reads it, and the result keeps only the action rows.
 `full_jacobi=True` refills every block of the slice and builds every
 triple row; it is the cross-check.
 """
@@ -91,7 +94,7 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
     zero when u = [p, g].
 
     The default mode builds each bracket and each relation row once.  The
-    four shortcuts below leave every cut, and so every table, unchanged;
+    five shortcuts below leave every cut, and so every table, unchanged;
     the first also holds in `full_jacobi` mode.
 
     The frontier fill skips row 1, in both modes.  When degree n + 1 is
@@ -137,6 +140,22 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
     echelon form depends only on the span of the rows, so every pivot and
     every survivor image is unchanged; repeated rows are common, since
     different triples often give the same row.
+
+    A row whose symbol survived is two lookups.  Take J(u, v, g) with
+    u = e(d1, a), v = e(d2, b), 2 <= d1 <= d2, d1 + d2 = n, and let
+    j = d2 + 1.  If the symbol s = 2b + g of degree j survived its cut as
+    w = e(j, k), defined as [v, g], the row is [u, w] + [w, u], that is
+    R[d1][a][off[j] + k] + R[j][k][off[d1] + a] in the frontier slice
+    (both blocks lie above row 1, so the fill computed them).  Term by
+    term: the first term of `jacobi_sum` sums [t, g] over t in [u, v],
+    which is the first sum `fill` computes for [u, w] = [u, [v, g]].  The
+    second reads [v, g], the single bit k, so it is [w, u].  The third sums
+    [t, v] over t in [g, u] = R[1][g][off[d1] + a]; the fill's second sum
+    runs over [u, g] = R[d1][a][g] instead, and these are the same mask,
+    because `mirror(d1 + 1)` set row 1 from the action rows (d1 + 1 <= n).
+    So the row is equal bit for bit, and `echelonize` receives the same
+    rows in the same order.  A cut symbol's [v, g] is its image over the
+    survivors, zero or several bits, so its row stays `jacobi_sum`.
     """
     if class_bound < 1:
         raise ValueError("class bound must be at least 1")
@@ -152,12 +171,16 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
     # the entries of total degree n + 1 are masks over frontier symbols.
     R = table.rows
     off = table.offset
+    # survivors[d][s] is the index of the basis element of degree d that
+    # symbol s = 2 * parent + generator defines, or -1 if the cut killed s
+    survivors: list[list[int]] = [[], []]
 
     for n in range(1, class_bound):
         if dims[n] == 0:
             dims.append(0)
             basis.append([])
             table.add_degree(())  # degree n is empty, so degree n + 1 is too
+            survivors.append([])
             continue
         nsym = 2 * dims[n]
         table.set_action(n, [(1 << 2 * w, 2 << 2 * w) for w in range(dims[n])])
@@ -191,13 +214,20 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
                                     continue
                                 rows.append(jacobi_sum(R, off, d1, a, d2, b, d3, c))
         else:
-            # a row with two generators is zero or repeats one with d1 = 2
+            # a row with two generators is zero or repeats one with d1 = 2;
+            # a symbol s = 2b + g that defines w = e(j, k) gives [u, w] + [w, u]
             for d1 in range(2, n // 2 + 1):
                 d2 = n - d1
+                j = d2 + 1
+                survivor, wrows, col = survivors[j], R[j], off[j]
                 for a in range(dims[d1]):
-                    for b in range(a + 1 if d2 == d1 else 0, dims[d2]):
-                        for g in (0, 1):
-                            rows.append(jacobi_sum(R, off, d1, a, d2, b, 1, g))
+                    urow, ucol = R[d1][a], off[d1] + a
+                    for s in range(2 * a + 2 if d2 == d1 else 0, 2 * dims[d2]):
+                        k = survivor[s]
+                        if k < 0:
+                            rows.append(jacobi_sum(R, off, d1, a, d2, s >> 1, 1, s & 1))
+                        else:
+                            rows.append(urow[col + k] ^ wrows[k][ucol])
 
         # defining relators of the new weight; the last letter meets the
         # frontier symbols through the top degree's action
@@ -214,7 +244,12 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
             else:  # the cut slice is antisymmetric: fill the blocks i >= j, mirror the rest
                 table.fill(n + 1, (n + 2) // 2)
                 table.mirror(n + 1)
-        table.add_degree((e.parent, GEN_ORDER.index(e.generator)) for e in layer)
+        defs = [(e.parent, GEN_ORDER.index(e.generator)) for e in layer]
+        table.add_degree(defs)
+        survivor = [-1] * nsym
+        for k, (p, g) in enumerate(defs):
+            survivor[2 * p + g] = k
+        survivors.append(survivor)
         basis.append(layer)
         dims.append(len(layer))
 

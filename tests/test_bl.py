@@ -142,6 +142,30 @@ def test_v_words():
         v_word(2, 1, -1)
 
 
+def test_blparams_first_takes_later_arguments_by_keyword_only():
+    """A positional argument after BlParams would land in h; it is refused, not dropped."""
+    p = bl_params(2, 1)
+    calls = (
+        lambda: v_word(p, 2),
+        lambda: theta_word(p, 3),
+        lambda: mu_word(p, 1),
+        lambda: theta_specs(p, 60),
+        lambda: bl_constituent_lengths(p, 12),
+        lambda: bl_centralizer_sequence(p, 7),
+        lambda: check_CL((4, 3), p, 1),
+        lambda: construct_bl(p, 48),
+    )
+    for call in calls:
+        with pytest.raises(TypeError, match="by keyword"):
+            call()
+    assert str(v_word(p, n=2)) == str(v_word(2, 1, 2))
+    assert str(theta_word(p, kind=3)) == str(theta_word(2, 1, 3))
+    assert bl_constituent_lengths(p, count=12) == bl_constituent_lengths(2, 1, 12)
+    assert bl_centralizer_sequence(p, up_to=7) == bl_centralizer_sequence(2, 1, up_to=7)
+    assert construct_bl(p, class_bound=48) == construct_bl(2, 1, 48)
+    assert str(presentation_R(p)) == str(presentation_R(2, 1))
+
+
 def test_word_weights():
     for g, h in ((2, 1), (2, 2), (3, 2)):
         p = bl_params(g, h)

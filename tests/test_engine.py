@@ -1,6 +1,7 @@
 """Graded algebra engine: nilpotent quotients, brackets, centers, quotients."""
 
 import random
+from unittest import mock
 
 import pytest
 
@@ -10,6 +11,7 @@ from bzloop.algebra import (
     GradedSubspaceFamily,
     graded_center,
     jacobi_check,
+    jacobi_sum,
     quotient,
     second_center,
 )
@@ -113,6 +115,41 @@ def test_nq_is_the_truncation_of_a_higher_class(name, pres, bound):
     assert A.basis == deeper.basis[: bound + 1]
     assert A.action[:bound] == deeper.action[:bound]
     assert A.action[bound] == ((0, 0),) * A.dim(bound)
+
+
+def _jacobi_sum_rows(A: GradedAlgebra) -> tuple[int, int]:
+    """(rows the default Jacobi loop visits, those whose symbol was cut), from A's definitions.
+
+    The row J(e(d1, a), e(d2, b), g) has the symbol s = 2b + g of degree
+    d2 + 1; s is cut unless some element of that degree is defined by it.
+    """
+    dims = A.dims
+    visited = cut = 0
+    for n in range(1, A.class_bound):
+        if dims[n] == 0:
+            break
+        for d1 in range(2, n // 2 + 1):
+            d2 = n - d1
+            defined = {2 * e.parent + (e.generator is Y) for e in A.basis_at(d2 + 1)}
+            for a in range(dims[d1]):
+                symbols = range(2 * a + 2 if d2 == d1 else 0, 2 * dims[d2])
+                visited += len(symbols)
+                cut += sum(s not in defined for s in symbols)
+    return visited, cut
+
+
+CALL_COUNT_NAMES = ("R(2,1)", "free", "random #0", "random #1", "random #4", "random #5", "random #24")
+CALL_COUNT_CASES = [c for c in ANTISYMMETRY_CASES if c[0] in CALL_COUNT_NAMES]
+
+
+@pytest.mark.parametrize("name,pres,bound", CALL_COUNT_CASES, ids=[c[0] for c in CALL_COUNT_CASES])
+def test_nq_calls_jacobi_sum_for_cut_symbols_only(name, pres, bound):
+    """A defining symbol's row is read off the frontier slice; only a cut symbol's row needs `jacobi_sum`."""
+    with mock.patch("bzloop.nq.jacobi_sum", wraps=jacobi_sum) as counted:
+        A = nq_compute(pres, bound)
+    visited, cut = _jacobi_sum_rows(A)
+    assert counted.call_count == cut
+    assert 0 < cut < visited
 
 
 # -- bracket consistency -----------------------------------------------------
