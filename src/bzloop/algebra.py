@@ -92,7 +92,10 @@ class BracketTable:
     i < top ends with its block of slice `top`, except a row below
     `lowest` of the last fill that no `mirror(top)` has set since:
     `nq_compute` leaves row 1 so while it cuts a degree, and in its last
-    slice.
+    slice.  While it cuts degree s, `nq_compute` sets the split action
+    [e(s-1,t), g] = bit t + g * D, D = dim(s - 1), and calls
+    `fill(s, 2, split=D)`: the first sum of the rule, over t in [u, p] of
+    [e(s-1,t), g], is then one shift, [u, p] << g * D.
     """
 
     __slots__ = ("rows", "defs", "offset", "top")
@@ -114,14 +117,15 @@ class BracketTable:
         for row, (mx, my) in zip(self.rows[degree], action):
             row[:] = (mx, my)
 
-    def fill(self, s: int, lowest: int = 1) -> None:
+    def fill(self, s: int, lowest: int = 1, split: int = 0) -> None:
         """Fill the rows i = s - 2 down to `lowest` of slice s.
 
         Each block reads the slices below it, the action of degree s - 1
         and the block one row up in slice s, so any run of rows ending at
         row s - 2 is self-contained.  A slice that was filled before is
         replaced, so the cut slice can be refilled once the action of
-        degree s - 1 changes basis.
+        degree s - 1 changes basis.  A nonzero `split` says that action is
+        the split one, [e(s-1,t), g] = bit t + g * split.
         """
         rows, offset = self.rows, self.offset
         act = rows[s - 1]
@@ -133,12 +137,15 @@ class BracketTable:
             for row in rows[i]:
                 del row[end:]
                 for p, g in defs:
-                    out = 0
                     m = row[start + p]  # [u, p]
-                    while m:
-                        low = m & -m
-                        out ^= act[low.bit_length() - 1][g]
-                        m ^= low
+                    if split:
+                        out = m << g * split
+                    else:
+                        out = 0
+                        while m:
+                            low = m & -m
+                            out ^= act[low.bit_length() - 1][g]
+                            m ^= low
                     m = row[g]  # [u, g]
                     while m:
                         low = m & -m
@@ -236,18 +243,24 @@ def define_layer(
     bit for a survivor, and for a pivot the survivors its relation holds
     (the rows are fully reduced, so those are survivors only).
     """
-    killed = set(relations.pivots)
+    pivots = relations.pivots
     layer = []
     img = [0] * (2 * len(parents))
-    for s in range(len(img)):
-        if s in killed:
-            continue
-        p, gen = s >> 1, GEN_ORDER[s & 1]
-        img[s] = 1 << len(layer)
-        layer.append(BasisElement(degree, len(layer), p, gen, extend_label(parents[p].label, gen)))
-    for pivot, row in zip(relations.pivots, relations):
-        for s in iter_bits(row ^ (1 << pivot)):
-            img[pivot] |= img[s]
+    start = 0
+    for stop in (*pivots, len(img)):  # the survivors lie between the sorted pivots
+        for s in range(start, stop):
+            p, gen = s >> 1, GEN_ORDER[s & 1]
+            img[s] = 1 << len(layer)
+            layer.append(BasisElement(degree, len(layer), p, gen, extend_label(parents[p].label, gen)))
+        start = stop + 1
+    for pivot, row in zip(pivots, relations):
+        m = row ^ (1 << pivot)
+        out = 0
+        while m:
+            low = m & -m
+            out |= img[low.bit_length() - 1]
+            m ^= low
+        img[pivot] = out
     return layer, img
 
 

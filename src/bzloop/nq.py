@@ -13,7 +13,12 @@ generator) definition.
 All brackets live in one `BracketTable`.  To cut degree n + 1, the top
 degree's action is set to the frontier symbols themselves and slice n + 1
 (every bracket of total degree n + 1) is filled, except row 1, which no
-relation row reads; every relation row then reads that slice.  A Jacobi
+relation row reads; every relation row then reads that slice.  While the
+slice is built the symbols are split: with D = dim n, the symbol
+[e(n, w), g] is the bit w + g * D, x-symbols below y-symbols, so the
+fill's term [[u, p], g] is [u, p] shifted by g * D.  Each distinct
+nonzero relation row is then put in symbol order s = 2w + g, the order
+the cut and the survivors use, by interleaving its two halves.  A Jacobi
 row J(u, v, g) whose symbol [v, g] survived its own cut as w is
 [u, w] + [w, u], two entries of the slice; only the rows of cut symbols
 are summed by `jacobi_sum`.  Once the cut is known, the top degree's
@@ -65,6 +70,16 @@ class Presentation:
         return "\n".join(str(r) for r in self.relators)
 
 
+def _interleave(lo: int, hi: int) -> int:
+    """The mask with bit i of lo at bit 2i and bit i of hi at bit 2i + 1.
+
+    Read in base 4, the binary digits of lo are the even bits of the
+    result.  Int-string conversions in base 2 and 4 are linear and exempt
+    from the limit on int-to-string digits, so any width works.
+    """
+    return int(format(lo, "b"), 4) | int(format(hi, "b"), 4) << 1
+
+
 def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) -> GradedAlgebra:
     """Largest graded quotient of the presentation with the given class bound.
 
@@ -72,7 +87,12 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
     generator; with the defining relators this is enough to cut the next
     degree down exactly (antisymmetry plus generator-triple Jacobi force the
     general identity degree by degree).  `full_jacobi=True` imposes every
-    basis triple instead.
+    basis triple instead.  Both modes build the relation rows of degree
+    n + 1 over the split frontier symbols, [e(n, w), g] at bit w + g * D
+    with D = dim n, and hand `echelonize` each distinct nonzero row once,
+    interleaved into symbol order s = 2w + g.  The interleaving is a
+    bijection on rows, so `echelonize` receives the rows it would receive
+    had they been built in symbol order, in the same order.
 
     Antisymmetry is imposed by one row only, [x, y] = [y, x] in degree 2;
     in every higher degree each antisymmetry row is a Jacobi row already.
@@ -136,10 +156,10 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
     The row J(u, p, g) that the antisymmetry argument names for a
     generator u != g is such a row, so that argument still holds.
 
-    `echelonize` adds each distinct nonzero row once.  The reduced
-    echelon form depends only on the span of the rows, so every pivot and
-    every survivor image is unchanged; repeated rows are common, since
-    different triples often give the same row.
+    Each distinct nonzero row is interleaved and echelonized once.  The
+    reduced echelon form depends only on the span of the rows, so every
+    pivot and every survivor image is unchanged; repeated rows are common,
+    since different triples often give the same row.
 
     A row whose symbol survived is two lookups.  Take J(u, v, g) with
     u = e(d1, a), v = e(d2, b), 2 <= d1 <= d2, d1 + d2 = n, and let
@@ -148,8 +168,10 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
     R[d1][a][off[j] + k] + R[j][k][off[d1] + a] in the frontier slice
     (both blocks lie above row 1, so the fill computed them).  Term by
     term: the first term of `jacobi_sum` sums [t, g] over t in [u, v],
-    which is the first sum `fill` computes for [u, w] = [u, [v, g]].  The
-    second reads [v, g], the single bit k, so it is [w, u].  The third sums
+    which is the first sum `fill` computes for [u, w] = [u, [v, g]]; over
+    the split frontier each [t, g] is the bit t + g * D, so both are
+    [u, v] shifted by g * D, the one shift `fill` makes.  The second
+    reads [v, g], the single bit k, so it is [w, u].  The third sums
     [t, v] over t in [g, u] = R[1][g][off[d1] + a]; the fill's second sum
     runs over [u, g] = R[d1][a][g] instead, and these are the same mask,
     because `mirror(d1 + 1)` set row 1 from the action rows (d1 + 1 <= n).
@@ -168,7 +190,7 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
     basis: list[list[BasisElement]] = [[], list(GENERATORS)]
     table = BracketTable()
     # R[i][a][off[j] + b] is [e(i,a), e(j,b)]; while degree n + 1 is cut,
-    # the entries of total degree n + 1 are masks over frontier symbols.
+    # the entries of total degree n + 1 are masks over the split frontier symbols.
     R = table.rows
     off = table.offset
     # survivors[d][s] is the index of the basis element of degree d that
@@ -182,9 +204,10 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
             table.add_degree(())  # degree n is empty, so degree n + 1 is too
             survivors.append([])
             continue
-        nsym = 2 * dims[n]
-        table.set_action(n, [(1 << 2 * w, 2 << 2 * w) for w in range(dims[n])])
-        table.fill(n + 1, 2)  # no relation row reads row 1
+        D, nsym = dims[n], 2 * dims[n]
+        # the split frontier: the symbol (w, g) is bit w + g * D until the cut
+        table.set_action(n, [(1 << w, 1 << w + D) for w in range(D)])
+        table.fill(n + 1, 2, split=D)  # no relation row reads row 1
 
         rows = []
 
@@ -236,6 +259,9 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
             if mask:
                 rows.append(mask)
 
+        # each distinct nonzero row, once, in symbol order s = 2w + g
+        low = (1 << D) - 1
+        rows = [_interleave(r & low, r >> D) for r in dict.fromkeys(rows) if r]
         layer, img = define_layer(n + 1, basis[n], echelonize(rows, nsym))
         table.set_action(n, [(img[s], img[s + 1]) for s in range(0, nsym, 2)])
         if n + 1 < class_bound:  # the last slice is read only for its action rows

@@ -1,12 +1,14 @@
 """Graded algebra engine: nilpotent quotients, brackets, centers, quotients."""
 
 import random
+import sys
 from unittest import mock
 
 import pytest
 
 from bzloop.algebra import (
     BasisElement,
+    BracketTable,
     GradedAlgebra,
     GradedSubspaceFamily,
     graded_center,
@@ -17,7 +19,7 @@ from bzloop.algebra import (
 )
 from bzloop.bl import centralizer_sequence, construct_bl, presentation_R
 from bzloop.gf2 import EchelonBasis
-from bzloop.nq import Presentation, nq_compute
+from bzloop.nq import Presentation, _interleave, nq_compute
 from bzloop.oracle import ORACLE_MAX_CLASS, free_nq_oracle, witt_dimension
 from bzloop.words import X, Y, Z, make_word, parse_word, word_from_letters
 
@@ -150,6 +152,66 @@ def test_nq_calls_jacobi_sum_for_cut_symbols_only(name, pres, bound):
     visited, cut = _jacobi_sum_rows(A)
     assert counted.call_count == cut
     assert 0 < cut < visited
+
+
+SHIFT_CASES = [c for c in ANTISYMMETRY_CASES if c[0] in ("R(2,1)", "free") or c[0].startswith("random")]
+
+
+@pytest.mark.parametrize("name,pres,bound", SHIFT_CASES, ids=[c[0] for c in SHIFT_CASES])
+def test_frontier_shift_equals_the_generic_loop(name, pres, bound):
+    """Each frontier slice filled by the shift rule equals the bit-by-bit fill over the same split action."""
+    fill = BracketTable.fill
+    checked = []
+
+    def checked_fill(table, s, lowest=1, split=0):
+        fill(table, s, lowest, split)
+        if not split:
+            return
+
+        def snapshot():
+            return [[list(row) for row in table.rows[i]] for i in range(lowest, s - 1)]
+
+        shifted = snapshot()
+        fill(table, s, lowest)  # the same split action, read bit by bit
+        assert snapshot() == shifted, f"slice {s}"
+        checked.append(s)
+
+    with mock.patch.object(BracketTable, "fill", checked_fill):
+        A = nq_compute(pres, bound)
+    assert checked == [n + 1 for n in range(1, bound) if A.dim(n)]
+
+
+def _interleave_reference(lo: int, hi: int, width: int) -> int:
+    out = 0
+    for i in range(width):
+        out |= (lo >> i & 1) << 2 * i | (hi >> i & 1) << 2 * i + 1
+    return out
+
+
+@pytest.fixture
+def int_str_limit_640():
+    """The smallest limit on int-to-string digits, so a base-10 conversion of 5000 bits raises."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("width", [1, 2, 63, 64, 65, 5000])
+def test_interleave_matches_the_bitwise_reference(width, int_str_limit_640):
+    rng = random.Random(width)
+    ones = (1 << width) - 1
+    pairs = [(rng.getrandbits(width), rng.getrandbits(width)) for _ in range(20)]
+    pairs += [(0, 0), (0, ones), (ones, 0), (ones, ones), (0, rng.getrandbits(width)), (rng.getrandbits(width), 0)]
+    for lo, hi in pairs:
+        got = _interleave(lo, hi)
+        want = _interleave_reference(lo, hi, width)
+        assert got == want, f"width {width}: {format(lo, 'x')}, {format(hi, 'x')}"
 
 
 # -- bracket consistency -----------------------------------------------------

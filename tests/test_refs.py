@@ -1,4 +1,4 @@
-"""Byte identity of the desk-scale reports and tables, and of a few wide nq tables.
+"""Byte identity of the desk-scale reports and tables, of a few wide nq tables and of nq's echelon input.
 
 perfbench/refs.json holds the sha256 of each desk report and table in the
 byte form the CLI writes; it is read here, never written
@@ -12,12 +12,14 @@ desk tables barely reach.
 import hashlib
 import json
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from bzloop.algebra import quotient, second_center
 from bzloop.analyze import analyze
 from bzloop.bl import bl_params, construct_bl, presentation_R
+from bzloop.gf2 import EchelonBasis
 from bzloop.nq import Presentation, nq_compute
 from bzloop.words import parse_word
 
@@ -71,3 +73,30 @@ def test_wide_nq_table_bytes_are_frozen(relators):
     for full_jacobi in (False, True):
         M = nq_compute(pres, WIDE_CLASS, full_jacobi=full_jacobi)
         assert _digest(M.to_json_dict()) == WIDE[relators], f"full_jacobi={full_jacobi}"
+
+
+# sha256 of the comma-joined hex rows, in order, that `EchelonBasis.add`
+# receives from `nq_compute`, and their number
+ADDED_ROWS = {
+    ("R(2,1)@48", False): (59, "9c20c707392bc18c616081ed7534f7afde9ec3fea985de503905f7a28c3afaad"),
+    ("R(2,1)@48", True): (59, "9c20c707392bc18c616081ed7534f7afde9ec3fea985de503905f7a28c3afaad"),
+    ("free@10", False): (30, "074e40fa9695f38f68efbc01055d1df83a10da4e9392cd9e51d9547b4cccae82"),
+    ("free@10", True): (32, "ed4392ccb956cc03e118699ce9f1fbe6bba91716d5f70a2c19ac92b53f01d40a"),
+}
+
+
+@pytest.mark.parametrize("name,full_jacobi", list(ADDED_ROWS), ids=[f"{n} full_jacobi={f}" for n, f in ADDED_ROWS])
+def test_nq_echelon_rows_are_frozen(name, full_jacobi):
+    """The relation rows reach the echelon basis in symbol order, each once, in the same order."""
+    pres, bound = {"R(2,1)@48": (presentation_R(2, 1), 48), "free@10": (Presentation(()), 10)}[name]
+    added = []
+    add = EchelonBasis.add
+
+    def recording_add(basis, v):
+        added.append(v)
+        return add(basis, v)
+
+    with mock.patch.object(EchelonBasis, "add", recording_add):
+        nq_compute(pres, bound, full_jacobi=full_jacobi)
+    digest = hashlib.sha256(",".join(format(v, "x") for v in added).encode()).hexdigest()
+    assert (len(added), digest) == ADDED_ROWS[name, full_jacobi]
