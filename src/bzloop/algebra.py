@@ -4,7 +4,9 @@ An algebra is stored as structure-constant tables: for every basis element
 b of degree d < class_bound, the masks of [b,x] and [b,y] in degree d+1.
 Every basis element of degree >= 2 is defined as [p, g] by the index of its
 parent p in the degree below and a generator g, so the basis is flat: each
-element is a few integers and its label.  Arbitrary brackets are recovered
+element is the pair (parent index, generator index), and `GENERATORS`, the
+pairs (None, 0) and (None, 1), is degree 1.  Labels are derived from these
+pairs in one place, `GradedAlgebra.labels`.  Arbitrary brackets are recovered
 from the action tables alone by a `BracketTable`, which fills them
 bottom-up one anti-diagonal slice at a time: `fill(s)` computes every
 bracket of total degree s from the slice below.  Brackets whose degree sum
@@ -20,8 +22,8 @@ live here once each: `eval_runs` evaluates a left-normed word over action
 rows, from scratch or continuing an evaluated prefix (for `eval_word`, the
 relator rows of `nq_compute` and the v_n walk of `analyze`), and
 `define_layer` cuts a degree: given an echelon basis of the relations among
-the symbols 2 * parent + generator, it returns the surviving basis and
-every symbol's image over it.  `nq_compute` cuts by its relation rows,
+the symbols 2 * parent + generator, it returns the survivors' pairs and
+every symbol's image over them.  `nq_compute` cuts by its relation rows,
 `quotient` by the kernel of its candidate vectors.
 """
 
@@ -51,24 +53,8 @@ def _as_symbol(g) -> GeneratorSymbol:
     raise ValueError(f"not a generator: {g!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class BasisElement:
-    """One graded basis element.
-
-    Degree 1 holds the generators themselves (parent None).  An element of
-    degree >= 2 is [p, generator] where p is element `parent` of the degree
-    below, so every element is a left-normed chain of generators; `label`
-    is that chain in run-length form, e.g. ``y x^2 y``.
-    """
-
-    degree: int
-    index: int
-    parent: int | None
-    generator: GeneratorSymbol
-    label: str
-
-
-GENERATORS = (BasisElement(1, 0, None, X, "x"), BasisElement(1, 1, None, Y, "y"))
+# degree 1: x and y, the only elements with no parent
+GENERATORS = ((None, 0), (None, 1))
 
 
 class BracketTable:
@@ -230,28 +216,25 @@ def eval_runs(rows, runs, top: int, mask: int = 0, degree: int = 0) -> int:
     return mask
 
 
-def define_layer(
-    degree: int, parents: Sequence[BasisElement], relations: EchelonBasis
-) -> tuple[list[BasisElement], list[int]]:
-    """Cut `degree` out of its symbols s = 2 * parent index + generator index.
+def define_layer(nsym: int, relations: EchelonBasis) -> tuple[list[tuple[int, int]], list[int]]:
+    """Cut a degree out of its `nsym` symbols s = 2 * parent index + generator index.
 
     `relations` is a reduced echelon basis of the relations among the
-    2 * len(parents) symbols.  Each relation kills its pivot, its lowest
-    symbol; the other symbols survive, and element k of the new layer is
-    [parents[s >> 1], x or y] for the k-th survivor s.  Returns the layer
+    symbols.  Each relation kills its pivot, its lowest symbol; the other
+    symbols survive, and element k of the new degree is [e(parent), x or y]
+    for the k-th survivor s, the pair (s >> 1, s & 1).  Returns those pairs
     and `img`, where img[s] is the mask of symbol s over the survivors: one
     bit for a survivor, and for a pivot the survivors its relation holds
     (the rows are fully reduced, so those are survivors only).
     """
     pivots = relations.pivots
-    layer = []
-    img = [0] * (2 * len(parents))
+    defs = []
+    img = [0] * nsym
     start = 0
-    for stop in (*pivots, len(img)):  # the survivors lie between the sorted pivots
+    for stop in (*pivots, nsym):  # the survivors lie between the sorted pivots
         for s in range(start, stop):
-            p, gen = s >> 1, GEN_ORDER[s & 1]
-            img[s] = 1 << len(layer)
-            layer.append(BasisElement(degree, len(layer), p, gen, extend_label(parents[p].label, gen)))
+            img[s] = 1 << len(defs)
+            defs.append((s >> 1, s & 1))
         start = stop + 1
     for pivot, row in zip(pivots, relations):
         m = row ^ (1 << pivot)
@@ -261,7 +244,7 @@ def define_layer(
             out |= img[low.bit_length() - 1]
             m ^= low
         img[pivot] = out
-    return layer, img
+    return defs, img
 
 
 class Element:
@@ -303,7 +286,10 @@ class Element:
         return self.algebra.element(self.degree, self.bits ^ other.bits)
 
     def labels(self) -> list[str]:
-        return [self.algebra.basis_at(self.degree)[i].label for i in iter_bits(self.bits)]
+        if not self.bits:
+            return []
+        layer = self.algebra.labels[self.degree]
+        return [layer[i] for i in iter_bits(self.bits)]
 
     def __repr__(self) -> str:
         if self.bits == 0:
@@ -314,15 +300,17 @@ class Element:
 class GradedAlgebra:
     """Structure-constant table of a class-bounded graded Lie algebra.
 
-    `basis` and `action` are sequences over degrees 1..class_bound; action
-    rows are (mask of [b,x], mask of [b,y]) over the next degree's basis,
-    with all-zero rows at the top degree.
+    `basis` and `action` are sequences over degrees 1..class_bound.  A
+    basis element is the pair (parent index, generator index) that defines
+    it as [e(d-1, parent), x or y]; degree 1 is `GENERATORS`.  Action rows
+    are (mask of [b,x], mask of [b,y]) over the next degree's basis, with
+    all-zero rows at the top degree.
     """
 
     def __init__(
         self,
         class_bound: int,
-        basis: Sequence[Sequence[BasisElement]],
+        basis: Sequence[Sequence[tuple[int | None, int]]],
         action: Sequence[Sequence[tuple[int, int]]],
     ):
         if class_bound < 1:
@@ -330,28 +318,24 @@ class GradedAlgebra:
         if len(basis) != class_bound or len(action) != class_bound:
             raise ValueError("need exactly one basis/action layer per degree")
         self.class_bound = class_bound
-        self._basis: list[tuple[BasisElement, ...]] = [()]
+        self._basis: list[tuple[tuple[int | None, int], ...]] = [()]
         self._action: list[tuple[tuple[int, int], ...]] = [()]
         for d in range(1, class_bound + 1):
-            layer = tuple(basis[d - 1])
+            layer = tuple(map(tuple, basis[d - 1]))
             rows = tuple((int(mx), int(my)) for mx, my in action[d - 1])
             if len(rows) != len(layer):
                 raise ValueError(f"degree {d}: action rows do not match basis size")
             nxt = len(basis[d]) if d < class_bound else 0
-            below = self._basis[d - 1]
-            for i, elt in enumerate(layer):
-                if elt.degree != d or elt.index != i:
-                    raise ValueError(f"degree {d}: basis element out of place")
-                if d == 1:
-                    if i > 1 or elt != GENERATORS[i]:
-                        raise ValueError("degree 1 must hold the generators x, y")
-                    continue
-                if elt.generator not in GEN_ORDER:
-                    raise ValueError(f"degree {d}: definition generator must be x or y")
-                if not (isinstance(elt.parent, int) and 0 <= elt.parent < len(below)):
-                    raise ValueError(f"degree {d}: definition parent not in previous layer")
-                if elt.label != extend_label(below[elt.parent].label, elt.generator):
-                    raise ValueError(f"degree {d}: label {elt.label!r} does not extend its parent's")
+            if d == 1:
+                if layer != GENERATORS:
+                    raise ValueError("degree 1 must hold the generators x, y")
+            else:
+                below = len(self._basis[d - 1])
+                for p, g in layer:
+                    if g not in (0, 1):
+                        raise ValueError(f"degree {d}: definition generator must be x or y")
+                    if not (isinstance(p, int) and 0 <= p < below):
+                        raise ValueError(f"degree {d}: definition parent not in previous layer")
             for mx, my in rows:
                 if mx >> nxt or my >> nxt:
                     raise ValueError(f"degree {d}: action mask outside next degree")
@@ -360,6 +344,7 @@ class GradedAlgebra:
         if self.dim(1) != 2:
             raise ValueError("degree 1 must be two-dimensional")
         self._table: BracketTable | None = None
+        self._labels: tuple[tuple[str, ...], ...] | None = None
 
     # -- structure access ------------------------------------------------
 
@@ -373,11 +358,11 @@ class GradedAlgebra:
         """Per-degree dimensions, indexed by degree (entry 0 is a sentinel)."""
         return tuple(len(layer) for layer in self._basis)
 
-    def basis_at(self, degree: int) -> tuple[BasisElement, ...]:
+    def basis_at(self, degree: int) -> tuple[tuple[int | None, int], ...]:
         return self._basis[degree] if 1 <= degree <= self.class_bound else ()
 
     @property
-    def basis(self) -> tuple[tuple[BasisElement, ...], ...]:
+    def basis(self) -> tuple[tuple[tuple[int | None, int], ...], ...]:
         return tuple(self._basis)
 
     @property
@@ -386,7 +371,18 @@ class GradedAlgebra:
 
     @property
     def labels(self) -> tuple[tuple[str, ...], ...]:
-        return tuple(tuple(e.label for e in layer) for layer in self._basis)
+        """Per degree, each element's left-normed word in run-length form, e.g. ``y x^2 y``.
+
+        The one place labels are made: built from the (parent, generator)
+        pairs on first read, then cached.  Entry 0 is a sentinel.
+        """
+        if self._labels is None:
+            labels = [(), ("x", "y")]
+            for layer in self._basis[2:]:
+                below = labels[-1]
+                labels.append(tuple(extend_label(below[p], GEN_ORDER[g]) for p, g in layer))
+            self._labels = tuple(labels)
+        return self._labels
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedAlgebra):
@@ -445,7 +441,7 @@ class GradedAlgebra:
         if table is None:
             table = self._table = BracketTable()
             for d in range(2, self.class_bound + 1):
-                table.add_degree((e.parent, GEN_ORDER.index(e.generator)) for e in self._basis[d])
+                table.add_degree(self._basis[d])
             for d in range(1, self.class_bound):
                 table.set_action(d, self._action[d])
         for s in range(table.top + 1, degree + 1):
@@ -476,16 +472,17 @@ class GradedAlgebra:
     # -- serialization ---------------------------------------------------
 
     def to_json_dict(self) -> dict:
+        labels = self.labels
         basis_rows = []
         for d in range(1, self.class_bound + 1):
-            for elt in self._basis[d]:
+            for k, (p, g) in enumerate(self._basis[d]):
                 basis_rows.append(
                     {
                         "degree": d,
-                        "index": elt.index,
-                        "label": elt.label,
-                        "parent": elt.parent,
-                        "generator": str(elt.generator),
+                        "index": k,
+                        "label": labels[d][k],
+                        "parent": p,
+                        "generator": str(GEN_ORDER[g]),
                     }
                 )
         action = {
@@ -537,7 +534,7 @@ def jacobi_check(A: GradedAlgebra) -> JacobiReport:
             checked += 1
             sq = row[col + a]
             if sq:
-                failures.append(("square", A.basis_at(d)[a].label, Element(A, 2 * d, sq)))
+                failures.append(("square", A.labels[d][a], Element(A, 2 * d, sq)))
     for d1 in range(1, bound // 2 + 1):
         for d2 in range(d1, bound - d1 + 1):
             col1, col2, other = offset[d1], offset[d2], rows[d2]
@@ -547,7 +544,7 @@ def jacobi_check(A: GradedAlgebra) -> JacobiReport:
                 for b in bs:
                     diff = row[col2 + b] ^ other[b][col1 + a]
                     if diff:
-                        labels = (A.basis_at(d1)[a].label, A.basis_at(d2)[b].label)
+                        labels = (A.labels[d1][a], A.labels[d2][b])
                         failures.append(("antisymmetry", labels, Element(A, d1 + d2, diff)))
     for d1 in range(1, bound - 1):
         for d2 in range(d1, bound - d1):
@@ -560,7 +557,7 @@ def jacobi_check(A: GradedAlgebra) -> JacobiReport:
                         for c in cs:
                             jac = jacobi_sum(rows, offset, d1, a, d2, b, d3, c)
                             if jac:
-                                labels = tuple(A.basis_at(d)[k].label for d, k in ((d1, a), (d2, b), (d3, c)))
+                                labels = (A.labels[d1][a], A.labels[d2][b], A.labels[d3][c])
                                 failures.append(("jacobi", labels, Element(A, d1 + d2 + d3, jac)))
     return JacobiReport(not failures, checked, failures)
 
@@ -650,17 +647,17 @@ def quotient(A: GradedAlgebra, ideal: GradedSubspaceFamily) -> GradedAlgebra:
                 if not nxt.contains(A.act_mask(d, row, GEN_ORDER[gi])):
                     raise ValueError(f"family is not an ideal at degree {d}")
 
-    basis: list[list[BasisElement]] = [list(GENERATORS)]
+    basis: list[Sequence[tuple[int | None, int]]] = [GENERATORS]
     action: list[list[tuple[int, int]]] = []
     reps = [0b01, 0b10]
     for d in range(2, bound + 1):
         idl = ideal.at(d)
         cands = [idl.reduce(A.act_mask(d - 1, rep, g)) for rep in reps for g in GEN_ORDER]
-        layer, img = define_layer(d, basis[-1], kernel(cands, A.dim(d)))
-        if len(layer) != A.dim(d) - idl.rank:
+        defs, img = define_layer(len(cands), kernel(cands, A.dim(d)))
+        if len(defs) != A.dim(d) - idl.rank:
             raise ValueError(f"degree {d}: quotient candidates failed to span")
         action.append([(img[s], img[s + 1]) for s in range(0, len(img), 2)])
-        basis.append(layer)
-        reps = [cands[2 * e.parent + GEN_ORDER.index(e.generator)] for e in layer]
+        basis.append(defs)
+        reps = [cands[2 * p + g] for p, g in defs]
     action.append([(0, 0)] * len(basis[-1]))
     return GradedAlgebra(bound, basis, action)

@@ -160,8 +160,8 @@ class AnalysisReport:
 
 
 def _mask_labels(A: GradedAlgebra, degree: int, mask: int) -> str:
-    layer = A.basis_at(degree)
-    return " + ".join(layer[i].label for i in iter_bits(mask))
+    layer = A.labels[degree]
+    return " + ".join(layer[i] for i in iter_bits(mask))
 
 
 def _center_entries(A, rows_by_degree, specs) -> tuple[CenterEntry, ...]:

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import GENERATORS, BasisElement, GradedAlgebra
+from .algebra import GENERATORS, GradedAlgebra
 from .gf2 import kernel
 from .nq import Presentation
-from .words import CommutatorWord, GenPower, GroupPower, X, Y, extend_label, make_word
+from .words import CommutatorWord, GenPower, GroupPower, X, Y, make_word
 
 FX = "x"
 FY = "y"
@@ -142,16 +142,14 @@ def construct_bl(g, h=None, class_bound: int = 0) -> GradedAlgebra:
     p = _params(g, h)
     if class_bound < 2:
         raise ValueError("need class_bound >= 2")
-    basis: list[list[BasisElement]] = [list(GENERATORS)]
+    # degree 2 is [y, x]; each degree above is [its one element, x or y]
+    basis = [GENERATORS, [(1, 0)]]
     action: list[list[tuple[int, int]]] = [[(0, 1), (1, 0)]]
     entries = bl_centralizer_sequence(p, up_to=class_bound - 1) if class_bound >= 3 else ()
-    prev = BasisElement(2, 0, 1, X, "y x")
-    basis.append([prev])
     for i in range(2, class_bound):
-        gen = X if entries[i - 2] == FY else Y
-        action.append([(1, 0) if gen is X else (0, 1)])
-        prev = BasisElement(i + 1, 0, 0, gen, extend_label(prev.label, gen))
-        basis.append([prev])
+        g = 0 if entries[i - 2] == FY else 1
+        action.append([(1, 0) if g == 0 else (0, 1)])
+        basis.append([(0, g)])
     action.append([(0, 0)])
     return GradedAlgebra(class_bound, basis, action)
 

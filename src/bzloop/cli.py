@@ -150,7 +150,7 @@ def _cmd_nq(ns: argparse.Namespace) -> int:
     print(f"class bound {bound}")
     print("dims:", " ".join(str(M.dim(d)) for d in range(1, bound + 1)))
     for d in range(1, bound + 1):
-        print(f"{d}: " + ", ".join(e.label for e in M.basis_at(d)))
+        print(f"{d}: " + ", ".join(M.labels[d]))
     return 0
 
 
@@ -172,9 +172,9 @@ def _cmd_construct(ns: argparse.Namespace) -> int:
     print(_header(p))
     print(f"class bound {bound}")
     for d in range(1, bound + 1):
-        for e in B.basis_at(d):
-            bx, by = (_element_text(B.element(d + 1, B.act_index(d, e.index, gi))) for gi in (0, 1))
-            print(f"{d}: {e.label} | [.,x] = {bx} | [.,y] = {by}")
+        for k, label in enumerate(B.labels[d]):
+            bx, by = (_element_text(B.element(d + 1, B.act_index(d, k, gi))) for gi in (0, 1))
+            print(f"{d}: {label} | [.,x] = {bx} | [.,y] = {by}")
     return 0
 
 

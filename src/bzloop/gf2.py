@@ -112,13 +112,13 @@ class EchelonBasis:
 def echelonize(rows: Iterable[int], dim_ambient: int) -> EchelonBasis:
     """Reduced row-echelon basis of the span of the given bitmask rows.
 
-    The form depends only on the span, so each distinct nonzero row is
-    added once, in the order of its first occurrence.
+    The rows are added in order.  The form depends only on the span, so a
+    zero or repeated row, which `EchelonBasis.add` reduces to zero and
+    drops, changes nothing; callers with many repeats should drop them
+    first, as `nq_compute` does.
     """
     basis = EchelonBasis(dim_ambient)
-    distinct = dict.fromkeys(rows)
-    distinct.pop(0, None)
-    for row in distinct:
+    for row in rows:
         basis.add(row)
     return basis
 

@@ -7,8 +7,9 @@ the bracket (plus the one antisymmetry row [x, y] = [y, x] in degree 2),
 Jacobi instances landing in the new degree, and the defining relators of
 that weight, whose rows `eval_runs` reads off the table.  `define_layer`
 cuts the degree by the echelon basis of these rows: the surviving symbols
-become the new basis, so every basis element keeps a (parent index,
-generator) definition.
+become the new basis, each stored as its (parent index, generator index)
+pair in the table's `defs`, which is also the basis handed to
+`GradedAlgebra`; no label is built here.
 
 All brackets live in one `BracketTable`.  To cut degree n + 1, the top
 degree's action is set to the frontier symbols themselves and slice n + 1
@@ -38,9 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import (
-    GEN_ORDER,
     GENERATORS,
-    BasisElement,
     BracketTable,
     GradedAlgebra,
     define_layer,
@@ -187,7 +186,6 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
         by_weight.setdefault(r.weight, []).append(r)
 
     dims = [0, 2]
-    basis: list[list[BasisElement]] = [[], list(GENERATORS)]
     table = BracketTable()
     # R[i][a][off[j] + b] is [e(i,a), e(j,b)]; while degree n + 1 is cut,
     # the entries of total degree n + 1 are masks over the split frontier symbols.
@@ -200,7 +198,6 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
     for n in range(1, class_bound):
         if dims[n] == 0:
             dims.append(0)
-            basis.append([])
             table.add_degree(())  # degree n is empty, so degree n + 1 is too
             survivors.append([])
             continue
@@ -262,7 +259,7 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
         # each distinct nonzero row, once, in symbol order s = 2w + g
         low = (1 << D) - 1
         rows = [_interleave(r & low, r >> D) for r in dict.fromkeys(rows) if r]
-        layer, img = define_layer(n + 1, basis[n], echelonize(rows, nsym))
+        defs, img = define_layer(nsym, echelonize(rows, nsym))
         table.set_action(n, [(img[s], img[s + 1]) for s in range(0, nsym, 2)])
         if n + 1 < class_bound:  # the last slice is read only for its action rows
             if full_jacobi:
@@ -270,15 +267,13 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
             else:  # the cut slice is antisymmetric: fill the blocks i >= j, mirror the rest
                 table.fill(n + 1, (n + 2) // 2)
                 table.mirror(n + 1)
-        defs = [(e.parent, GEN_ORDER.index(e.generator)) for e in layer]
         table.add_degree(defs)
         survivor = [-1] * nsym
         for k, (p, g) in enumerate(defs):
             survivor[2 * p + g] = k
         survivors.append(survivor)
-        basis.append(layer)
-        dims.append(len(layer))
+        dims.append(len(defs))
 
     action_layers = [[(row[0], row[1]) for row in R[d]] for d in range(1, class_bound)]
     action_layers.append([(0, 0)] * dims[class_bound])
-    return GradedAlgebra(class_bound, basis[1:], action_layers)
+    return GradedAlgebra(class_bound, [GENERATORS, *table.defs[2:]], action_layers)

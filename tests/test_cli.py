@@ -1,5 +1,6 @@
 """Command-line interface: output shapes and exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -32,6 +33,21 @@ def test_construct(capsys):
     out = capsys.readouterr().out
     assert "y x^3 y" in out
     assert "[.,x]" in out and "[.,y]" in out
+
+
+# sha256 of the exact stdout of `bzloop <command> --g 2 --h 1 --class 12`:
+# every label and every action row, byte for byte
+LABEL_OUTPUT = {
+    "nq": "5c400cae98b9efb7302064851a3f8f0a5cf9370e092ce251b7a7935698082e75",
+    "construct": "6246cb96868f85202c5f066fbcaa48e94ef8735879ae2403a5871d51c690551f",
+}
+
+
+@pytest.mark.parametrize("command", list(LABEL_OUTPUT))
+def test_label_output_bytes_are_frozen(command, capsys):
+    assert cli.run([command, "--g", "2", "--h", "1", "--class", "12"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == LABEL_OUTPUT[command]
 
 
 def test_eval(capsys):

@@ -7,7 +7,7 @@ from unittest import mock
 import pytest
 
 from bzloop.algebra import (
-    BasisElement,
+    GENERATORS,
     BracketTable,
     GradedAlgebra,
     GradedSubspaceFamily,
@@ -132,7 +132,7 @@ def _jacobi_sum_rows(A: GradedAlgebra) -> tuple[int, int]:
             break
         for d1 in range(2, n // 2 + 1):
             d2 = n - d1
-            defined = {2 * e.parent + (e.generator is Y) for e in A.basis_at(d2 + 1)}
+            defined = {2 * p + g for p, g in A.basis_at(d2 + 1)}
             for a in range(dims[d1]):
                 symbols = range(2 * a + 2 if d2 == d1 else 0, 2 * dims[d2])
                 visited += len(symbols)
@@ -315,19 +315,46 @@ def test_constructor_validation(B8):
     bad_rows = [B8.action[1], ((4, 0),)]  # mask outside degree 3
     with pytest.raises(ValueError):
         GradedAlgebra(2, B8.basis[1:3], bad_rows)
-    x, y = B8.basis_at(1)
     action = [B8.action[1], ((0, 0),)]
-    assert GradedAlgebra(2, [(x, y), B8.basis_at(2)], action) == construct_bl(2, 1, 2)
+    assert B8.basis_at(1) == GENERATORS and B8.basis_at(2) == ((1, 0),)
+    assert GradedAlgebra(2, [GENERATORS, [(1, 0)]], action) == construct_bl(2, 1, 2)
     for bad_degree_2, match in (
-        (BasisElement(2, 0, 2, X, "y x"), "parent"),
-        (BasisElement(2, 0, 1, Z, "y z"), "generator"),
-        (BasisElement(2, 0, 1, X, "x y"), "label"),
+        ((2, 0), "parent"),
+        ((None, 0), "parent"),
+        ((1, 2), "generator"),
     ):
         with pytest.raises(ValueError, match=match):
-            GradedAlgebra(2, [(x, y), (bad_degree_2,)], action)
-    swapped = (BasisElement(1, 0, None, Y, "y"), BasisElement(1, 1, None, X, "x"))
+            GradedAlgebra(2, [GENERATORS, (bad_degree_2,)], action)
+    swapped = ((None, 1), (None, 0))
     with pytest.raises(ValueError, match="generators"):
         GradedAlgebra(2, [swapped, B8.basis_at(2)], action)
+
+
+def _letters(A: GradedAlgebra, d: int, k: int) -> list:
+    """The letters of e(d, k), read by walking its parent chain down to degree 1."""
+    out = []
+    while d > 1:
+        k, g = A.basis_at(d)[k]
+        out.append((X, Y)[g])
+        d -= 1
+    out.append((X, Y)[k])
+    return out[::-1]
+
+
+def test_labels_spell_the_parent_chain():
+    M = nq_compute(presentation_R(2, 1), 48)
+    tables = {
+        "M(2,1)@48": M,
+        "free@10": nq_compute(Presentation(()), 10),
+        "Q(2,1)@46": quotient(M, second_center(M)),
+        "B(3,1)@96": construct_bl(3, 1, 96),
+    }
+    for name, A in tables.items():
+        assert len(A.labels) == A.class_bound + 1 and A.labels[0] == ()
+        for d in range(1, A.class_bound + 1):
+            assert len(A.labels[d]) == A.dim(d), (name, d)
+            for k, label in enumerate(A.labels[d]):
+                assert label == str(word_from_letters(_letters(A, d, k))), (name, d, k)
 
 
 # -- centers and quotients ---------------------------------------------------
@@ -386,12 +413,7 @@ def test_centralizer_sequence_error_texts(M8):
     with pytest.raises(ValueError, match="^degree 4: centralizer is not one-dimensional$"):
         centralizer_sequence(M8)
     # [y x, x] = 0 and [y x, y] = y x y: degree 2 is centralized by x
-    basis = [
-        [BasisElement(1, 0, None, X, "x"), BasisElement(1, 1, None, Y, "y")],
-        [BasisElement(2, 0, 1, X, "y x")],
-        [BasisElement(3, 0, 0, Y, "y x y")],
-        [BasisElement(4, 0, 0, X, "y x y x")],
-    ]
+    basis = [GENERATORS, [(1, 0)], [(0, 1)], [(0, 0)]]  # x, y; y x; y x y; y x y x
     action = [[(0, 1), (1, 0)], [(0, 1)], [(0, 0)], [(0, 0)]]
     with pytest.raises(ValueError, match="^degree 2 must be centralized by y$"):
         centralizer_sequence(GradedAlgebra(3, basis[:3], action[:2] + [[(0, 0)]]))

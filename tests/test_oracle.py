@@ -89,13 +89,13 @@ def F8():
 def _assoc_of(F, degree, mask):
     out = 0
     for i in iter_bits(mask):
-        out ^= lie_word_to_assoc(parse_word(F.basis_at(degree)[i].label).letters())
+        out ^= lie_word_to_assoc(parse_word(F.labels[degree][i]).letters())
     return out
 
 
 def test_engine_free_basis_is_independent(F8):
     for d in range(1, 9):
-        rows = [lie_word_to_assoc(parse_word(b.label).letters()) for b in F8.basis_at(d)]
+        rows = [lie_word_to_assoc(parse_word(label).letters()) for label in F8.labels[d]]
         assert echelonize(rows, 1 << d).rank == len(rows) == witt_dimension(d)
 
 
