@@ -1,7 +1,9 @@
 """Binomial parities and small-field power sums in characteristic 2.
 
 Two independent binomial-parity routes: Lucas' theorem (a & b bit test) as
-the fast path, and literal Pascal rows over GF(2) as the oracle.  On top of
+the fast path, and literal Pascal rows over GF(2) as the oracle.  A whole
+Lucas row is built by submask doubling, one shift per set bit of n, and
+never by Pascal's recurrence.  On top of
 them sit the classical identity relating row sums over an arithmetic
 progression to a single binomial (via power sums over GF(2^w)), and the
 per-family coefficient verifiers used by the structure checks.
@@ -46,16 +48,20 @@ def binom_mod2_oracle(n: int, k: int) -> int:
 
 
 def lucas_row(n: int) -> int:
-    """Row-n bitmask predicted by Lucas: bits at exactly the submasks of n."""
+    """Row-n bitmask predicted by Lucas: bits at exactly the submasks of n.
+
+    Built by submask doubling: the submasks of the bits seen so far, then
+    each of them with the next set bit b added, one shift per set bit.
+    """
     if n < 0:
         raise ValueError("need n >= 0")
-    row = 0
-    sub = n
-    while True:
-        row |= 1 << sub
-        if sub == 0:
-            return row
-        sub = (sub - 1) & n
+    row = 1
+    rest = n
+    while rest:
+        b = rest & -rest
+        row |= row << b
+        rest ^= b
+    return row
 
 
 # -- the progression identity -------------------------------------------------

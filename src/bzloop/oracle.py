@@ -21,22 +21,10 @@ ORACLE_MAX_CLASS = 14
 # degree-1 monomial masks: x -> word 0, y -> word 1
 _LETTER_MASK = {X: 0b01, Y: 0b10, Z: 0b11, "x": 0b01, "y": 0b10, "z": 0b11}
 
-_SPREAD8 = tuple(
-    sum(1 << (2 * i) for i in range(8) if b >> i & 1) for b in range(256)
-)
-
 
 def _spread(mask: int) -> int:
-    """Move bit p to bit 2p (monomial code doubling)."""
-    out = 0
-    k = 0
-    while mask:
-        byte = mask & 0xFF
-        if byte:
-            out |= _SPREAD8[byte] << (16 * k)
-        mask >>= 8
-        k += 1
-    return out
+    """Move bit p to bit 2p (monomial code doubling): the binary digits read in base 4."""
+    return int(format(mask, "b"), 4)
 
 
 def bracket_letter(P: int, degree: int, g: int) -> int:

@@ -50,6 +50,23 @@ def test_lucas_row_matches_pascal(n):
     assert lucas_row(n) == pascal_row(n)
 
 
+def _submask_row(n: int) -> int:
+    """Bit s set for every submask s of n, by walking s = (s - 1) & n down from n."""
+    row = bytearray(n // 8 + 1)
+    sub = n
+    while True:
+        row[sub >> 3] |= 1 << (sub & 7)
+        if sub == 0:
+            return int.from_bytes(row, "little")
+        sub = (sub - 1) & n
+
+
+@given(st.sets(st.integers(0, 19), max_size=12))
+def test_lucas_row_matches_submask_enumeration(bits):
+    n = sum(1 << b for b in bits)
+    assert lucas_row(n) == _submask_row(n)
+
+
 def test_row_weight_is_power_of_two():
     # each row has 2^(popcount n) odd entries
     for n in (0, 1, 5, 100, 255):

@@ -2,10 +2,13 @@
 
 `jacobi_check` reads squares, pairs and Jacobi sums straight from the
 bracket table; its reference is the per-triple loop over `Element` brackets
-it replaced, with a per-pair antisymmetry loop in front of it.  `quotient`
-reads its action rows from the images `define_layer` returns; its reference
-solves each candidate over the survivors with a `SpanSolver`, as it once
-did.  The GF(2) echelon routines are compared with
+it replaced, with a per-pair antisymmetry loop in front of it.  On a sound
+table `jacobi_check` sums only the triples that hold a generator: call
+counts pin that, and two corruptions that fail Jacobi alone pin that it
+still sums those triples.  `quotient` reads its action rows from the images
+`define_layer` returns; its reference solves each candidate over the
+survivors with a `SpanSolver`, as it once did.  The GF(2) echelon routines
+are compared with
 naive Gaussian elimination and brute-force kernels on random matrices
 (`echelonize` also on rows with repeats and zeros: it adds every row in
 order, and `add` drops the zero and repeated ones), and the lazily settled
@@ -28,10 +31,11 @@ from bzloop.algebra import (
     eval_runs,
     graded_center,
     jacobi_check,
+    jacobi_sum,
     quotient,
     second_center,
 )
-from bzloop.bl import presentation_R
+from bzloop.bl import construct_bl, presentation_R
 from bzloop.gf2 import EchelonBasis, SpanSolver, echelonize, iter_bits, kernel
 from bzloop.nq import Presentation, nq_compute
 from bzloop.words import X, Y, Z, word_from_letters
@@ -143,6 +147,77 @@ def test_jacobi_check_rejects_a_table_that_is_not_antisymmetric(presented):
     assert sorted(e.degree - 1 for _, _, e in report.failures) == [20, 22, 24]  # deg w
     assert report.failures[0][1][1] == "y x^7 y x^6 y x^4"
     assert _report(bad) == reference_jacobi(bad)
+
+
+def _flipped(A: GradedAlgebra, d: int, k: int, g: int) -> GradedAlgebra:
+    """A copy of A with bit 0 of the action row [e(d,k), x or y] flipped."""
+    rows = [[list(r) for r in layer] for layer in A.action[1:]]
+    rows[d - 1][k][g] ^= 1
+    return GradedAlgebra(A.class_bound, A.basis[1:], rows)
+
+
+def _jacobi_only_tables():
+    """Two corruptions whose every square and pair passes, so only a Jacobi sum can catch them."""
+    return [
+        _flipped(construct_bl(2, 1, 24), 6, 0, 1),  # [e(6,0), y] in B(2,1)@24
+        _flipped(nq_compute(presentation_R(2, 2), 16), 13, 1, 0),  # [e(13,1), x] in M(2,2)@16
+    ]
+
+
+def _triple_counts(A: GradedAlgebra) -> tuple[int, int]:
+    """(triples with d1 = 1, all triples) of the loop, by enumeration."""
+    bound, dims = A.class_bound, A.dims
+    ones = every = 0
+    for d1 in range(1, bound - 1):
+        for d2 in range(d1, bound - d1):
+            for d3 in range(d2, bound - d1 - d2 + 1):
+                for a in range(dims[d1]):
+                    for b in range(a if d2 == d1 else 0, dims[d2]):
+                        n = len(range(b if d3 == d2 else 0, dims[d3]))
+                        every += n
+                        ones += n if d1 == 1 else 0
+    return ones, every
+
+
+def test_jacobi_check_catches_jacobi_only_corruptions():
+    for bad in _jacobi_only_tables():
+        got = _report(bad)
+        assert not got[0]
+        assert {kind for kind, *_ in got[2]} == {"jacobi"}
+        assert got == reference_jacobi(bad)
+
+
+def _counted_report(A: GradedAlgebra):
+    """`_report(A)` and the number of `jacobi_sum` calls it made."""
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return jacobi_sum(*args)
+
+    with mock.patch("bzloop.algebra.jacobi_sum", counting):
+        got = _report(A)
+    return got, calls
+
+
+def test_jacobi_check_sums_only_generator_triples_on_a_sound_table(presented):
+    for A in presented:
+        got, calls = _counted_report(A)
+        ones, every = _triple_counts(A)
+        assert got == reference_jacobi(A)  # `checked` counts every triple, summed or not
+        assert calls == ones < every
+
+
+def test_jacobi_check_sums_every_triple_once_a_check_fails(presented):
+    rng = random.Random(42)
+    for A in presented:
+        antisymmetry_only = _corrupted(A, rng)  # seed 42's third corruption, as above
+    for bad in (antisymmetry_only, *_jacobi_only_tables()):
+        got, calls = _counted_report(bad)
+        assert not got[0]
+        assert calls == _triple_counts(bad)[1]
+        assert got == reference_jacobi(bad)
 
 
 # -- quotient ------------------------------------------------------------------

@@ -71,6 +71,19 @@ def test_bracket_letter_matches_assoc_bracket(degree, seed, g):
     assert bracket_letter(mask, degree, g) == assoc_bracket(mask, degree, 1 << g, 1)
 
 
+@given(
+    st.integers(10, 14),
+    st.lists(st.integers(0, (1 << 14) - 1), min_size=1, max_size=8),
+    st.integers(0, 1),
+)
+def test_bracket_letter_matches_assoc_bracket_on_wide_masks(degree, words, g):
+    """Sparse masks over 2^10 to 2^14 words: every word's code doubles, however wide."""
+    mask = 0
+    for word in words:
+        mask |= 1 << (word % (1 << degree))
+    assert bracket_letter(mask, degree, g) == assoc_bracket(mask, degree, 1 << g, 1)
+
+
 def test_bracket_squares_vanish():
     for g in (0, 1):
         assert bracket_letter(1 << g, 1, g) == 0
