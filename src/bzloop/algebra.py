@@ -19,14 +19,17 @@ and `jacobi_check` reads every square, every antisymmetry pair and the
 Jacobi sums straight from the algebra's filled table, building an `Element`
 only for a failure.  On a table that passes, only the Jacobi triples that
 hold a generator are summed: they certify the rest, because the fill rule
-makes each [., v] a commutator of derivations.  Two more rules live here
+makes each [., v] a commutator of derivations.  Three more rules live here
 once each: `eval_runs` evaluates a left-normed word over action rows, from
-scratch or continuing an evaluated prefix (for `eval_word`, the relator
-rows of `nq_compute` and the v_n walk of `analyze`), and `define_layer`
-cuts a degree: given an echelon basis of the relations among the symbols
-2 * parent + generator, it returns the survivors' pairs and every symbol's
-image over them.  `nq_compute` cuts by its relation rows, `quotient` by the
-kernel of its candidate vectors.
+scratch or continuing an evaluated prefix (for `eval_word`, `act_mask`,
+`generator`, the relator rows of `nq_compute` and the v_n walk of
+`analyze`); `define_layer` cuts a degree: given an echelon basis of the
+relations among the symbols 2 * parent + generator, it returns the
+survivors' pairs and every symbol's image over them (`nq_compute` cuts by
+its relation rows, `quotient` by the kernel of its candidate vectors); and
+`_annihilator` takes the kernel of v -> ([v,x], [v,y]), for the center and,
+modulo the center, for the second center.  `str(Element)` is the one text
+form of an element.
 """
 
 from __future__ import annotations
@@ -41,18 +44,18 @@ from .words import (
     GeneratorSymbol,
     X,
     Y,
-    Z,
     extend_label,
 )
 
 GEN_ORDER = (X, Y)
 
 
-def _as_symbol(g) -> GeneratorSymbol:
+def _letter(g) -> tuple:
+    """The runs of the one-letter word g, a generator symbol or one of "x", "y", "z"."""
     if isinstance(g, GeneratorSymbol):
-        return g
+        return ((g, 1),)
     if isinstance(g, str) and g in ("x", "y", "z"):
-        return GeneratorSymbol(g)
+        return ((GeneratorSymbol(g), 1),)
     raise ValueError(f"not a generator: {g!r}")
 
 
@@ -77,23 +80,22 @@ class BracketTable:
     recursion is needed.  `fill(s, lowest)` stops at row `lowest`, and
     `mirror(s)` sets every block (i, j) of slice s with i < j to the
     transpose of block (j, i), which is the block itself when the slice is
-    antisymmetric.  `top` is the highest slice filled.  Each row of degree
-    i < top ends with its block of slice `top`, except a row below
-    `lowest` of the last fill that no `mirror(top)` has set since:
-    `nq_compute` leaves row 1 so while it cuts a degree, and in its last
-    slice.  While it cuts degree s, `nq_compute` sets the split action
+    antisymmetric.  Each row of degree i below the last slice filled, s,
+    ends with its block of slice s, except a row below `lowest` of that
+    fill that no `mirror(s)` has set since: `nq_compute` leaves row 1 so
+    while it cuts a degree, and in its last slice.  While it cuts degree
+    s, `nq_compute` sets the split action
     [e(s-1,t), g] = bit t + g * D, D = dim(s - 1), and calls
     `fill(s, 2, split=D)`: the first sum of the rule, over t in [u, p] of
     [e(s-1,t), g], is then one shift, [u, p] << g * D.
     """
 
-    __slots__ = ("rows", "defs", "offset", "top")
+    __slots__ = ("rows", "defs", "offset")
 
     def __init__(self):
         self.rows: list[list[list[int]]] = [[], [[], []]]
         self.defs: list[list[tuple[int, int]]] = [[], []]  # (parent index, generator index)
         self.offset: list[int] = [0, 0]
-        self.top = 2  # slice 2 is the action of degree 1 alone
 
     def add_degree(self, defs: Iterable[tuple[int, int]]) -> None:
         """Append the next degree, given its elements' (parent index, generator index)."""
@@ -141,7 +143,6 @@ class BracketTable:
                         out ^= below[low.bit_length() - 1][start + p]
                         m ^= low
                     row.append(out)
-        self.top = s
 
     def mirror(self, s: int) -> None:
         """Set each block (i, j) of slice s with i < j to the transpose of block (j, i)."""
@@ -294,10 +295,12 @@ class Element:
         layer = self.algebra.labels[self.degree]
         return [layer[i] for i in iter_bits(self.bits)]
 
+    def __str__(self) -> str:
+        """The labels of the element's terms joined by `` + ``, or ``0``."""
+        return " + ".join(self.labels()) or "0"
+
     def __repr__(self) -> str:
-        if self.bits == 0:
-            return f"<0 (degree {self.degree})>"
-        return "<" + " + ".join(self.labels()) + f" (degree {self.degree})>"
+        return f"<{self} (degree {self.degree})>"
 
 
 class GradedAlgebra:
@@ -344,8 +347,6 @@ class GradedAlgebra:
                     raise ValueError(f"degree {d}: action mask outside next degree")
             self._basis.append(layer)
             self._action.append(rows)
-        if self.dim(1) != 2:
-            raise ValueError("degree 1 must be two-dimensional")
         self._table: BracketTable | None = None
         self._labels: tuple[tuple[str, ...], ...] | None = None
 
@@ -414,10 +415,7 @@ class GradedAlgebra:
         return Element(self, degree, 0)
 
     def generator(self, g) -> Element:
-        sym = _as_symbol(g)
-        if sym is Z:
-            return Element(self, 1, 0b11)
-        return Element(self, 1, 1 << GEN_ORDER.index(sym))
+        return Element(self, 1, eval_runs(self._action, _letter(g), self.class_bound))
 
     # -- bracket machinery ---------------------------------------------------
 
@@ -426,35 +424,19 @@ class GradedAlgebra:
 
     def act_mask(self, degree: int, mask: int, g) -> int:
         """Mask of [v, g] in degree+1 for v given by mask in `degree`."""
-        sym = _as_symbol(g)
-        out = 0
-        if sym is Z:
-            for i in iter_bits(mask):
-                mx, my = self._action[degree][i]
-                out ^= mx ^ my
-        else:
-            gi = GEN_ORDER.index(sym)
-            for i in iter_bits(mask):
-                out ^= self._action[degree][i][gi]
-        return out
+        return eval_runs(self._action, _letter(g), self.class_bound, mask, degree)
 
-    def bracket_table(self, degree: int) -> BracketTable:
-        """The algebra's `BracketTable`, built on first use, filled through slice `degree`."""
-        table = self._table
-        if table is None:
+    def bracket_table(self) -> BracketTable:
+        """The algebra's `BracketTable`, built and filled through the class bound on first use."""
+        if self._table is None:
             table = self._table = BracketTable()
             for d in range(2, self.class_bound + 1):
                 table.add_degree(self._basis[d])
             for d in range(1, self.class_bound):
                 table.set_action(d, self._action[d])
-        for s in range(table.top + 1, degree + 1):
-            table.fill(s)
-        return table
-
-    def _pair(self, i: int, a: int, j: int, b: int) -> int:
-        """Mask of [basis(i,a), basis(j,b)] in degree i+j (requires i+j <= bound)."""
-        table = self.bracket_table(i + j)
-        return table.rows[i][a][table.offset[j] + b]
+            for s in range(3, self.class_bound + 1):
+                table.fill(s)
+        return self._table
 
     def bracket(self, u: Element, v: Element) -> Element:
         if u.algebra is not self or v.algebra is not self:
@@ -462,10 +444,12 @@ class GradedAlgebra:
         degree = u.degree + v.degree
         if degree > self.class_bound:
             return Element(self, degree, 0)
+        table = self.bracket_table()
+        rows, col = table.rows[u.degree], table.offset[v.degree]
         bits = 0
         for a in iter_bits(u.bits):
             for b in iter_bits(v.bits):
-                bits ^= self._pair(u.degree, a, v.degree, b)
+                bits ^= rows[a][col + b]
         return Element(self, degree, bits)
 
     def eval_word(self, w: CommutatorWord) -> Element:
@@ -548,7 +532,7 @@ def jacobi_check(A: GradedAlgebra) -> JacobiReport:
     failing triple in the same order either way.
     """
     bound = A.class_bound
-    table = A.bracket_table(bound)
+    table = A.bracket_table()
     rows, offset = table.rows, table.offset
     dims = A.dims
     checked = 0
@@ -619,38 +603,36 @@ class GradedSubspaceFamily:
         return [d for d in range(1, self.valid_up_to + 1) if self.per_degree[d].rank]
 
 
+def _annihilator(A: GradedAlgebra, valid: int, modulo=None) -> GradedSubspaceFamily:
+    """Per degree d <= `valid`, the kernel of v -> ([v,x], [v,y]).
+
+    With `modulo`, a `GradedSubspaceFamily`, each image is first reduced
+    modulo its subspace at d + 1, so the kernel is the preimage of that
+    family under both generators.
+    """
+    per = {}
+    for d in range(1, valid + 1):
+        width = A.dim(d + 1)
+        rows = A._action[d]
+        if modulo is not None:
+            z = modulo.per_degree[d + 1]
+            rows = [(z.reduce(mx), z.reduce(my)) for mx, my in rows]
+        per[d] = kernel([mx | my << width for mx, my in rows], 2 * width)
+    return GradedSubspaceFamily(A, per, valid)
+
+
 def graded_center(A: GradedAlgebra) -> GradedSubspaceFamily:
     """Per-degree kernel of v -> ([v,x], [v,y]).
 
     The top degree is excluded from the validity range: its action rows are
     zero by truncation, so centrality there is not observable.
     """
-    valid = A.class_bound - 1
-    per = {}
-    for d in range(1, valid + 1):
-        width = A.dim(d + 1)
-        images = [
-            A.act_index(d, i, 0) | (A.act_index(d, i, 1) << width)
-            for i in range(A.dim(d))
-        ]
-        per[d] = kernel(images, 2 * width)
-    return GradedSubspaceFamily(A, per, valid)
+    return _annihilator(A, A.class_bound - 1)
 
 
 def second_center(A: GradedAlgebra) -> GradedSubspaceFamily:
     """Per-degree preimage of the graded center under both generators."""
-    Z = graded_center(A)
-    valid = A.class_bound - 2
-    per = {}
-    for d in range(1, valid + 1):
-        width = A.dim(d + 1)
-        znext = Z.per_degree[d + 1]
-        images = [
-            znext.reduce(A.act_index(d, i, 0)) | (znext.reduce(A.act_index(d, i, 1)) << width)
-            for i in range(A.dim(d))
-        ]
-        per[d] = kernel(images, 2 * width)
-    return GradedSubspaceFamily(A, per, valid)
+    return _annihilator(A, A.class_bound - 2, graded_center(A))
 
 
 def quotient(A: GradedAlgebra, ideal: GradedSubspaceFamily) -> GradedAlgebra:
@@ -677,8 +659,8 @@ def quotient(A: GradedAlgebra, ideal: GradedSubspaceFamily) -> GradedAlgebra:
     for d in range(1, bound):
         nxt = ideal.at(d + 1)
         for row in ideal.at(d):
-            for gi in (0, 1):
-                if not nxt.contains(A.act_mask(d, row, GEN_ORDER[gi])):
+            for g in GEN_ORDER:
+                if not nxt.contains(A.act_mask(d, row, g)):
                     raise ValueError(f"family is not an ideal at degree {d}")
 
     basis: list[Sequence[tuple[int | None, int]]] = [GENERATORS]

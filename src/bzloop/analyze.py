@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .algebra import GradedAlgebra, eval_runs, graded_center, quotient, second_center
+from .algebra import eval_runs, graded_center, quotient, second_center
 from .bl import (
     BlParams,
     _params,
@@ -42,7 +42,7 @@ from .bl import (
     theta_specs,
     v_word,
 )
-from .gf2 import echelonize, iter_bits
+from .gf2 import echelonize
 from .nq import nq_compute
 from .words import X, Y
 
@@ -159,11 +159,6 @@ class AnalysisReport:
 # -- the analysis pipeline ------------------------------------------------------
 
 
-def _mask_labels(A: GradedAlgebra, degree: int, mask: int) -> str:
-    layer = A.labels[degree]
-    return " + ".join(layer[i] for i in iter_bits(mask))
-
-
 def _center_entries(A, rows_by_degree, specs) -> tuple[CenterEntry, ...]:
     """One entry per degree with rows, matched with the specs of that weight."""
     matched: dict[int, list] = {}
@@ -174,7 +169,7 @@ def _center_entries(A, rows_by_degree, specs) -> tuple[CenterEntry, ...]:
     return tuple(
         CenterEntry(
             d,
-            tuple(_mask_labels(A, d, row) for row in rows),
+            tuple(str(A.element(d, row)) for row in rows),
             tuple(matched.get(d, ())),
         )
         for d, rows in rows_by_degree
@@ -236,7 +231,7 @@ def analyze(g, h=None, class_bound: int | None = None) -> AnalysisReport:
     """
     p = _params(g, h)
     if class_bound is None:
-        class_bound = p.m + 2 * p.d
+        class_bound = p.default_bound
     if class_bound < p.m + 2:
         raise ValueError(f"class bound must be at least m + 2 = {p.m + 2}")
     bound = class_bound

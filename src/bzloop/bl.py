@@ -35,6 +35,11 @@ class BlParams:
     d: int
     m: int
 
+    @property
+    def default_bound(self) -> int:
+        """The default class bound m + 2d: the defining quotient plus two full periods."""
+        return self.m + 2 * self.d
+
 
 def bl_params(g: int, h: int) -> BlParams:
     if g < 2:

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 
 from .bl import BlParams, bl_params, lambda_admissible
 
-PASCAL_MAX_ROW = 1 << 20
+# `pascal_row(n)` caches every row up to n, about n^2 / 16 bytes: some 17 MB
+# at this bound, well above the 4096 rows the parity checks read.
+PASCAL_MAX_ROW = 1 << 14
 
 
 def binom_mod2(n: int, k: int) -> int:

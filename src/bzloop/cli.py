@@ -127,11 +127,7 @@ def _header(p) -> str:
 
 
 def _bound(ns: argparse.Namespace, p) -> int:
-    return ns.class_bound if ns.class_bound is not None else p.m + 2 * p.d
-
-
-def _element_text(v) -> str:
-    return " + ".join(v.labels()) if v.bits else "0"
+    return ns.class_bound if ns.class_bound is not None else p.default_bound
 
 
 def _cmd_present(ns: argparse.Namespace) -> int:
@@ -173,7 +169,7 @@ def _cmd_construct(ns: argparse.Namespace) -> int:
     print(f"class bound {bound}")
     for d in range(1, bound + 1):
         for k, label in enumerate(B.labels[d]):
-            bx, by = (_element_text(B.element(d + 1, B.act_index(d, k, gi))) for gi in (0, 1))
+            bx, by = (B.element(d + 1, B.act_index(d, k, gi)) for gi in (0, 1))
             print(f"{d}: {label} | [.,x] = {bx} | [.,y] = {by}")
     return 0
 
@@ -183,7 +179,7 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
     word = parse_word(ns.word)
     bound = max(2, word.weight)
     M = nq_compute(presentation_R(p), bound)
-    print(_element_text(M.eval_word(word)))
+    print(M.eval_word(word))
     return 0
 
 

@@ -213,8 +213,17 @@ def _parse_exponent(text: str, i: int) -> tuple[int, int]:
     return exp, j
 
 
+# Deepest nesting of groups `parse_word` accepts: the parser and the word
+# builder recurse once per level, so a deeper text would exhaust the stack.
+MAX_GROUP_DEPTH = 100
+
+
 def parse_word(text: str) -> CommutatorWord:
-    """Parse word text like ``y x^3 (y x^2 (y x^3)^2 y x^2)^1``."""
+    """Parse word text like ``y x^3 (y x^2 (y x^3)^2 y x^2)^1``.
+
+    Groups nest at most `MAX_GROUP_DEPTH` deep; the first '(' past that
+    depth is a `WordSyntaxError`.
+    """
 
     def parse_items(i: int, depth: int) -> tuple[list, int]:
         items: list[Item] = []
@@ -227,6 +236,8 @@ def parse_word(text: str) -> CommutatorWord:
                 items.append(GenPower(_BY_CHAR[c], exp))
                 i = i2
             elif c == "(":
+                if depth == MAX_GROUP_DEPTH:
+                    raise WordSyntaxError(f"groups nested deeper than {MAX_GROUP_DEPTH}", i)
                 body, i2 = parse_items(i + 1, depth + 1)
                 if i2 >= len(text) or text[i2] != ")":
                     raise WordSyntaxError("unclosed '('", i)

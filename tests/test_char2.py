@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from bzloop import char2
 from bzloop.char2 import (
     GF2wField,
     ParityClaim,
@@ -38,6 +39,14 @@ def test_binom_out_of_range():
         pascal_row(-1)
     with pytest.raises(ValueError):
         lucas_row(-1)
+
+
+def test_pascal_row_refuses_past_its_bound_without_caching():
+    """The row cache grows as n^2, so the first row past the bound is refused before any row is built."""
+    cached = len(char2._rows)
+    with pytest.raises(ValueError):
+        pascal_row(char2.PASCAL_MAX_ROW + 1)
+    assert len(char2._rows) == cached
 
 
 @given(st.integers(0, 4096), st.integers(0, 4096))

@@ -11,6 +11,7 @@ import sys
 import pytest
 
 from bzloop import cli
+from bzloop.words import MAX_GROUP_DEPTH
 
 PAST_LIMITS = [
     ["present", "--g", str(cli.MAX_GH - 1), "--h", "2"],
@@ -125,6 +126,16 @@ def test_run_rejects_negative_counts(argv, no_work, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {argv[-2]} {argv[-1]} is negative\n"
+
+
+@pytest.mark.parametrize("depth", [MAX_GROUP_DEPTH + 1, 1000, 3000])
+def test_deeply_nested_word_exits_2_before_any_work(depth, no_work, capsys):
+    word = "(" * depth + "x y" + ")" * depth
+    assert cli.run(["eval", "--g", "2", "--h", "1", "--word", word]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: groups nested deeper than")
+    assert "internal" not in captured.err
 
 
 def test_huge_presentation_exits_2_without_a_traceback():

@@ -18,7 +18,7 @@ from bzloop.algebra import (
     second_center,
 )
 from bzloop.bl import centralizer_sequence, construct_bl, presentation_R
-from bzloop.gf2 import EchelonBasis
+from bzloop.gf2 import EchelonBasis, kernel
 from bzloop.nq import Presentation, _interleave, nq_compute
 from bzloop.oracle import ORACLE_MAX_CLASS, free_nq_oracle, witt_dimension
 from bzloop.words import X, Y, Z, make_word, parse_word, word_from_letters
@@ -82,7 +82,7 @@ ANTISYMMETRY_CASES = (
 
 def _assert_antisymmetric(A: GradedAlgebra) -> None:
     bound = A.class_bound
-    table = A.bracket_table(bound)
+    table = A.bracket_table()
     rows, offset = table.rows, table.offset
     for i in range(1, bound):
         for j in range(i, bound - i + 1):
@@ -300,6 +300,16 @@ def test_element_validation(B8):
     assert not B8.element(9, 0)
 
 
+def test_element_text(M8):
+    """str is the plain labels, or 0; repr wraps it with the degree."""
+    zero, x = M8.zero(3), M8.generator("x")
+    pair = M8.eval_word(parse_word("x y x^2 z"))
+    assert (str(zero), repr(zero)) == ("0", "<0 (degree 3)>")
+    assert (str(x), repr(x)) == ("x", "<x (degree 1)>")
+    assert (str(pair), repr(pair)) == ("y x^4 + y x^3 y", "<y x^4 + y x^3 y (degree 5)>")
+    assert f"[.,y] = {M8.zero(9)}" == "[.,y] = 0"
+
+
 def test_eval_word(B8):
     assert B8.eval_word(parse_word("y x")) == B8.element(2, 1)
     assert B8.eval_word(parse_word("y x^2 y")) == B8.zero(5)
@@ -373,6 +383,78 @@ def test_center_and_second_center_weights():
     M = nq_compute(presentation_R(2, 1), 24)
     assert graded_center(M).weights() == [5, 7, 15, 20, 21]
     assert second_center(M).weights() == [5, 7, 15, 19, 20, 21]
+
+
+@pytest.fixture(scope="module")
+def walk_tables():
+    """R(2,1)@48, free@10 and the seeded x/y/z presentations at class 12."""
+    return [
+        nq_compute(presentation_R(2, 1), 48),
+        nq_compute(Presentation(()), 10),
+        *(nq_compute(_random_presentation(seed), 12) for seed in range(30)),
+    ]
+
+
+def _reference_act(A: GradedAlgebra, degree: int, mask: int, g) -> int:
+    """[v, g] by a loop over the bits of v's mask."""
+    out = 0
+    for i in range(A.dim(degree)):
+        if mask >> i & 1:
+            mx, my = A.action[degree][i]
+            out ^= {X: mx, Y: my, Z: mx ^ my}[g]
+    return out
+
+
+def test_act_mask_and_generator_match_a_bit_loop(walk_tables):
+    rng = random.Random(14)
+    for A in walk_tables:
+        for d in range(1, A.class_bound + 1):  # the top degree's rows are zero
+            n = A.dim(d)
+            masks = {0, (1 << n) - 1, *(1 << i for i in range(n)), *(rng.getrandbits(n) for _ in range(4))}
+            for mask in masks:
+                for g, name in ((X, "x"), (Y, "y"), (Z, "z")):
+                    want = _reference_act(A, d, mask, g)
+                    assert A.act_mask(d, mask, g) == A.act_mask(d, mask, name) == want, (d, mask, g)
+        for g, name, bits in ((X, "x", 0b01), (Y, "y", 0b10), (Z, "z", 0b11)):
+            assert A.generator(g) == A.generator(name) == A.element(1, bits)
+            assert A.generator(g).degree == 1
+    with pytest.raises(ValueError):
+        A.act_mask(1, 1, "w")
+    with pytest.raises(ValueError):
+        A.generator(0)
+
+
+def _reference_graded_center(A: GradedAlgebra) -> dict:
+    per = {}
+    for d in range(1, A.class_bound):
+        width = A.dim(d + 1)
+        images = [A.act_index(d, i, 0) | (A.act_index(d, i, 1) << width) for i in range(A.dim(d))]
+        per[d] = kernel(images, 2 * width)
+    return per
+
+
+def _reference_second_center(A: GradedAlgebra) -> dict:
+    center = _reference_graded_center(A)
+    per = {}
+    for d in range(1, A.class_bound - 1):
+        width, znext = A.dim(d + 1), center[d + 1]
+        images = [
+            znext.reduce(A.act_index(d, i, 0)) | (znext.reduce(A.act_index(d, i, 1)) << width)
+            for i in range(A.dim(d))
+        ]
+        per[d] = kernel(images, 2 * width)
+    return per
+
+
+def test_centers_match_the_act_index_construction(walk_tables):
+    for A in walk_tables:
+        for family, want in (
+            (graded_center(A), _reference_graded_center(A)),
+            (second_center(A), _reference_second_center(A)),
+        ):
+            assert family.valid_up_to == len(want)
+            for d in range(1, family.valid_up_to + 1):
+                assert family.at(d).row_bits() == want[d].row_bits(), d
 
 
 def test_quotient_matches_direct_construction():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bzloop.words import (
+    MAX_GROUP_DEPTH,
     CommutatorWord,
     GeneratorSymbol,
     GenPower,
@@ -105,6 +106,23 @@ def test_parse_errors_carry_position(text, position):
     with pytest.raises(WordSyntaxError) as err:
         parse_word(text)
     assert err.value.position == position
+
+
+def _nested(depth: int) -> str:
+    return "(" * depth + "x y" + ")" * depth
+
+
+def test_parse_accepts_groups_nested_to_the_bound():
+    assert parse_word(_nested(MAX_GROUP_DEPTH)) == parse_word("x y")
+
+
+@pytest.mark.parametrize("depth", [MAX_GROUP_DEPTH + 1, 1000, 100000])
+def test_parse_refuses_groups_nested_past_the_bound(depth):
+    """The first '(' past the bound is refused, long before the stack runs out."""
+    with pytest.raises(WordSyntaxError) as err:
+        parse_word(_nested(depth))
+    assert err.value.position == MAX_GROUP_DEPTH
+    assert "nested deeper" in str(err.value)
 
 
 _letters = st.lists(st.sampled_from([X, Y, Z]), min_size=1, max_size=30)
