@@ -33,7 +33,6 @@ from .bl import (
     v_word,
 )
 from .char2 import (
-    GF2wField,
     ParityClaim,
     binom_mod2,
     binom_mod2_oracle,
@@ -45,29 +44,9 @@ from .char2 import (
     power_sum_parity,
     verify_appendix,
 )
-from .gf2 import EchelonBasis, SpanSolver, echelonize, kernel
 from .nq import Presentation, nq_compute
-from .oracle import (
-    ORACLE_MAX_CLASS,
-    assoc_bracket,
-    bracket_letter,
-    free_nq_oracle,
-    lie_word_to_assoc,
-    witt_dimension,
-)
-from .words import (
-    CommutatorWord,
-    GeneratorSymbol,
-    GenPower,
-    GroupPower,
-    WordSyntaxError,
-    X,
-    Y,
-    Z,
-    make_word,
-    parse_word,
-    word_from_letters,
-)
+from .oracle import free_nq_oracle
+from .words import CommutatorWord, WordSyntaxError, X, Y, parse_word, word_from_letters
 
 __all__ = [
     "AnalysisReport",
@@ -75,47 +54,33 @@ __all__ = [
     "CenterEntry",
     "CheckResult",
     "CommutatorWord",
-    "EchelonBasis",
     "Element",
-    "GF2wField",
-    "GenPower",
-    "GeneratorSymbol",
     "GradedAlgebra",
     "GradedSubspaceFamily",
-    "GroupPower",
     "JacobiReport",
-    "ORACLE_MAX_CLASS",
     "ParityClaim",
     "Presentation",
-    "SpanSolver",
     "ThetaSpec",
     "WordSyntaxError",
     "X",
     "Y",
-    "Z",
     "analyze",
-    "assoc_bracket",
     "binom_mod2",
     "binom_mod2_oracle",
     "bl_centralizer_sequence",
     "bl_constituent_lengths",
     "bl_params",
-    "bracket_letter",
     "centralizer_sequence",
     "check_CL",
     "constituent_lengths",
     "construct_bl",
-    "echelonize",
     "free_nq_oracle",
     "glaisher_check",
     "graded_center",
     "identity_I_check",
     "identity_I_expected",
     "jacobi_check",
-    "kernel",
-    "lie_word_to_assoc",
     "lucas_row",
-    "make_word",
     "mu_word",
     "nq_compute",
     "parse_word",
@@ -128,6 +93,5 @@ __all__ = [
     "theta_word",
     "v_word",
     "verify_appendix",
-    "witt_dimension",
     "word_from_letters",
 ]

@@ -276,7 +276,8 @@ class Element:
         )
 
     def __hash__(self):
-        return hash((id(self.algebra), self.degree, self.bits))
+        # every zero element is equal to every other, so they share one hash
+        return hash((id(self.algebra), self.degree, self.bits) if self.bits else 0)
 
     def __add__(self, other: "Element") -> "Element":
         if self.algebra is not other.algebra:
@@ -324,8 +325,8 @@ class GradedAlgebra:
         if len(basis) != class_bound or len(action) != class_bound:
             raise ValueError("need exactly one basis/action layer per degree")
         self.class_bound = class_bound
-        self._basis: list[tuple[tuple[int | None, int], ...]] = [()]
-        self._action: list[tuple[tuple[int, int], ...]] = [()]
+        layers: list[tuple[tuple[int | None, int], ...]] = [()]
+        actions: list[tuple[tuple[int, int], ...]] = [()]
         for d in range(1, class_bound + 1):
             layer = tuple(map(tuple, basis[d - 1]))
             rows = tuple((int(mx), int(my)) for mx, my in action[d - 1])
@@ -336,7 +337,7 @@ class GradedAlgebra:
                 if layer != GENERATORS:
                     raise ValueError("degree 1 must hold the generators x, y")
             else:
-                below = len(self._basis[d - 1])
+                below = len(layers[d - 1])
                 for p, g in layer:
                     if g not in (0, 1):
                         raise ValueError(f"degree {d}: definition generator must be x or y")
@@ -345,8 +346,11 @@ class GradedAlgebra:
             for mx, my in rows:
                 if mx >> nxt or my >> nxt:
                     raise ValueError(f"degree {d}: action mask outside next degree")
-            self._basis.append(layer)
-            self._action.append(rows)
+            layers.append(layer)
+            actions.append(rows)
+        # stored as tuples, so `basis[d]` and `action[d]` read one layer without a copy
+        self._basis = tuple(layers)
+        self._action = tuple(actions)
         self._table: BracketTable | None = None
         self._labels: tuple[tuple[str, ...], ...] | None = None
 
@@ -362,16 +366,13 @@ class GradedAlgebra:
         """Per-degree dimensions, indexed by degree (entry 0 is a sentinel)."""
         return tuple(len(layer) for layer in self._basis)
 
-    def basis_at(self, degree: int) -> tuple[tuple[int | None, int], ...]:
-        return self._basis[degree] if 1 <= degree <= self.class_bound else ()
-
     @property
     def basis(self) -> tuple[tuple[tuple[int | None, int], ...], ...]:
-        return tuple(self._basis)
+        return self._basis
 
     @property
     def action(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        return tuple(self._action)
+        return self._action
 
     @property
     def labels(self) -> tuple[tuple[str, ...], ...]:
@@ -598,9 +599,6 @@ class GradedSubspaceFamily:
 
     def dim(self, degree: int) -> int:
         return self.at(degree).rank
-
-    def weights(self) -> list[int]:
-        return [d for d in range(1, self.valid_up_to + 1) if self.per_degree[d].rank]
 
 
 def _annihilator(A: GradedAlgebra, valid: int, modulo=None) -> GradedSubspaceFamily:

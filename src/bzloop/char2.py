@@ -104,6 +104,8 @@ def identity_I_expected(Q: int, s: int, r: int, k: int) -> int:
 
 
 # -- small binary fields --------------------------------------------------------
+# An element of GF(2^w) is a polynomial over GF(2) as a bitmask, reduced modulo
+# `_find_modulus(w)`, the lexicographically smallest irreducible of degree w.
 
 
 def _poly_mul_mod(a: int, b: int, modulus: int, w: int) -> int:
@@ -137,46 +139,16 @@ def _find_modulus(w: int) -> int:
     raise AssertionError("no irreducible polynomial found")
 
 
-@dataclass(frozen=True)
-class GF2wField:
-    """GF(2^w) with the lexicographically smallest irreducible modulus."""
-
-    w: int
-    modulus: int
-
-    def __init__(self, w: int, modulus: int | None = None):
-        if w < 1:
-            raise ValueError("need w >= 1")
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "modulus", _find_modulus(w) if modulus is None else modulus)
-
-    @property
-    def order(self) -> int:
-        return 1 << self.w
-
-    def elements(self):
-        return range(self.order)
-
-    def units(self):
-        return range(1, self.order)
-
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
-
-    def mul(self, a: int, b: int) -> int:
-        return _poly_mul_mod(a, b, self.modulus, self.w)
-
-    def power(self, a: int, e: int) -> int:
-        if e < 0:
-            raise ValueError("need e >= 0")
-        out = 1
-        base = a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
+def _power(a: int, e: int, modulus: int, w: int) -> int:
+    if e < 0:
+        raise ValueError("need e >= 0")
+    out = 1
+    while e:
+        if e & 1:
+            out = _poly_mul_mod(out, a, modulus, w)
+        a = _poly_mul_mod(a, a, modulus, w)
+        e >>= 1
+    return out
 
 
 def power_sum_parity(w: int, z: int) -> int:
@@ -185,12 +157,12 @@ def power_sum_parity(w: int, z: int) -> int:
     The sum always lands in the prime field, so the result is 0 or 1; it is
     1 exactly when 2^w - 1 divides z.
     """
-    if z < 0:
-        raise ValueError("need z >= 0")
-    F = GF2wField(w)
+    if w < 1 or z < 0:
+        raise ValueError("need w >= 1 and z >= 0")
+    modulus = _find_modulus(w)
     total = 0
-    for a in F.units():
-        total ^= F.power(a, z)
+    for a in range(1, 1 << w):
+        total ^= _power(a, z, modulus, w)
     if total not in (0, 1):
         raise AssertionError("power sum left the prime field")
     return total
@@ -203,14 +175,15 @@ def glaisher_check(w: int, n: int, k: int) -> tuple[int, int]:
     inverse power realized as alpha^((Q-1-k) mod (Q-1)).  Binomial side:
     parity of the sum of C(n, m) over all 0 <= m <= n with m = k mod (Q-1).
     """
-    if n < 0 or k < 0:
-        raise ValueError("need n, k >= 0")
-    F = GF2wField(w)
-    Q = F.order
+    if w < 1 or n < 0 or k < 0:
+        raise ValueError("need w >= 1 and n, k >= 0")
+    modulus = _find_modulus(w)
+    Q = 1 << w
     e = (Q - 1 - k) % (Q - 1)
     field_side = 0
-    for a in F.units():
-        field_side ^= F.mul(F.power(1 ^ a, n), F.power(a, e))
+    for a in range(1, Q):
+        term = _poly_mul_mod(_power(1 ^ a, n, modulus, w), _power(a, e, modulus, w), modulus, w)
+        field_side ^= term
     if field_side not in (0, 1):
         raise AssertionError("character sum left the prime field")
     binom_side = 0

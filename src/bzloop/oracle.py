@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .gf2 import echelonize, iter_bits
-from .words import CommutatorWord, GeneratorSymbol, X, Y, Z
+from .words import GeneratorSymbol, X, Y, Z
 
 ORACLE_MAX_CLASS = 14
 
@@ -91,13 +91,14 @@ def witt_dimension(n: int, alphabet: int = 2) -> int:
 def free_nq_oracle(relators, class_bound: int) -> tuple[int, ...]:
     """Per-degree dimensions of the graded quotient, degree-indexed like dims.
 
-    Only intended for small classes; refuses class_bound > ORACLE_MAX_CLASS.
+    Each relator is a `CommutatorWord` of weight at least 2.  Only intended
+    for small classes; refuses class_bound > ORACLE_MAX_CLASS.
     """
     if not 1 <= class_bound <= ORACLE_MAX_CLASS:
         raise ValueError(f"class bound must be in 1..{ORACLE_MAX_CLASS}")
     by_weight: dict[int, list[tuple[GeneratorSymbol, ...]]] = {}
     for r in relators:
-        letters = r.letters() if isinstance(r, CommutatorWord) else tuple(r)
+        letters = r.letters()
         if len(letters) < 2:
             raise ValueError("relators must have weight >= 2")
         by_weight.setdefault(len(letters), []).append(letters)

@@ -64,6 +64,11 @@ class GroupPower:
 
 Item = Union[GenPower, GroupPower]
 
+# Deepest nesting of groups a word may have: the parser and the word builder
+# recurse once per level, so `parse_word` and `make_word` refuse deeper words
+# before they could exhaust the stack.
+MAX_GROUP_DEPTH = 100
+
 
 def _push(out: list, item: Item) -> None:
     if isinstance(item, GenPower) and out and isinstance(out[-1], GenPower) and out[-1].gen is item.gen:
@@ -72,7 +77,7 @@ def _push(out: list, item: Item) -> None:
         out.append(item)
 
 
-def _normalize(items: Iterable[Item]) -> tuple:
+def _normalize(items: Iterable[Item], depth: int = 0) -> tuple:
     out: list[Item] = []
     for item in items:
         if isinstance(item, GeneratorSymbol):
@@ -87,7 +92,9 @@ def _normalize(items: Iterable[Item]) -> tuple:
         elif isinstance(item, GroupPower):
             if item.exp < 0:
                 raise ValueError("negative exponent")
-            body = _normalize(item.body)
+            if depth == MAX_GROUP_DEPTH:
+                raise ValueError(f"groups nested deeper than {MAX_GROUP_DEPTH}")
+            body = _normalize(item.body, depth + 1)
             if item.exp == 0 or not body:
                 continue
             if item.exp == 1:
@@ -146,7 +153,8 @@ def make_word(*parts) -> CommutatorWord:
     """Build a word from letters, GenPower and GroupPower parts.
 
     Letters may be GeneratorSymbol values or the characters 'x','y','z';
-    zero exponents are dropped and the result is normalized.
+    zero exponents are dropped and the result is normalized.  Groups nested
+    deeper than `MAX_GROUP_DEPTH` are a `ValueError`.
     """
     items: list[Item] = []
     for part in parts:
@@ -211,11 +219,6 @@ def _parse_exponent(text: str, i: int) -> tuple[int, int]:
     if exp == 0:
         raise WordSyntaxError("zero exponent", start)
     return exp, j
-
-
-# Deepest nesting of groups `parse_word` accepts: the parser and the word
-# builder recurse once per level, so a deeper text would exhaust the stack.
-MAX_GROUP_DEPTH = 100
 
 
 def parse_word(text: str) -> CommutatorWord:

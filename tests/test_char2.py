@@ -5,8 +5,10 @@ from hypothesis import given, strategies as st
 
 from bzloop import char2
 from bzloop.char2 import (
-    GF2wField,
     ParityClaim,
+    _find_modulus,
+    _poly_mul_mod,
+    _power,
     binom_mod2,
     binom_mod2_oracle,
     glaisher_check,
@@ -127,39 +129,42 @@ def test_identity_validation():
 
 
 def test_field_moduli_frozen():
-    assert GF2wField(1).modulus == 0b10
-    assert GF2wField(2).modulus == 0b111
-    assert GF2wField(3).modulus == 0b1011
+    assert _find_modulus(1) == 0b10
+    assert _find_modulus(2) == 0b111
+    assert _find_modulus(3) == 0b1011
 
 
 def test_field_axioms_sampled():
-    F = GF2wField(3)
-    elems = list(F.elements())
-    assert elems == list(range(8))
-    assert list(F.units()) == list(range(1, 8))
+    w, modulus = 3, _find_modulus(3)
+    elems = range(8)
+
+    def mul(a, b):
+        return _poly_mul_mod(a, b, modulus, w)
+
     for a in elems:
-        assert F.mul(a, 1) == a
-        assert F.add(a, a) == 0
-        assert F.power(a, F.order) == a  # a^Q = a in GF(Q)
+        assert mul(a, 1) == a
+        assert _power(a, 8, modulus, w) == a  # a^Q = a in GF(Q)
     for a in elems:
         for b in elems:
-            assert F.mul(a, b) == F.mul(b, a)
+            assert mul(a, b) == mul(b, a)
             for c in elems:
-                assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
+                assert mul(a, b ^ c) == mul(a, b) ^ mul(a, c)
 
 
 def test_field_units_have_inverses():
     for w in (1, 2, 3, 4):
-        F = GF2wField(w)
-        for a in F.units():
-            assert F.mul(a, F.power(a, F.order - 2)) == 1
+        modulus, Q = _find_modulus(w), 1 << w
+        for a in range(1, Q):
+            assert _poly_mul_mod(a, _power(a, Q - 2, modulus, w), modulus, w) == 1
 
 
 def test_field_validation():
     with pytest.raises(ValueError):
-        GF2wField(0)
+        power_sum_parity(0, 1)
     with pytest.raises(ValueError):
-        GF2wField(2).power(1, -1)
+        glaisher_check(0, 1, 1)
+    with pytest.raises(ValueError):
+        _power(1, -1, _find_modulus(2), 2)
 
 
 def test_power_sum_parity_law():

@@ -132,7 +132,7 @@ def _jacobi_sum_rows(A: GradedAlgebra) -> tuple[int, int]:
             break
         for d1 in range(2, n // 2 + 1):
             d2 = n - d1
-            defined = {2 * p + g for p, g in A.basis_at(d2 + 1)}
+            defined = {2 * p + g for p, g in A.basis[d2 + 1]}
             for a in range(dims[d1]):
                 symbols = range(2 * a + 2 if d2 == d1 else 0, 2 * dims[d2])
                 visited += len(symbols)
@@ -290,6 +290,22 @@ def test_element_arithmetic(B8):
     assert B8.bracket(x, y) == e2  # antisymmetry in characteristic 2
 
 
+def test_equal_elements_hash_equal():
+    """Zeros are equal across degrees and algebras, so they share a hash too."""
+    A, B = construct_bl(2, 1, 8), construct_bl(2, 1, 10)
+    zeros = [A.zero(1), A.zero(2), A.zero(9), B.zero(3), B.element(11, 0)]
+    for u in zeros:
+        for v in zeros:
+            assert u == v and hash(u) == hash(v)
+    assert len(set(zeros)) == 1 and A.zero(2) in {B.zero(1)}
+    nonzero = [A.element(d, bits) for d in range(1, 9) for bits in range(1, 1 << A.dim(d))]
+    again = [A.element(u.degree, u.bits) for u in nonzero]
+    for u, v in zip(nonzero, again):
+        assert u == v and hash(u) == hash(v)
+    assert len(set(nonzero + again)) == len(nonzero)
+    assert not set(zeros) & set(nonzero)
+
+
 def test_element_validation(B8):
     with pytest.raises(ValueError):
         B8.element(0, 1)
@@ -317,6 +333,12 @@ def test_eval_word(B8):
     assert not overweight and overweight.degree == 10
 
 
+def test_basis_and_action_read_without_copying(B8):
+    """`basis[d]` and `action[d]` read the stored layers, not a fresh copy per call."""
+    assert B8.basis is B8.basis and B8.action is B8.action
+    assert len(B8.basis) == len(B8.action) == B8.class_bound + 1
+
+
 def test_constructor_validation(B8):
     with pytest.raises(ValueError):
         GradedAlgebra(0, [], [])
@@ -326,7 +348,7 @@ def test_constructor_validation(B8):
     with pytest.raises(ValueError):
         GradedAlgebra(2, B8.basis[1:3], bad_rows)
     action = [B8.action[1], ((0, 0),)]
-    assert B8.basis_at(1) == GENERATORS and B8.basis_at(2) == ((1, 0),)
+    assert B8.basis[1] == GENERATORS and B8.basis[2] == ((1, 0),)
     assert GradedAlgebra(2, [GENERATORS, [(1, 0)]], action) == construct_bl(2, 1, 2)
     for bad_degree_2, match in (
         ((2, 0), "parent"),
@@ -337,14 +359,14 @@ def test_constructor_validation(B8):
             GradedAlgebra(2, [GENERATORS, (bad_degree_2,)], action)
     swapped = ((None, 1), (None, 0))
     with pytest.raises(ValueError, match="generators"):
-        GradedAlgebra(2, [swapped, B8.basis_at(2)], action)
+        GradedAlgebra(2, [swapped, B8.basis[2]], action)
 
 
 def _letters(A: GradedAlgebra, d: int, k: int) -> list:
     """The letters of e(d, k), read by walking its parent chain down to degree 1."""
     out = []
     while d > 1:
-        k, g = A.basis_at(d)[k]
+        k, g = A.basis[d][k]
         out.append((X, Y)[g])
         d -= 1
     out.append((X, Y)[k])
@@ -370,19 +392,24 @@ def test_labels_spell_the_parent_chain():
 # -- centers and quotients ---------------------------------------------------
 
 
+def _weights(family) -> list[int]:
+    """The degrees in which a subspace family is nonzero, up to its validity bound."""
+    return [d for d in range(1, family.valid_up_to + 1) if family.dim(d)]
+
+
 def test_construction_has_no_center(B8):
-    assert graded_center(B8).weights() == []
+    assert _weights(graded_center(B8)) == []
 
 
 def test_center_weights_small():
     M = nq_compute(presentation_R(2, 1), 12)
-    assert graded_center(M).weights() == [5, 7]
+    assert _weights(graded_center(M)) == [5, 7]
 
 
 def test_center_and_second_center_weights():
     M = nq_compute(presentation_R(2, 1), 24)
-    assert graded_center(M).weights() == [5, 7, 15, 20, 21]
-    assert second_center(M).weights() == [5, 7, 15, 19, 20, 21]
+    assert _weights(graded_center(M)) == [5, 7, 15, 20, 21]
+    assert _weights(second_center(M)) == [5, 7, 15, 19, 20, 21]
 
 
 @pytest.fixture(scope="module")

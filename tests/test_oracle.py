@@ -38,19 +38,13 @@ def test_oracle_matches_engine_on_presentation():
     assert free_nq_oracle(pres.relators, 12) == M.dims
 
 
-def test_oracle_accepts_letter_sequences():
-    as_words = free_nq_oracle([parse_word("y x y")], 6)
-    as_letters = free_nq_oracle([(Y, X, Y)], 6)
-    assert as_words == as_letters
-
-
 def test_oracle_bound_validation():
     with pytest.raises(ValueError):
         free_nq_oracle((), 0)
     with pytest.raises(ValueError):
         free_nq_oracle((), ORACLE_MAX_CLASS + 1)
     with pytest.raises(ValueError):
-        free_nq_oracle([(X,)], 4)
+        free_nq_oracle([parse_word("x")], 4)
 
 
 # -- associative expansion ---------------------------------------------------

@@ -125,6 +125,27 @@ def test_parse_refuses_groups_nested_past_the_bound(depth):
     assert "nested deeper" in str(err.value)
 
 
+def _nested_group(depth: int) -> GroupPower:
+    """(...((x y)^2 x)... x), a group nested `depth` deep, built without the parser."""
+    g = GroupPower((GenPower(X, 1), GenPower(Y, 1)), 2)
+    for _ in range(depth - 1):
+        g = GroupPower((g, GenPower(X, 1)), 1)
+    return g
+
+
+def test_make_word_accepts_groups_nested_to_the_bound():
+    w = make_word(Y, _nested_group(MAX_GROUP_DEPTH))
+    assert str(w) == "y (x y)^2 x^99"
+    assert w.weight == 1 + 4 + MAX_GROUP_DEPTH - 1
+
+
+@pytest.mark.parametrize("depth", [MAX_GROUP_DEPTH + 1, 2000])
+def test_make_word_refuses_groups_nested_past_the_bound(depth):
+    """A ValueError before the normalizer recurses past the bound, not a RecursionError."""
+    with pytest.raises(ValueError, match="nested deeper"):
+        make_word(Y, _nested_group(depth))
+
+
 _letters = st.lists(st.sampled_from([X, Y, Z]), min_size=1, max_size=30)
 
 
