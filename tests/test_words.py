@@ -170,6 +170,56 @@ def test_str_parse_fixpoint_with_groups():
     assert parse_word(str(w)) == w
 
 
+_exps = st.integers(0, 3)
+_letter_consts = st.sampled_from([X, Y, Z])
+# a letter part is a constant or its character
+_leaves = st.one_of(
+    _letter_consts,
+    st.sampled_from(["x", "y", "z"]),
+    st.builds(GenPower, _letter_consts, _exps),
+)
+
+
+def _item_trees(depth: int):
+    """Word parts whose groups nest at most `depth` deep."""
+    if depth == 0:
+        return _leaves
+    return st.one_of(
+        _leaves,
+        st.builds(GroupPower, st.lists(_item_trees(depth - 1), max_size=4).map(tuple), _exps),
+    )
+
+
+def _expand(parts) -> list:
+    """The plain letters of a part list, each as its character, by naive recursion."""
+    out = []
+    for part in parts:
+        if isinstance(part, GenPower):
+            out += [str(part.gen)] * part.exp
+        elif isinstance(part, GroupPower):
+            out += _expand(part.body) * part.exp
+        else:
+            out.append(str(part))
+    return out
+
+
+@given(st.lists(_item_trees(3), max_size=5))
+def test_nested_words_match_a_naive_expansion(tree):
+    expected = _expand(tree)
+    if not expected:
+        with pytest.raises(ValueError):
+            make_word(*tree)
+        return
+    w = make_word(*tree)
+    assert [str(letter) for letter in w.letters()] == expected
+    assert w.weight == len(expected) == sum(count for _, count in w.runs())
+    text = str(w)
+    assert text[0] in "xyz"
+    again = parse_word(text)
+    assert again == w
+    assert str(again) == text
+
+
 @given(st.lists(st.sampled_from([X, Y]), min_size=1, max_size=60))
 def test_extended_label_is_the_word_label(letters):
     label = str(letters[0])
