@@ -25,11 +25,11 @@ scratch or continuing an evaluated prefix (for `eval_word`, `act_mask`,
 `generator`, the relator rows of `nq_compute` and the v_n walk of
 `analyze`); `define_layer` cuts a degree: given an echelon basis of the
 relations among the symbols 2 * parent + generator, it returns the
-survivors' pairs and every symbol's image over them (`nq_compute` cuts by
-its relation rows, `quotient` by the kernel of its candidate vectors); and
-`_annihilator` takes the kernel of v -> ([v,x], [v,y]), for the center and,
-modulo the center, for the second center.  `str(Element)` is the one text
-form of an element.
+survivors' pairs and the parents' action rows, every symbol's image over
+them (`nq_compute` cuts by its relation rows, `quotient` by the kernel of
+its candidate vectors); and `_annihilator` takes the kernel of
+v -> ([v,x], [v,y]), for the center and, modulo the center, for the second
+center.  `str(Element)` is the one text form of an element.
 """
 
 from __future__ import annotations
@@ -39,23 +39,15 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .gf2 import EchelonBasis, iter_bits, kernel
-from .words import (
-    CommutatorWord,
-    GeneratorSymbol,
-    X,
-    Y,
-    extend_label,
-)
+from .words import LETTERS, CommutatorWord, X, Y, extend_label
 
 GEN_ORDER = (X, Y)
 
 
 def _letter(g) -> tuple:
-    """The runs of the one-letter word g, a generator symbol or one of "x", "y", "z"."""
-    if isinstance(g, GeneratorSymbol):
+    """The runs of the one-letter word g, one of "x", "y", "z"."""
+    if g in LETTERS:
         return ((g, 1),)
-    if isinstance(g, str) and g in ("x", "y", "z"):
-        return ((GeneratorSymbol(g), 1),)
     raise ValueError(f"not a generator: {g!r}")
 
 
@@ -200,7 +192,7 @@ def eval_runs(rows, runs, top: int, mask: int = 0, degree: int = 0) -> int:
     prefix, and the first letter starts the word.
     """
     for letter, count in runs:
-        gi = 0 if letter is X else 1 if letter is Y else 2
+        gi = 0 if letter == X else 1 if letter == Y else 2
         if not degree:
             mask = gi + 1  # x, y, z = 0b01, 0b10, 0b11
             degree = 1
@@ -220,16 +212,17 @@ def eval_runs(rows, runs, top: int, mask: int = 0, degree: int = 0) -> int:
     return mask
 
 
-def define_layer(nsym: int, relations: EchelonBasis) -> tuple[list[tuple[int, int]], list[int]]:
+def define_layer(nsym: int, relations: EchelonBasis) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
     """Cut a degree out of its `nsym` symbols s = 2 * parent index + generator index.
 
     `relations` is a reduced echelon basis of the relations among the
     symbols.  Each relation kills its pivot, its lowest symbol; the other
     symbols survive, and element k of the new degree is [e(parent), x or y]
     for the k-th survivor s, the pair (s >> 1, s & 1).  Returns those pairs
-    and `img`, where img[s] is the mask of symbol s over the survivors: one
-    bit for a survivor, and for a pivot the survivors its relation holds
-    (the rows are fully reduced, so those are survivors only).
+    and the action rows of the parents' degree: row p holds the images of
+    the symbols 2p and 2p + 1, [e(p), x] and [e(p), y], over the survivors.
+    A survivor's image is one bit, a pivot's the survivors its relation
+    holds (the rows are fully reduced, so those are survivors only).
     """
     pivots = relations.pivots
     defs = []
@@ -248,7 +241,7 @@ def define_layer(nsym: int, relations: EchelonBasis) -> tuple[list[tuple[int, in
             out |= img[low.bit_length() - 1]
             m ^= low
         img[pivot] = out
-    return defs, img
+    return defs, list(zip(img[0::2], img[1::2]))
 
 
 class Element:
@@ -470,7 +463,7 @@ class GradedAlgebra:
                         "index": k,
                         "label": labels[d][k],
                         "parent": p,
-                        "generator": str(GEN_ORDER[g]),
+                        "generator": GEN_ORDER[g],
                     }
                 )
         action = {
@@ -667,10 +660,10 @@ def quotient(A: GradedAlgebra, ideal: GradedSubspaceFamily) -> GradedAlgebra:
     for d in range(2, bound + 1):
         idl = ideal.at(d)
         cands = [idl.reduce(A.act_mask(d - 1, rep, g)) for rep in reps for g in GEN_ORDER]
-        defs, img = define_layer(len(cands), kernel(cands, A.dim(d)))
+        defs, rows = define_layer(len(cands), kernel(cands, A.dim(d)))
         if len(defs) != A.dim(d) - idl.rank:
             raise ValueError(f"degree {d}: quotient candidates failed to span")
-        action.append([(img[s], img[s + 1]) for s in range(0, len(img), 2)])
+        action.append(rows)
         basis.append(defs)
         reps = [cands[2 * p + g] for p, g in defs]
     action.append([(0, 0)] * len(basis[-1]))

@@ -19,8 +19,6 @@ from .gf2 import kernel
 from .nq import Presentation
 from .words import CommutatorWord, GenPower, GroupPower, X, Y, make_word
 
-FX = "x"
-FY = "y"
 OTHER = "other"
 
 
@@ -86,8 +84,8 @@ def bl_centralizer_sequence(g, h=None, up_to: int = 0) -> tuple[str, ...]:
         raise ValueError("need up_to >= 2")
     entries: list[str] = []  # degree 1 onward; trimmed below
     for length in bl_constituent_lengths(p, count=up_to // (2 * p.q - 1) + 1):
-        entries.extend([FY] * (length - 1))
-        entries.append(FX)
+        entries.extend([Y] * (length - 1))
+        entries.append(X)
     return tuple(entries[1:up_to])
 
 
@@ -99,7 +97,7 @@ def centralizer_sequence(A: GradedAlgebra) -> tuple[str, ...]:
     centralizer must be one-dimensional, and degree 2 must be centralized
     by y; otherwise ValueError.
     """
-    names = {0b01: FX, 0b10: FY, 0b11: OTHER}
+    names = {0b01: X, 0b10: Y, 0b11: OTHER}
     entries = []
     for j in range(2, A.class_bound):
         n, width = A.dim(j), A.dim(j + 1)
@@ -108,7 +106,7 @@ def centralizer_sequence(A: GradedAlgebra) -> tuple[str, ...]:
         if ker.rank != 1:
             raise ValueError(f"degree {j}: centralizer is not one-dimensional")
         entries.append(names[ker.row_bits()[0]])
-    if entries and entries[0] != FY:
+    if entries and entries[0] != Y:
         raise ValueError("degree 2 must be centralized by y")
     return tuple(entries)
 
@@ -125,7 +123,7 @@ def constituent_lengths(entries) -> tuple[int, ...]:
     run = 0
     for e in (*entries[:1], *entries):
         run += 1
-        if e != FY:
+        if e != Y:
             lengths.append(run)
             run = 0
     return tuple(lengths)
@@ -152,7 +150,7 @@ def construct_bl(g, h=None, class_bound: int = 0) -> GradedAlgebra:
     action: list[list[tuple[int, int]]] = [[(0, 1), (1, 0)]]
     entries = bl_centralizer_sequence(p, up_to=class_bound - 1) if class_bound >= 3 else ()
     for i in range(2, class_bound):
-        g = 0 if entries[i - 2] == FY else 1
+        g = 0 if entries[i - 2] == Y else 1
         action.append([(1, 0) if g == 0 else (0, 1)])
         basis.append([(0, g)])
     action.append([(0, 0)])

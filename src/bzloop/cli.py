@@ -3,9 +3,10 @@
 Every report starts with the derived parameters (q, eta, d, m) so text
 output is self-describing.  Exit codes: 0 when all requested checks pass
 or plain output was produced, 1 when a verification check failed, 2 on
-usage or parse errors, on input past the limits below and on any internal
-error (reported as an ``error:`` line, never a traceback).  JSON output is
-byte-deterministic: stable key order, no timestamps.
+usage or parse errors, on input past the limits below, on a ``--json``
+path that cannot be written and on any internal error (reported as an
+``error:`` line, never a traceback).  JSON output is byte-deterministic:
+stable key order, no timestamps.
 """
 
 from __future__ import annotations
@@ -272,7 +273,7 @@ def run(argv=None) -> int:
     try:
         _check_limits(ns)
         return _COMMANDS[ns.subcommand](ns)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # bad input, or a path the user named
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # an internal fault: reported, never a traceback

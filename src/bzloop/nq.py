@@ -259,8 +259,8 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
         # each distinct nonzero row, once, in symbol order s = 2w + g
         low = (1 << D) - 1
         rows = [_interleave(r & low, r >> D) for r in dict.fromkeys(rows) if r]
-        defs, img = define_layer(nsym, echelonize(rows, nsym))
-        table.set_action(n, [(img[s], img[s + 1]) for s in range(0, nsym, 2)])
+        defs, action = define_layer(nsym, echelonize(rows, nsym))
+        table.set_action(n, action)
         if n + 1 < class_bound:  # the last slice is read only for its action rows
             if full_jacobi:
                 table.fill(n + 1)

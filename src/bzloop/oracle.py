@@ -14,12 +14,12 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .gf2 import echelonize, iter_bits
-from .words import GeneratorSymbol, X, Y, Z
+from .words import X, Y, Z
 
 ORACLE_MAX_CLASS = 14
 
 # degree-1 monomial masks: x -> word 0, y -> word 1
-_LETTER_MASK = {X: 0b01, Y: 0b10, Z: 0b11, "x": 0b01, "y": 0b10, "z": 0b11}
+_LETTER_MASK = {X: 0b01, Y: 0b10, Z: 0b11}
 
 
 def _spread(mask: int) -> int:
@@ -96,7 +96,7 @@ def free_nq_oracle(relators, class_bound: int) -> tuple[int, ...]:
     """
     if not 1 <= class_bound <= ORACLE_MAX_CLASS:
         raise ValueError(f"class bound must be in 1..{ORACLE_MAX_CLASS}")
-    by_weight: dict[int, list[tuple[GeneratorSymbol, ...]]] = {}
+    by_weight: dict[int, list[tuple[str, ...]]] = {}
     for r in relators:
         letters = r.letters()
         if len(letters) < 2:

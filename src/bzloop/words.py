@@ -1,41 +1,29 @@
 """Left-normed commutator words over the generators x, y and the sum z = x+y.
 
-A word like ``y x^3 (y x^2 (y x^3)^2 y x^2)^1`` is read left-normed:
-``[a b c]`` means ``[[a b] c]``, a trailing exponent repeats the letter or
-parenthesized group, and the weight is the total letter count.  Words are
-normalized on construction: zero exponents vanish, exponent-1 groups are
-spliced into their context, single-letter groups collapse, and adjacent
-equal letters merge.
+A letter is one of the strings "x", "y", "z" (`X`, `Y`, `Z`), and a word
+is the normalized tuple of its items, a plain letter first.  A word like
+``y x^3 (y x^2 (y x^3)^2 y x^2)^1`` is read left-normed: ``[a b c]`` means
+``[[a b] c]``, a trailing exponent repeats the letter or parenthesized
+group, and the weight is the total letter count.  Words are normalized on
+construction: zero exponents vanish, exponent-1 groups are spliced into
+their context, single-letter groups collapse, and adjacent equal letters
+merge.  `_normalize` is the one place a letter becomes a `GenPower`.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-
-class GeneratorSymbol(enum.Enum):
-    X = "x"
-    Y = "y"
-    Z = "z"
-
-    def __str__(self) -> str:
-        return self.value
-
-
-X = GeneratorSymbol.X
-Y = GeneratorSymbol.Y
-Z = GeneratorSymbol.Z
-
-_BY_CHAR = {s.value: s for s in GeneratorSymbol}
+X, Y, Z = "x", "y", "z"
+LETTERS = (X, Y, Z)
 
 
 @dataclass(frozen=True)
 class GenPower:
     """A letter raised to a positive exponent, e.g. x^3."""
 
-    gen: GeneratorSymbol
+    gen: str
     exp: int
 
     @property
@@ -43,7 +31,7 @@ class GenPower:
         return self.exp
 
     def __str__(self) -> str:
-        return str(self.gen) if self.exp == 1 else f"{self.gen}^{self.exp}"
+        return self.gen if self.exp == 1 else f"{self.gen}^{self.exp}"
 
 
 @dataclass(frozen=True)
@@ -71,7 +59,7 @@ MAX_GROUP_DEPTH = 100
 
 
 def _push(out: list, item: Item) -> None:
-    if isinstance(item, GenPower) and out and isinstance(out[-1], GenPower) and out[-1].gen is item.gen:
+    if isinstance(item, GenPower) and out and isinstance(out[-1], GenPower) and out[-1].gen == item.gen:
         out[-1] = GenPower(item.gen, out[-1].exp + item.exp)
     else:
         out.append(item)
@@ -80,10 +68,8 @@ def _push(out: list, item: Item) -> None:
 def _normalize(items: Iterable[Item], depth: int = 0) -> tuple:
     out: list[Item] = []
     for item in items:
-        if isinstance(item, GeneratorSymbol):
+        if item in LETTERS:
             item = GenPower(item, 1)
-        elif isinstance(item, str) and item in _BY_CHAR:
-            item = GenPower(_BY_CHAR[item], 1)
         if isinstance(item, GenPower):
             if item.exp < 0:
                 raise ValueError("negative exponent")
@@ -111,25 +97,17 @@ def _normalize(items: Iterable[Item], depth: int = 0) -> tuple:
 
 @dataclass(frozen=True)
 class CommutatorWord:
-    """A left-normed commutator word: leftmost letter plus remaining items."""
+    """A left-normed commutator word: its normalized items, a plain letter first."""
 
-    head: GeneratorSymbol
-    tail: tuple
+    items: tuple
 
     @property
     def weight(self) -> int:
-        return 1 + sum(item.weight for item in self.tail)
+        return sum(item.weight for item in self.items)
 
-    def items(self) -> tuple:
-        """The full normalized item sequence, head included."""
-        out: list[Item] = [GenPower(self.head, 1)]
-        for item in self.tail:
-            _push(out, item)
-        return tuple(out)
-
-    def runs(self) -> tuple[tuple[GeneratorSymbol, int], ...]:
+    def runs(self) -> tuple[tuple[str, int], ...]:
         """The letters as (letter, run length) pairs, with groups expanded."""
-        out: list[tuple[GeneratorSymbol, int]] = []
+        out: list[tuple[str, int]] = []
 
         def emit(items):
             for item in items:
@@ -139,62 +117,48 @@ class CommutatorWord:
                     for _ in range(item.exp):
                         emit(item.body)
 
-        emit(self.items())
+        emit(self.items)
         return tuple(out)
 
-    def letters(self) -> tuple[GeneratorSymbol, ...]:
+    def letters(self) -> tuple[str, ...]:
         return tuple(gen for gen, exp in self.runs() for _ in range(exp))
 
     def __str__(self) -> str:
-        return " ".join(str(item) for item in self.items())
+        return " ".join(str(item) for item in self.items)
 
 
 def make_word(*parts) -> CommutatorWord:
     """Build a word from letters, GenPower and GroupPower parts.
 
-    Letters may be GeneratorSymbol values or the characters 'x','y','z';
-    zero exponents are dropped and the result is normalized.  Groups nested
+    A letter is one of the strings "x", "y", "z" (`X`, `Y`, `Z`); zero
+    exponents are dropped and the result is normalized.  Groups nested
     deeper than `MAX_GROUP_DEPTH` are a `ValueError`.
     """
-    items: list[Item] = []
-    for part in parts:
-        if isinstance(part, GeneratorSymbol):
-            items.append(GenPower(part, 1))
-        elif isinstance(part, str) and part in _BY_CHAR:
-            items.append(GenPower(_BY_CHAR[part], 1))
-        elif isinstance(part, (GenPower, GroupPower)):
-            items.append(part)
-        else:
-            raise TypeError(f"not a word part: {part!r}")
-    normalized = _normalize(items)
+    items = _normalize(parts)
     # Peel group repetitions until the word starts with a plain letter.
-    while normalized and isinstance(normalized[0], GroupPower):
-        first = normalized[0]
-        rest = (GroupPower(first.body, first.exp - 1),) + normalized[1:]
-        normalized = _normalize(first.body + rest)
-    if not normalized:
+    while items and isinstance(items[0], GroupPower):
+        first = items[0]
+        items = _normalize(first.body + (GroupPower(first.body, first.exp - 1),) + items[1:])
+    if not items:
         raise ValueError("empty word")
-    first = normalized[0]
-    head_tail = (GenPower(first.gen, first.exp - 1),) + normalized[1:]
-    return CommutatorWord(first.gen, _normalize(head_tail))
+    return CommutatorWord(items)
 
 
-def word_from_letters(letters: Iterable[GeneratorSymbol]) -> CommutatorWord:
+def word_from_letters(letters: Iterable[str]) -> CommutatorWord:
     return make_word(*letters)
 
 
-def extend_label(label: str, gen: GeneratorSymbol) -> str:
+def extend_label(label: str, gen: str) -> str:
     """The label of a word's letters followed by `gen`, given the label of the letters.
 
     A label is the run-length text ``str(make_word(*letters))``, such as
     ``y x^2 y``; only its last run is read and rewritten.
     """
-    c = gen._value_  # a plain attribute; `.value` is a Python-level descriptor
     head, _, last = label.rpartition(" ")
-    if last[0] != c:
-        return f"{label} {c}"
+    if last[0] != gen:
+        return f"{label} {gen}"
     exp = int(last[2:]) + 1 if len(last) > 1 else 2
-    return f"{head} {c}^{exp}" if head else f"{c}^{exp}"
+    return f"{head} {gen}^{exp}" if head else f"{gen}^{exp}"
 
 
 class WordSyntaxError(ValueError):
@@ -234,9 +198,9 @@ def parse_word(text: str) -> CommutatorWord:
             c = text[i]
             if c.isspace():
                 i += 1
-            elif c in _BY_CHAR:
+            elif c in LETTERS:
                 exp, i2 = _parse_exponent(text, i + 1)
-                items.append(GenPower(_BY_CHAR[c], exp))
+                items.append(GenPower(c, exp))
                 i = i2
             elif c == "(":
                 if depth == MAX_GROUP_DEPTH:

@@ -1,0 +1,181 @@
+"""Mutation gate: each listed mutant of the package must fail a named test.
+
+An entry names a file under ``src/``, an exact old text, the new text that
+replaces it and the tests that must catch the change.  For each entry the
+checkout is copied to a temporary directory, the edit is applied there and
+the named tests run with ``-x`` in a child process.  A mutant is caught
+when a test fails; it survives when every test passes.  Any other outcome
+(an old text that does not occur exactly once, a test id that collects
+nothing, a timeout) is an error.  The run exits 1 unless every mutant is
+caught.
+
+Run it from anywhere, with pytest installed::
+
+    python tests/mutants.py
+
+pytest does not collect this file; `tests/test_mutants.py` checks that
+each old text still occurs once and that a no-op entry survives.  A change
+that adds a shortcut adds the mutants its tests are meant to catch.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# An under-cut table can grow past 1.7 GB, so each child's address space is
+# capped; a test that runs out of memory under a mutant then fails instead.
+CHILD_ADDRESS_SPACE = 1 << 30
+CHILD_TIMEOUT_S = 300
+
+_COPY_IGNORE = shutil.ignore_patterns(
+    ".git", ".hypothesis", ".pytest_cache", ".benchmarks", ".perfbench_out", "__pycache__", "*.egg-info"
+)
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to src/
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant(
+        "frontier shift by D - 1",
+        "bzloop/algebra.py",
+        "out = m << g * split",
+        "out = m << g * (split - 1)",
+        ("tests/test_engine.py::test_frontier_shift_equals_the_generic_loop",),
+    ),
+    Mutant(
+        "interleave halves swapped",
+        "bzloop/nq.py",
+        'return int(format(lo, "b"), 4) | int(format(hi, "b"), 4) << 1',
+        'return int(format(hi, "b"), 4) | int(format(lo, "b"), 4) << 1',
+        ("tests/test_engine.py::test_interleave_matches_the_bitwise_reference",),
+    ),
+    Mutant(
+        "Jacobi certificate skips the generator triples",
+        "bzloop/algebra.py",
+        "if d1 > 1 and not failures:",
+        "if not failures:",
+        ("tests/test_kernels.py::test_jacobi_check_catches_jacobi_only_corruptions",),
+    ),
+    Mutant(
+        "closed form C(n+1, 3) for C(n+2, 3)",
+        "bzloop/algebra.py",
+        "comb(n1 + 2, 3)",
+        "comb(n1 + 1, 3)",
+        ("tests/test_kernels.py::test_jacobi_check_sums_only_generator_triples_on_a_sound_table",),
+    ),
+    Mutant(
+        "annihilator without its modulo",
+        "bzloop/algebra.py",
+        "rows = [(z.reduce(mx), z.reduce(my)) for mx, my in rows]",
+        "rows = [(mx, my) for mx, my in rows]",
+        ("tests/test_engine.py::test_centers_match_the_act_index_construction",),
+    ),
+    Mutant(
+        "z evaluated as x",
+        "bzloop/algebra.py",
+        "out ^= row[0] ^ row[1] if gi == 2 else row[gi]",
+        "out ^= row[0] if gi == 2 else row[gi]",
+        ("tests/test_engine.py::test_act_mask_and_generator_match_a_bit_loop",),
+    ),
+    Mutant(
+        "settle skips the lowest pivot",
+        "bzloop/gf2.py",
+        "for p in reversed(pivots):",
+        "for p in reversed(pivots[1:]):",
+        ("tests/test_kernels.py::test_lazy_echelon_basis_matches_rref_between_adds",),
+    ),
+    Mutant(
+        "extended label adds 2 to the exponent",
+        "bzloop/words.py",
+        "exp = int(last[2:]) + 1 if len(last) > 1 else 2",
+        "exp = int(last[2:]) + 2 if len(last) > 1 else 2",
+        ("tests/test_words.py::test_extended_label_is_the_word_label",),
+    ),
+    Mutant(
+        "define_layer action pairs swapped",
+        "bzloop/algebra.py",
+        "return defs, list(zip(img[0::2], img[1::2]))",
+        "return defs, list(zip(img[1::2], img[0::2]))",
+        ("tests/test_refs.py",),
+    ),
+)
+
+
+def apply(mutant: Mutant, src: Path) -> None:
+    """Edit the copy of the package under `src`; the old text must occur exactly once."""
+    file = src / mutant.path
+    text = file.read_text(encoding="utf-8")
+    count = text.count(mutant.old)
+    if count != 1:
+        raise ValueError(f"{mutant.name}: old text occurs {count} times in {mutant.path}")
+    file.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+
+
+def _cap_address_space() -> None:
+    import resource  # POSIX only, as is the preexec_fn that calls this
+
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+
+
+def run_mutant(mutant: Mutant) -> str:
+    """'caught', 'survived' or 'error: ...' for one entry, run in a fresh copy of the checkout."""
+    with tempfile.TemporaryDirectory(prefix="bzloop-mutant-") as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=_COPY_IGNORE)
+        try:
+            apply(mutant, copy / "src")
+        except ValueError as exc:
+            return f"error: {exc}"
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+        argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.tests]
+        try:
+            proc = subprocess.run(
+                argv,
+                cwd=copy,
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=CHILD_TIMEOUT_S,
+                preexec_fn=_cap_address_space if os.name == "posix" else None,
+            )
+        except subprocess.TimeoutExpired:
+            return f"error: no verdict within {CHILD_TIMEOUT_S} s"
+    if proc.returncode == 0:
+        return "survived"
+    if proc.returncode == 1:  # pytest: some test failed
+        return "caught"
+    last = (proc.stdout.strip().splitlines() or ["no output"])[-1]
+    return f"error: pytest exit {proc.returncode}: {last}"
+
+
+def main() -> int:
+    start = time.perf_counter()
+    bad = 0
+    for mutant in MUTANTS:
+        t0 = time.perf_counter()
+        verdict = run_mutant(mutant)
+        bad += verdict != "caught"
+        print(f"{verdict:8s} {time.perf_counter() - t0:5.1f} s  {mutant.name} ({mutant.path})", flush=True)
+    total = time.perf_counter() - start
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants caught in {total:.1f} s")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -157,3 +157,14 @@ def test_internal_error_exits_2_without_a_traceback(monkeypatch, capsys):
     monkeypatch.setattr(cli, "bl_params", broken)
     assert cli.run(["present", "--g", "2", "--h", "1"]) == 2
     assert capsys.readouterr().err == "error: internal RuntimeError: table corrupted\n"
+
+
+def test_unwritable_json_path_exits_2_as_a_user_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "out.json"
+    assert cli.run(["analyze", "--g", "2", "--h", "1", "--json", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "internal" not in captured.err
+    assert str(path) in captured.err
+    assert not path.parent.exists()
