@@ -17,9 +17,13 @@ reads from it the Jacobi rows whose symbol [v, g] was cut (a surviving
 symbol w gives the row [u, w] + [w, u], two entries of the frontier slice),
 and `jacobi_check` reads every square, every antisymmetry pair and the
 Jacobi sums straight from the algebra's filled table, building an `Element`
-only for a failure.  On a table that passes, only the Jacobi triples that
-hold a generator are summed: they certify the rest, because the fill rule
-makes each [., v] a commutator of derivations.  Three more rules live here
+only for a failure.  While every square and pair passes, only the Jacobi
+triples J(g, v, w) that hold a generator g, and go through no exact
+defining pair, are summed.  A pair (v, g) is exact when it defines
+w' = [v, g] and its action row is w' alone; then the fill rule gives
+J(u, v, g) = ([u, w'] + [w', u]) + [[u, g] + [g, u], v], zero by two pairs.
+The generator triples certify the rest, because the fill rule makes each
+[., w'] a commutator of derivations.  Three more rules live here
 once each: `eval_runs` evaluates a left-normed word over action rows, from
 scratch or continuing an evaluated prefix (for `eval_word`, `act_mask`,
 `generator`, the relator rows of `nq_compute` and the v_n walk of
@@ -34,7 +38,9 @@ center.  `str(Element)` is the one text form of an element.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate
 from math import comb
 from typing import Iterable, Sequence
 
@@ -493,6 +499,22 @@ class JacobiReport:
         return f"jacobi check: {status}, {self.checked} instances"
 
 
+def _open_rows(A: GradedAlgebra) -> list[tuple[list[int], list[int]]]:
+    """Per degree d < class_bound and generator index g, the b whose pair (b, g) is not exact.
+
+    A pair (b, g) of degree d is an exact defining pair when it defines an
+    element e(d+1, k), (b, g) = ``A.basis[d + 1][k]``, and its action row is
+    that element alone, ``A.action[d][b][g] == 1 << k``.  Entry 0 is a
+    sentinel.
+    """
+    out = [([], [])]
+    for d in range(1, A.class_bound):
+        action = A.action[d]
+        exact = {(p, g) for k, (p, g) in enumerate(A.basis[d + 1]) if action[p][g] == 1 << k}
+        out.append(tuple([b for b in range(len(action)) if (b, g) not in exact] for g in (0, 1)))
+    return out
+
+
 def jacobi_check(A: GradedAlgebra) -> JacobiReport:
     """Check [u,u]=0, [u,v]=[v,u] and the Jacobi identity on in-range basis elements.
 
@@ -501,34 +523,44 @@ def jacobi_check(A: GradedAlgebra) -> JacobiReport:
     bracket alternates on all elements exactly when it does on the basis
     and is antisymmetric on basis pairs, so both are checked.  Pairs (u, v)
     and triples (u, v, w) run over degrees d1 <= d2 <= d3 and, within equal
-    degrees, indices in order; a pair's two elements differ.
+    degrees, indices in order; a pair's two elements differ.  Every triple
+    is counted in `checked` by a closed form per degree pair (d1, d2);
+    only the triples that may fail are summed.
 
-    While nothing has failed, only the triples with d1 = 1 are summed:
-    J(g, v, w) for a generator g and every pair v <= w.  Once they, every
-    square and every pair pass, each triple with d1 >= 2 is zero; it is
-    counted in `checked` by a closed form per degree pair, not summed.
-    Write R_w(u) = [u, w].
+    While every square and pair passes, only the generator triples
+    J(g, v, w), those with d1 = 1, whose pairs (v, g) and (w, g) are both
+    open are summed; a pair (b, g) of degree d is exact when it defines
+    e(d+1, k) and its action row is ``1 << k``, and open otherwise.  Every
+    triple with d1 >= 2 is then zero too.  Write R_w(u) = [u, w].
 
-    - The fill rule of `BracketTable` computes the column of v = [p, g] as
-      [u, v] = [[u, p], g] + [[u, g], p], so R_v = R_g R_p + R_p R_g,
-      whatever the action row [p, g] holds.
-    - With squares and antisymmetry, J(u, v, w) = R_w[u, v] + [R_w u, v]
-      + [u, R_w v], so J(., ., w) = 0 says that R_w is a derivation, and a
-      triple's sum does not depend on the order of its elements.
-    - The d1 = 1 triples make R_x and R_y derivations.  R_g R_p + R_p R_g is
-      the commutator of two derivations, so by induction on deg v every R_v
-      is a derivation, and every Jacobi sum is zero.
+    - With squares and antisymmetry, a triple's sum does not depend on the
+      order of its elements, and J(u, v, w) = R_w[u, v] + [R_w u, v]
+      + [u, R_w v], so J(., ., w) = 0 says that R_w is a derivation.
+    - The fill rule of `BracketTable` computes the column of w' = [v, g]
+      as [u, w'] = [[u, v], g] + [[u, g], v], whatever the action row
+      [v, g] holds.  When that row is w' exactly, J(u, v, g) is
+      ([u, w'] + [w', u]) + [[u, g] + [g, u], v], which is zero once the
+      pairs (u, w') and (u, g) pass; both lie inside the class bound.  So
+      each generator triple through an exact pair is zero.  The row test
+      is part of the proof: if [v, g] = w' + delta, the sum is
+      [delta, u], which need not be zero.
+    - The generator triples make R_x and R_y derivations.  The fill rule
+      gives R_w' = R_g R_v + R_v R_g for every w' = [v, g], the commutator
+      of two derivations, so by induction on deg w' every R_w' is a
+      derivation, and every Jacobi sum is zero.
 
     The truncated table is a graded algebra in its own right (a bracket
     past the class bound is zero), and every identity above is homogeneous,
-    so the argument holds degree by degree up to the bound.  A failure
-    anywhere keeps the whole loop running, so the report lists every
-    failing triple in the same order either way.
+    so the argument holds degree by degree up to the bound.  A failed
+    square or pair sums every triple, and a failed generator triple every
+    triple with d1 >= 2, so the report lists every failing triple in the
+    same order either way.
     """
     bound = A.class_bound
     table = A.bracket_table()
     rows, offset = table.rows, table.offset
     dims = A.dims
+    below = list(accumulate(dims))  # below[d]: the elements of degree at most d
     checked = 0
     failures = []
     for d in range(1, bound // 2 + 1):
@@ -549,24 +581,31 @@ def jacobi_check(A: GradedAlgebra) -> JacobiReport:
                     if diff:
                         labels = (A.labels[d1][a], A.labels[d2][b])
                         failures.append(("antisymmetry", labels, Element(A, d1 + d2, diff)))
-    for d1 in range(1, bound - 1):
-        for d2 in range(d1, bound - d1):
-            top = bound - d1 - d2  # the highest d3
+    if failures:  # a failed square or pair: every generator triple is summed
+        opened = [(range(n), range(n)) for n in dims[:bound]]
+    else:
+        opened = _open_rows(A)
+    for d1 in range(1, bound // 3 + 1):
+        n1 = dims[d1]
+        for d2 in range(d1, (bound - d1) // 2 + 1):
+            top = bound - d1 - d2  # the highest d3, at least d2
+            n2, more = dims[d2], below[top] - below[d2]  # more: the elements of degrees d2 < d3 <= top
+            if d1 == d2:  # the triples with d3 = d2, then those with d3 > d2
+                checked += comb(n1 + 2, 3) + comb(n1 + 1, 2) * more
+            else:
+                checked += n1 * comb(n2 + 1, 2) + n1 * n2 * more
             if d1 > 1 and not failures:  # zero by the derivation argument above
-                if d2 <= top:  # the triples with d3 = d2, then those with d3 > d2
-                    n1, n2, more = dims[d1], dims[d2], sum(dims[d2 + 1:top + 1])
-                    if d1 == d2:
-                        checked += comb(n1 + 2, 3) + comb(n1 + 1, 2) * more
-                    else:
-                        checked += n1 * comb(n2 + 1, 2) + n1 * n2 * more
                 continue
             for d3 in range(d2, top + 1):
-                n1, n2, n3 = dims[d1], dims[d2], dims[d3]
                 for a in range(n1):
-                    for b in range(a if d2 == d1 else 0, n2):
-                        cs = range(b if d3 == d2 else 0, n3)
-                        checked += len(cs)
-                        for c in cs:
+                    if d1 == 1:
+                        bs, cs = opened[d2][a], opened[d3][a]
+                    else:
+                        bs, cs = range(n2), range(dims[d3])
+                    if d2 == d1:
+                        bs = bs[bisect_left(bs, a):]
+                    for b in bs:
+                        for c in cs[bisect_left(cs, b):] if d3 == d2 else cs:
                             jac = jacobi_sum(rows, offset, d1, a, d2, b, d3, c)
                             if jac:
                                 labels = (A.labels[d1][a], A.labels[d2][b], A.labels[d3][c])

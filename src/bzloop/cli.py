@@ -4,14 +4,15 @@ Every report starts with the derived parameters (q, eta, d, m) so text
 output is self-describing.  Exit codes: 0 when all requested checks pass
 or plain output was produced, 1 when a verification check failed, 2 on
 usage or parse errors, on input past the limits below, on a ``--json``
-path that cannot be written and on any internal error (reported as an
-``error:`` line, never a traceback).  JSON output is byte-deterministic:
-stable key order, no timestamps.
+path that cannot be opened for writing (found before any work starts) and
+on any internal error (reported as an ``error:`` line, never a traceback).
+JSON output is byte-deterministic: stable key order, no timestamps.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -153,11 +154,11 @@ def _cmd_nq(ns: argparse.Namespace) -> int:
 
 def _cmd_analyze(ns: argparse.Namespace) -> int:
     p = bl_params(ns.g, ns.h)
-    report = analyze(p, class_bound=_bound(ns, p))
-    if ns.json_path:
-        payload = json.dumps(report.to_json_dict(), indent=2) + "\n"
-        with open(ns.json_path, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+    # the --json path is opened before the analysis, so a path that cannot be written costs no work
+    with open(ns.json_path, "w", encoding="utf-8") if ns.json_path else contextlib.nullcontext() as fh:
+        report = analyze(p, class_bound=_bound(ns, p))
+        if ns.json_path:
+            fh.write(json.dumps(report.to_json_dict(), indent=2) + "\n")
     print(report.render_text())
     return 0 if report.ok else 1
 

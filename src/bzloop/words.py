@@ -71,6 +71,8 @@ def _normalize(items: Iterable[Item], depth: int = 0) -> tuple:
         if item in LETTERS:
             item = GenPower(item, 1)
         if isinstance(item, GenPower):
+            if item.gen not in LETTERS:
+                raise TypeError(f"not a letter: {item.gen!r}")
             if item.exp < 0:
                 raise ValueError("negative exponent")
             if item.exp:

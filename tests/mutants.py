@@ -77,7 +77,21 @@ MUTANTS = (
         "bzloop/algebra.py",
         "comb(n1 + 2, 3)",
         "comb(n1 + 1, 3)",
-        ("tests/test_kernels.py::test_jacobi_check_sums_only_generator_triples_on_a_sound_table",),
+        ("tests/test_kernels.py::test_jacobi_check_sums_only_open_generator_triples_on_a_sound_table",),
+    ),
+    Mutant(
+        "generator triples skipped after a failed square or pair",
+        "bzloop/algebra.py",
+        "if failures:  # a failed square or pair",
+        "if False:  # a failed square or pair",
+        ("tests/test_kernels.py::test_jacobi_check_sums_more_triples_once_a_check_fails",),
+    ),
+    Mutant(
+        "closed form reads one degree too few",
+        "bzloop/algebra.py",
+        "more = dims[d2], below[top] - below[d2]",
+        "more = dims[d2], below[top - 1] - below[d2]",
+        ("tests/test_kernels.py::test_jacobi_check_matches_reference_on_sound_tables",),
     ),
     Mutant(
         "annihilator without its modulo",

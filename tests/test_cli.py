@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -87,6 +88,29 @@ def test_analyze_json(tmp_path, capsys):
     decoded = json.loads(path1.read_text())
     assert decoded["ok"] is True
     assert decoded["class_bound"] == 22
+
+
+def test_analyze_json_bytes_match_the_reference(tmp_path, capsys):
+    """The bytes `analyze --g 2 --h 1 --json` writes, pinned by perfbench/refs.json."""
+    refs = json.loads((Path(__file__).resolve().parent.parent / "perfbench" / "refs.json").read_text())
+    path = tmp_path / "out.json"
+    assert cli.run(["analyze", "--g", "2", "--h", "1", "--json", str(path)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == refs["cli"]["analyze --g 2 --h 1 --json"]
+
+
+@pytest.mark.parametrize("where", ["missing directory", "a directory"])
+def test_analyze_refuses_an_unwritable_json_path_before_any_work(where, tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("analyze ran before the --json path was opened")
+
+    monkeypatch.setattr(cli, "analyze", never)
+    path = tmp_path / "no" / "such" / "out.json" if where == "missing directory" else tmp_path
+    assert cli.run(["analyze", "--g", "2", "--h", "1", "--json", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and "internal" not in err
+    assert not (tmp_path / "no").exists()
 
 
 def test_analyze_failure_exit_code(monkeypatch, capsys):

@@ -3,13 +3,15 @@
 `jacobi_check` reads squares, pairs and Jacobi sums straight from the
 bracket table; its reference is the per-triple loop over `Element` brackets
 it replaced, with a per-pair antisymmetry loop in front of it.  On a sound
-table `jacobi_check` sums only the triples that hold a generator: call
-counts pin that, and two corruptions that fail Jacobi alone pin that it
-still sums those triples.  `quotient` reads its action rows from the images
-`define_layer` returns; its reference solves each candidate over the
-survivors with a `SpanSolver`, as it once did.  The GF(2) echelon routines
-are compared with
-naive Gaussian elimination and brute-force kernels on random matrices
+table `jacobi_check` sums only the triples that hold a generator and go
+through no exact defining pair: call counts pin that against an
+independent enumerator, and two corruptions that fail Jacobi alone pin
+that it still sums those triples.  Every single-bit flip of two small
+tables gives the reference report.  `quotient` reads its action rows from
+the images `define_layer` returns; its reference solves each candidate
+over the survivors with a `SpanSolver`, as it once did.  The GF(2) echelon
+routines are compared with naive Gaussian elimination and brute-force
+kernels on random matrices
 (`echelonize` also on rows with repeats and zeros: it adds every row in
 order, and `add` drops the zero and repeated ones), and the lazily settled
 `EchelonBasis` on random runs of adds and reads.
@@ -149,10 +151,10 @@ def test_jacobi_check_rejects_a_table_that_is_not_antisymmetric(presented):
     assert _report(bad) == reference_jacobi(bad)
 
 
-def _flipped(A: GradedAlgebra, d: int, k: int, g: int) -> GradedAlgebra:
-    """A copy of A with bit 0 of the action row [e(d,k), x or y] flipped."""
+def _flipped(A: GradedAlgebra, d: int, k: int, g: int, bit: int = 0) -> GradedAlgebra:
+    """A copy of A with one bit of the action row [e(d,k), x or y] flipped."""
     rows = [[list(r) for r in layer] for layer in A.action[1:]]
-    rows[d - 1][k][g] ^= 1
+    rows[d - 1][k][g] ^= 1 << bit
     return GradedAlgebra(A.class_bound, A.basis[1:], rows)
 
 
@@ -164,19 +166,33 @@ def _jacobi_only_tables():
     ]
 
 
-def _triple_counts(A: GradedAlgebra) -> tuple[int, int]:
-    """(triples with d1 = 1, all triples) of the loop, by enumeration."""
+def _is_exact(A: GradedAlgebra, d: int, b: int, g: int) -> bool:
+    """Whether (e(d,b), generator g) defines some e(d+1,k) and its action row is that element alone."""
+    if d >= A.class_bound:
+        return False
+    return any(pair == (b, g) and A.action[d][b][g] == 1 << k for k, pair in enumerate(A.basis[d + 1]))
+
+
+def _triple_counts(A: GradedAlgebra) -> tuple[int, int, int]:
+    """(open triples with d1 = 1, triples with d1 >= 2, all triples) of the loop, by enumeration.
+
+    A triple J(g, v, w) with d1 = 1 is open when neither (v, g) nor (w, g)
+    is an exact defining pair.
+    """
     bound, dims = A.class_bound, A.dims
-    ones = every = 0
+    opened = higher = every = 0
     for d1 in range(1, bound - 1):
         for d2 in range(d1, bound - d1):
             for d3 in range(d2, bound - d1 - d2 + 1):
                 for a in range(dims[d1]):
                     for b in range(a if d2 == d1 else 0, dims[d2]):
-                        n = len(range(b if d3 == d2 else 0, dims[d3]))
-                        every += n
-                        ones += n if d1 == 1 else 0
-    return ones, every
+                        for c in range(b if d3 == d2 else 0, dims[d3]):
+                            every += 1
+                            if d1 > 1:
+                                higher += 1
+                            elif not (_is_exact(A, d2, b, a) or _is_exact(A, d3, c, a)):
+                                opened += 1
+    return opened, higher, every
 
 
 def test_jacobi_check_catches_jacobi_only_corruptions():
@@ -201,23 +217,68 @@ def _counted_report(A: GradedAlgebra):
     return got, calls
 
 
-def test_jacobi_check_sums_only_generator_triples_on_a_sound_table(presented):
+def test_jacobi_check_sums_only_open_generator_triples_on_a_sound_table(presented):
     for A in presented:
         got, calls = _counted_report(A)
-        ones, every = _triple_counts(A)
+        opened, higher, every = _triple_counts(A)
         assert got == reference_jacobi(A)  # `checked` counts every triple, summed or not
-        assert calls == ones < every
+        assert 0 < calls == opened < every - higher
 
 
-def test_jacobi_check_sums_every_triple_once_a_check_fails(presented):
+def test_jacobi_check_sums_more_triples_once_a_check_fails(presented):
+    """A failed pair sums every triple; a failed generator triple the open ones and all with d1 >= 2."""
     rng = random.Random(42)
     for A in presented:
         antisymmetry_only = _corrupted(A, rng)  # seed 42's third corruption, as above
-    for bad in (antisymmetry_only, *_jacobi_only_tables()):
+    got, calls = _counted_report(antisymmetry_only)
+    assert not got[0]
+    assert calls == _triple_counts(antisymmetry_only)[2]
+    assert got == reference_jacobi(antisymmetry_only)
+    for bad in _jacobi_only_tables():
         got, calls = _counted_report(bad)
+        opened, higher, every = _triple_counts(bad)
         assert not got[0]
-        assert calls == _triple_counts(bad)[1]
+        assert calls == opened + higher < every
         assert got == reference_jacobi(bad)
+
+
+def test_jacobi_check_sum_calls_on_the_desk_tables_are_pinned():
+    """M, Q = M / Z_2(M) and B of the three desk triples: 11,648 sums, where every generator triple took 35,207."""
+    calls = checked = 0
+    for g, h, c in ((2, 1, 48), (3, 1, 96), (2, 2, 100)):
+        M = nq_compute(presentation_R(g, h), c)
+        for A in (M, quotient(M, second_center(M)), construct_bl(g, h, c)):
+            report, n = _counted_report(A)
+            assert report[0]
+            calls += n
+            checked += report[1]
+    assert (calls, checked) == (11_648, 229_446)
+
+
+def _single_bit_flips(A: GradedAlgebra):
+    """Every copy of A with one bit of one action row flipped."""
+    for d in range(1, A.class_bound):
+        for k in range(A.dim(d)):
+            for g in (0, 1):
+                for bit in range(A.dim(d + 1)):
+                    yield _flipped(A, d, k, g, bit)
+
+
+@pytest.mark.parametrize(
+    "build,counts",
+    [(lambda: construct_bl(2, 1, 24), (48, 47, 3)), (lambda: nq_compute(presentation_R(2, 2), 16), (44, 36, 1))],
+    ids=["B(2,1)@24", "M(2,2)@16"],
+)
+def test_jacobi_check_matches_reference_on_every_single_bit_flip(build, counts):
+    """(flips, failing reports, reports that fail on Jacobi sums alone) are pinned with the reports."""
+    flips = failing = jacobi_only = 0
+    for bad in _single_bit_flips(build()):
+        got = _report(bad)
+        assert got == reference_jacobi(bad)
+        flips += 1
+        failing += not got[0]
+        jacobi_only += {kind for kind, *_ in got[2]} == {"jacobi"}
+    assert (flips, failing, jacobi_only) == counts
 
 
 # -- quotient ------------------------------------------------------------------

@@ -35,6 +35,17 @@ def test_make_word_accepts_characters():
         make_word()
 
 
+@pytest.mark.parametrize("gen", ["q", "X", "", None, 0])
+def test_a_power_of_a_non_letter_is_refused(gen):
+    """A `GenPower` of anything but x, y, z is a `TypeError`, as a bare non-letter is."""
+    with pytest.raises(TypeError, match="not a letter"):
+        make_word(GenPower(gen, 1), X)
+    with pytest.raises(TypeError, match="not a letter"):
+        make_word(Y, GroupPower((X, GenPower(gen, 2)), 3))
+    with pytest.raises(TypeError, match="not a letter"):
+        make_word(Y, GenPower(gen, 0))  # refused before its zero exponent drops it
+
+
 def test_zero_exponents_drop():
     w = make_word(Y, GroupPower((X, Y), 0), GenPower(X, 2))
     assert str(w) == "y x^2"
