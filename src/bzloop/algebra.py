@@ -18,10 +18,10 @@ symbol w gives the row [u, w] + [w, u], two entries of the frontier slice),
 and `jacobi_check` reads every square, every antisymmetry pair and the
 Jacobi sums straight from the algebra's filled table, building an `Element`
 only for a failure.  While every square and pair passes, only the Jacobi
-triples J(g, v, w) that hold a generator g, and go through no exact
-defining pair, are summed.  A pair (v, g) is exact when it defines
-w' = [v, g] and its action row is w' alone; then the fill rule gives
-J(u, v, g) = ([u, w'] + [w', u]) + [[u, g] + [g, u], v], zero by two pairs.
+triples J(g, v, w) that hold a generator g, and go through no defining
+pair, are summed.  When (v, g) defines w' = [v, g], whatever its action
+row w' + delta holds, the fill rule and two pairs give
+J(u, v, g) = [delta, u], and the squares and pairs make delta central.
 The generator triples certify the rest, because the fill rule makes each
 [., w'] a commutator of derivations.  Three more rules live here
 once each: `eval_runs` evaluates a left-normed word over action rows, from
@@ -500,18 +500,16 @@ class JacobiReport:
 
 
 def _open_rows(A: GradedAlgebra) -> list[tuple[list[int], list[int]]]:
-    """Per degree d < class_bound and generator index g, the b whose pair (b, g) is not exact.
+    """Per degree d < class_bound and generator index g, the b whose pair (b, g) defines nothing.
 
-    A pair (b, g) of degree d is an exact defining pair when it defines an
-    element e(d+1, k), (b, g) = ``A.basis[d + 1][k]``, and its action row is
-    that element alone, ``A.action[d][b][g] == 1 << k``.  Entry 0 is a
-    sentinel.
+    A pair (b, g) of degree d is a defining pair when it defines an element
+    of degree d + 1, that is, when it is in ``A.basis[d + 1]``; its action
+    row is not read.  Entry 0 is a sentinel.
     """
     out = [([], [])]
     for d in range(1, A.class_bound):
-        action = A.action[d]
-        exact = {(p, g) for k, (p, g) in enumerate(A.basis[d + 1]) if action[p][g] == 1 << k}
-        out.append(tuple([b for b in range(len(action)) if (b, g) not in exact] for g in (0, 1)))
+        defining = set(A.basis[d + 1])
+        out.append(tuple([b for b in range(A.dim(d)) if (b, g) not in defining] for g in (0, 1)))
     return out
 
 
@@ -529,21 +527,33 @@ def jacobi_check(A: GradedAlgebra) -> JacobiReport:
 
     While every square and pair passes, only the generator triples
     J(g, v, w), those with d1 = 1, whose pairs (v, g) and (w, g) are both
-    open are summed; a pair (b, g) of degree d is exact when it defines
-    e(d+1, k) and its action row is ``1 << k``, and open otherwise.  Every
-    triple with d1 >= 2 is then zero too.  Write R_w(u) = [u, w].
+    open are summed; a pair (b, g) of degree d is a defining pair when it
+    defines an element of degree d + 1, and open otherwise.  Every triple
+    with d1 >= 2 is then zero too.  Write R_w(u) = [u, w], and call an
+    element central when its action rows, its brackets with x and y, are
+    zero.
 
     - With squares and antisymmetry, a triple's sum does not depend on the
       order of its elements, and J(u, v, w) = R_w[u, v] + [R_w u, v]
       + [u, R_w v], so J(., ., w) = 0 says that R_w is a derivation.
+    - A central c brackets to zero with every element: the fill rule gives
+      [c, [p, k]] = [[c, p], k] + [[c, k], p]; induct on the degree.
     - The fill rule of `BracketTable` computes the column of w' = [v, g]
       as [u, w'] = [[u, v], g] + [[u, g], v], whatever the action row
-      [v, g] holds.  When that row is w' exactly, J(u, v, g) is
-      ([u, w'] + [w', u]) + [[u, g] + [g, u], v], which is zero once the
-      pairs (u, w') and (u, g) pass; both lie inside the class bound.  So
-      each generator triple through an exact pair is zero.  The row test
-      is part of the proof: if [v, g] = w' + delta, the sum is
-      [delta, u], which need not be zero.
+      [v, g] holds.  Write that row w' + delta.  With the pairs (u, w')
+      and (u, g), both inside the class bound, J(u, v, g) = [delta, u].
+    - Each such delta is central, so each generator triple through a
+      defining pair is zero.  [delta, g] = J(g, v, g) is zero by the
+      square [g, g] and the pair (g, v).  For the other generator h,
+      [delta, h] = J(h, v, g), the sum on {x, y, v}.  If some element of
+      degree 2 is defined by two different generators (a, b), with defect
+      delta2, the step above gives J(v, a, b) = [delta2, v].  Its action
+      rows [delta2, b] = J(b, a, b) and [delta2, a] = J(a, a, b) are zero
+      by the squares and the pair (a, b), so delta2 is central and
+      [delta2, v] = 0.  Otherwise every element of degree 2 is defined
+      as [g, g], the fill rule makes every column of degree >= 2 zero, the
+      pairs make every row of degree >= 2 zero, and J(h, v, g) is zero
+      term by term.
     - The generator triples make R_x and R_y derivations.  The fill rule
       gives R_w' = R_g R_v + R_v R_g for every w' = [v, g], the commutator
       of two derivations, so by induction on deg w' every R_w' is a

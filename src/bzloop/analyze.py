@@ -12,9 +12,11 @@ so M evaluates the v_n chain once: `bl.v_word` gives the head v_0 and the
 block that takes v_n to v_{n+1}, and the walk over M's action rows records
 the (weight, mask) of each v_n and of each tail
 v_n y x^{2q-2} (y x^{2q-1})^i.  Each word is then one short walk from a
-recorded state (`eval_runs` continued from a prefix), and each theta word
-is walked once.  A family keeps an instance exactly when its walked weight
-is within the class bound, so no family restates its word weight.
+recorded state (`eval_runs` continued from a prefix).  A family keeps an
+instance exactly when its walked weight is within the class bound, so no
+family restates its word weight.  Each theta word and its partner are
+walked once, from v_start by the suffixes `bl.theta_specs` spells, and
+count only if they land in the spec's weight.
 
 Any mismatch becomes a failed check entry in the report, never an
 exception.  A table that is no Lie algebra can make `quotient` or the
@@ -189,15 +191,6 @@ def _theta_weight_formula(p: BlParams, kind, n: int) -> int:
     return 2 * twoq + twoq * i + twoq - 1 + p.d * n
 
 
-def _past(runs, k: int) -> tuple:
-    """The (letter, count) runs of a word's letters after its first k."""
-    for j, (letter, count) in enumerate(runs):
-        if k < count:
-            return ((letter, count - k),) + tuple(runs[j + 1:])
-        k -= count
-    return ()
-
-
 def _yx(k: int) -> tuple:
     """The runs of y x^k."""
     return ((Y, 1), (X, k))
@@ -326,14 +319,12 @@ def analyze(g, h=None, class_bound: int | None = None) -> AnalysisReport:
     words("v-words-nonzero", ((f"v_{n}", s) for n, s in enumerate(v)), nonzero=True)
 
     # (2)-(3) theta words: weights, non-vanishing, centrality, exact census.
-    # Theta word (kind, n) continues v_n, or v_{2n+1} for omega.
-    def theta_prefix(s):
-        return v[2 * s.n + 1] if s.kind == "omega" else v[s.n]
+    def at_weight(s, suffix):
+        """The mask of v_{s.start} then `suffix`, or None unless it has weight s.weight."""
+        weight, mask = walk(v[s.start], suffix.runs())
+        return mask if weight == s.weight else None
 
-    theta = {}
-    for s in specs:
-        start = theta_prefix(s)
-        theta[s.kind, s.n] = walk(start, _past(s.word.runs(), start[0]))[1]
+    theta = {(s.kind, s.n): at_weight(s, s.suffix) for s in specs}
 
     family(
         "theta-weight-formulas",
@@ -348,7 +339,7 @@ def analyze(g, h=None, class_bound: int | None = None) -> AnalysisReport:
 
     family(
         "theta-words-nonzero",
-        ((f"theta^{s.kind}_{s.n}", theta[s.kind, s.n] != 0) for s in specs),
+        ((f"theta^{s.kind}_{s.n}", bool(theta[s.kind, s.n])) for s in specs),
     )
 
     Z = graded_center(M)
@@ -360,7 +351,8 @@ def analyze(g, h=None, class_bound: int | None = None) -> AnalysisReport:
                 continue
             mask = theta[s.kind, s.n]
             ok = (
-                Z.at(s.weight).contains(mask)
+                mask is not None
+                and Z.at(s.weight).contains(mask)
                 and not M.act_mask(s.weight, mask, X)
                 and not M.act_mask(s.weight, mask, Y)
             )
@@ -392,13 +384,12 @@ def analyze(g, h=None, class_bound: int | None = None) -> AnalysisReport:
             if s.weight > Z2.valid_up_to:
                 continue
             mask = theta[1, s.n]
-            by = M.act_mask(s.weight, mask, Y)
             ok = (
-                Z2.at(s.weight).contains(mask)
+                mask is not None
+                and Z2.at(s.weight).contains(mask)
                 and not Z.at(s.weight).contains(mask)
                 and not M.act_mask(s.weight, mask, X)
-                and by != 0
-                and by == theta["omega", (s.n - 1) // 2]
+                and M.act_mask(s.weight, mask, Y) == theta["omega", (s.n - 1) // 2] != 0
             )
             yield f"theta^1_{s.n}", ok
 
@@ -443,24 +434,13 @@ def analyze(g, h=None, class_bound: int | None = None) -> AnalysisReport:
     for name in _QUOTIENT_CHECKS[len(checks) - first:]:
         check(name, False, error)
 
-    # Two-dimensional components are spanned by the chain word and the theta word.
-    def chain_word(s):
-        """The non-theta generator of the two-dimensional component at s.weight.
-
-        Kinds 1..h+1 are v_n y x^{2q - 2^{h+2-kind}}; for kind 1 that is v_n y.
-        """
-        if s.kind == "omega":
-            return walk(theta_prefix(s), _yx(1))
-        if s.kind <= p.h + 1:
-            return walk(v[s.n], _yx(twoq - 2 ** (p.h + 2 - s.kind)))
-        return walk(tails[s.n][p.eta - 2 ** (p.g + p.h + 1 - s.kind)], _yx(twoq - 1))
-
+    # Two-dimensional components are spanned by the theta word and its partner.
     def spanned_instances():
         for s in specs:
-            pair = [chain_word(s)[1], theta[s.kind, s.n]]
+            pair = [at_weight(s, s.partner), theta[s.kind, s.n]]
             yield (
                 f"weight {s.weight}",
-                echelonize(pair, M.dim(s.weight)).rank == 2 == M.dim(s.weight),
+                None not in pair and echelonize(pair, M.dim(s.weight)).rank == 2 == M.dim(s.weight),
             )
 
     family("two-dim-components-spanned", spanned_instances())

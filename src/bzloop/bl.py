@@ -20,6 +20,7 @@ from .nq import Presentation
 from .words import CommutatorWord, GenPower, GroupPower, X, Y, make_word
 
 OTHER = "other"
+_SWAP = {X: Y, Y: X}
 
 
 @dataclass(frozen=True)
@@ -186,21 +187,26 @@ def v_word(g, h=None, n: int = 0) -> CommutatorWord:
     return make_word(*_v_parts(p, n))
 
 
-def theta_word(g, h=None, kind=1, n: int = 0) -> CommutatorWord:
-    """The theta word of the given kind: an int 1..g+h, or "omega"."""
-    p = _params(g, h)
+def _theta_parts(p: BlParams, kind) -> tuple[tuple, tuple]:
+    """The parts after v_m of the theta word of `kind` and of its partner.
+
+    The theta word of (kind, n) is v_m followed by these parts, m = n, or
+    2n + 1 for omega.  Its partner is the other word that spans its
+    two-dimensional component: the same word with its last letter swapped
+    x <-> y, or for omega its last two letters.
+    """
     if kind == "omega":
-        return make_word(*_v_parts(p, 2 * n + 1), X, Y)
+        return (X, Y), (Y, X)
     t = int(kind)
     if t == 1:
-        return make_word(*_v_parts(p, n), X)
-    if 2 <= t <= p.h + 1:
-        e = 2 ** (p.h + 2 - t)
-        return make_word(*_v_parts(p, n), Y, GenPower(X, 2 * p.q - e - 1), Y)
-    if p.h + 2 <= t <= p.g + p.h:
-        e = 2 ** (p.g + p.h + 1 - t)
-        return make_word(*_v_parts(p, n), *_block(p, p.eta - e), Y)
-    raise ValueError(f"no theta of kind {kind!r}")
+        parts = (X,)
+    elif 2 <= t <= p.h + 1:
+        parts = (Y, GenPower(X, 2 * p.q - 2 ** (p.h + 2 - t) - 1), Y)
+    elif p.h + 2 <= t <= p.g + p.h:
+        parts = (*_block(p, p.eta - 2 ** (p.g + p.h + 1 - t)), Y)
+    else:
+        raise ValueError(f"no theta of kind {kind!r}")
+    return parts, (*parts[:-1], _SWAP[parts[-1]])
 
 
 def mu_word(g, h=None, n: int = 0, i: int = 1) -> CommutatorWord:
@@ -215,30 +221,42 @@ def mu_word(g, h=None, n: int = 0, i: int = 1) -> CommutatorWord:
 
 @dataclass(frozen=True)
 class ThetaSpec:
-    """One central element prediction: which theta word sits at which weight."""
+    """One central element prediction: which theta word sits at which weight.
+
+    The word is v_start followed by `suffix`; v_start followed by
+    `partner` is the other word that spans its component.
+    """
 
     kind: object
     n: int
     word: CommutatorWord
     weight: int
+    start: int
+    suffix: CommutatorWord
+    partner: CommutatorWord
+
+
+def _theta_spec(p: BlParams, kind, n: int) -> ThetaSpec:
+    start = 2 * n + 1 if kind == "omega" else n
+    parts, partner = _theta_parts(p, kind)
+    word = make_word(*_v_parts(p, start), *parts)
+    return ThetaSpec(kind, n, word, word.weight, start, make_word(*parts), make_word(*partner))
+
+
+def theta_word(g, h=None, kind=1, n: int = 0) -> CommutatorWord:
+    """The theta word of the given kind: an int 1..g+h, or "omega"."""
+    return _theta_spec(_params(g, h), kind, n).word
 
 
 def theta_specs(g, h=None, max_weight: int = 0) -> list[ThetaSpec]:
     """All theta words of weight <= max_weight, sorted by weight."""
     p = _params(g, h)
     out = []
-    n = 0
-    while 2 * p.q + 1 + p.d * n <= max_weight:
-        for t in range(1, p.g + p.h + 1):
-            w = theta_word(p, kind=t, n=n)
-            if w.weight <= max_weight:
-                out.append(ThetaSpec(t, n, w, w.weight))
-        n += 1
-    n = 0
-    while 2 * p.q + 2 + p.d * (2 * n + 1) <= max_weight:
-        w = theta_word(p, kind="omega", n=n)
-        out.append(ThetaSpec("omega", n, w, w.weight))
-        n += 1
+    for kind in (*range(1, p.g + p.h + 1), "omega"):
+        n = 0
+        while (spec := _theta_spec(p, kind, n)).weight <= max_weight:
+            out.append(spec)
+            n += 1
     out.sort(key=lambda s: s.weight)
     return out
 

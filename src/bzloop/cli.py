@@ -6,14 +6,16 @@ or plain output was produced, 1 when a verification check failed, 2 on
 usage or parse errors, on input past the limits below, on a ``--json``
 path that cannot be opened for writing (found before any work starts) and
 on any internal error (reported as an ``error:`` line, never a traceback).
+An analysis that refuses its input or fails leaves the ``--json`` path as
+it found it: it creates no file, and an old file keeps its bytes.
 JSON output is byte-deterministic: stable key order, no timestamps.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
+import os
 import sys
 
 from .analyze import analyze
@@ -154,10 +156,19 @@ def _cmd_nq(ns: argparse.Namespace) -> int:
 
 def _cmd_analyze(ns: argparse.Namespace) -> int:
     p = bl_params(ns.g, ns.h)
-    # the --json path is opened before the analysis, so a path that cannot be written costs no work
-    with open(ns.json_path, "w", encoding="utf-8") if ns.json_path else contextlib.nullcontext() as fh:
+    path = ns.json_path
+    created = bool(path) and not os.path.lexists(path)
+    if path:
+        # opened for appending, which writes nothing, so a path that cannot be written costs no work
+        open(path, "a", encoding="utf-8").close()
+    try:
         report = analyze(p, class_bound=_bound(ns, p))
-        if ns.json_path:
+    except BaseException:
+        if created:  # a run that fails leaves no file behind, and an old file as it was
+            os.remove(path)
+        raise
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(report.to_json_dict(), indent=2) + "\n")
     print(report.render_text())
     return 0 if report.ok else 1

@@ -77,14 +77,14 @@ def _mobius(n: int) -> int:
     return out
 
 
-def witt_dimension(n: int, alphabet: int = 2) -> int:
-    """Dimension of degree n of the free Lie algebra (Witt's formula)."""
+def witt_dimension(n: int) -> int:
+    """Dimension of degree n of the free Lie algebra on x and y (Witt's formula)."""
     if n < 1:
         raise ValueError("need n >= 1")
     total = 0
     for d in range(1, n + 1):
         if n % d == 0:
-            total += _mobius(d) * alphabet ** (n // d)
+            total += _mobius(d) * 2 ** (n // d)
     return total // n
 
 

@@ -128,6 +128,20 @@ MUTANTS = (
         "return defs, list(zip(img[1::2], img[0::2]))",
         ("tests/test_refs.py",),
     ),
+    Mutant(
+        "upper theta partners one letter too long",
+        "bzloop/bl.py",
+        "return parts, (*parts[:-1], _SWAP[parts[-1]])",
+        "return parts, (*parts[:-1], _SWAP[parts[-1]], *(Y,) * (t > p.h + 1))",
+        ("tests/test_analyze.py::test_a_partner_of_another_weight_fails_the_span_check",),
+    ),
+    Mutant(
+        "a failed analyze keeps the --json file it created",
+        "bzloop/cli.py",
+        "if created:",
+        "if False:",
+        ("tests/test_cli.py::test_analyze_that_exits_2_leaves_the_json_path_as_it_was",),
+    ),
 )
 
 

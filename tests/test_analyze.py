@@ -3,14 +3,19 @@
 import hashlib
 import importlib
 import json
+from dataclasses import replace
 
 import pytest
 
 from bzloop import cli
 from bzloop.algebra import GradedAlgebra, jacobi_check
 from bzloop.analyze import AnalysisReport, CheckResult, analyze
-from bzloop.bl import bl_params, presentation_R
+from bzloop.bl import bl_params, presentation_R, theta_specs
 from bzloop.nq import nq_compute
+from bzloop.words import Y, make_word
+
+
+ANALYZE = importlib.import_module("bzloop.analyze")  # the module; bzloop.analyze is the function
 
 
 @pytest.fixture(scope="module")
@@ -112,10 +117,31 @@ def test_larger_pair_passes():
     assert report.quotient_constituents[:2] == (8, 7)
 
 
+def _spanned(report) -> CheckResult:
+    return next(c for c in report.checks if c.name == "two-dim-components-spanned")
+
+
+def test_a_partner_of_another_weight_fails_the_span_check(report22, monkeypatch):
+    """A partner one letter too long lands outside its component's weight, and the check sees it.
+
+    For kind 3 of (2,1) the longer word is nonzero and independent of the
+    theta word, so only its weight gives it away.
+    """
+    assert _spanned(report22).passed
+
+    def longer_upper_partners(p, max_weight):
+        return [
+            replace(s, partner=make_word(*s.partner.items, Y)) if s.kind == 3 else s
+            for s in theta_specs(p, max_weight=max_weight)
+        ]
+
+    monkeypatch.setattr(ANALYZE, "theta_specs", longer_upper_partners)
+    report = ANALYZE.analyze(2, 1, class_bound=22)
+    assert [c.name for c in report.failures()] == ["two-dim-components-spanned"]
+    assert _spanned(report).detail == "1/6 failed: weight 15"
+
+
 # -- wrong tables: a failed report, never an exception ---------------------------
-
-ANALYZE = importlib.import_module("bzloop.analyze")  # the module; bzloop.analyze is the function
-
 
 @pytest.fixture(scope="module")
 def M48():

@@ -236,6 +236,24 @@ def test_theta_specs_weights_distinct():
         assert len(set(weights)) == len(weights)
 
 
+def test_each_spec_is_v_start_then_its_suffix_and_its_partner_swaps_the_last_letters():
+    """The partner is the theta word with its last letter swapped x <-> y; for omega, its last two."""
+    swap = {X: Y, Y: X}
+    for g, h in SMALL_PAIRS:
+        p = bl_params(g, h)
+        for s in theta_specs(p, max_weight=p.m + 2 * p.d):
+            head = v_word(p, n=s.start).letters()
+            word = s.word.letters()
+            assert s.start == (2 * s.n + 1 if s.kind == "omega" else s.n)
+            assert word == head + s.suffix.letters()
+            if s.kind == "omega":
+                assert word[-2:] == (X, Y)
+                partner = word[:-2] + (Y, X)
+            else:
+                partner = word[:-1] + (swap[word[-1]],)
+            assert head + s.partner.letters() == partner
+
+
 def test_presentation_frozen():
     rels = presentation_R(2, 1).relators
     assert [str(r) for r in rels] == [

@@ -113,6 +113,30 @@ def test_analyze_refuses_an_unwritable_json_path_before_any_work(where, tmp_path
     assert not (tmp_path / "no").exists()
 
 
+def _raise(*args, **kwargs):
+    raise RuntimeError("table corrupted")
+
+
+@pytest.mark.parametrize("old", [b'{"old": 1}\n', None], ids=["existing file", "new path"])
+@pytest.mark.parametrize(
+    "argv,patch",
+    [(["--class", "5"], None), ([], _raise)],
+    ids=["refused --class", "internal error"],
+)
+def test_analyze_that_exits_2_leaves_the_json_path_as_it_was(argv, patch, old, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "out.json"
+    if old is not None:
+        path.write_bytes(old)
+    if patch is not None:
+        monkeypatch.setattr(cli, "analyze", patch)
+    assert cli.run(["analyze", "--g", "2", "--h", "1", *argv, "--json", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    if old is None:
+        assert list(tmp_path.iterdir()) == []
+    else:
+        assert path.read_bytes() == old
+
+
 def test_analyze_failure_exit_code(monkeypatch, capsys):
     real = cli.analyze
 

@@ -4,10 +4,11 @@
 bracket table; its reference is the per-triple loop over `Element` brackets
 it replaced, with a per-pair antisymmetry loop in front of it.  On a sound
 table `jacobi_check` sums only the triples that hold a generator and go
-through no exact defining pair: call counts pin that against an
-independent enumerator, and two corruptions that fail Jacobi alone pin
-that it still sums those triples.  Every single-bit flip of two small
-tables gives the reference report.  `quotient` reads its action rows from
+through no defining pair: call counts pin that against an independent
+enumerator, and two corruptions that fail Jacobi alone pin that it still
+sums those triples.  Every single-bit flip of two small tables gives the
+reference report, and so does every small table whose degree 2 is
+defined as [x, x] or whose [y, x] row is not the element it defines.  `quotient` reads its action rows from
 the images `define_layer` returns; its reference solves each candidate
 over the survivors with a `SpanSolver`, as it once did.  The GF(2) echelon
 routines are compared with naive Gaussian elimination and brute-force
@@ -21,7 +22,7 @@ whole word.
 
 import functools
 import random
-from itertools import groupby
+from itertools import groupby, product
 from unittest import mock
 
 import pytest
@@ -166,18 +167,16 @@ def _jacobi_only_tables():
     ]
 
 
-def _is_exact(A: GradedAlgebra, d: int, b: int, g: int) -> bool:
-    """Whether (e(d,b), generator g) defines some e(d+1,k) and its action row is that element alone."""
-    if d >= A.class_bound:
-        return False
-    return any(pair == (b, g) and A.action[d][b][g] == 1 << k for k, pair in enumerate(A.basis[d + 1]))
+def _is_defining(A: GradedAlgebra, d: int, b: int, g: int) -> bool:
+    """Whether (e(d,b), generator g) defines an element of degree d + 1, whatever its action row holds."""
+    return d < A.class_bound and (b, g) in A.basis[d + 1]
 
 
 def _triple_counts(A: GradedAlgebra) -> tuple[int, int, int]:
     """(open triples with d1 = 1, triples with d1 >= 2, all triples) of the loop, by enumeration.
 
     A triple J(g, v, w) with d1 = 1 is open when neither (v, g) nor (w, g)
-    is an exact defining pair.
+    is a defining pair.
     """
     bound, dims = A.class_bound, A.dims
     opened = higher = every = 0
@@ -190,7 +189,7 @@ def _triple_counts(A: GradedAlgebra) -> tuple[int, int, int]:
                             every += 1
                             if d1 > 1:
                                 higher += 1
-                            elif not (_is_exact(A, d2, b, a) or _is_exact(A, d3, c, a)):
+                            elif not (_is_defining(A, d2, b, a) or _is_defining(A, d3, c, a)):
                                 opened += 1
     return opened, higher, every
 
@@ -279,6 +278,62 @@ def test_jacobi_check_matches_reference_on_every_single_bit_flip(build, counts):
         failing += not got[0]
         jacobi_only += {kind for kind, *_ in got[2]} == {"jacobi"}
     assert (flips, failing, jacobi_only) == counts
+
+
+def _every_table(dims: tuple, deg2: tuple):
+    """Every table of the given dims whose degree 2 is defined by the pairs `deg2`.
+
+    Each higher degree is defined by distinct (parent, generator) pairs,
+    and each action row takes every value.
+    """
+    bound = len(dims)
+    layers = [[deg2]] + [
+        [defs for defs in product(product(range(dims[d - 1]), (0, 1)), repeat=dims[d]) if len(set(defs)) == dims[d]]
+        for d in range(2, bound)
+    ]
+    masks = [list(product(range(1 << dims[d]), repeat=2 * dims[d - 1])) for d in range(1, bound)]
+    for basis in product(*layers):
+        for rows in product(*masks):
+            action = [list(zip(r[0::2], r[1::2])) for r in rows] + [[(0, 0)] * dims[-1]]
+            yield GradedAlgebra(bound, [GENERATORS, *basis], action)
+
+
+def _defining_rows_exact(A: GradedAlgebra) -> bool:
+    """Whether each defining pair's action row is the element it defines alone."""
+    return all(
+        A.action[d][p][g] == 1 << k for d in range(1, A.class_bound) for k, (p, g) in enumerate(A.basis[d + 1])
+    )
+
+
+@pytest.mark.parametrize(
+    "dims,deg2,counts",
+    [
+        ((2, 1, 1, 1), ((0, 0),), (1024, 8, 8)),
+        ((2, 1, 1, 1), ((1, 0),), (512, 4, 4)),
+        ((2, 2, 1), ((1, 0), (0, 1)), (12288, 24, 24)),
+    ],
+    ids=["[x, x] defines degree 2", "inexact [y, x] row", "inexact [y, x] row beside [x, y]"],
+)
+def test_jacobi_check_matches_reference_on_inexact_defining_rows(dims, deg2, counts):
+    """(tables, tables whose squares and pairs pass, of those the ones with an inexact defining row).
+
+    A table whose degree 2 is [x, x] passes its square only when the row
+    [x, x] is zero, so each such table has an inexact defining row; the
+    other families keep the tables whose row [y, x] is not e(2, 0) alone.
+    Whatever a defining row holds, skipping its generator triples once the
+    squares and pairs pass gives the reference report.
+    """
+    tables = passing = inexact = 0
+    for A in _every_table(dims, deg2):
+        if deg2[0] == (1, 0) and A.action[1][1][0] == 1:
+            continue
+        got = _report(A)
+        assert got == reference_jacobi(A)
+        tables += 1
+        if not {kind for kind, *_ in got[2]} & {"square", "antisymmetry"}:
+            passing += 1
+            inexact += not _defining_rows_exact(A)
+    assert (tables, passing, inexact) == counts
 
 
 # -- quotient ------------------------------------------------------------------

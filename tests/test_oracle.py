@@ -22,8 +22,6 @@ WITT_12 = (2, 1, 2, 3, 6, 9, 18, 30, 56, 99, 186, 335)
 
 def test_witt_frozen():
     assert tuple(witt_dimension(n) for n in range(1, 13)) == WITT_12
-    assert witt_dimension(2, alphabet=3) == 3
-    assert witt_dimension(3, alphabet=3) == 8
     with pytest.raises(ValueError):
         witt_dimension(0)
 
