@@ -7,7 +7,8 @@ periodic after its first two constituents.  `bl_constituent_lengths` states
 that pattern once; the centralizer sequence and `construct_bl` expand it.
 All defined words (v_n, the theta and mu families) and the finite
 presentation are built from the same parameters, and `_block` is the one
-period block they repeat.
+period block they repeat.  `_theta_parts` is the one place a theta kind
+becomes letters, for the theta word and for its partner.
 """
 
 from __future__ import annotations
