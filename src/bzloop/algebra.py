@@ -17,7 +17,9 @@ reads from it the Jacobi rows whose symbol [v, g] was cut (a surviving
 symbol w gives the row [u, w] + [w, u], two entries of the frontier slice),
 and `jacobi_check` reads every square, every antisymmetry pair and the
 Jacobi sums straight from the algebra's filled table, building an `Element`
-only for a failure.  While every square and pair passes, only the Jacobi
+only for a failure: the squares and pairs in one list comparison per row,
+the generator triples in one walk per generator over a degree-ordered list
+of elements.  While every square and pair passes, only the Jacobi
 triples J(g, v, w) that hold a generator g, and go through no defining
 pair, are summed.  When (v, g) defines w' = [v, g], whatever its action
 row w' + delta holds, the fill rule and two pairs give
@@ -38,7 +40,6 @@ center.  `str(Element)` is the one text form of an element.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate
 from math import comb
@@ -499,17 +500,20 @@ class JacobiReport:
         return f"jacobi check: {status}, {self.checked} instances"
 
 
-def _open_rows(A: GradedAlgebra) -> list[tuple[list[int], list[int]]]:
-    """Per degree d < class_bound and generator index g, the b whose pair (b, g) defines nothing.
+def _open_rows(A: GradedAlgebra, top: int) -> tuple[tuple[list[tuple[int, int]], list[int]], ...]:
+    """Per generator index g, the (d, b) of degree d <= top whose pair (b, g) defines nothing.
 
     A pair (b, g) of degree d is a defining pair when it defines an element
     of degree d + 1, that is, when it is in ``A.basis[d + 1]``; its action
-    row is not read.  Entry 0 is a sentinel.
+    row is not read.  Each list is in degree order and comes with its ends:
+    entry d is the number of its pairs of degree at most d.
     """
-    out = [([], [])]
-    for d in range(1, A.class_bound):
+    out = ([], [0]), ([], [0])
+    for d in range(1, top + 1):
         defining = set(A.basis[d + 1])
-        out.append(tuple([b for b in range(A.dim(d)) if (b, g) not in defining] for g in (0, 1)))
+        for g, (elems, ends) in enumerate(out):
+            elems.extend((d, b) for b in range(A.dim(d)) if (b, g) not in defining)
+            ends.append(len(elems))
     return out
 
 
@@ -521,9 +525,20 @@ def jacobi_check(A: GradedAlgebra) -> JacobiReport:
     bracket alternates on all elements exactly when it does on the basis
     and is antisymmetric on basis pairs, so both are checked.  Pairs (u, v)
     and triples (u, v, w) run over degrees d1 <= d2 <= d3 and, within equal
-    degrees, indices in order; a pair's two elements differ.  Every triple
-    is counted in `checked` by a closed form per degree pair (d1, d2);
-    only the triples that may fail are summed.
+    degrees, indices in order; a pair's two elements differ.  Squares,
+    pairs and triples are counted in `checked` by closed forms per degree
+    d1 or degree pair (d1, d2); only the triples that may fail are summed.
+
+    The squares and pairs run one row at a time over the rows laid end to
+    end, so that flat index ``offset[d] + a`` is e(d, a).  The row of u at
+    flat index c holds its square at column c, and its brackets [u, v] with
+    every v after it, up to degree class_bound - deg u, in the columns
+    after c; column c of those rows holds [v, u].  Both lists are compared
+    whole, and only a mismatch is taken apart.  The generator triples walk
+    one degree-ordered list of the elements v per generator g: from each v,
+    the w at and after it, up to the degree the class bound allows.  The
+    failures of each pass are sorted into the order of the degree loops,
+    so the report does not depend on how the passes run.
 
     While every square and pair passes, only the generator triples
     J(g, v, w), those with d1 = 1, whose pairs (v, g) and (w, g) are both
@@ -571,30 +586,45 @@ def jacobi_check(A: GradedAlgebra) -> JacobiReport:
     rows, offset = table.rows, table.offset
     dims = A.dims
     below = list(accumulate(dims))  # below[d]: the elements of degree at most d
+    flat = [row for layer in rows[1:bound] for row in layer]  # flat[offset[d] + a]: the row of e(d, a)
+    every = [(d, b) for d in range(1, bound) for b in range(dims[d])]  # every[offset[d] + b] = (d, b)
     checked = 0
     failures = []
-    for d in range(1, bound // 2 + 1):
-        col = offset[d]
-        for a, row in enumerate(rows[d]):
-            checked += 1
-            sq = row[col + a]
-            if sq:
-                failures.append(("square", A.labels[d][a], Element(A, 2 * d, sq)))
+    pairs = []  # ((d1, d2, a, b), [u, v] + [v, u]) for each failed pair
     for d1 in range(1, bound // 2 + 1):
-        for d2 in range(d1, bound - d1 + 1):
-            col1, col2, other = offset[d1], offset[d2], rows[d2]
-            for a, row in enumerate(rows[d1]):
-                bs = range(a + 1 if d2 == d1 else 0, len(other))
-                checked += len(bs)
-                for b in bs:
-                    diff = row[col2 + b] ^ other[b][col1 + a]
-                    if diff:
-                        labels = (A.labels[d1][a], A.labels[d2][b])
-                        failures.append(("antisymmetry", labels, Element(A, d1 + d2, diff)))
+        n1 = dims[d1]
+        checked += n1 + comb(n1, 2) + n1 * (below[bound - d1] - below[d1])
+        hi = offset[bound - d1 + 1]  # the pairs end at degree bound - d1
+        for a in range(n1):
+            c = offset[d1] + a
+            row = flat[c]
+            if row[c]:
+                failures.append(("square", A.labels[d1][a], Element(A, 2 * d1, row[c])))
+            mine, theirs = row[c + 1 : hi], [r[c] for r in flat[c + 1 : hi]]
+            if mine != theirs:
+                for (d2, b), uv, vu in zip(every[c + 1 : hi], mine, theirs):
+                    if uv != vu:
+                        pairs.append(((d1, d2, a, b), uv ^ vu))
+    for (d1, d2, a, b), diff in sorted(pairs):
+        labels = (A.labels[d1][a], A.labels[d2][b])
+        failures.append(("antisymmetry", labels, Element(A, d1 + d2, diff)))
     if failures:  # a failed square or pair: every generator triple is summed
-        opened = [(range(n), range(n)) for n in dims[:bound]]
+        opened = (every, below), (every, below)
     else:
-        opened = _open_rows(A)
+        opened = _open_rows(A, bound - 2)
+    triples = []  # ((d2, d3, a, b, c), the sum) for each failed generator triple
+    for a, (elems, ends) in enumerate(opened):
+        for i, (d2, b) in enumerate(elems):
+            if 2 * d2 >= bound:  # d2 <= d3 <= bound - 1 - d2
+                break
+            if d2 > 1 or b >= a:  # in degree 1, v runs from the generator on
+                for d3, c in elems[i : ends[bound - 1 - d2]]:
+                    jac = jacobi_sum(rows, offset, 1, a, d2, b, d3, c)
+                    if jac:
+                        triples.append(((d2, d3, a, b, c), jac))
+    for (d2, d3, a, b, c), jac in sorted(triples):
+        labels = (A.labels[1][a], A.labels[d2][b], A.labels[d3][c])
+        failures.append(("jacobi", labels, Element(A, 1 + d2 + d3, jac)))
     for d1 in range(1, bound // 3 + 1):
         n1 = dims[d1]
         for d2 in range(d1, (bound - d1) // 2 + 1):
@@ -604,18 +634,12 @@ def jacobi_check(A: GradedAlgebra) -> JacobiReport:
                 checked += comb(n1 + 2, 3) + comb(n1 + 1, 2) * more
             else:
                 checked += n1 * comb(n2 + 1, 2) + n1 * n2 * more
-            if d1 > 1 and not failures:  # zero by the derivation argument above
+            if d1 == 1 or not failures:  # walked above, or zero by the derivation argument
                 continue
             for d3 in range(d2, top + 1):
                 for a in range(n1):
-                    if d1 == 1:
-                        bs, cs = opened[d2][a], opened[d3][a]
-                    else:
-                        bs, cs = range(n2), range(dims[d3])
-                    if d2 == d1:
-                        bs = bs[bisect_left(bs, a):]
-                    for b in bs:
-                        for c in cs[bisect_left(cs, b):] if d3 == d2 else cs:
+                    for b in range(a if d2 == d1 else 0, n2):
+                        for c in range(b if d3 == d2 else 0, dims[d3]):
                             jac = jacobi_sum(rows, offset, d1, a, d2, b, d3, c)
                             if jac:
                                 labels = (A.labels[d1][a], A.labels[d2][b], A.labels[d3][c])

@@ -191,8 +191,8 @@ def v_word(g, h=None, n: int = 0) -> CommutatorWord:
 def _theta_parts(p: BlParams, kind) -> tuple[tuple, tuple]:
     """The parts after v_m of the theta word of `kind` and of its partner.
 
-    The theta word of (kind, n) is v_m followed by these parts, m = n, or
-    2n + 1 for omega.  Its partner is the other word that spans its
+    The theta word of (kind, n) is v_m followed by these parts, m =
+    `_theta_start(kind, n)`.  Its partner is the other word that spans its
     two-dimensional component: the same word with its last letter swapped
     x <-> y, or for omega its last two letters.
     """
@@ -237,26 +237,31 @@ class ThetaSpec:
     partner: CommutatorWord
 
 
-def _theta_spec(p: BlParams, kind, n: int) -> ThetaSpec:
-    start = 2 * n + 1 if kind == "omega" else n
-    parts, partner = _theta_parts(p, kind)
-    word = make_word(*_v_parts(p, start), *parts)
-    return ThetaSpec(kind, n, word, word.weight, start, make_word(*parts), make_word(*partner))
+def _theta_start(kind, n: int) -> int:
+    """The m of the v_m a theta word of (kind, n) starts with: n, or 2n + 1 for omega."""
+    return 2 * n + 1 if kind == "omega" else n
 
 
 def theta_word(g, h=None, kind=1, n: int = 0) -> CommutatorWord:
     """The theta word of the given kind: an int 1..g+h, or "omega"."""
-    return _theta_spec(_params(g, h), kind, n).word
+    p = _params(g, h)
+    return make_word(*_v_parts(p, _theta_start(kind, n)), *_theta_parts(p, kind)[0])
 
 
 def theta_specs(g, h=None, max_weight: int = 0) -> list[ThetaSpec]:
-    """All theta words of weight <= max_weight, sorted by weight."""
+    """All theta words of weight <= max_weight, sorted by weight.
+
+    Each kind's words are built for n = 0, 1, ... up to the first one past
+    max_weight; only a word that is kept gets its suffix and partner built.
+    """
     p = _params(g, h)
     out = []
     for kind in (*range(1, p.g + p.h + 1), "omega"):
+        parts, partner = _theta_parts(p, kind)
         n = 0
-        while (spec := _theta_spec(p, kind, n)).weight <= max_weight:
-            out.append(spec)
+        while (word := theta_word(p, kind=kind, n=n)).weight <= max_weight:
+            start = _theta_start(kind, n)
+            out.append(ThetaSpec(kind, n, word, word.weight, start, make_word(*parts), make_word(*partner)))
             n += 1
     out.sort(key=lambda s: s.weight)
     return out

@@ -68,8 +68,8 @@ MUTANTS = (
     Mutant(
         "Jacobi certificate skips the generator triples",
         "bzloop/algebra.py",
-        "if d1 > 1 and not failures:",
-        "if not failures:",
+        "opened = _open_rows(A, bound - 2)",
+        "opened = _open_rows(A, 0)",
         ("tests/test_kernels.py::test_jacobi_check_catches_jacobi_only_corruptions",),
     ),
     Mutant(
@@ -92,6 +92,27 @@ MUTANTS = (
         "more = dims[d2], below[top] - below[d2]",
         "more = dims[d2], below[top - 1] - below[d2]",
         ("tests/test_kernels.py::test_jacobi_check_matches_reference_on_sound_tables",),
+    ),
+    Mutant(
+        "pair comparison ends one degree early",
+        "bzloop/algebra.py",
+        "hi = offset[bound - d1 + 1]",
+        "hi = offset[bound - d1]",
+        ("tests/test_kernels.py::test_jacobi_check_matches_reference_on_table_entry_flips",),
+    ),
+    Mutant(
+        "generator walk starts past v",
+        "bzloop/algebra.py",
+        "for d3, c in elems[i : ends[bound - 1 - d2]]:",
+        "for d3, c in elems[i + 1 : ends[bound - 1 - d2]]:",
+        ("tests/test_kernels.py::test_jacobi_check_sums_only_open_generator_triples_on_a_sound_table",),
+    ),
+    Mutant(
+        "pair failures left unsorted",
+        "bzloop/algebra.py",
+        "for (d1, d2, a, b), diff in sorted(pairs):",
+        "for (d1, d2, a, b), diff in pairs:",
+        ("tests/test_kernels.py::test_jacobi_check_matches_reference_on_corrupted_tables",),
     ),
     Mutant(
         "annihilator without its modulo",

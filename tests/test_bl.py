@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from unittest import mock
 
 import pytest
 
@@ -21,7 +22,7 @@ from bzloop.bl import (
     theta_word,
     v_word,
 )
-from bzloop.words import X, Y, parse_word
+from bzloop.words import X, Y, make_word, parse_word
 
 SMALL_PAIRS = [(g, h) for g in range(2, 6) for h in range(1, 6) if g + h <= 6]
 
@@ -252,6 +253,27 @@ def test_each_spec_is_v_start_then_its_suffix_and_its_partner_swaps_the_last_let
             else:
                 partner = word[:-1] + (swap[word[-1]],)
             assert head + s.partner.letters() == partner
+
+
+def test_theta_words_are_built_once_and_suffixes_only_for_kept_specs():
+    """`theta_specs` builds 3 words per spec and 1 per kind for the word past max_weight; `theta_word` 1."""
+    calls = 0
+
+    def counting(*parts):
+        nonlocal calls
+        calls += 1
+        return make_word(*parts)
+
+    with mock.patch("bzloop.bl.make_word", counting):
+        for g, h in SMALL_PAIRS:
+            p = bl_params(g, h)
+            calls = 0
+            specs = theta_specs(p, max_weight=p.m + 2 * p.d)
+            assert calls == 3 * len(specs) + p.g + p.h + 1
+            for kind in (1, p.g + p.h, "omega"):
+                calls = 0
+                theta_word(p, kind=kind, n=1)
+                assert calls == 1
 
 
 def test_presentation_frozen():

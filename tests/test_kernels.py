@@ -7,8 +7,10 @@ table `jacobi_check` sums only the triples that hold a generator and go
 through no defining pair: call counts pin that against an independent
 enumerator, and two corruptions that fail Jacobi alone pin that it still
 sums those triples.  Every single-bit flip of two small tables gives the
-reference report, and so does every small table whose degree 2 is
-defined as [x, x] or whose [y, x] row is not the element it defines.  `quotient` reads its action rows from
+reference report, both of an action row and of an entry of the filled
+table at the edges of the pair comparison, and so does every small table
+whose degree 2 is defined as [x, x] or whose [y, x] row is not the
+element it defines.  `quotient` reads its action rows from
 the images `define_layer` returns; its reference solves each candidate
 over the survivors with a `SpanSolver`, as it once did.  The GF(2) echelon
 routines are compared with naive Gaussian elimination and brute-force
@@ -278,6 +280,51 @@ def test_jacobi_check_matches_reference_on_every_single_bit_flip(build, counts):
         failing += not got[0]
         jacobi_only += {kind for kind, *_ in got[2]} == {"jacobi"}
     assert (flips, failing, jacobi_only) == counts
+
+
+def _table_entry_flips(A: GradedAlgebra):
+    """Copies of A with one bit of one entry of its filled `BracketTable` flipped.
+
+    For each e(d1, a) with d1 <= class_bound // 2, at flat index c, the
+    entries are its square (column c), the first column past the diagonal
+    (c + 1) and every column of the last pair degree, class_bound - d1:
+    the edges of the row comparison in `jacobi_check`.  Both
+    `jacobi_check` and `reference_jacobi` read the flipped table.
+    """
+    bound = A.class_bound
+    offset = A.bracket_table().offset
+    degree_of = [d for d in range(1, bound) for _ in range(A.dim(d))]  # of each flat index
+    for d1 in range(1, bound // 2 + 1):
+        hi = offset[bound - d1 + 1]
+        for a in range(A.dim(d1)):
+            c = offset[d1] + a
+            cols = {c, *range(offset[bound - d1], hi)}
+            if c + 1 < hi:
+                cols.add(c + 1)
+            for col in sorted(cols):
+                for bit in range(A.dim(d1 + degree_of[col])):
+                    bad = GradedAlgebra(bound, A.basis[1:], A.action[1:])
+                    bad.bracket_table().rows[d1][a][col] ^= 1 << bit
+                    yield bad
+
+
+@pytest.mark.parametrize(
+    "build,counts",
+    [(lambda: construct_bl(2, 1, 24), (37, 13, 24)), (lambda: nq_compute(presentation_R(2, 2), 16), (32, 9, 23))],
+    ids=["B(2,1)@24", "M(2,2)@16"],
+)
+def test_jacobi_check_matches_reference_on_table_entry_flips(build, counts):
+    """(flips, failed squares, failed pairs) are pinned with the reports: each flip fails its own entry."""
+    flips = squares = pairs = 0
+    for bad in _table_entry_flips(build()):
+        got = _report(bad)
+        assert got == reference_jacobi(bad)
+        kinds = [kind for kind, *_ in got[2]]
+        assert kinds.count("square") + kinds.count("antisymmetry") == 1
+        flips += 1
+        squares += kinds.count("square")
+        pairs += kinds.count("antisymmetry")
+    assert (flips, squares, pairs) == counts
 
 
 def _every_table(dims: tuple, deg2: tuple):
