@@ -12,10 +12,12 @@ bottom-up one anti-diagonal slice at a time: `fill(s)` computes every
 bracket of total degree s from the slice below.  Brackets whose degree sum
 exceeds class_bound are truncated to zero.
 
-`jacobi_sum` is the one Jacobi expansion over a `BracketTable`: `nq_compute`
-reads from it the Jacobi rows whose symbol [v, g] was cut (a surviving
-symbol w gives the row [u, w] + [w, u], two entries of the frontier slice),
-and `jacobi_check` reads every square, every antisymmetry pair and the
+`jacobi_sum` is the one Jacobi expansion over a `BracketTable`: the
+`full_jacobi` mode of `nq_compute` sums every triple row with it (the
+default mode builds each row J(u, v, g) in place as the fill's rule
+applied to the symbol [v, g], plus [[v, g], u]; a surviving symbol w
+gives [u, w] + [w, u], two entries of the frontier slice), and
+`jacobi_check` reads every square, every antisymmetry pair and the
 Jacobi sums straight from the algebra's filled table, building an `Element`
 only for a failure: the squares and pairs in one list comparison per row,
 the generator triples in one walk per generator over a degree-ordered list
@@ -694,9 +696,17 @@ def graded_center(A: GradedAlgebra) -> GradedSubspaceFamily:
     return _annihilator(A, A.class_bound - 1)
 
 
-def second_center(A: GradedAlgebra) -> GradedSubspaceFamily:
-    """Per-degree preimage of the graded center under both generators."""
-    return _annihilator(A, A.class_bound - 2, graded_center(A))
+def second_center(A: GradedAlgebra, center: GradedSubspaceFamily | None = None) -> GradedSubspaceFamily:
+    """Per-degree preimage of the graded center under both generators.
+
+    `center` is A's graded center when the caller has built it already;
+    by default it is built here.
+    """
+    if center is None:
+        center = graded_center(A)
+    elif center.algebra is not A or center.valid_up_to != A.class_bound - 1:
+        raise ValueError("center is not a graded center of this algebra")
+    return _annihilator(A, A.class_bound - 2, center)
 
 
 def quotient(A: GradedAlgebra, ideal: GradedSubspaceFamily) -> GradedAlgebra:

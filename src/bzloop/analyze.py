@@ -343,7 +343,7 @@ def analyze(g, h=None, class_bound: int | None = None) -> AnalysisReport:
     )
 
     Z = graded_center(M)
-    Z2 = second_center(M)
+    Z2 = second_center(M, Z)
 
     def central_instances():
         for s in central_specs:

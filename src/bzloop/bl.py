@@ -252,16 +252,16 @@ def theta_specs(g, h=None, max_weight: int = 0) -> list[ThetaSpec]:
     """All theta words of weight <= max_weight, sorted by weight.
 
     Each kind's words are built for n = 0, 1, ... up to the first one past
-    max_weight; only a word that is kept gets its suffix and partner built.
+    max_weight; its suffix and partner depend on the kind only, so each is
+    built once and shared by the kind's specs.
     """
     p = _params(g, h)
     out = []
     for kind in (*range(1, p.g + p.h + 1), "omega"):
-        parts, partner = _theta_parts(p, kind)
+        suffix, partner = (make_word(*parts) for parts in _theta_parts(p, kind))
         n = 0
         while (word := theta_word(p, kind=kind, n=n)).weight <= max_weight:
-            start = _theta_start(kind, n)
-            out.append(ThetaSpec(kind, n, word, word.weight, start, make_word(*parts), make_word(*partner)))
+            out.append(ThetaSpec(kind, n, word, word.weight, _theta_start(kind, n), suffix, partner))
             n += 1
     out.sort(key=lambda s: s.weight)
     return out

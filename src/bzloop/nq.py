@@ -21,17 +21,18 @@ fill's term [[u, p], g] is [u, p] shifted by g * D.  Each distinct
 nonzero relation row is then put in symbol order s = 2w + g, the order
 the cut and the survivors use, by interleaving its two halves.  A Jacobi
 row J(u, v, g) whose symbol [v, g] survived its own cut as w is
-[u, w] + [w, u], two entries of the slice; only the rows of cut symbols
-are summed by `jacobi_sum`.  Once the cut is known, the top degree's
-action is set to the survivor images and slice n + 1 is refilled from it,
-which makes it the true bracket table of degree n + 1.  The slice is
-linear in that action, so the refill equals re-expressing the frontier
-slice over the survivors.  The refilled slice is antisymmetric, so only
-its blocks (i, j) with i >= j are filled and the rest are mirrored from
-them.  The last slice, of degree class_bound, is not refilled: no later
-cut reads it, and the result keeps only the action rows.
-`full_jacobi=True` refills every block of the slice and builds every
-triple row; it is the cross-check.
+[u, w] + [w, u], two entries of the slice; the row of a cut symbol is
+summed in place by the fill's rule plus [[v, g], u] over the symbol's
+image, so the default mode calls no `jacobi_sum`.  Once the cut is
+known, the top degree's action is set to the survivor images and slice
+n + 1 is refilled from it, which makes it the true bracket table of
+degree n + 1.  The slice is linear in that action, so the refill
+equals re-expressing the frontier slice over the survivors.  The
+refilled slice is antisymmetric, so only its blocks (i, j) with i >= j
+are filled and the rest are mirrored from them.  The last slice, of
+degree class_bound, is not refilled: no later cut reads it, and the
+result keeps only the action rows.  `full_jacobi=True` refills every
+block of the slice and builds every triple row; it is the cross-check.
 """
 
 from __future__ import annotations
@@ -160,23 +161,30 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
     pivot and every survivor image is unchanged; repeated rows are common,
     since different triples often give the same row.
 
-    A row whose symbol survived is two lookups.  Take J(u, v, g) with
-    u = e(d1, a), v = e(d2, b), 2 <= d1 <= d2, d1 + d2 = n, and let
-    j = d2 + 1.  If the symbol s = 2b + g of degree j survived its cut as
-    w = e(j, k), defined as [v, g], the row is [u, w] + [w, u], that is
-    R[d1][a][off[j] + k] + R[j][k][off[d1] + a] in the frontier slice
-    (both blocks lie above row 1, so the fill computed them).  Term by
-    term: the first term of `jacobi_sum` sums [t, g] over t in [u, v],
-    which is the first sum `fill` computes for [u, w] = [u, [v, g]]; over
-    the split frontier each [t, g] is the bit t + g * D, so both are
-    [u, v] shifted by g * D, the one shift `fill` makes.  The second
-    reads [v, g], the single bit k, so it is [w, u].  The third sums
-    [t, v] over t in [g, u] = R[1][g][off[d1] + a]; the fill's second sum
-    runs over [u, g] = R[d1][a][g] instead, and these are the same mask,
-    because `mirror(d1 + 1)` set row 1 from the action rows (d1 + 1 <= n).
-    So the row is equal bit for bit, and `echelonize` receives the same
-    rows in the same order.  A cut symbol's [v, g] is its image over the
-    survivors, zero or several bits, so its row stays `jacobi_sum`.
+    Each Jacobi row is built in place by the fill's rule.  Take J(u, v, g)
+    with u = e(d1, a), v = e(d2, b), 2 <= d1 <= d2, d1 + d2 = n, and
+    j = d2 + 1, and let F(u; v, g) = [[u, v], g] + [[u, g], v] be the rule
+    `fill` applies to [u, [v, g]], here applied to the symbol s = 2b + g of
+    degree j whether or not s is a basis element.  Then
+    J(u, v, g) = F(u; v, g) + [[v, g], u], term by term.  The first term
+    of `jacobi_sum` sums [t, g] over t in [u, v]; over the split frontier
+    each [t, g] is the bit t + g * D, so it is [u, v] shifted by g * D, the
+    one shift `fill` makes.  The third sums [t, v] over t in
+    [g, u] = R[1][g][off[d1] + a]; F sums over [u, g] = R[d1][a][g]
+    instead, and these are the same mask, because `mirror(d1 + 1)` set
+    row 1 from the action rows (d1 + 1 <= n); so the loop reads no row 1.
+    The second sums [e(j, k), u] over the bits k of [v, g], the image of s
+    over the survivors of degree j.  If s survived its cut as w = e(j, k),
+    defined as [v, g], F is the filled entry [u, w] =
+    R[d1][a][off[j] + k] and the image is the single bit k, so the row is
+    [u, w] + [w, u], two entries of the frontier slice (both blocks lie
+    above row 1, so the fill computed them).  A cut symbol's image is zero
+    or several bits (every cut of R(2, 1) up to class 48 has image zero,
+    wider presentations have nonzero ones); its row is F, summed as `fill`
+    sums it, plus [[v, g], u] over that image.  So every row is equal bit
+    for bit to its Jacobi sum, `echelonize` receives the same rows in the
+    same order, and `jacobi_sum` is left to `full_jacobi` mode and
+    `jacobi_check`.
     """
     if class_bound < 1:
         raise ValueError("class bound must be at least 1")
@@ -235,19 +243,35 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
                                 rows.append(jacobi_sum(R, off, d1, a, d2, b, d3, c))
         else:
             # a row with two generators is zero or repeats one with d1 = 2;
-            # a symbol s = 2b + g that defines w = e(j, k) gives [u, w] + [w, u]
+            # a symbol s = 2b + g that defines w = e(j, k) gives [u, w] + [w, u],
+            # a cut one F(u; v, g) + [[v, g], u]
+            append = rows.append
             for d1 in range(2, n // 2 + 1):
                 d2 = n - d1
                 j = d2 + 1
                 survivor, wrows, col = survivors[j], R[j], off[j]
+                vrows, vcol, grows = R[d2], off[d2], R[d1 + 1]
                 for a in range(dims[d1]):
                     urow, ucol = R[d1][a], off[d1] + a
                     for s in range(2 * a + 2 if d2 == d1 else 0, 2 * dims[d2]):
                         k = survivor[s]
-                        if k < 0:
-                            rows.append(jacobi_sum(R, off, d1, a, d2, s >> 1, 1, s & 1))
-                        else:
-                            rows.append(urow[col + k] ^ wrows[k][ucol])
+                        if k >= 0:
+                            append(urow[col + k] ^ wrows[k][ucol])
+                            continue
+                        b, g = s >> 1, s & 1
+                        c = vcol + b
+                        out = urow[c] << g * D  # [[u, v], g]
+                        m = urow[g]  # [[u, g], v]
+                        while m:
+                            low = m & -m
+                            out ^= grows[low.bit_length() - 1][c]
+                            m ^= low
+                        m = vrows[b][g]  # [[v, g], u], over the cut image
+                        while m:
+                            low = m & -m
+                            out ^= wrows[low.bit_length() - 1][ucol]
+                            m ^= low
+                        append(out)
 
         # defining relators of the new weight; the last letter meets the
         # frontier symbols through the top degree's action

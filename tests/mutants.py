@@ -115,6 +115,27 @@ MUTANTS = (
         ("tests/test_kernels.py::test_jacobi_check_matches_reference_on_corrupted_tables",),
     ),
     Mutant(
+        "cut-symbol row without its [[v, g], u] sum",
+        "bzloop/nq.py",
+        "m = vrows[b][g]  # [[v, g], u], over the cut image",
+        "m = 0  # [[v, g], u], over the cut image",
+        ("tests/test_refs.py::test_nq_echelon_rows_are_frozen",),
+    ),
+    Mutant(
+        "cut-symbol row shifted by (1 - g) * D",
+        "bzloop/nq.py",
+        "out = urow[c] << g * D  # [[u, v], g]",
+        "out = urow[c] << (1 - g) * D  # [[u, v], g]",
+        ("tests/test_engine.py::test_nq_default_rows_are_the_jacobi_sums",),
+    ),
+    Mutant(
+        "cut-symbol row reads [u, 1 - g] for [u, g]",
+        "bzloop/nq.py",
+        "m = urow[g]  # [[u, g], v]",
+        "m = urow[1 - g]  # [[u, g], v]",
+        ("tests/test_engine.py::test_nq_default_rows_are_the_jacobi_sums",),
+    ),
+    Mutant(
         "annihilator without its modulo",
         "bzloop/algebra.py",
         "rows = [(z.reduce(mx), z.reduce(my)) for mx, my in rows]",

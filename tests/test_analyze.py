@@ -4,10 +4,11 @@ import hashlib
 import importlib
 import json
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 
-from bzloop import cli
+from bzloop import algebra, cli
 from bzloop.algebra import GradedAlgebra, jacobi_check
 from bzloop.analyze import AnalysisReport, CheckResult, analyze
 from bzloop.bl import bl_params, presentation_R, theta_specs
@@ -33,6 +34,16 @@ def test_minimum_bound_passes(report22):
 def test_bound_validation():
     with pytest.raises(ValueError):
         analyze(2, 1, class_bound=21)
+
+
+def test_analyze_builds_the_center_once():
+    """`analyze` hands its graded center to `second_center`: one center, two annihilator passes."""
+    center = algebra.graded_center
+    with mock.patch.object(ANALYZE, "graded_center", wraps=center) as outer, mock.patch.object(
+        algebra, "graded_center", wraps=center
+    ) as inner, mock.patch.object(algebra, "_annihilator", wraps=algebra._annihilator) as passes:
+        assert analyze(2, 1, class_bound=22).ok
+    assert (outer.call_count, inner.call_count, passes.call_count) == (1, 0, 2)
 
 
 def test_default_bound_is_m_plus_two_periods():

@@ -256,7 +256,7 @@ def test_each_spec_is_v_start_then_its_suffix_and_its_partner_swaps_the_last_let
 
 
 def test_theta_words_are_built_once_and_suffixes_only_for_kept_specs():
-    """`theta_specs` builds 3 words per spec and 1 per kind for the word past max_weight; `theta_word` 1."""
+    """`theta_specs` builds 1 word per spec and 3 per kind (suffix, partner, the word past max_weight); `theta_word` 1."""
     calls = 0
 
     def counting(*parts):
@@ -269,7 +269,7 @@ def test_theta_words_are_built_once_and_suffixes_only_for_kept_specs():
             p = bl_params(g, h)
             calls = 0
             specs = theta_specs(p, max_weight=p.m + 2 * p.d)
-            assert calls == 3 * len(specs) + p.g + p.h + 1
+            assert calls == len(specs) + 3 * (p.g + p.h + 1)
             for kind in (1, p.g + p.h, "omega"):
                 calls = 0
                 theta_word(p, kind=kind, n=1)

@@ -11,6 +11,7 @@ from bzloop.algebra import (
     BracketTable,
     GradedAlgebra,
     GradedSubspaceFamily,
+    eval_runs,
     graded_center,
     jacobi_check,
     jacobi_sum,
@@ -18,7 +19,7 @@ from bzloop.algebra import (
     second_center,
 )
 from bzloop.bl import centralizer_sequence, construct_bl, presentation_R
-from bzloop.gf2 import EchelonBasis, kernel
+from bzloop.gf2 import EchelonBasis, echelonize, kernel
 from bzloop.nq import Presentation, _interleave, nq_compute
 from bzloop.oracle import ORACLE_MAX_CLASS, free_nq_oracle, witt_dimension
 from bzloop.words import X, Y, Z, make_word, parse_word, word_from_letters
@@ -119,7 +120,7 @@ def test_nq_is_the_truncation_of_a_higher_class(name, pres, bound):
     assert A.action[bound] == ((0, 0),) * A.dim(bound)
 
 
-def _jacobi_sum_rows(A: GradedAlgebra) -> tuple[int, int]:
+def _visited_and_cut_rows(A: GradedAlgebra) -> tuple[int, int]:
     """(rows the default Jacobi loop visits, those whose symbol was cut), from A's definitions.
 
     The row J(e(d1, a), e(d2, b), g) has the symbol s = 2b + g of degree
@@ -145,12 +146,70 @@ CALL_COUNT_CASES = [c for c in ANTISYMMETRY_CASES if c[0] in CALL_COUNT_NAMES]
 
 
 @pytest.mark.parametrize("name,pres,bound", CALL_COUNT_CASES, ids=[c[0] for c in CALL_COUNT_CASES])
-def test_nq_calls_jacobi_sum_for_cut_symbols_only(name, pres, bound):
-    """A defining symbol's row is read off the frontier slice; only a cut symbol's row needs `jacobi_sum`."""
+def test_nq_default_mode_calls_no_jacobi_sum(name, pres, bound):
+    """The default loop builds every Jacobi row in place; only `full_jacobi` mode calls `jacobi_sum`."""
     with mock.patch("bzloop.nq.jacobi_sum", wraps=jacobi_sum) as counted:
+        nq_compute(pres, bound)
+    assert counted.call_count == 0
+    with mock.patch("bzloop.nq.jacobi_sum", wraps=jacobi_sum) as counted:
+        nq_compute(pres, bound, full_jacobi=True)
+    assert counted.call_count > 0
+
+
+def _jacobi_sum_default_rows(table: BracketTable, pres: Presentation) -> list[int]:
+    """The rows of the degree being cut that the default mode hands `echelonize`, every Jacobi row a `jacobi_sum`.
+
+    `table` holds the frontier slice of degree n + 1 over the split symbols;
+    the rows are built in the default mode's order, made distinct and
+    nonzero, and interleaved into symbol order.
+    """
+    R, off = table.rows, table.offset
+    n = len(R) - 1
+    dims = [len(layer) for layer in R]
+    rows = []
+    if (n + 1) % 2 == 0:
+        h = (n + 1) // 2
+        rows += [R[h][a][off[h] + a] for a in range(dims[h])]
+    if n == 1:
+        rows.append(R[1][0][1] ^ R[1][1][0])
+    for d1 in range(2, n // 2 + 1):
+        d2 = n - d1
+        for a in range(dims[d1]):
+            for s in range(2 * a + 2 if d2 == d1 else 0, 2 * dims[d2]):
+                rows.append(jacobi_sum(R, off, d1, a, d2, s >> 1, 1, s & 1))
+    rows += [eval_runs(R, r.runs(), n + 1) for r in pres.relators if r.weight == n + 1]
+    low = (1 << dims[n]) - 1
+    return [_interleave(r & low, r >> dims[n]) for r in dict.fromkeys(rows) if r]
+
+
+@pytest.mark.parametrize("name,pres,bound", CALL_COUNT_CASES, ids=[c[0] for c in CALL_COUNT_CASES])
+def test_nq_default_rows_are_the_jacobi_sums(name, pres, bound):
+    """At each cut `echelonize` receives the rows `jacobi_sum` gives over the same frontier table, in order.
+
+    The inline rows of cut symbols are then checked on tables where some
+    symbols are cut and some survive.
+    """
+    fill = BracketTable.fill
+    frontier = []
+
+    def recording_fill(table, s, lowest=1, split=0):
+        if split:
+            frontier.append(table)
+        fill(table, s, lowest, split)
+
+    cuts = []
+
+    def checked_echelonize(rows, nsym):
+        assert rows == _jacobi_sum_default_rows(frontier[-1], pres), f"degree {len(frontier[-1].rows)}"
+        cuts.append(len(frontier[-1].rows))
+        return echelonize(rows, nsym)
+
+    with mock.patch.object(BracketTable, "fill", recording_fill), mock.patch(
+        "bzloop.nq.echelonize", checked_echelonize
+    ):
         A = nq_compute(pres, bound)
-    visited, cut = _jacobi_sum_rows(A)
-    assert counted.call_count == cut
+    assert cuts == [n + 1 for n in range(1, bound) if A.dim(n)]
+    visited, cut = _visited_and_cut_rows(A)
     assert 0 < cut < visited
 
 
@@ -410,6 +469,21 @@ def test_center_and_second_center_weights():
     M = nq_compute(presentation_R(2, 1), 24)
     assert _weights(graded_center(M)) == [5, 7, 15, 20, 21]
     assert _weights(second_center(M)) == [5, 7, 15, 19, 20, 21]
+
+
+def test_second_center_over_a_given_center_is_the_same():
+    """`second_center(A, Z)` reuses a built center; one of another algebra or range is refused."""
+    M = nq_compute(presentation_R(2, 1), 24)
+    Z = graded_center(M)
+    built, given = second_center(M), second_center(M, Z)
+    assert built.valid_up_to == given.valid_up_to == 22
+    for d in range(1, 23):
+        assert (built.at(d).pivots, list(built.at(d))) == (given.at(d).pivots, list(given.at(d)))
+    other = nq_compute(presentation_R(2, 1), 24)
+    with pytest.raises(ValueError):
+        second_center(other, Z)
+    with pytest.raises(ValueError):
+        second_center(M, GradedSubspaceFamily(M, Z.per_degree, 22))
 
 
 @pytest.fixture(scope="module")

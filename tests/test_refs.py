@@ -82,13 +82,19 @@ ADDED_ROWS = {
     ("R(2,1)@48", True): (59, "9c20c707392bc18c616081ed7534f7afde9ec3fea985de503905f7a28c3afaad"),
     ("free@10", False): (30, "074e40fa9695f38f68efbc01055d1df83a10da4e9392cd9e51d9547b4cccae82"),
     ("free@10", True): (32, "ed4392ccb956cc03e118699ce9f1fbe6bba91716d5f70a2c19ac92b53f01d40a"),
+    # 88 of its Jacobi symbols are cut, 67 of them with a nonzero image [v, g]
+    ("y x y x y@12", False): (94, "bae563be84cee0b27f012bb6b46dc04eb1742a3d47dfe33698e97b80d488e821"),
 }
 
 
 @pytest.mark.parametrize("name,full_jacobi", list(ADDED_ROWS), ids=[f"{n} full_jacobi={f}" for n, f in ADDED_ROWS])
 def test_nq_echelon_rows_are_frozen(name, full_jacobi):
     """The relation rows reach the echelon basis in symbol order, each once, in the same order."""
-    pres, bound = {"R(2,1)@48": (presentation_R(2, 1), 48), "free@10": (Presentation(()), 10)}[name]
+    pres, bound = {
+        "R(2,1)@48": (presentation_R(2, 1), 48),
+        "free@10": (Presentation(()), 10),
+        "y x y x y@12": (Presentation([parse_word("y x y x y")]), 12),
+    }[name]
     added = []
     add = EchelonBasis.add
 
