@@ -20,12 +20,12 @@ gives [u, w] + [w, u], two entries of the frontier slice), and
 `jacobi_check` reads every square, every antisymmetry pair and the
 Jacobi sums straight from the algebra's filled table, building an `Element`
 only for a failure: the squares and pairs in one list comparison per row,
-the generator triples in one walk per generator over a degree-ordered list
-of elements.  While every square and pair passes, only the Jacobi
-triples J(g, v, w) that hold a generator g, and go through no defining
-pair, are summed.  When (v, g) defines w' = [v, g], whatever its action
-row w' + delta holds, the fill rule and two pairs give
-J(u, v, g) = [delta, u], and the squares and pairs make delta central.
+the triples in one walk over a degree-ordered list of elements.  While
+every square and pair passes, only the Jacobi triples J(g, v, w) that
+hold a generator g, and go through no defining pair, are summed.  When
+(v, g) defines w' = [v, g], whatever its action row w' + delta holds, the
+fill rule and two pairs give J(u, v, g) = [delta, u], and the squares and
+pairs make delta central.
 The generator triples certify the rest, because the fill rule makes each
 [., w'] a commutator of derivations.  Three more rules live here
 once each: `eval_runs` evaluates a left-normed word over action rows, from
@@ -42,6 +42,7 @@ center.  `str(Element)` is the one text form of an element.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate
 from math import comb
@@ -502,21 +503,43 @@ class JacobiReport:
         return f"jacobi check: {status}, {self.checked} instances"
 
 
-def _open_rows(A: GradedAlgebra, top: int) -> tuple[tuple[list[tuple[int, int]], list[int]], ...]:
-    """Per generator index g, the (d, b) of degree d <= top whose pair (b, g) defines nothing.
+def _open_rows(A: GradedAlgebra) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """Per generator index g, the (d, b) of degree d <= class_bound - 2 whose pair (b, g) defines nothing.
 
     A pair (b, g) of degree d is a defining pair when it defines an element
     of degree d + 1, that is, when it is in ``A.basis[d + 1]``; its action
-    row is not read.  Each list is in degree order and comes with its ends:
-    entry d is the number of its pairs of degree at most d.
+    row is not read.  Each list is in degree order.
     """
-    out = ([], [0]), ([], [0])
-    for d in range(1, top + 1):
+    out = [], []
+    for d in range(1, A.class_bound - 1):
         defining = set(A.basis[d + 1])
-        for g, (elems, ends) in enumerate(out):
+        for g, elems in enumerate(out):
             elems.extend((d, b) for b in range(A.dim(d)) if (b, g) not in defining)
-            ends.append(len(elems))
     return out
+
+
+def _instances(dims: Sequence[int], bound: int) -> int:
+    """The squares, pairs and triples `jacobi_check` covers, by closed forms per degree pair.
+
+    Per degree d1 <= bound // 2 of n1 elements: n1 squares, C(n1, 2) pairs
+    inside d1 and n1 pairs with each element of degrees d1 < d2 <= bound - d1.
+    Per degree pair d1 <= d2 with d1 + 2 * d2 <= bound, and `more` elements
+    of degrees d2 < d3 <= bound - d1 - d2: when d1 = d2, C(n1 + 2, 3) triples
+    inside the degree and C(n1 + 1, 2) pairs (u, v) with each of the `more`;
+    otherwise n1 * C(n2 + 1, 2) with d3 = d2, and n1 * n2 * more.
+    """
+    below = list(accumulate(dims))  # below[d]: the elements of degree at most d
+    count = 0
+    for d1 in range(1, bound // 2 + 1):
+        n1 = dims[d1]
+        count += n1 + comb(n1, 2) + n1 * (below[bound - d1] - below[d1])
+        for d2 in range(d1, (bound - d1) // 2 + 1):  # empty once 3 * d1 > bound
+            n2, more = dims[d2], below[bound - d1 - d2] - below[d2]
+            if d1 == d2:
+                count += comb(n1 + 2, 3) + comb(n1 + 1, 2) * more
+            else:
+                count += n1 * comb(n2 + 1, 2) + n1 * n2 * more
+    return count
 
 
 def jacobi_check(A: GradedAlgebra) -> JacobiReport:
@@ -527,28 +550,29 @@ def jacobi_check(A: GradedAlgebra) -> JacobiReport:
     bracket alternates on all elements exactly when it does on the basis
     and is antisymmetric on basis pairs, so both are checked.  Pairs (u, v)
     and triples (u, v, w) run over degrees d1 <= d2 <= d3 and, within equal
-    degrees, indices in order; a pair's two elements differ.  Squares,
-    pairs and triples are counted in `checked` by closed forms per degree
-    d1 or degree pair (d1, d2); only the triples that may fail are summed.
+    degrees, indices in order; a pair's two elements differ.  `checked`
+    counts every square, pair and triple by the closed forms of
+    `_instances`; only the triples that may fail are summed.
 
-    The squares and pairs run one row at a time over the rows laid end to
-    end, so that flat index ``offset[d] + a`` is e(d, a).  The row of u at
-    flat index c holds its square at column c, and its brackets [u, v] with
-    every v after it, up to degree class_bound - deg u, in the columns
-    after c; column c of those rows holds [v, u].  Both lists are compared
-    whole, and only a mismatch is taken apart.  The generator triples walk
-    one degree-ordered list of the elements v per generator g: from each v,
-    the w at and after it, up to the degree the class bound allows.  The
-    failures of each pass are sorted into the order of the degree loops,
-    so the report does not depend on how the passes run.
+    The elements are laid end to end in one degree-ordered list, so that
+    flat index ``offset[d] + a`` is e(d, a).  The row of u at flat index c
+    holds its square at column c, and its brackets [u, v] with every v
+    after it, up to degree class_bound - deg u, in the columns after c;
+    column c of those rows holds [v, u].  Both lists are compared whole,
+    and only a mismatch is taken apart.  The triples are one walk over the
+    same list: for each u, the v at and after it, then the w at and after
+    v, while d1 + 2 * d2 and d1 + d2 + d3 stay within the class bound.  The
+    failures of each pass are sorted by degrees, then indices: the pairs by
+    (d1, d2, a, b) and the triples by (d1, d2, d3, a, b, c), so the report
+    does not depend on the order of the walk.
 
-    While every square and pair passes, only the generator triples
-    J(g, v, w), those with d1 = 1, whose pairs (v, g) and (w, g) are both
-    open are summed; a pair (b, g) of degree d is a defining pair when it
-    defines an element of degree d + 1, and open otherwise.  Every triple
-    with d1 >= 2 is then zero too.  Write R_w(u) = [u, w], and call an
-    element central when its action rows, its brackets with x and y, are
-    zero.
+    While every square and pair passes, the walk takes u only in degree 1,
+    and v and w only among the elements whose pair with u is open: it sums
+    the generator triples J(g, v, w) whose pairs (v, g) and (w, g) are both
+    open; a pair (b, g) of degree d is a defining pair when it defines an
+    element of degree d + 1, and open otherwise.  Every triple with d1 >= 2
+    is then zero too.  Write R_w(u) = [u, w], and call an element central
+    when its action rows, its brackets with x and y, are zero.
 
     - With squares and antisymmetry, a triple's sum does not depend on the
       order of its elements, and J(u, v, w) = R_w[u, v] + [R_w u, v]
@@ -579,74 +603,48 @@ def jacobi_check(A: GradedAlgebra) -> JacobiReport:
     The truncated table is a graded algebra in its own right (a bracket
     past the class bound is zero), and every identity above is homogeneous,
     so the argument holds degree by degree up to the bound.  A failed
-    square or pair sums every triple, and a failed generator triple every
-    triple with d1 >= 2, so the report lists every failing triple in the
-    same order either way.
+    square or pair makes the walk take every u, v and w, and a failed
+    generator triple every triple with d1 >= 2, so the report lists every
+    failing triple in the same order either way.
     """
     bound = A.class_bound
     table = A.bracket_table()
     rows, offset = table.rows, table.offset
-    dims = A.dims
-    below = list(accumulate(dims))  # below[d]: the elements of degree at most d
     flat = [row for layer in rows[1:bound] for row in layer]  # flat[offset[d] + a]: the row of e(d, a)
-    every = [(d, b) for d in range(1, bound) for b in range(dims[d])]  # every[offset[d] + b] = (d, b)
-    checked = 0
+    every = [(d, b) for d in range(1, bound) for b in range(A.dim(d))]  # every[offset[d] + b] = (d, b)
     failures = []
     pairs = []  # ((d1, d2, a, b), [u, v] + [v, u]) for each failed pair
-    for d1 in range(1, bound // 2 + 1):
-        n1 = dims[d1]
-        checked += n1 + comb(n1, 2) + n1 * (below[bound - d1] - below[d1])
+    for c, (d1, a) in enumerate(every[: offset[bound // 2 + 1]]):
+        row = flat[c]
+        if row[c]:
+            failures.append(("square", A.labels[d1][a], Element(A, 2 * d1, row[c])))
         hi = offset[bound - d1 + 1]  # the pairs end at degree bound - d1
-        for a in range(n1):
-            c = offset[d1] + a
-            row = flat[c]
-            if row[c]:
-                failures.append(("square", A.labels[d1][a], Element(A, 2 * d1, row[c])))
-            mine, theirs = row[c + 1 : hi], [r[c] for r in flat[c + 1 : hi]]
-            if mine != theirs:
-                for (d2, b), uv, vu in zip(every[c + 1 : hi], mine, theirs):
-                    if uv != vu:
-                        pairs.append(((d1, d2, a, b), uv ^ vu))
+        mine, theirs = row[c + 1 : hi], [r[c] for r in flat[c + 1 : hi]]
+        if mine != theirs:
+            for (d2, b), uv, vu in zip(every[c + 1 : hi], mine, theirs):
+                if uv != vu:
+                    pairs.append(((d1, d2, a, b), uv ^ vu))
     for (d1, d2, a, b), diff in sorted(pairs):
         labels = (A.labels[d1][a], A.labels[d2][b])
         failures.append(("antisymmetry", labels, Element(A, d1 + d2, diff)))
-    if failures:  # a failed square or pair: every generator triple is summed
-        opened = (every, below), (every, below)
-    else:
-        opened = _open_rows(A, bound - 2)
-    triples = []  # ((d2, d3, a, b, c), the sum) for each failed generator triple
-    for a, (elems, ends) in enumerate(opened):
-        for i, (d2, b) in enumerate(elems):
-            if 2 * d2 >= bound:  # d2 <= d3 <= bound - 1 - d2
+    opened = _open_rows(A)
+    triples = []  # ((d1, d2, d3, a, b, c), the sum) for each failed triple
+    for d1, a in every[: offset[bound // 3 + 1]]:
+        if d1 > 1 and not (failures or triples):  # zero by the derivation argument
+            break
+        elems = every if d1 > 1 or failures else opened[a]
+        start = bisect_left(elems, (d1, a))
+        for i, (d2, b) in enumerate(elems[start:], start):
+            if d1 + 2 * d2 > bound:
                 break
-            if d2 > 1 or b >= a:  # in degree 1, v runs from the generator on
-                for d3, c in elems[i : ends[bound - 1 - d2]]:
-                    jac = jacobi_sum(rows, offset, 1, a, d2, b, d3, c)
-                    if jac:
-                        triples.append(((d2, d3, a, b, c), jac))
-    for (d2, d3, a, b, c), jac in sorted(triples):
-        labels = (A.labels[1][a], A.labels[d2][b], A.labels[d3][c])
-        failures.append(("jacobi", labels, Element(A, 1 + d2 + d3, jac)))
-    for d1 in range(1, bound // 3 + 1):
-        n1 = dims[d1]
-        for d2 in range(d1, (bound - d1) // 2 + 1):
-            top = bound - d1 - d2  # the highest d3, at least d2
-            n2, more = dims[d2], below[top] - below[d2]  # more: the elements of degrees d2 < d3 <= top
-            if d1 == d2:  # the triples with d3 = d2, then those with d3 > d2
-                checked += comb(n1 + 2, 3) + comb(n1 + 1, 2) * more
-            else:
-                checked += n1 * comb(n2 + 1, 2) + n1 * n2 * more
-            if d1 == 1 or not failures:  # walked above, or zero by the derivation argument
-                continue
-            for d3 in range(d2, top + 1):
-                for a in range(n1):
-                    for b in range(a if d2 == d1 else 0, n2):
-                        for c in range(b if d3 == d2 else 0, dims[d3]):
-                            jac = jacobi_sum(rows, offset, d1, a, d2, b, d3, c)
-                            if jac:
-                                labels = (A.labels[d1][a], A.labels[d2][b], A.labels[d3][c])
-                                failures.append(("jacobi", labels, Element(A, d1 + d2 + d3, jac)))
-    return JacobiReport(not failures, checked, failures)
+            for d3, c in elems[i : bisect_left(elems, (bound - d1 - d2 + 1,))]:
+                jac = jacobi_sum(rows, offset, d1, a, d2, b, d3, c)
+                if jac:
+                    triples.append(((d1, d2, d3, a, b, c), jac))
+    for (d1, d2, d3, a, b, c), jac in sorted(triples):
+        labels = (A.labels[d1][a], A.labels[d2][b], A.labels[d3][c])
+        failures.append(("jacobi", labels, Element(A, d1 + d2 + d3, jac)))
+    return JacobiReport(not failures, _instances(A.dims, bound), failures)
 
 
 # -- graded subspaces -------------------------------------------------------

@@ -68,8 +68,8 @@ MUTANTS = (
     Mutant(
         "Jacobi certificate skips the generator triples",
         "bzloop/algebra.py",
-        "opened = _open_rows(A, bound - 2)",
-        "opened = _open_rows(A, 0)",
+        "for d in range(1, A.class_bound - 1):\n        defining = set(A.basis[d + 1])",
+        "for d in range(1, 1):\n        defining = set(A.basis[d + 1])",
         ("tests/test_kernels.py::test_jacobi_check_catches_jacobi_only_corruptions",),
     ),
     Mutant(
@@ -82,15 +82,15 @@ MUTANTS = (
     Mutant(
         "generator triples skipped after a failed square or pair",
         "bzloop/algebra.py",
-        "if failures:  # a failed square or pair",
-        "if False:  # a failed square or pair",
+        "elems = every if d1 > 1 or failures else opened[a]",
+        "elems = every if d1 > 1 else opened[a]",
         ("tests/test_kernels.py::test_jacobi_check_sums_more_triples_once_a_check_fails",),
     ),
     Mutant(
         "closed form reads one degree too few",
         "bzloop/algebra.py",
-        "more = dims[d2], below[top] - below[d2]",
-        "more = dims[d2], below[top - 1] - below[d2]",
+        "more = dims[d2], below[bound - d1 - d2] - below[d2]",
+        "more = dims[d2], below[bound - d1 - d2 - 1] - below[d2]",
         ("tests/test_kernels.py::test_jacobi_check_matches_reference_on_sound_tables",),
     ),
     Mutant(
@@ -103,8 +103,22 @@ MUTANTS = (
     Mutant(
         "generator walk starts past v",
         "bzloop/algebra.py",
-        "for d3, c in elems[i : ends[bound - 1 - d2]]:",
-        "for d3, c in elems[i + 1 : ends[bound - 1 - d2]]:",
+        "for d3, c in elems[i : bisect_left(elems, (bound - d1 - d2 + 1,))]:",
+        "for d3, c in elems[i + 1 : bisect_left(elems, (bound - d1 - d2 + 1,))]:",
+        ("tests/test_kernels.py::test_jacobi_check_sums_only_open_generator_triples_on_a_sound_table",),
+    ),
+    Mutant(
+        "Jacobi walk stops at d1 = 2 after a failed generator triple",
+        "bzloop/algebra.py",
+        "if d1 > 1 and not (failures or triples):",
+        "if d1 > 1 and not failures:",
+        ("tests/test_kernels.py::test_jacobi_check_sums_more_triples_once_a_check_fails",),
+    ),
+    Mutant(
+        "Jacobi walk starts past u",
+        "bzloop/algebra.py",
+        "start = bisect_left(elems, (d1, a))",
+        "start = bisect_left(elems, (d1, a + 1))",
         ("tests/test_kernels.py::test_jacobi_check_sums_only_open_generator_triples_on_a_sound_table",),
     ),
     Mutant(

@@ -6,7 +6,10 @@ it replaced, with a per-pair antisymmetry loop in front of it.  On a sound
 table `jacobi_check` sums only the triples that hold a generator and go
 through no defining pair: call counts pin that against an independent
 enumerator, and two corruptions that fail Jacobi alone pin that it still
-sums those triples.  Every single-bit flip of two small tables gives the
+sums those triples.  Three tables whose degrees hold up to 68 elements
+give the reference report, sound and corrupted, so the index order within
+a degree of more than two elements is checked too.  Every single-bit flip
+of two small tables gives the
 reference report, both of an action row and of an entry of the filled
 table at the edges of the pair comparison, and so does every small table
 whose degree 2 is defined as [x, x] or whose [y, x] row is not the
@@ -137,6 +140,39 @@ def test_jacobi_check_matches_reference_on_corrupted_tables(presented):
             assert got == reference_jacobi(bad), (seed, A.class_bound)
             failing += not got[0]
     assert failing >= 60  # most corruptions are caught, so the failure lists were compared
+
+
+def _xy_presentation(seed: int) -> Presentation:
+    """1-2 relators of length 4-8 over the letters x, y."""
+    rng = random.Random(seed)
+    return Presentation(
+        word_from_letters(rng.choice((X, Y)) for _ in range(rng.randint(4, 8))) for _ in range(rng.randint(1, 2))
+    )
+
+
+@pytest.mark.parametrize(
+    "build,widest",
+    [
+        (lambda: nq_compute(Presentation(()), 8), 30),
+        (lambda: nq_compute(_xy_presentation(5), 10), 68),
+        (lambda: nq_compute(_xy_presentation(7), 10), 68),
+    ],
+    ids=["free@8", "x/y #5@10", "x/y #7@10"],
+)
+def test_jacobi_check_matches_reference_on_wide_tables(build, widest):
+    """Degrees of more than two elements: the index order within equal degrees, sound and corrupted."""
+    A = build()
+    assert max(A.dims) == widest
+    assert _report(A) == reference_jacobi(A)
+    assert _report(A)[0]
+    rng = random.Random(widest)
+    failing = 0
+    for _ in range(40):
+        bad = _corrupted(A, rng)
+        got = _report(bad)
+        assert got == reference_jacobi(bad)
+        failing += not got[0]
+    assert failing >= 30  # most corruptions are caught, so the failure lists were compared
 
 
 def test_jacobi_check_rejects_a_table_that_is_not_antisymmetric(presented):
