@@ -80,24 +80,39 @@ class BracketTable:
     s - 1, and block (i+1, j-1) from slice s itself.  So `fill` runs over
     the rows i = s-2 down to 1, slices are filled in increasing s, and no
     recursion is needed.  `fill(s, lowest)` stops at row `lowest`, and
-    `mirror(s)` sets every block (i, j) of slice s with i < j to the
+    `mirror(s)` sets every block (i, j) of slice s with 2 <= i < j to the
     transpose of block (j, i), which is the block itself when the slice is
-    antisymmetric.  Each row of degree i below the last slice filled, s,
-    ends with its block of slice s, except a row below `lowest` of that
-    fill that no `mirror(s)` has set since: `nq_compute` leaves row 1 so
-    while it cuts a degree, and in its last slice.  While it cuts degree
-    s, `nq_compute` sets the split action
-    [e(s-1,t), g] = bit t + g * D, D = dim(s - 1), and calls
+    antisymmetric.  A table filled by `fill(s)` alone, as
+    `GradedAlgebra.bracket_table` fills it, holds every block of every
+    slice as a true bracket.
+
+    `nq_compute` holds less.  While it cuts degree s it sets the split
+    action [e(s-1,t), g] = bit t + g * D, D = dim(s - 1), and calls
     `fill(s, 2, split=D)`: the first sum of the rule, over t in [u, p] of
-    [e(s-1,t), g], is then one shift, [u, p] << g * D.
+    [e(s-1,t), g], is then one shift, [u, p] << g * D.  This frontier fill
+    leaves each block (i, j) of slice s with i, j >= 2 in frontier form, a
+    mask over the 2D split symbols.  After the cut, `set_action(s - 1)`
+    makes block (s - 1, 1) true.  The rest of the slice is then either
+    refilled (`fill(s, lowest)` and `mirror(s)`), which makes the blocks
+    with i >= 2 true, or, for a narrow cut in the default mode, held in
+    frontier form by `hold_frontier(s)`: `frontier` is s and `image[m]` is
+    the true value of the frontier mask m.  `fill(frontier + 1)` reads the
+    blocks (i, j) with j >= 2 of slice `frontier` through `image`.  In
+    that table a row of degree i >= 2 ends with its block of the last
+    slice filled, and its blocks of a slice held before `frontier` stay in
+    frontier form, which no later fill or cut reads; row 1 holds its
+    action block only, except in `full_jacobi` mode, whose fills are
+    whole.
     """
 
-    __slots__ = ("rows", "defs", "offset")
+    __slots__ = ("rows", "defs", "offset", "frontier", "image")
 
     def __init__(self):
         self.rows: list[list[list[int]]] = [[], [[], []]]
         self.defs: list[list[tuple[int, int]]] = [[], []]  # (parent index, generator index)
         self.offset: list[int] = [0, 0]
+        self.frontier = 0  # the slice held in frontier form, read through `image`; 0 for none
+        self.image: list[int] = []
 
     def add_degree(self, defs: Iterable[tuple[int, int]]) -> None:
         """Append the next degree, given its elements' (parent index, generator index)."""
@@ -110,6 +125,19 @@ class BracketTable:
         for row, (mx, my) in zip(self.rows[degree], action):
             row[:] = (mx, my)
 
+    def hold_frontier(self, s: int) -> None:
+        """Keep slice s as its frontier fill left it, and read it through its image table.
+
+        The split symbol t + g * D is [e(s-1,t), g], whose true value is now
+        the action row entry ``rows[s - 1][t][g]``, so ``image[m]`` is the
+        XOR of those over the bits of m: 2^(2D) entries.
+        """
+        image = [0]
+        for g in (0, 1):
+            for row in self.rows[s - 1]:
+                image += [m ^ row[g] for m in image]
+        self.frontier, self.image = s, image
+
     def fill(self, s: int, lowest: int = 1, split: int = 0) -> None:
         """Fill the rows i = s - 2 down to `lowest` of slice s.
 
@@ -118,21 +146,40 @@ class BracketTable:
         row s - 2 is self-contained.  A slice that was filled before is
         replaced, so the cut slice can be refilled once the action of
         degree s - 1 changes basis.  A nonzero `split` says that action is
-        the split one, [e(s-1,t), g] = bit t + g * split.
+        the split one, [e(s-1,t), g] = bit t + g * split.  When slice s - 1
+        is held in frontier form, the first term of each block (i, j) with
+        j >= 3 is looked up: [[u, p], g] for the frontier mask m of [u, p]
+        is the XOR of [e(s-1,k), g] over the bits k of image[m], one table
+        of 2^nsym entries per generator, built once per call.
         """
         rows, offset = self.rows, self.offset
         act = rows[s - 1]
+        lookup = None
+        if self.frontier == s - 1:
+            image = self.image
+            if split:  # [e(s-1,k), g] is bit k + g * split
+                lookup = [image, [m << split for m in image]]
+            else:  # by doubling over the frontier bits t, each the XOR over image[1 << t]
+                lookup = [[0], [0]]
+                for t in range(len(image).bit_length() - 1):
+                    for g, table in enumerate(lookup):
+                        out = 0
+                        for k in iter_bits(image[1 << t]):
+                            out ^= act[k][g]
+                        table += [m ^ out for m in table]
         for i in range(s - 2, lowest - 1, -1):
             j = s - i
             below = rows[i + 1]
             start, end = offset[j - 1], offset[j]
             defs = self.defs[j]
+            held = lookup if j > 2 else None  # block (i, 1) is the true action
+            direct = split or held  # [[u, p], g] without a walk over the action
             for row in rows[i]:
                 del row[end:]
                 for p, g in defs:
                     m = row[start + p]  # [u, p]
-                    if split:
-                        out = m << g * split
+                    if direct:
+                        out = held[g][m] if held else m << g * split
                     else:
                         out = 0
                         while m:
@@ -147,9 +194,9 @@ class BracketTable:
                     row.append(out)
 
     def mirror(self, s: int) -> None:
-        """Set each block (i, j) of slice s with i < j to the transpose of block (j, i)."""
+        """Set each block (i, j) of slice s with 2 <= i < j to the transpose of block (j, i)."""
         rows, offset = self.rows, self.offset
-        for i in range(1, (s + 1) // 2):
+        for i in range(2, (s + 1) // 2):
             j = s - i
             end, col, rows_j = offset[j], offset[i], rows[j]
             for row in rows[i]:

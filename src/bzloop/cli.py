@@ -34,14 +34,15 @@ from .words import parse_word
 
 
 # Input limits, checked before any other work.  Each bounds the work one flag
-# can ask for while keeping the stretch range g + h = 8 in reach: there the
-# default class bound m + 2d is at most 1660 (at g = 2, h = 6).  The parity
+# can ask for while keeping the stretch range g + h = 10 in reach: there the
+# default class bound m + 2d is at most 6652 (at g = 2, h = 8), and `analyze`
+# takes under a minute and about 210 MB at each such pair.  The parity
 # sweeps are sized so the largest allowed run takes a few seconds: binom is
 # quadratic in --check-max, identity-i about s_max^2 * Q^2 / 2 binomials.
-MAX_GH = 8  # largest g + h, for --g/--h and verify-appendix --gh-max
+MAX_GH = 10  # largest g + h, for --g/--h and verify-appendix --gh-max
 MIN_GH = 3  # least g + h (g >= 2, h >= 1), the least verify-appendix --gh-max
-MAX_CLASS = 2048  # largest --class
-MAX_WORD_WEIGHT = 2048  # largest weight of an eval --word
+MAX_CLASS = 6652  # largest --class
+MAX_WORD_WEIGHT = 6652  # largest weight of an eval --word
 MAX_BINOM_ROW = 4096  # largest binom --check-max
 MAX_Q = 64  # largest identity-i --Q
 MAX_S = 64  # largest identity-i --s-max

@@ -24,15 +24,20 @@ row J(u, v, g) whose symbol [v, g] survived its own cut as w is
 [u, w] + [w, u], two entries of the slice; the row of a cut symbol is
 summed in place by the fill's rule plus [[v, g], u] over the symbol's
 image, so the default mode calls no `jacobi_sum`.  Once the cut is
-known, the top degree's action is set to the survivor images and slice
-n + 1 is refilled from it, which makes it the true bracket table of
-degree n + 1.  The slice is linear in that action, so the refill
-equals re-expressing the frontier slice over the survivors.  The
-refilled slice is antisymmetric, so only its blocks (i, j) with i >= j
-are filled and the rest are mirrored from them.  The last slice, of
-degree class_bound, is not refilled: no later cut reads it, and the
-result keeps only the action rows.  `full_jacobi=True` refills every
-block of the slice and builds every triple row; it is the cross-check.
+known, the top degree's action is set to the survivor images.  The slice
+is linear in that action, so the image of each frontier entry over the
+survivors is the true bracket.  A narrow cut, of at most `NARROW`
+symbols, keeps slice n + 1 as the frontier fill left it, with the cut's
+image table of 2^nsym entries; the cut of degree n + 2, the one later
+reader, reads the slice through it.  Every cut of R(g, h) with
+g + h <= 10 is narrow: its degrees past the first are 1 or 2 wide.  A
+wider cut refills the slice from the survivor images, which makes it the
+true bracket table of degree n + 1; the refilled slice is antisymmetric,
+so only its blocks (i, j) with i >= j are filled and the rest, row 1
+aside, are mirrored from them.  The last slice, of degree class_bound, is neither: no later
+cut reads it, and the result keeps only the action rows.
+`full_jacobi=True` refills every block of every slice and builds every
+triple row; it is the cross-check.
 """
 
 from __future__ import annotations
@@ -49,6 +54,11 @@ from .algebra import (
 )
 from .gf2 import echelonize
 from .words import CommutatorWord
+
+
+# A cut of at most this many frontier symbols keeps its slice in frontier
+# form, read through an image table of 2^nsym entries, instead of refilling it.
+NARROW = 8
 
 
 @dataclass(frozen=True)
@@ -114,8 +124,12 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
     zero when u = [p, g].
 
     The default mode builds each bracket and each relation row once.  The
-    five shortcuts below leave every cut, and so every table, unchanged;
-    the first also holds in `full_jacobi` mode.
+    six shortcuts below leave every cut, and so every table, unchanged;
+    the first also holds in `full_jacobi` mode.  The proofs speak of the
+    true table, the one `GradedAlgebra.bracket_table` fills: while degree
+    n + 1 is cut it is antisymmetric in every degree <= n, row 1 included,
+    and each shortcut says which of its entries `nq_compute`'s own table
+    holds.
 
     The frontier fill skips row 1, in both modes.  When degree n + 1 is
     cut, no relation row reads block (1, n) of the frontier slice.  A
@@ -133,19 +147,21 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
     a generator-Jacobi row or zero, so the refilled slice is
     antisymmetric.  Hence the refill fills the blocks (i, j) with i >= j
     only; this is self-contained, since block (i, j) reads (i + 1, j - 1)
-    of its slice, also in that half.  Every block (i, j) with i < j, row 1
-    included, is then the transpose of block (j, i).
+    of its slice, also in that half.  Every block (i, j) with 2 <= i < j
+    is then the transpose of block (j, i).  Row 1 is left as it is: by the
+    first, fifth and sixth shortcuts no reader in the default mode reads
+    it.
 
     No row with two generators is built: each is zero or repeats a row
     the loop builds.  Take J(x, v, y) with v = e(n - 1, b) = [q, g'] and
     let z = [y, x] span degree 2 (if degree 2 is zero, so is every degree
     above it).  J(y, v, x) is the same row term by term, because
     [x, v] = [v, x], [v, y] = [y, v] and [x, y] = [y, x] hold bit for bit
-    in the table in degrees <= n (the mirrored blocks hold them exactly).
+    in the true table in degrees <= n.
     Its terms are [[x, v], y] = [[v, x], y], [[v, y], x] and [z, v], which
     the frontier fill gives as [[z, q], g'] + [[z, g'], q].  The row
     J(z, q, g') has the terms [[z, q], g'], [[z, g'], q] (as [[g', z], q],
-    read through the mirrored block (1, 2)) and [[q, g'], z] = [v, z],
+    and [g', z] = [z, g']) and [[q, g'], z] = [v, z],
     which the fill gives from z's definition as [[v, x], y] + [[v, y], x].
     So the two rows are equal bit for bit.  For n >= 5 the loop builds
     J(z, q, g') with d1 = 2.  For n = 4, q = z, and J(z, z, g') is
@@ -169,10 +185,12 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
     J(u, v, g) = F(u; v, g) + [[v, g], u], term by term.  The first term
     of `jacobi_sum` sums [t, g] over t in [u, v]; over the split frontier
     each [t, g] is the bit t + g * D, so it is [u, v] shifted by g * D, the
-    one shift `fill` makes.  The third sums [t, v] over t in
-    [g, u] = R[1][g][off[d1] + a]; F sums over [u, g] = R[d1][a][g]
-    instead, and these are the same mask, because `mirror(d1 + 1)` set
-    row 1 from the action rows (d1 + 1 <= n); so the loop reads no row 1.
+    one shift `fill` makes ([u, v] lies in slice n, read through its image
+    table when that slice is held; sixth shortcut).  The third sums [t, v]
+    over t in [g, u], the row-1 entry R[1][g][off[d1] + a] of the true
+    table; F sums over [u, g] = R[d1][a][g] instead, and these are the same
+    mask, because the true table is antisymmetric in degree d1 + 1 <= n;
+    so the loop reads no row 1.
     The second sums [e(j, k), u] over the bits k of [v, g], the image of s
     over the survivors of degree j.  If s survived its cut as w = e(j, k),
     defined as [v, g], F is the filled entry [u, w] =
@@ -185,6 +203,39 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
     for bit to its Jacobi sum, `echelonize` receives the same rows in the
     same order, and `jacobi_sum` is left to `full_jacobi` mode and
     `jacobi_check`.
+
+    A narrow cut keeps its slice in frontier form.  When degree n + 1 is
+    cut from nsym <= `NARROW` symbols, slice n + 1 is neither refilled nor
+    mirrored; `BracketTable.hold_frontier` builds the cut's image table,
+    phi[m] the XOR of the survivor images of the split bits t + g * D in
+    m.  Every reader then sees the entry the refill would have written:
+    - Linearity, both halves.  Each block (i, j) of slice n + 1 with
+      i, j >= 2 is, by the fill rule, a sum of action entries [e(n, t), g]
+      with coefficients from the slices below (read true: through phi of
+      slice n when that one is held, by induction).  The frontier fill
+      evaluates it at the split action, where [e(n, t), g] is the bit
+      t + g * D, and the refill at the survivor images, where it is the
+      image of that bit.  So phi of the frontier entry is the refilled
+      entry, in every block the frontier fill computes: the rows i >= 2,
+      blocks with i >= j and with i < j alike.  In a block with i < j the
+      fill rule gives the transpose the mirror would write, because the
+      refilled slice is antisymmetric (second shortcut).
+    - The action block.  Block (n, 1) is excluded: after the cut it holds
+      the true action rows, the survivor images, never a frontier mask.
+      So a reader maps only blocks (i, j) with j >= 2 through phi.
+    - The readers.  The cut of degree n + 1 reads, besides the action
+      blocks, only slices n and n + 1: the frontier fill reads [u, p] in
+      slice n and slice n + 1 itself, a Jacobi row reads [u, v] in slice
+      n and the rest in slice n + 1, alternation and the survivors' rows
+      read slice n + 1, and the relator rows read only action rows.  So
+      slice n + 1 is read once more, by the cut of degree n + 2, through
+      phi: the frontier fill's term [u, p] (block (i, j - 1), j - 1 >= 2)
+      and the cut row's term [[u, v], g] (v of degree d2 >= 2).  When that
+      cut is wide, its refill reads the same [u, p] through phi too.
+      Later cuts read only its action block, which is true.
+    Every cut of R(g, h) with g + h <= 10 has at most 4 symbols (its
+    degrees past the first are 1 or 2 wide), so its default run refills
+    and mirrors no slice.
     """
     if class_bound < 1:
         raise ValueError("class bound must be at least 1")
@@ -246,6 +297,7 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
             # a symbol s = 2b + g that defines w = e(j, k) gives [u, w] + [w, u],
             # a cut one F(u; v, g) + [[v, g], u]
             append = rows.append
+            image = table.image if table.frontier == n else None  # slice n in frontier form
             for d1 in range(2, n // 2 + 1):
                 d2 = n - d1
                 j = d2 + 1
@@ -260,7 +312,8 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
                             continue
                         b, g = s >> 1, s & 1
                         c = vcol + b
-                        out = urow[c] << g * D  # [[u, v], g]
+                        uv = urow[c] if image is None else image[urow[c]]  # [u, v]
+                        out = uv << g * D  # [[u, v], g]
                         m = urow[g]  # [[u, g], v]
                         while m:
                             low = m & -m
@@ -288,6 +341,8 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
         if n + 1 < class_bound:  # the last slice is read only for its action rows
             if full_jacobi:
                 table.fill(n + 1)
+            elif nsym <= NARROW:  # keep the frontier slice, read through its image table
+                table.hold_frontier(n + 1)
             else:  # the cut slice is antisymmetric: fill the blocks i >= j, mirror the rest
                 table.fill(n + 1, (n + 2) // 2)
                 table.mirror(n + 1)

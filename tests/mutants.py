@@ -54,9 +54,30 @@ MUTANTS = (
     Mutant(
         "frontier shift by D - 1",
         "bzloop/algebra.py",
-        "out = m << g * split",
-        "out = m << g * (split - 1)",
+        "else m << g * split",
+        "else m << g * (split - 1)",
         ("tests/test_engine.py::test_frontier_shift_equals_the_generic_loop",),
+    ),
+    Mutant(
+        "frontier fill reads a frontier-form slice without its image table",
+        "bzloop/algebra.py",
+        "held = lookup if j > 2 else None",
+        "held = None",
+        ("tests/test_engine.py::test_jacobi_modes_agree",),
+    ),
+    Mutant(
+        "image table applied to the action block (i, 1)",
+        "bzloop/algebra.py",
+        "held = lookup if j > 2 else None",
+        "held = lookup if j > 1 else None",
+        ("tests/test_engine.py::test_jacobi_modes_agree",),
+    ),
+    Mutant(
+        "image table built with the x and y images swapped",
+        "bzloop/algebra.py",
+        "for g in (0, 1):\n            for row in self.rows[s - 1]:",
+        "for g in (1, 0):\n            for row in self.rows[s - 1]:",
+        ("tests/test_engine.py::test_jacobi_modes_agree",),
     ),
     Mutant(
         "interleave halves swapped",
@@ -138,8 +159,15 @@ MUTANTS = (
     Mutant(
         "cut-symbol row shifted by (1 - g) * D",
         "bzloop/nq.py",
-        "out = urow[c] << g * D  # [[u, v], g]",
-        "out = urow[c] << (1 - g) * D  # [[u, v], g]",
+        "out = uv << g * D  # [[u, v], g]",
+        "out = uv << (1 - g) * D  # [[u, v], g]",
+        ("tests/test_engine.py::test_nq_default_rows_are_the_jacobi_sums",),
+    ),
+    Mutant(
+        "cut-symbol row reads [u, v] without the image table",
+        "bzloop/nq.py",
+        "uv = urow[c] if image is None else image[urow[c]]  # [u, v]",
+        "uv = urow[c]  # [u, v]",
         ("tests/test_engine.py::test_nq_default_rows_are_the_jacobi_sums",),
     ),
     Mutant(

@@ -13,24 +13,34 @@ import pytest
 from bzloop import cli
 from bzloop.words import MAX_GROUP_DEPTH
 
+# A case whose value comes from a limit that can move is named by that limit,
+# so raising the limit keeps the test id.
 PAST_LIMITS = [
-    ["present", "--g", str(cli.MAX_GH - 1), "--h", "2"],
-    ["nq", "--g", "2", "--h", str(cli.MAX_GH - 1)],
-    ["nq", "--g", "2", "--h", "1", "--class", str(cli.MAX_CLASS + 1)],
-    ["analyze", "--g", "2", "--h", "1", "--class", str(cli.MAX_CLASS + 1)],
-    ["construct", "--g", "2", "--h", "1", "--class", str(cli.MAX_CLASS + 1)],
-    ["eval", "--g", "2", "--h", "1", "--word", f"y x^{cli.MAX_WORD_WEIGHT}"],
-    ["verify-appendix", "--gh-max", str(cli.MAX_GH + 1)],
+    pytest.param(["present", "--g", str(cli.MAX_GH - 1), "--h", "2"], id="present g + h = MAX_GH+1"),
+    pytest.param(["nq", "--g", "2", "--h", str(cli.MAX_GH - 1)], id="nq g + h = MAX_GH+1"),
+    pytest.param(["nq", "--g", "2", "--h", "1", "--class", str(cli.MAX_CLASS + 1)], id="nq --class MAX_CLASS+1"),
+    pytest.param(
+        ["analyze", "--g", "2", "--h", "1", "--class", str(cli.MAX_CLASS + 1)], id="analyze --class MAX_CLASS+1"
+    ),
+    pytest.param(
+        ["construct", "--g", "2", "--h", "1", "--class", str(cli.MAX_CLASS + 1)], id="construct --class MAX_CLASS+1"
+    ),
+    pytest.param(
+        ["eval", "--g", "2", "--h", "1", "--word", f"y x^{cli.MAX_WORD_WEIGHT}"], id="eval word weight MAX_WORD_WEIGHT+1"
+    ),
+    pytest.param(["verify-appendix", "--gh-max", str(cli.MAX_GH + 1)], id="verify-appendix --gh-max MAX_GH+1"),
     ["binom", "--check-max", str(cli.MAX_BINOM_ROW + 1)],
     ["identity-i", "--Q", str(2 * cli.MAX_Q)],
     ["identity-i", "--Q", "8", "--s-max", str(cli.MAX_S + 1)],
 ]
 
 AT_LIMITS = [
-    ["present", "--g", str(cli.MAX_GH - 1), "--h", "1"],
-    ["nq", "--g", "2", "--h", "1", "--class", str(cli.MAX_CLASS)],
-    ["eval", "--g", "2", "--h", "1", "--word", f"y x^{cli.MAX_WORD_WEIGHT - 1}"],
-    ["verify-appendix", "--gh-max", str(cli.MAX_GH)],
+    pytest.param(["present", "--g", str(cli.MAX_GH - 1), "--h", "1"], id="present g + h = MAX_GH"),
+    pytest.param(["nq", "--g", "2", "--h", "1", "--class", str(cli.MAX_CLASS)], id="nq --class MAX_CLASS"),
+    pytest.param(
+        ["eval", "--g", "2", "--h", "1", "--word", f"y x^{cli.MAX_WORD_WEIGHT - 1}"], id="eval word weight MAX_WORD_WEIGHT"
+    ),
+    pytest.param(["verify-appendix", "--gh-max", str(cli.MAX_GH)], id="verify-appendix --gh-max MAX_GH"),
     ["verify-appendix", "--gh-max", "3"],
     ["binom", "--check-max", str(cli.MAX_BINOM_ROW)],
     ["binom", "--check-max", "0"],

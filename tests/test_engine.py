@@ -2,6 +2,7 @@
 
 import random
 import sys
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -156,12 +157,12 @@ def test_nq_default_mode_calls_no_jacobi_sum(name, pres, bound):
     assert counted.call_count > 0
 
 
-def _jacobi_sum_default_rows(table: BracketTable, pres: Presentation) -> list[int]:
+def _jacobi_sum_default_rows(table, pres: Presentation) -> list[int]:
     """The rows of the degree being cut that the default mode hands `echelonize`, every Jacobi row a `jacobi_sum`.
 
-    `table` holds the frontier slice of degree n + 1 over the split symbols;
-    the rows are built in the default mode's order, made distinct and
-    nonzero, and interleaved into symbol order.
+    `table` holds the true slices below n + 1 and the true row 1, and slice
+    n + 1 over the split symbols; the rows are built in the default mode's
+    order, made distinct and nonzero, and interleaved into symbol order.
     """
     R, off = table.rows, table.offset
     n = len(R) - 1
@@ -184,8 +185,11 @@ def _jacobi_sum_default_rows(table: BracketTable, pres: Presentation) -> list[in
 
 @pytest.mark.parametrize("name,pres,bound", CALL_COUNT_CASES, ids=[c[0] for c in CALL_COUNT_CASES])
 def test_nq_default_rows_are_the_jacobi_sums(name, pres, bound):
-    """At each cut `echelonize` receives the rows `jacobi_sum` gives over the same frontier table, in order.
+    """At each cut `echelonize` receives the rows `jacobi_sum` gives over the same frontier slice, in order.
 
+    `nq_compute`'s own table holds narrow slices below n + 1 in frontier
+    form and no row 1, so the sums read the lower slices and row 1 from the
+    returned algebra's table and slice n + 1 from a copy taken at the cut.
     The inline rows of cut symbols are then checked on tables where some
     symbols are cut and some survive.
     """
@@ -199,18 +203,60 @@ def test_nq_default_rows_are_the_jacobi_sums(name, pres, bound):
 
     cuts = []
 
-    def checked_echelonize(rows, nsym):
-        assert rows == _jacobi_sum_default_rows(frontier[-1], pres), f"degree {len(frontier[-1].rows)}"
-        cuts.append(len(frontier[-1].rows))
+    def recording_echelonize(rows, nsym):
+        table = frontier[-1]
+        cuts.append((rows, [[list(row) for row in layer] for layer in table.rows], list(table.offset)))
         return echelonize(rows, nsym)
 
     with mock.patch.object(BracketTable, "fill", recording_fill), mock.patch(
-        "bzloop.nq.echelonize", checked_echelonize
+        "bzloop.nq.echelonize", recording_echelonize
     ):
         A = nq_compute(pres, bound)
-    assert cuts == [n + 1 for n in range(1, bound) if A.dim(n)]
+    true = A.bracket_table().rows
+    for rows, cut, off in cuts:
+        n = len(cut) - 1
+        # slices below n + 1 from the true table, slice n + 1 from the cut's copy
+        mixed = [[]] + [
+            [t[: off[n + 1 - i]] + c[off[n + 1 - i] :] for t, c in zip(true[i], cut[i])] for i in range(1, n + 1)
+        ]
+        assert rows == _jacobi_sum_default_rows(SimpleNamespace(rows=mixed, offset=off), pres), f"degree {n + 1}"
+    assert [len(cut) for _, cut, _ in cuts] == [n + 1 for n in range(1, bound) if A.dim(n)]
     visited, cut = _visited_and_cut_rows(A)
     assert 0 < cut < visited
+
+
+NARROW_CASES = [(2, 1, 48), (3, 1, 96)]
+
+
+@pytest.mark.parametrize("g,h,bound", NARROW_CASES, ids=[f"R({g},{h})@{c}" for g, h, c in NARROW_CASES])
+def test_nq_refills_no_narrow_slice(g, h, bound):
+    """Every cut of R(g, h) has at most 4 symbols: the default mode refills and mirrors no slice.
+
+    It keeps each cut slice in frontier form and reads it through the cut's
+    image table; `full_jacobi` still refills every slice below the last.
+    """
+    fill, mirror = BracketTable.fill, BracketTable.mirror
+    calls = []
+
+    def recording_fill(table, s, lowest=1, split=0):
+        if not split:
+            calls.append(("fill", s))
+        fill(table, s, lowest, split)
+
+    def recording_mirror(table, s):
+        calls.append(("mirror", s))
+        mirror(table, s)
+
+    pres = presentation_R(g, h)
+    with mock.patch.object(BracketTable, "fill", recording_fill), mock.patch.object(
+        BracketTable, "mirror", recording_mirror
+    ):
+        A = nq_compute(pres, bound)
+        assert calls == []
+        F = nq_compute(pres, bound, full_jacobi=True)
+    assert A == F
+    assert max(A.dims[1:]) <= 2
+    assert calls == [("fill", s) for s in range(2, bound)]
 
 
 SHIFT_CASES = [c for c in ANTISYMMETRY_CASES if c[0] in ("R(2,1)", "free") or c[0].startswith("random")]

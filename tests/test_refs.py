@@ -63,12 +63,24 @@ WIDE = {
     ("y x y^3 x y",): "6d1ee5c5bad68e3698e867d087933b0c238120b8d0c8aeb30c6c343c7153ee92",
     ("y x^2 y x^2", "y x y^3 x^2"): "525eb5dff527074e4388df25da2ebfb75c964fc8ac4b0b696e7532f0cb5aad2f",
     ("y x^4", "x y^3 x y", "y x y^5"): "09f60346b23cdf3004894369df37b3a8a09ef941649667eff8d26144e9444df3",
+    # dims 2, 1, 1, 1, 2, 2, 4, 5, ... and 2, 1, 1, 1, 2, 2, 3, 4, 6, ...: a cut of 8 symbols
+    # from the degree of dim 4 is held, the next one, of 10 or 12, refilled
+    ("y^2", "x^2 y^3 z", "x z y"): "ceb2505d871c2a86a6d0a4b4a232d4036b41fdcae7fbb7d72c632c65ce8ab4b1",
+    ("z y x", "y x y z^3 x", "y^2"): "37aef08e74281ace389d92611fade295b0186fe95a9260bf5c0ddef19a927295",
 }
 
 
 @pytest.mark.parametrize("relators", list(WIDE), ids="; ".join)
 def test_wide_nq_table_bytes_are_frozen(relators):
-    """Both Jacobi modes: the default one mirrors half of each cut slice, `full_jacobi` fills it all."""
+    """Both Jacobi modes: `full_jacobi` refills every cut slice whole, the default one only the wide cuts.
+
+    The default mode keeps the slice of a cut of at most `NARROW` symbols in
+    frontier form and refills half of a wider one, reading the slice below
+    through its image table when that one was held.  Each presentation here
+    holds its slices up to some degree and refills the later ones: up to
+    slice 5 for the first four, 8 and 9 for the last two, whose last held
+    cut has 8 symbols, the most `NARROW` allows.
+    """
     pres = Presentation(parse_word(r) for r in relators)
     for full_jacobi in (False, True):
         M = nq_compute(pres, WIDE_CLASS, full_jacobi=full_jacobi)
