@@ -42,7 +42,7 @@ from .words import parse_word
 MAX_GH = 10  # largest g + h, for --g/--h and verify-appendix --gh-max
 MIN_GH = 3  # least g + h (g >= 2, h >= 1), the least verify-appendix --gh-max
 MAX_CLASS = 6652  # largest --class
-MAX_WORD_WEIGHT = 6652  # largest weight of an eval --word
+MAX_WORD_WEIGHT = 2048  # largest weight of an eval --word
 MAX_BINOM_ROW = 4096  # largest binom --check-max
 MAX_Q = 64  # largest identity-i --Q
 MAX_S = 64  # largest identity-i --s-max
