@@ -97,7 +97,9 @@ class BracketTable:
     with i >= 2 true, or, for a narrow cut in the default mode, held in
     frontier form by `hold_frontier(s)`: `frontier` is s and `image[m]` is
     the true value of the frontier mask m.  `fill(frontier + 1)` reads the
-    blocks (i, j) with j >= 2 of slice `frontier` through `image`.  In
+    blocks (i, j) with j >= 2 of slice `frontier` through `image`: a split
+    fill looks its first term up in `image` shifted by g * split, any other
+    fill maps the block entry through `image` and walks the true action.  In
     that table a row of degree i >= 2 ends with its block of the last
     slice filled, and its blocks of a slice held before `frontier` stay in
     frontier form, which no later fill or cut reads; row 1 holds its
@@ -147,40 +149,32 @@ class BracketTable:
         replaced, so the cut slice can be refilled once the action of
         degree s - 1 changes basis.  A nonzero `split` says that action is
         the split one, [e(s-1,t), g] = bit t + g * split.  When slice s - 1
-        is held in frontier form, the first term of each block (i, j) with
-        j >= 3 is looked up: [[u, p], g] for the frontier mask m of [u, p]
-        is the XOR of [e(s-1,k), g] over the bits k of image[m], one table
-        of 2^nsym entries per generator, built once per call.
+        is held in frontier form, each block (i, j) with j >= 3 reads the
+        frontier mask m of [u, p] through one table built once per call,
+        ``[image, [m << split for m in image]]``.  A split fill looks its
+        first term [[u, p], g] up there; any other fill maps m to image[m],
+        the true [u, p], and walks the action as in any block, which by
+        linearity is the XOR of [e(s-1,k), g] over the bits k of image[m].
         """
         rows, offset = self.rows, self.offset
         act = rows[s - 1]
-        lookup = None
-        if self.frontier == s - 1:
-            image = self.image
-            if split:  # [e(s-1,k), g] is bit k + g * split
-                lookup = [image, [m << split for m in image]]
-            else:  # by doubling over the frontier bits t, each the XOR over image[1 << t]
-                lookup = [[0], [0]]
-                for t in range(len(image).bit_length() - 1):
-                    for g, table in enumerate(lookup):
-                        out = 0
-                        for k in iter_bits(image[1 << t]):
-                            out ^= act[k][g]
-                        table += [m ^ out for m in table]
+        # for a held slice s - 1, the true [u, p] and, for [[u, p], g], its shift by g * split
+        lookup = [self.image, [m << split for m in self.image]] if self.frontier == s - 1 else None
         for i in range(s - 2, lowest - 1, -1):
             j = s - i
             below = rows[i + 1]
             start, end = offset[j - 1], offset[j]
             defs = self.defs[j]
             held = lookup if j > 2 else None  # block (i, 1) is the true action
-            direct = split or held  # [[u, p], g] without a walk over the action
             for row in rows[i]:
                 del row[end:]
                 for p, g in defs:
                     m = row[start + p]  # [u, p]
-                    if direct:
+                    if split:
                         out = held[g][m] if held else m << g * split
                     else:
+                        if held:
+                            m = held[0][m]  # image[m], walked like any true [u, p]
                         out = 0
                         while m:
                             low = m & -m

@@ -36,13 +36,16 @@ from .words import parse_word
 # Input limits, checked before any other work.  Each bounds the work one flag
 # can ask for while keeping the stretch range g + h = 10 in reach: there the
 # default class bound m + 2d is at most 6652 (at g = 2, h = 8), and `analyze`
-# takes under a minute and about 210 MB at each such pair.  The parity
+# takes under a minute and about 210 MB at each such pair.  At the class
+# limit, `nq --class 6652` on (2, 1) takes about 22 s and peaks near 300 MB
+# (CPython 3.11, 2-core VM).  `eval` computes the quotient to its word's
+# weight, so MAX_CLASS bounds that weight too: a word of weight 6652 takes
+# about 23 s and 300 MB on (2, 1), and 16 s and 200 MB on (2, 8).  The parity
 # sweeps are sized so the largest allowed run takes a few seconds: binom is
 # quadratic in --check-max, identity-i about s_max^2 * Q^2 / 2 binomials.
 MAX_GH = 10  # largest g + h, for --g/--h and verify-appendix --gh-max
 MIN_GH = 3  # least g + h (g >= 2, h >= 1), the least verify-appendix --gh-max
-MAX_CLASS = 6652  # largest --class
-MAX_WORD_WEIGHT = 2048  # largest weight of an eval --word
+MAX_CLASS = 6652  # largest --class, and largest weight of an eval --word
 MAX_BINOM_ROW = 4096  # largest binom --check-max
 MAX_Q = 64  # largest identity-i --Q
 MAX_S = 64  # largest identity-i --s-max
@@ -109,8 +112,8 @@ def _check_limits(ns: argparse.Namespace) -> None:
         raise ValueError(f"--class {class_bound} is above the limit {MAX_CLASS}")
     if getattr(ns, "word", None) is not None:
         weight = parse_word(ns.word).weight
-        if weight > MAX_WORD_WEIGHT:
-            raise ValueError(f"word weight {weight} is above the limit {MAX_WORD_WEIGHT}")
+        if weight > MAX_CLASS:  # eval runs nq_compute to the word's weight
+            raise ValueError(f"word weight {weight} is above the limit {MAX_CLASS}")
     if getattr(ns, "Q", None) is not None:
         _check_Q(ns.Q)
         if ns.Q > MAX_Q:

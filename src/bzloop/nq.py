@@ -231,7 +231,8 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
       slice n + 1 is read once more, by the cut of degree n + 2, through
       phi: the frontier fill's term [u, p] (block (i, j - 1), j - 1 >= 2)
       and the cut row's term [[u, v], g] (v of degree d2 >= 2).  When that
-      cut is wide, its refill reads the same [u, p] through phi too.
+      cut is wide, its refill maps the same [u, p] through phi too, and
+      then walks the true action of degree n + 1 as for any other block.
       Later cuts read only its action block, which is true.
     Every cut of R(g, h) with g + h <= 10 has at most 4 symbols (its
     degrees past the first are 1 or 2 wide), so its default run refills

@@ -57,6 +57,10 @@ Item = Union[GenPower, GroupPower]
 # before they could exhaust the stack.
 MAX_GROUP_DEPTH = 100
 
+# Most ASCII digits an exponent may have, well below the least limit on
+# int-string digits (640), so `int` never refuses an exponent the parser took.
+_EXPONENT_DIGITS = 100
+
 
 def _push(out: list, item: Item) -> None:
     if isinstance(item, GenPower) and out and isinstance(out[-1], GenPower) and out[-1].gen == item.gen:
@@ -172,15 +176,19 @@ class WordSyntaxError(ValueError):
 
 
 def _parse_exponent(text: str, i: int) -> tuple[int, int]:
-    """Parse an optional ^INT immediately at offset i; default exponent 1."""
+    """Parse an optional ^INT immediately at offset i; default exponent 1.
+
+    INT is 1 to `_EXPONENT_DIGITS` ASCII digits; anything else after the
+    '^' is a `WordSyntaxError` at the '^'.
+    """
     if i >= len(text) or text[i] != "^":
         return 1, i
     j = i + 1
     start = j
-    while j < len(text) and text[j].isdigit():
+    while j < len(text) and text[j] in "0123456789":
         j += 1
-    if j == start:
-        raise WordSyntaxError("expected digits after '^'", i)
+    if not 0 < j - start <= _EXPONENT_DIGITS:
+        raise WordSyntaxError(f"expected 1 to {_EXPONENT_DIGITS} digits after '^'", i)
     exp = int(text[start:j])
     if exp == 0:
         raise WordSyntaxError("zero exponent", start)

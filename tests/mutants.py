@@ -66,6 +66,13 @@ MUTANTS = (
         ("tests/test_engine.py::test_jacobi_modes_agree",),
     ),
     Mutant(
+        "walk-mode fill reads a held slice without its image",
+        "bzloop/algebra.py",
+        "m = held[0][m]",
+        "m = m",
+        ("tests/test_refs.py::test_wide_nq_table_bytes_are_frozen",),
+    ),
+    Mutant(
         "image table applied to the action block (i, 1)",
         "bzloop/algebra.py",
         "held = lookup if j > 2 else None",

@@ -14,8 +14,8 @@ from bzloop import cli
 from bzloop.words import MAX_GROUP_DEPTH
 
 # A case whose value comes from MAX_GH or MAX_CLASS is named by that limit, so
-# raising the limit keeps the test id.  MAX_WORD_WEIGHT has not moved from
-# 2048, and its eval cases keep the ids that name its value.
+# raising the limit keeps the test id.  MAX_CLASS bounds an eval word's weight
+# too: eval runs nq_compute to that class.
 PAST_LIMITS = [
     pytest.param(["present", "--g", str(cli.MAX_GH - 1), "--h", "2"], id="present g + h = MAX_GH+1"),
     pytest.param(["nq", "--g", "2", "--h", str(cli.MAX_GH - 1)], id="nq g + h = MAX_GH+1"),
@@ -26,7 +26,7 @@ PAST_LIMITS = [
     pytest.param(
         ["construct", "--g", "2", "--h", "1", "--class", str(cli.MAX_CLASS + 1)], id="construct --class MAX_CLASS+1"
     ),
-    ["eval", "--g", "2", "--h", "1", "--word", f"y x^{cli.MAX_WORD_WEIGHT}"],
+    pytest.param(["eval", "--g", "2", "--h", "1", "--word", f"y x^{cli.MAX_CLASS}"], id="eval word weight MAX_CLASS+1"),
     pytest.param(["verify-appendix", "--gh-max", str(cli.MAX_GH + 1)], id="verify-appendix --gh-max MAX_GH+1"),
     ["binom", "--check-max", str(cli.MAX_BINOM_ROW + 1)],
     ["identity-i", "--Q", str(2 * cli.MAX_Q)],
@@ -36,9 +36,12 @@ PAST_LIMITS = [
 AT_LIMITS = [
     pytest.param(["present", "--g", str(cli.MAX_GH - 1), "--h", "1"], id="present g + h = MAX_GH"),
     pytest.param(["nq", "--g", "2", "--h", "1", "--class", str(cli.MAX_CLASS)], id="nq --class MAX_CLASS"),
-    ["eval", "--g", "2", "--h", "1", "--word", f"y x^{cli.MAX_WORD_WEIGHT - 1}"],
+    pytest.param(
+        ["eval", "--g", "2", "--h", "1", "--word", f"y x^{cli.MAX_CLASS - 1}"], id="eval word weight MAX_CLASS"
+    ),
     pytest.param(["verify-appendix", "--gh-max", str(cli.MAX_GH)], id="verify-appendix --gh-max MAX_GH"),
-    # the former limits, g + h = 8 and class 2048, now inside the range
+    # the former limits, g + h = 8 and class and word weight 2048, now inside the range
+    ["eval", "--g", "2", "--h", "1", "--word", "y x^2047"],
     ["present", "--g", "7", "--h", "1"],
     ["nq", "--g", "2", "--h", "1", "--class", "2048"],
     ["verify-appendix", "--gh-max", "8"],

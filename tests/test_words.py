@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from bzloop import words
 from bzloop.words import (
     MAX_GROUP_DEPTH,
     CommutatorWord,
@@ -110,12 +111,23 @@ def test_parse_z():
         ("y a", 2),
         ("", 0),
         ("   ", 0),
+        # an exponent is ASCII digits: no superscript, Arabic-Indic or fullwidth digit
+        ("y x^\u00b2", 3),
+        ("x^\u0663", 1),
+        ("x^\uff11", 1),
+        # longer than any int-string limit allows, the least (640) included
+        pytest.param("x^" + "9" * 5000, 1, id="5000-digit exponent"),
     ],
 )
 def test_parse_errors_carry_position(text, position):
     with pytest.raises(WordSyntaxError) as err:
         parse_word(text)
     assert err.value.position == position
+
+
+def test_parse_accepts_an_exponent_of_the_most_digits():
+    exp = "9" * words._EXPONENT_DIGITS
+    assert parse_word(f"y x^{exp}").weight == 1 + int(exp)
 
 
 def _nested(depth: int) -> str:
