@@ -85,36 +85,14 @@ class BracketTable:
     antisymmetric.  A table filled by `fill(s)` alone, as
     `GradedAlgebra.bracket_table` fills it, holds every block of every
     slice as a true bracket.
-
-    `nq_compute` holds less.  While it cuts degree s it sets the split
-    action [e(s-1,t), g] = bit t + g * D, D = dim(s - 1), and calls
-    `fill(s, 2, split=D)`: the first sum of the rule, over t in [u, p] of
-    [e(s-1,t), g], is then one shift, [u, p] << g * D.  This frontier fill
-    leaves each block (i, j) of slice s with i, j >= 2 in frontier form, a
-    mask over the 2D split symbols.  After the cut, `set_action(s - 1)`
-    makes block (s - 1, 1) true.  The rest of the slice is then either
-    refilled (`fill(s, lowest)` and `mirror(s)`), which makes the blocks
-    with i >= 2 true, or, for a narrow cut in the default mode, held in
-    frontier form by `hold_frontier(s)`: `frontier` is s and `image[m]` is
-    the true value of the frontier mask m.  `fill(frontier + 1)` reads the
-    blocks (i, j) with j >= 2 of slice `frontier` through `image`: a split
-    fill looks its first term up in `image` shifted by g * split, any other
-    fill maps the block entry through `image` and walks the true action.  In
-    that table a row of degree i >= 2 ends with its block of the last
-    slice filled, and its blocks of a slice held before `frontier` stay in
-    frontier form, which no later fill or cut reads; row 1 holds its
-    action block only, except in `full_jacobi` mode, whose fills are
-    whole.
     """
 
-    __slots__ = ("rows", "defs", "offset", "frontier", "image")
+    __slots__ = ("rows", "defs", "offset")
 
     def __init__(self):
         self.rows: list[list[list[int]]] = [[], [[], []]]
         self.defs: list[list[tuple[int, int]]] = [[], []]  # (parent index, generator index)
         self.offset: list[int] = [0, 0]
-        self.frontier = 0  # the slice held in frontier form, read through `image`; 0 for none
-        self.image: list[int] = []
 
     def add_degree(self, defs: Iterable[tuple[int, int]]) -> None:
         """Append the next degree, given its elements' (parent index, generator index)."""
@@ -127,20 +105,7 @@ class BracketTable:
         for row, (mx, my) in zip(self.rows[degree], action):
             row[:] = (mx, my)
 
-    def hold_frontier(self, s: int) -> None:
-        """Keep slice s as its frontier fill left it, and read it through its image table.
-
-        The split symbol t + g * D is [e(s-1,t), g], whose true value is now
-        the action row entry ``rows[s - 1][t][g]``, so ``image[m]`` is the
-        XOR of those over the bits of m: 2^(2D) entries.
-        """
-        image = [0]
-        for g in (0, 1):
-            for row in self.rows[s - 1]:
-                image += [m ^ row[g] for m in image]
-        self.frontier, self.image = s, image
-
-    def fill(self, s: int, lowest: int = 1, split: int = 0) -> None:
+    def fill(self, s: int, lowest: int = 1, split: int = 0, image: list[int] | None = None) -> None:
         """Fill the rows i = s - 2 down to `lowest` of slice s.
 
         Each block reads the slices below it, the action of degree s - 1
@@ -148,9 +113,10 @@ class BracketTable:
         row s - 2 is self-contained.  A slice that was filled before is
         replaced, so the cut slice can be refilled once the action of
         degree s - 1 changes basis.  A nonzero `split` says that action is
-        the split one, [e(s-1,t), g] = bit t + g * split.  When slice s - 1
-        is held in frontier form, each block (i, j) with j >= 3 reads the
-        frontier mask m of [u, p] through one table built once per call,
+        the split one, [e(s-1,t), g] = bit t + g * split.  A given `image`
+        says the blocks (i, j) with j >= 2 of slice s - 1 hold masks m whose
+        bracket is image[m]; each block (i, j) with j >= 3 of slice s then
+        reads the mask m of [u, p] through one table built once per call,
         ``[image, [m << split for m in image]]``.  A split fill looks its
         first term [[u, p], g] up there; any other fill maps m to image[m],
         the true [u, p], and walks the action as in any block, which by
@@ -158,8 +124,8 @@ class BracketTable:
         """
         rows, offset = self.rows, self.offset
         act = rows[s - 1]
-        # for a held slice s - 1, the true [u, p] and, for [[u, p], g], its shift by g * split
-        lookup = [self.image, [m << split for m in self.image]] if self.frontier == s - 1 else None
+        # the true [u, p] and, for [[u, p], g], its shift by g * split
+        lookup = None if image is None else [image, [m << split for m in image]]
         for i in range(s - 2, lowest - 1, -1):
             j = s - i
             below = rows[i + 1]

@@ -27,15 +27,17 @@ image, so the default mode calls no `jacobi_sum`.  Once the cut is
 known, the top degree's action is set to the survivor images.  The slice
 is linear in that action, so the image of each frontier entry over the
 survivors is the true bracket.  A narrow cut, of at most `NARROW`
-symbols, keeps slice n + 1 as the frontier fill left it, with the cut's
-image table of 2^nsym entries; the cut of degree n + 2, the one later
-reader, reads the slice through it.  Every cut of R(g, h) with
-g + h <= 10 is narrow: its degrees past the first are 1 or 2 wide.  A
-wider cut refills the slice from the survivor images, which makes it the
-true bracket table of degree n + 1; the refilled slice is antisymmetric,
-so only its blocks (i, j) with i >= j are filled and the rest, row 1
-aside, are mirrored from them.  The last slice, of degree class_bound, is neither: no later
-cut reads it, and the result keeps only the action rows.
+symbols, keeps slice n + 1 as the frontier fill left it and builds the
+cut's image table of 2^nsym entries, a local of `nq_compute`; the cut of
+degree n + 2, the one later reader, reads the slice through it, since
+`nq_compute` hands it to each of that cut's fills and to its cut-symbol
+rows.  Every cut of R(g, h) with g + h <= 10 is narrow: its degrees past
+the first are 1 or 2 wide.  A wider cut refills the slice from the
+survivor images, which makes it the true bracket table of degree n + 1;
+the refilled slice is antisymmetric, so only its blocks (i, j) with
+i >= j are filled and the rest, row 1 aside, are mirrored from them.
+The last slice, of degree class_bound, is neither: no later cut reads
+it, and the result keeps only the action rows.
 `full_jacobi=True` refills every block of every slice and builds every
 triple row; it is the cross-check.
 """
@@ -88,6 +90,19 @@ def _interleave(lo: int, hi: int) -> int:
     from the limit on int-to-string digits, so any width works.
     """
     return int(format(lo, "b"), 4) | int(format(hi, "b"), 4) << 1
+
+
+def _image_table(action: list[tuple[int, int]]) -> list[int]:
+    """The image table of a cut: entry m is the XOR of the survivor images of the split bits in m.
+
+    The split symbol t + g * D is [e(n, t), g], whose image over the
+    survivors is ``action[t][g]``, so the table has 2^(2D) entries.
+    """
+    image = [0]
+    for g in (0, 1):
+        for row in action:
+            image += [m ^ row[g] for m in image]
+    return image
 
 
 def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) -> GradedAlgebra:
@@ -206,9 +221,12 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
 
     A narrow cut keeps its slice in frontier form.  When degree n + 1 is
     cut from nsym <= `NARROW` symbols, slice n + 1 is neither refilled nor
-    mirrored; `BracketTable.hold_frontier` builds the cut's image table,
-    phi[m] the XOR of the survivor images of the split bits t + g * D in
-    m.  Every reader then sees the entry the refill would have written:
+    mirrored; `_image_table` builds the cut's image table, phi[m] the XOR
+    of the survivor images of the split bits t + g * D in m.  It is a
+    local here, not state of the table: `nq_compute` hands it to the fills
+    of degree n + 2 as their `image` and reads the cut rows' [u, v]
+    through it.  Every reader then sees the entry the refill would have
+    written:
     - Linearity, both halves.  Each block (i, j) of slice n + 1 with
       i, j >= 2 is, by the fill rule, a sum of action entries [e(n, t), g]
       with coefficients from the slices below (read true: through phi of
@@ -254,6 +272,7 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
     # survivors[d][s] is the index of the basis element of degree d that
     # symbol s = 2 * parent + generator defines, or -1 if the cut killed s
     survivors: list[list[int]] = [[], []]
+    image = None  # the image table of slice n while that slice is held in frontier form
 
     for n in range(1, class_bound):
         if dims[n] == 0:
@@ -264,7 +283,7 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
         D, nsym = dims[n], 2 * dims[n]
         # the split frontier: the symbol (w, g) is bit w + g * D until the cut
         table.set_action(n, [(1 << w, 1 << w + D) for w in range(D)])
-        table.fill(n + 1, 2, split=D)  # no relation row reads row 1
+        table.fill(n + 1, 2, split=D, image=image)  # no relation row reads row 1
 
         rows = []
 
@@ -298,7 +317,6 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
             # a symbol s = 2b + g that defines w = e(j, k) gives [u, w] + [w, u],
             # a cut one F(u; v, g) + [[v, g], u]
             append = rows.append
-            image = table.image if table.frontier == n else None  # slice n in frontier form
             for d1 in range(2, n // 2 + 1):
                 d2 = n - d1
                 j = d2 + 1
@@ -343,10 +361,11 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
             if full_jacobi:
                 table.fill(n + 1)
             elif nsym <= NARROW:  # keep the frontier slice, read through its image table
-                table.hold_frontier(n + 1)
+                image = _image_table(action)
             else:  # the cut slice is antisymmetric: fill the blocks i >= j, mirror the rest
-                table.fill(n + 1, (n + 2) // 2)
+                table.fill(n + 1, (n + 2) // 2, image=image)
                 table.mirror(n + 1)
+                image = None  # slice n + 1 is true
         table.add_degree(defs)
         survivor = [-1] * nsym
         for k, (p, g) in enumerate(defs):

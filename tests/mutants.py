@@ -81,10 +81,17 @@ MUTANTS = (
     ),
     Mutant(
         "image table built with the x and y images swapped",
-        "bzloop/algebra.py",
-        "for g in (0, 1):\n            for row in self.rows[s - 1]:",
-        "for g in (1, 0):\n            for row in self.rows[s - 1]:",
+        "bzloop/nq.py",
+        "for g in (0, 1):\n        for row in action:",
+        "for g in (1, 0):\n        for row in action:",
         ("tests/test_engine.py::test_jacobi_modes_agree",),
+    ),
+    Mutant(
+        "refill after a held cut gets no image",
+        "bzloop/nq.py",
+        "table.fill(n + 1, (n + 2) // 2, image=image)",
+        "table.fill(n + 1, (n + 2) // 2)",
+        ("tests/test_refs.py::test_wide_nq_table_bytes_are_frozen",),
     ),
     Mutant(
         "interleave halves swapped",

@@ -13,6 +13,10 @@ import pytest
 from bzloop import cli
 from bzloop.words import MAX_GROUP_DEPTH
 
+# y followed by 50 nested groups, each raised to a 100-digit exponent: its
+# weight has about 5000 decimal digits, more than `str` may print by default
+HEAVY_WORD = "y " + "(" * 50 + "x" + (")^" + "9" * 100) * 50
+
 # A case whose value comes from MAX_GH or MAX_CLASS is named by that limit, so
 # raising the limit keeps the test id.  MAX_CLASS bounds an eval word's weight
 # too: eval runs nq_compute to that class.
@@ -27,6 +31,7 @@ PAST_LIMITS = [
         ["construct", "--g", "2", "--h", "1", "--class", str(cli.MAX_CLASS + 1)], id="construct --class MAX_CLASS+1"
     ),
     pytest.param(["eval", "--g", "2", "--h", "1", "--word", f"y x^{cli.MAX_CLASS}"], id="eval word weight MAX_CLASS+1"),
+    pytest.param(["eval", "--g", "2", "--h", "1", "--word", HEAVY_WORD], id="eval word weight of 5000 digits"),
     pytest.param(["verify-appendix", "--gh-max", str(cli.MAX_GH + 1)], id="verify-appendix --gh-max MAX_GH+1"),
     ["binom", "--check-max", str(cli.MAX_BINOM_ROW + 1)],
     ["identity-i", "--Q", str(2 * cli.MAX_Q)],
@@ -150,6 +155,20 @@ def test_deeply_nested_word_exits_2_before_any_work(depth, no_work, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: groups nested deeper than")
     assert "internal" not in captured.err
+
+
+def test_heavy_word_exits_2_under_the_least_int_string_limit():
+    """The limit message of a word whose weight has ~5000 digits needs no int-to-string conversion."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "int_max_str_digits=640", "-m", "bzloop"]
+        + ["eval", "--g", "2", "--h", "1", "--word", HEAVY_WORD],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: word weight is above the limit {cli.MAX_CLASS}\n"
 
 
 def test_huge_presentation_exits_2_without_a_traceback():

@@ -1,5 +1,6 @@
 """Graded algebra engine: nilpotent quotients, brackets, centers, quotients."""
 
+import copy
 import random
 import sys
 from types import SimpleNamespace
@@ -196,10 +197,10 @@ def test_nq_default_rows_are_the_jacobi_sums(name, pres, bound):
     fill = BracketTable.fill
     frontier = []
 
-    def recording_fill(table, s, lowest=1, split=0):
+    def recording_fill(table, s, lowest=1, split=0, image=None):
         if split:
             frontier.append(table)
-        fill(table, s, lowest, split)
+        fill(table, s, lowest, split, image)
 
     cuts = []
 
@@ -238,10 +239,10 @@ def test_nq_refills_no_narrow_slice(g, h, bound):
     fill, mirror = BracketTable.fill, BracketTable.mirror
     calls = []
 
-    def recording_fill(table, s, lowest=1, split=0):
+    def recording_fill(table, s, lowest=1, split=0, image=None):
         if not split:
             calls.append(("fill", s))
-        fill(table, s, lowest, split)
+        fill(table, s, lowest, split, image)
 
     def recording_mirror(table, s):
         calls.append(("mirror", s))
@@ -268,8 +269,8 @@ def test_frontier_shift_equals_the_generic_loop(name, pres, bound):
     fill = BracketTable.fill
     checked = []
 
-    def checked_fill(table, s, lowest=1, split=0):
-        fill(table, s, lowest, split)
+    def checked_fill(table, s, lowest=1, split=0, image=None):
+        fill(table, s, lowest, split, image)
         if not split:
             return
 
@@ -277,13 +278,55 @@ def test_frontier_shift_equals_the_generic_loop(name, pres, bound):
             return [[list(row) for row in table.rows[i]] for i in range(lowest, s - 1)]
 
         shifted = snapshot()
-        fill(table, s, lowest)  # the same split action, read bit by bit
+        fill(table, s, lowest, 0, image)  # the same split action and held slice, read bit by bit
         assert snapshot() == shifted, f"slice {s}"
         checked.append(s)
 
     with mock.patch.object(BracketTable, "fill", checked_fill):
         A = nq_compute(pres, bound)
     assert checked == [n + 1 for n in range(1, bound) if A.dim(n)]
+
+
+# R(2, 1) holds every cut slice; the two wide presentations hold a cut of 8
+# symbols and refill the next one, so their refill reads a held slice too
+HELD_CASES = [
+    ("R(2,1)@48", presentation_R(2, 1), 48, {"split"}),
+    ("y^2; x^2 y^3 z; x z y", Presentation(map(parse_word, ["y^2", "x^2 y^3 z", "x z y"])), 12, {"split", "walk"}),
+    ("z y x; y x y z^3 x; y^2", Presentation(map(parse_word, ["z y x", "y x y z^3 x", "y^2"])), 12, {"split", "walk"}),
+]
+
+
+@pytest.mark.parametrize("name,pres,bound,modes", HELD_CASES, ids=[c[0] for c in HELD_CASES])
+def test_fill_through_an_image_is_a_fill_of_the_mapped_slice(name, pres, bound, modes):
+    """`fill(s, lowest, split, image)` fills slice s as a plain fill does once slice s - 1 is mapped through `image`.
+
+    At each fill `nq_compute` hands an image table, a copy of the table has
+    its blocks (i, j) with j >= 2 of slice s - 1 replaced by their images;
+    the same fill without `image` on the copy must give the same slice s,
+    in split mode (a frontier fill) and in walk mode (a wide refill).
+    """
+    fill = BracketTable.fill
+    seen = set()
+
+    def checked_fill(table, s, lowest=1, split=0, image=None):
+        if image is None:
+            fill(table, s, lowest, split)
+            return
+        mapped = copy.deepcopy(table)
+        for i in range(1, s - 2):
+            lo, hi = mapped.offset[s - 1 - i], mapped.offset[s - i]
+            for row in mapped.rows[i]:
+                row[lo:hi] = [image[m] for m in row[lo:hi]]
+        fill(mapped, s, lowest, split)
+        fill(table, s, lowest, split, image)
+        for i in range(lowest, s - 1):
+            col = table.offset[s - i]
+            assert [row[col:] for row in table.rows[i]] == [row[col:] for row in mapped.rows[i]], f"slice {s}, row {i}"
+        seen.add("split" if split else "walk")
+
+    with mock.patch.object(BracketTable, "fill", checked_fill):
+        nq_compute(pres, bound)
+    assert seen == modes
 
 
 def _interleave_reference(lo: int, hi: int, width: int) -> int:
