@@ -91,7 +91,8 @@ class BracketTable:
 
     def __init__(self):
         self.rows: list[list[list[int]]] = [[], [[], []]]
-        self.defs: list[list[tuple[int, int]]] = [[], []]  # (parent index, generator index)
+        # (parent index, generator index) per element; degree 1 is the generators
+        self.defs: list[Sequence[tuple[int | None, int]]] = [[], GENERATORS]
         self.offset: list[int] = [0, 0]
 
     def add_degree(self, defs: Iterable[tuple[int, int]]) -> None:

@@ -30,7 +30,7 @@ from .char2 import (
     verify_appendix,
 )
 from .nq import nq_compute
-from .words import parse_word
+from .words import parse_word, word_from_letters
 
 
 # Input limits, checked before any other work.  Each bounds the work one flag
@@ -38,11 +38,13 @@ from .words import parse_word
 # default class bound m + 2d is at most 6652 (at g = 2, h = 8), and `analyze`
 # takes under a minute and about 210 MB at each such pair.  At the class
 # limit, `nq --class 6652` on (2, 1) takes about 22 s and peaks near 300 MB
-# (CPython 3.11, 2-core VM).  `eval` computes the quotient to its word's
-# weight, so MAX_CLASS bounds that weight too: a word of weight 6652 takes
-# about 23 s and 300 MB on (2, 1), and 16 s and 200 MB on (2, 8).  The parity
-# sweeps are sized so the largest allowed run takes a few seconds: binom is
-# quadratic in --check-max, identity-i about s_max^2 * Q^2 / 2 binomials.
+# (CPython 3.11, 2-core VM).  `eval` computes the quotient up to its word's
+# weight, so MAX_CLASS bounds that weight too.  It stops at the first zero
+# prefix it tries, so only a word with no zero prefix pays the full cost: one
+# of weight 6652 takes about 23 s and 300 MB on (2, 1), and 16 s and 200 MB
+# on (2, 8), while `y x^6651` is 0 at once.  The parity sweeps are sized so
+# the largest allowed run takes a few seconds: binom is quadratic in
+# --check-max, identity-i about s_max^2 * Q^2 / 2 binomials.
 MAX_GH = 10  # largest g + h, for --g/--h and verify-appendix --gh-max
 MIN_GH = 3  # least g + h (g >= 2, h >= 1), the least verify-appendix --gh-max
 MAX_CLASS = 6652  # largest --class, and largest weight of an eval --word
@@ -196,8 +198,15 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
     p = bl_params(ns.g, ns.h)
     word = parse_word(ns.word)
     bound = max(2, word.weight)
-    M = nq_compute(presentation_R(p), bound)
-    print(M.eval_word(word))
+    # The word is left-normed, so a zero prefix makes it zero, and degrees <= b
+    # of the class-b quotient are those of every higher class: evaluate the
+    # prefixes of weight ceil(bound / 4^k), shortest first, up to the first zero one.
+    letters = word.letters()
+    for b in sorted({-(-bound // 4**k) for k in range(bound.bit_length())}):
+        value = nq_compute(presentation_R(p), b).eval_word(word_from_letters(letters[:b]))
+        if not value:
+            break
+    print(value)
     return 0
 
 

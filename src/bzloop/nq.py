@@ -8,8 +8,10 @@ Jacobi instances landing in the new degree, and the defining relators of
 that weight, whose rows `eval_runs` reads off the table.  `define_layer`
 cuts the degree by the echelon basis of these rows: the surviving symbols
 become the new basis, each stored as its (parent index, generator index)
-pair in the table's `defs`, which is also the basis handed to
-`GradedAlgebra`; no label is built here.
+pair in the table's `defs`, which from degree 1, the generators, up is
+also the basis handed to `GradedAlgebra`; no label is built here.  An
+empty degree needs no special case: it has no frontier symbols, so the
+next slice and its relation rows are zero and the cut is empty.
 
 All brackets live in one `BracketTable`.  To cut degree n + 1, the top
 degree's action is set to the frontier symbols themselves and slice n + 1
@@ -47,7 +49,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import (
-    GENERATORS,
     BracketTable,
     GradedAlgebra,
     define_layer,
@@ -117,7 +118,9 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
     with D = dim n, and hand `echelonize` each distinct nonzero row once,
     interleaved into symbol order s = 2w + g.  The interleaving is a
     bijection on rows, so `echelonize` receives the rows it would receive
-    had they been built in symbol order, in the same order.
+    had they been built in symbol order, in the same order.  A degree of
+    dimension 0 is cut like any other: from no symbols, so `define_layer`
+    returns the empty cut and every later degree is empty too.
 
     Antisymmetry is imposed by one row only, [x, y] = [y, x] in degree 2;
     in every higher degree each antisymmetry row is a Jacobi row already.
@@ -263,7 +266,6 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
     for r in pres.relators:
         by_weight.setdefault(r.weight, []).append(r)
 
-    dims = [0, 2]
     table = BracketTable()
     # R[i][a][off[j] + b] is [e(i,a), e(j,b)]; while degree n + 1 is cut,
     # the entries of total degree n + 1 are masks over the split frontier symbols.
@@ -275,12 +277,8 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
     image = None  # the image table of slice n while that slice is held in frontier form
 
     for n in range(1, class_bound):
-        if dims[n] == 0:
-            dims.append(0)
-            table.add_degree(())  # degree n is empty, so degree n + 1 is too
-            survivors.append([])
-            continue
-        D, nsym = dims[n], 2 * dims[n]
+        D = len(R[n])
+        nsym = 2 * D
         # the split frontier: the symbol (w, g) is bit w + g * D until the cut
         table.set_action(n, [(1 << w, 1 << w + D) for w in range(D)])
         table.fill(n + 1, 2, split=D, image=image)  # no relation row reads row 1
@@ -290,7 +288,7 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
         # alternation: [u, u] = 0 for u of half the new degree
         if (n + 1) % 2 == 0:
             h = (n + 1) // 2
-            for a in range(dims[h]):
+            for a in range(len(R[h])):
                 rows.append(R[h][a][off[h] + a])
 
         # antisymmetry: [x, y] = [y, x]; above degree 2 the Jacobi rows repeat it
@@ -304,11 +302,11 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
                     d3 = n + 1 - d1 - d2
                     if d3 < d2:
                         continue
-                    for a in range(dims[d1]):
-                        for b in range(dims[d2]):
+                    for a in range(len(R[d1])):
+                        for b in range(len(R[d2])):
                             if d2 == d1 and b <= a:
                                 continue
-                            for c in range(dims[d3]):
+                            for c in range(len(R[d3])):
                                 if d3 == d2 and c <= b:
                                     continue
                                 rows.append(jacobi_sum(R, off, d1, a, d2, b, d3, c))
@@ -322,9 +320,9 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
                 j = d2 + 1
                 survivor, wrows, col = survivors[j], R[j], off[j]
                 vrows, vcol, grows = R[d2], off[d2], R[d1 + 1]
-                for a in range(dims[d1]):
+                for a in range(len(R[d1])):
                     urow, ucol = R[d1][a], off[d1] + a
-                    for s in range(2 * a + 2 if d2 == d1 else 0, 2 * dims[d2]):
+                    for s in range(2 * a + 2 if d2 == d1 else 0, 2 * len(vrows)):
                         k = survivor[s]
                         if k >= 0:
                             append(urow[col + k] ^ wrows[k][ucol])
@@ -348,9 +346,7 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
         # defining relators of the new weight; the last letter meets the
         # frontier symbols through the top degree's action
         for r in by_weight.get(n + 1, ()):
-            mask = eval_runs(R, r.runs(), n + 1)
-            if mask:
-                rows.append(mask)
+            rows.append(eval_runs(R, r.runs(), n + 1))
 
         # each distinct nonzero row, once, in symbol order s = 2w + g
         low = (1 << D) - 1
@@ -371,8 +367,7 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
         for k, (p, g) in enumerate(defs):
             survivor[2 * p + g] = k
         survivors.append(survivor)
-        dims.append(len(defs))
 
     action_layers = [[(row[0], row[1]) for row in R[d]] for d in range(1, class_bound)]
-    action_layers.append([(0, 0)] * dims[class_bound])
-    return GradedAlgebra(class_bound, [GENERATORS, *table.defs[2:]], action_layers)
+    action_layers.append([(0, 0)] * len(R[class_bound]))
+    return GradedAlgebra(class_bound, table.defs[1:], action_layers)

@@ -240,6 +240,20 @@ MUTANTS = (
         "if False:",
         ("tests/test_cli.py::test_analyze_that_exits_2_leaves_the_json_path_as_it_was",),
     ),
+    Mutant(
+        "eval never stops at a zero prefix",
+        "bzloop/cli.py",
+        "        if not value:\n            break",
+        "        if not value:\n            pass",
+        ("tests/test_cli.py::test_eval_stops_at_the_first_zero_prefix",),
+    ),
+    Mutant(
+        "eval's last run stops short of the word's weight",
+        "bzloop/cli.py",
+        "for k in range(bound.bit_length())",
+        "for k in range(1, bound.bit_length())",
+        ("tests/test_cli.py::test_eval_output_bytes_are_frozen",),
+    ),
 )
 
 

@@ -10,6 +10,9 @@ import pytest
 
 from bzloop import cli
 from bzloop.analyze import CheckResult
+from bzloop.bl import presentation_R
+from bzloop.nq import nq_compute
+from bzloop.words import parse_word
 
 
 def test_present(capsys):
@@ -51,6 +54,21 @@ def test_label_output_bytes_are_frozen(command, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == LABEL_OUTPUT[command]
 
 
+# sha256 of the exact stdout of `bzloop eval --g 2 --h 1 --word WORD`: two
+# nonzero words, whose value is read at their whole weight
+EVAL_OUTPUT = {
+    "y x^3 (y x^2)^2": "c3a52569a5b2881af81cd934223d30ed092968b70da059cdc33ef0d529908038",
+    "y x^3 (y x^2 (y x^3)^2 y x^2)^8": "4a89184d70fb8a0fae00afed5478a0af8e57a57a0030734b54cbec52d5aa6692",
+}
+
+
+@pytest.mark.parametrize("word", list(EVAL_OUTPUT))
+def test_eval_output_bytes_are_frozen(word, capsys):
+    assert cli.run(["eval", "--g", "2", "--h", "1", "--word", word]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == EVAL_OUTPUT[word]
+
+
 def test_eval(capsys):
     assert cli.run(["eval", "--g", "2", "--h", "1", "--word", "y x y"]) == 0
     assert capsys.readouterr().out.strip().endswith("0")
@@ -58,6 +76,39 @@ def test_eval(capsys):
     assert capsys.readouterr().out.strip().endswith("y x^4")
     assert cli.run(["eval", "--g", "2", "--h", "1", "--word", "y x^5"]) == 0
     assert capsys.readouterr().out.strip().endswith("0")
+
+
+def _eval_bounds(word, monkeypatch, capsys):
+    """The stdout of `eval` on (2, 1) and the class bound of each `nq_compute` it ran, in order."""
+    bounds = []
+
+    def recording(pres, bound):
+        bounds.append(bound)
+        return nq_compute(pres, bound)
+
+    monkeypatch.setattr(cli, "nq_compute", recording)
+    assert cli.run(["eval", "--g", "2", "--h", "1", "--word", word]) == 0
+    return capsys.readouterr().out, bounds
+
+
+def test_eval_stops_at_the_first_zero_prefix(monkeypatch, capsys):
+    """y x^7 is zero, so the weight-2000 word is zero without a quotient of class 2000."""
+    out, bounds = _eval_bounds("y x^1999", monkeypatch, capsys)
+    assert out == "0\n"
+    assert max(bounds) <= 8
+
+
+NONZERO_WORDS = ["x", "y", "z", "y x^4", "x y x^2 z", "y x^3 (y x^2)^2 z^3", "y x^3 (y x^2 (y x^3)^2 y x^2)^3"]
+
+
+@pytest.mark.parametrize("word", NONZERO_WORDS)
+def test_eval_of_a_nonzero_word_is_read_at_its_weight(word, monkeypatch, capsys):
+    weight = max(2, parse_word(word).weight)
+    value = nq_compute(presentation_R(2, 1), weight).eval_word(parse_word(word))
+    assert value
+    out, bounds = _eval_bounds(word, monkeypatch, capsys)
+    assert out == f"{value}\n"
+    assert bounds[-1] == max(bounds) == weight
 
 
 def test_eval_bad_word(capsys):

@@ -76,9 +76,17 @@ def _random_presentation(seed: int) -> Presentation:
     )
 
 
+def _free_killed_at(t: int) -> Presentation:
+    """The free algebra's degree-t basis words as relators: every degree from t up is empty."""
+    return Presentation(map(parse_word, nq_compute(Presentation(()), t).labels[t]))
+
+
+# degree 5 dies after a cut of 6 symbols, whose slice is held; degree 8 after
+# one of 36, whose slice is refilled (the random cases die at degree 2 if at all)
 ANTISYMMETRY_CASES = (
     [("R(2,1)", presentation_R(2, 1), 48), ("R(3,1)", presentation_R(3, 1), 96)]
     + [("R(2,2)", presentation_R(2, 2), 100), ("free", Presentation(()), 10)]
+    + [(f"free killed at {t}", _free_killed_at(t), 14) for t in (5, 8)]
     + [(f"random #{seed}", _random_presentation(seed), 12) for seed in range(30)]
 )
 
