@@ -46,7 +46,7 @@ from .char2 import (
 )
 from .nq import Presentation, nq_compute
 from .oracle import free_nq_oracle
-from .words import CommutatorWord, WordSyntaxError, X, Y, parse_word, word_from_letters
+from .words import CommutatorWord, WordSyntaxError, X, Y, parse_word
 
 __all__ = [
     "AnalysisReport",
@@ -93,5 +93,4 @@ __all__ = [
     "theta_word",
     "v_word",
     "verify_appendix",
-    "word_from_letters",
 ]

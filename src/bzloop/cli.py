@@ -18,6 +18,7 @@ import json
 import os
 import sys
 
+from .algebra import eval_runs
 from .analyze import analyze
 from .bl import bl_params, construct_bl, presentation_R
 from .char2 import (
@@ -29,8 +30,8 @@ from .char2 import (
     pascal_row,
     verify_appendix,
 )
-from .nq import nq_compute
-from .words import parse_word, word_from_letters
+from .nq import _algebra, _cuts, nq_compute
+from .words import parse_word
 
 
 # Input limits, checked before any other work.  Each bounds the work one flag
@@ -38,13 +39,13 @@ from .words import parse_word, word_from_letters
 # default class bound m + 2d is at most 6652 (at g = 2, h = 8), and `analyze`
 # takes under a minute and about 210 MB at each such pair.  At the class
 # limit, `nq --class 6652` on (2, 1) takes about 22 s and peaks near 300 MB
-# (CPython 3.11, 2-core VM).  `eval` computes the quotient up to its word's
+# (CPython 3.11, 2-core VM).  `eval` cuts the quotient once, up to its word's
 # weight, so MAX_CLASS bounds that weight too.  It stops at the first zero
-# prefix it tries, so only a word with no zero prefix pays the full cost: one
-# of weight 6652 takes about 23 s and 300 MB on (2, 1), and 16 s and 200 MB
-# on (2, 8), while `y x^6651` is 0 at once.  The parity sweeps are sized so
-# the largest allowed run takes a few seconds: binom is quadratic in
-# --check-max, identity-i about s_max^2 * Q^2 / 2 binomials.
+# prefix, so only a word with no zero prefix pays for the whole run: one of
+# weight 6640 takes about 23 s on (2, 1), while `y x^6651` is 0 at once.
+# The parity sweeps are sized so the largest allowed run takes a few
+# seconds: binom is quadratic in --check-max, identity-i about
+# s_max^2 * Q^2 / 2 binomials.
 MAX_GH = 10  # largest g + h, for --g/--h and verify-appendix --gh-max
 MIN_GH = 3  # least g + h (g >= 2, h >= 1), the least verify-appendix --gh-max
 MAX_CLASS = 6652  # largest --class, and largest weight of an eval --word
@@ -113,7 +114,7 @@ def _check_limits(ns: argparse.Namespace) -> None:
     if class_bound is not None and class_bound > MAX_CLASS:
         raise ValueError(f"--class {class_bound} is above the limit {MAX_CLASS}")
     if getattr(ns, "word", None) is not None:
-        # eval runs nq_compute to the word's weight; the message leaves the
+        # eval cuts the quotient up to the word's weight; the message leaves the
         # weight out, since it can have more digits than `str` may print
         if parse_word(ns.word).weight > MAX_CLASS:
             raise ValueError(f"word weight is above the limit {MAX_CLASS}")
@@ -197,16 +198,15 @@ def _cmd_construct(ns: argparse.Namespace) -> int:
 def _cmd_eval(ns: argparse.Namespace) -> int:
     p = bl_params(ns.g, ns.h)
     word = parse_word(ns.word)
-    bound = max(2, word.weight)
-    # The word is left-normed, so a zero prefix makes it zero, and degrees <= b
-    # of the class-b quotient are those of every higher class: evaluate the
-    # prefixes of weight ceil(bound / 4^k), shortest first, up to the first zero one.
-    letters = word.letters()
-    for b in sorted({-(-bound // 4**k) for k in range(bound.bit_length())}):
-        value = nq_compute(presentation_R(p), b).eval_word(word_from_letters(letters[:b]))
-        if not value:
+    # Once degree d is cut, the action of degree d - 1 is final: step letter d
+    # there.  The word is left-normed, so a zero prefix makes it zero and the
+    # loop stops at the first one.
+    mask = 0
+    for d, (letter, table) in enumerate(zip(word.letters(), _cuts(presentation_R(p))), 1):
+        mask = eval_runs(table.rows, ((letter, 1),), d, mask, d - 1)
+        if not mask:
             break
-    print(value)
+    print(_algebra(table, d).element(word.weight, mask))
     return 0
 
 

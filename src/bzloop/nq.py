@@ -30,23 +30,28 @@ known, the top degree's action is set to the survivor images.  The slice
 is linear in that action, so the image of each frontier entry over the
 survivors is the true bracket.  A narrow cut, of at most `NARROW`
 symbols, keeps slice n + 1 as the frontier fill left it and builds the
-cut's image table of 2^nsym entries, a local of `nq_compute`; the cut of
-degree n + 2, the one later reader, reads the slice through it, since
-`nq_compute` hands it to each of that cut's fills and to its cut-symbol
+cut's image table of 2^nsym entries, a local of the cut loop; the cut
+of degree n + 2, the one later reader, reads the slice through it, since
+the loop hands it to each of that cut's fills and to its cut-symbol
 rows.  Every cut of R(g, h) with g + h <= 10 is narrow: its degrees past
 the first are 1 or 2 wide.  A wider cut refills the slice from the
 survivor images, which makes it the true bracket table of degree n + 1;
 the refilled slice is antisymmetric, so only its blocks (i, j) with
 i >= j are filled and the rest, row 1 aside, are mirrored from them.
-The last slice, of degree class_bound, is neither: no later cut reads
-it, and the result keeps only the action rows.
+The loop, `_cuts`, yields the table after each cut and holds or
+refills the slice it just cut only when its caller asks for the next
+degree, so the slice of the caller's last degree is neither: no later
+cut reads it, and `nq_compute`, which stops at its class bound, keeps
+only the action rows.
 `full_jacobi=True` refills every block of every slice and builds every
 triple row; it is the cross-check.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import count, islice
 
 from .algebra import (
     BracketTable,
@@ -121,6 +126,13 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
     had they been built in symbol order, in the same order.  A degree of
     dimension 0 is cut like any other: from no symbols, so `define_layer`
     returns the empty cut and every later degree is empty too.
+
+    The degrees are cut by `_cuts`, which yields the table after each cut
+    and prepares the slice it just cut, held or refilled, only when it is
+    asked for the next degree.  `nq_compute` takes class_bound tables from
+    it and asks for no more, so the slice of degree class_bound is
+    neither held nor refilled: no later cut reads it, and the result
+    keeps only the action rows.
 
     Antisymmetry is imposed by one row only, [x, y] = [y, x] in degree 2;
     in every higher degree each antisymmetry row is a Jacobi row already.
@@ -226,9 +238,9 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
     cut from nsym <= `NARROW` symbols, slice n + 1 is neither refilled nor
     mirrored; `_image_table` builds the cut's image table, phi[m] the XOR
     of the survivor images of the split bits t + g * D in m.  It is a
-    local here, not state of the table: `nq_compute` hands it to the fills
-    of degree n + 2 as their `image` and reads the cut rows' [u, v]
-    through it.  Every reader then sees the entry the refill would have
+    local of the cut loop, not state of the table: the loop hands it to
+    the fills of degree n + 2 as their `image` and reads the cut rows'
+    [u, v] through it.  Every reader then sees the entry the refill would have
     written:
     - Linearity, both halves.  Each block (i, j) of slice n + 1 with
       i, j >= 2 is, by the fill rule, a sum of action entries [e(n, t), g]
@@ -261,7 +273,25 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
     """
     if class_bound < 1:
         raise ValueError("class bound must be at least 1")
+    return _algebra(next(islice(_cuts(pres, full_jacobi), class_bound - 1, None)), class_bound)
 
+
+def _algebra(table: BracketTable, class_bound: int) -> GradedAlgebra:
+    """The algebra of the table `_cuts` yielded at degree class_bound: its top degree acts as zero."""
+    action = [[(row[0], row[1]) for row in layer] for layer in table.rows[1:class_bound]]
+    return GradedAlgebra(class_bound, table.defs[1:], action + [[(0, 0)] * len(table.defs[class_bound])])
+
+
+def _cuts(pres: Presentation, full_jacobi: bool = False) -> Iterator[BracketTable]:
+    """The cut loop of `nq_compute`: yield the table at degree 1, then after each cut.
+
+    When degree d has been cut, the table holds degrees 1..d and the action
+    rows of degrees below d are final; those of degree d are not set.  The
+    slice of degree d is held or refilled only when the caller asks for the
+    next degree, so a caller that stops at degree c prepares no slice of
+    degree c.  The same table is yielded each time and changes as the loop
+    goes on.
+    """
     by_weight: dict[int, list[CommutatorWord]] = {}
     for r in pres.relators:
         by_weight.setdefault(r.weight, []).append(r)
@@ -275,8 +305,9 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
     # symbol s = 2 * parent + generator defines, or -1 if the cut killed s
     survivors: list[list[int]] = [[], []]
     image = None  # the image table of slice n while that slice is held in frontier form
+    yield table
 
-    for n in range(1, class_bound):
+    for n in count(1):
         D = len(R[n])
         nsym = 2 * D
         # the split frontier: the symbol (w, g) is bit w + g * D until the cut
@@ -353,21 +384,19 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
         rows = [_interleave(r & low, r >> D) for r in dict.fromkeys(rows) if r]
         defs, action = define_layer(nsym, echelonize(rows, nsym))
         table.set_action(n, action)
-        if n + 1 < class_bound:  # the last slice is read only for its action rows
-            if full_jacobi:
-                table.fill(n + 1)
-            elif nsym <= NARROW:  # keep the frontier slice, read through its image table
-                image = _image_table(action)
-            else:  # the cut slice is antisymmetric: fill the blocks i >= j, mirror the rest
-                table.fill(n + 1, (n + 2) // 2, image=image)
-                table.mirror(n + 1)
-                image = None  # slice n + 1 is true
         table.add_degree(defs)
         survivor = [-1] * nsym
         for k, (p, g) in enumerate(defs):
             survivor[2 * p + g] = k
         survivors.append(survivor)
+        yield table
 
-    action_layers = [[(row[0], row[1]) for row in R[d]] for d in range(1, class_bound)]
-    action_layers.append([(0, 0)] * len(R[class_bound]))
-    return GradedAlgebra(class_bound, table.defs[1:], action_layers)
+        # the caller asks for degree n + 2, whose cut reads slice n + 1
+        if full_jacobi:
+            table.fill(n + 1)
+        elif nsym <= NARROW:  # keep the frontier slice, read through its image table
+            image = _image_table(action)
+        else:  # the cut slice is antisymmetric: fill the blocks i >= j, mirror the rest
+            table.fill(n + 1, (n + 2) // 2, image=image)
+            table.mirror(n + 1)
+            image = None  # slice n + 1 is true

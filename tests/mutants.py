@@ -243,16 +243,45 @@ MUTANTS = (
     Mutant(
         "eval never stops at a zero prefix",
         "bzloop/cli.py",
-        "        if not value:\n            break",
-        "        if not value:\n            pass",
+        "        if not mask:\n            break",
+        "        if not mask:\n            pass",
         ("tests/test_cli.py::test_eval_stops_at_the_first_zero_prefix",),
     ),
     Mutant(
         "eval's last run stops short of the word's weight",
         "bzloop/cli.py",
-        "for k in range(bound.bit_length())",
-        "for k in range(1, bound.bit_length())",
+        "zip(word.letters(), _cuts(",
+        "zip(word.letters()[:-1], _cuts(",
         ("tests/test_cli.py::test_eval_output_bytes_are_frozen",),
+    ),
+    Mutant(
+        "eval steps letter d + 1 after the cut of degree d",
+        "bzloop/cli.py",
+        "zip(word.letters(), _cuts(",
+        "zip(word.letters()[1:], _cuts(",
+        ("tests/test_cli.py::test_eval_output_bytes_are_frozen",),
+    ),
+    Mutant(
+        "the cut loop holds or refills its slice before it yields",
+        "bzloop/nq.py",
+        "        yield table\n\n        # the caller asks for degree n + 2, whose cut reads slice n + 1\n"
+        "        if full_jacobi:\n            table.fill(n + 1)\n"
+        "        elif nsym <= NARROW:  # keep the frontier slice, read through its image table\n"
+        "            image = _image_table(action)\n"
+        "        else:  # the cut slice is antisymmetric: fill the blocks i >= j, mirror the rest\n"
+        "            table.fill(n + 1, (n + 2) // 2, image=image)\n"
+        "            table.mirror(n + 1)\n"
+        "            image = None  # slice n + 1 is true\n",
+        "        # the caller asks for degree n + 2, whose cut reads slice n + 1\n"
+        "        if full_jacobi:\n            table.fill(n + 1)\n"
+        "        elif nsym <= NARROW:  # keep the frontier slice, read through its image table\n"
+        "            image = _image_table(action)\n"
+        "        else:  # the cut slice is antisymmetric: fill the blocks i >= j, mirror the rest\n"
+        "            table.fill(n + 1, (n + 2) // 2, image=image)\n"
+        "            table.mirror(n + 1)\n"
+        "            image = None  # slice n + 1 is true\n"
+        "        yield table\n",
+        ("tests/test_engine.py::test_nq_prepares_no_slice_of_its_top_degree",),
     ),
 )
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from bzloop import cli
+from bzloop import cli, nq
 from bzloop.analyze import CheckResult
 from bzloop.bl import presentation_R
 from bzloop.nq import nq_compute
@@ -79,23 +79,25 @@ def test_eval(capsys):
 
 
 def _eval_bounds(word, monkeypatch, capsys):
-    """The stdout of `eval` on (2, 1) and the class bound of each `nq_compute` it ran, in order."""
-    bounds = []
+    """The stdout of `eval` on (2, 1) and the last degree its cut loop cut."""
+    last = 0
 
-    def recording(pres, bound):
-        bounds.append(bound)
-        return nq_compute(pres, bound)
+    def recording(pres):
+        nonlocal last
+        for d, table in enumerate(nq._cuts(pres), 1):
+            last = d
+            yield table
 
-    monkeypatch.setattr(cli, "nq_compute", recording)
+    monkeypatch.setattr(cli, "_cuts", recording)
     assert cli.run(["eval", "--g", "2", "--h", "1", "--word", word]) == 0
-    return capsys.readouterr().out, bounds
+    return capsys.readouterr().out, last
 
 
 def test_eval_stops_at_the_first_zero_prefix(monkeypatch, capsys):
-    """y x^7 is zero, so the weight-2000 word is zero without a quotient of class 2000."""
-    out, bounds = _eval_bounds("y x^1999", monkeypatch, capsys)
+    """y x^5 is zero, so the weight-2000 word is zero once degree 6 is cut."""
+    out, last = _eval_bounds("y x^1999", monkeypatch, capsys)
     assert out == "0\n"
-    assert max(bounds) <= 8
+    assert last == 6
 
 
 NONZERO_WORDS = ["x", "y", "z", "y x^4", "x y x^2 z", "y x^3 (y x^2)^2 z^3", "y x^3 (y x^2 (y x^3)^2 y x^2)^3"]
@@ -103,12 +105,12 @@ NONZERO_WORDS = ["x", "y", "z", "y x^4", "x y x^2 z", "y x^3 (y x^2)^2 z^3", "y 
 
 @pytest.mark.parametrize("word", NONZERO_WORDS)
 def test_eval_of_a_nonzero_word_is_read_at_its_weight(word, monkeypatch, capsys):
-    weight = max(2, parse_word(word).weight)
+    weight = parse_word(word).weight
     value = nq_compute(presentation_R(2, 1), weight).eval_word(parse_word(word))
     assert value
-    out, bounds = _eval_bounds(word, monkeypatch, capsys)
+    out, last = _eval_bounds(word, monkeypatch, capsys)
     assert out == f"{value}\n"
-    assert bounds[-1] == max(bounds) == weight
+    assert last == weight
 
 
 def test_eval_bad_word(capsys):

@@ -8,6 +8,7 @@ from unittest import mock
 
 import pytest
 
+from bzloop import nq
 from bzloop.algebra import (
     GENERATORS,
     BracketTable,
@@ -22,7 +23,7 @@ from bzloop.algebra import (
 )
 from bzloop.bl import centralizer_sequence, construct_bl, presentation_R
 from bzloop.gf2 import EchelonBasis, echelonize, kernel
-from bzloop.nq import Presentation, _interleave, nq_compute
+from bzloop.nq import Presentation, _algebra, _cuts, _interleave, nq_compute
 from bzloop.oracle import ORACLE_MAX_CLASS, free_nq_oracle, witt_dimension
 from bzloop.words import X, Y, Z, make_word, parse_word, word_from_letters
 
@@ -266,6 +267,50 @@ def test_nq_refills_no_narrow_slice(g, h, bound):
     assert A == F
     assert max(A.dims[1:]) <= 2
     assert calls == [("fill", s) for s in range(2, bound)]
+
+
+# R(2, 1) holds every cut slice; the two wide presentations hold some and refill others
+STEPPER_CASES = [("R(2,1)", presentation_R(2, 1), 48)] + [
+    (name, Presentation(map(parse_word, name.split("; "))), 12)
+    for name in ("y^2; x^2 y^3 z; x z y", "z y x; y x y z^3 x; y^2")
+]
+
+
+@pytest.mark.parametrize("full_jacobi", [False, True], ids=["default", "full_jacobi"])
+@pytest.mark.parametrize("name,pres,bound", STEPPER_CASES, ids=[c[0] for c in STEPPER_CASES])
+def test_each_table_the_cut_loop_yields_is_the_quotient_of_its_degree(name, pres, bound, full_jacobi):
+    """The table `_cuts` yields at degree d gives `nq_compute(pres, d)`, for every d up to the bound."""
+    for d, table in zip(range(1, bound + 1), _cuts(pres, full_jacobi)):
+        assert _algebra(table, d) == nq_compute(pres, d, full_jacobi), d
+
+
+def test_nq_prepares_no_slice_of_its_top_degree():
+    """A run to class 48 builds the image tables of the cuts of degrees 2 to 47 only, and refills no slice.
+
+    The cut loop holds or refills a slice only when its caller asks for the
+    next degree, and `nq_compute` asks for none past its class bound.
+    """
+    image_table, fill, mirror = nq._image_table, BracketTable.fill, BracketTable.mirror
+    calls = []
+
+    def recording_image_table(action):
+        calls.append("image")
+        return image_table(action)
+
+    def recording_fill(table, s, lowest=1, split=0, image=None):
+        if not split:
+            calls.append("refill")
+        fill(table, s, lowest, split, image)
+
+    def recording_mirror(table, s):
+        calls.append("refill")
+        mirror(table, s)
+
+    with mock.patch.object(nq, "_image_table", recording_image_table), mock.patch.object(
+        BracketTable, "fill", recording_fill
+    ), mock.patch.object(BracketTable, "mirror", recording_mirror):
+        nq_compute(presentation_R(2, 1), 48)
+    assert (calls.count("image"), calls.count("refill")) == (46, 0)
 
 
 SHIFT_CASES = [c for c in ANTISYMMETRY_CASES if c[0] in ("R(2,1)", "free") or c[0].startswith("random")]
