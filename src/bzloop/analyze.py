@@ -32,9 +32,9 @@ from dataclasses import dataclass
 from .algebra import eval_runs, graded_center, quotient, second_center
 from .bl import (
     BlParams,
-    _params,
     bl_centralizer_sequence,
     bl_constituent_lengths,
+    bl_params,
     centralizer_sequence,
     check_CL,
     constituent_lengths,
@@ -215,14 +215,14 @@ def _attempt(stage, *args):
         return None, str(exc)
 
 
-def analyze(g, h=None, class_bound: int | None = None) -> AnalysisReport:
+def analyze(g: int, h: int, class_bound: int | None = None) -> AnalysisReport:
     """Run the full verification pipeline for the pair (g, h).
 
     The default class bound m + 2d covers the complete defining quotient
     plus two full periods, so every theta family appears at least twice.
     Results are collected as check entries; nothing raises on a mismatch.
     """
-    p = _params(g, h)
+    p = bl_params(g, h)
     if class_bound is None:
         class_bound = p.default_bound
     if class_bound < p.m + 2:
@@ -230,9 +230,9 @@ def analyze(g, h=None, class_bound: int | None = None) -> AnalysisReport:
     bound = class_bound
     twoq = 2 * p.q
 
-    pres = presentation_R(p)
+    pres = presentation_R(g, h)
     M = nq_compute(pres, bound)
-    specs = theta_specs(p, max_weight=bound)
+    specs = theta_specs(g, h, bound)
     central_specs = [s for s in specs if not (s.kind == 1 and s.n % 2 == 1)]
     odd1_specs = [s for s in specs if s.kind == 1 and s.n % 2 == 1]
 
@@ -279,8 +279,8 @@ def analyze(g, h=None, class_bound: int | None = None) -> AnalysisReport:
     # The v_n chain, walked once: v[n] is v_n and tails[n][i] is
     # v_n y x^{2q-2} (y x^{2q-1})^i.  The block that takes v_n to v_{n+1} is
     # a run of (y, x^k) pairs; tail i ends pair i and v_{n+1} ends the last.
-    head = v_word(p, n=0).runs()
-    block = v_word(p, n=1).runs()[len(head):]
+    head = v_word(g, h, 0).runs()
+    block = v_word(g, h, 1).runs()[len(head):]
     v, tails = [], []
     state = walk(_EMPTY, head)
     while state[0] <= bound:
@@ -403,7 +403,7 @@ def analyze(g, h=None, class_bound: int | None = None) -> AnalysisReport:
     Q, error = _attempt(quotient, M, Z2)
     cents = None
     if Q is not None:
-        B = construct_bl(p, class_bound=Q.class_bound)
+        B = construct_bl(g, h, Q.class_bound)
         check(
             "quotient-maximal-class",
             Q.dim(1) == 2
@@ -418,17 +418,17 @@ def analyze(g, h=None, class_bound: int | None = None) -> AnalysisReport:
         cents, error = _attempt(centralizer_sequence, Q)
     consts = ()
     if cents is not None:
-        expected_cents = bl_centralizer_sequence(p, up_to=Q.class_bound - 1)
+        expected_cents = bl_centralizer_sequence(g, h, Q.class_bound - 1)
         check(
             "quotient-centralizer-sequence",
             cents == expected_cents,
             f"degrees 2..{Q.class_bound - 1}",
         )
         consts = constituent_lengths(cents)
-        expected_consts = bl_constituent_lengths(p, count=len(consts))
+        expected_consts = bl_constituent_lengths(g, h, len(consts))
         check(
             "quotient-constituents",
-            consts == expected_consts and check_CL(consts, p),
+            consts == expected_consts and check_CL(consts, g, h),
             " ".join(str(v) for v in consts),
         )
     for name in _QUOTIENT_CHECKS[len(checks) - first:]:

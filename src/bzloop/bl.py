@@ -53,20 +53,12 @@ def bl_params(g: int, h: int) -> BlParams:
     return BlParams(g, h, q, eta, d, m)
 
 
-def _params(g, h=None) -> BlParams:
-    if isinstance(g, BlParams):
-        if h is not None:
-            raise TypeError("with BlParams as the first argument, pass the later arguments by keyword")
-        return g
-    return bl_params(g, h)
-
-
 # -- centralizer and constituent sequences -----------------------------------
 
 
-def bl_constituent_lengths(g, h=None, count: int = 0) -> tuple[int, ...]:
+def bl_constituent_lengths(g: int, h: int, count: int) -> tuple[int, ...]:
     """First `count` constituent lengths of B(g, h): 2q, 2q-1, then the cycle."""
-    p = _params(g, h)
+    p = bl_params(g, h)
     twoq = 2 * p.q
     out = [twoq, twoq - 1]
     cycle = [twoq] * (p.eta - 1) + [twoq - 1] * 2
@@ -75,17 +67,17 @@ def bl_constituent_lengths(g, h=None, count: int = 0) -> tuple[int, ...]:
     return tuple(out[:count])
 
 
-def bl_centralizer_sequence(g, h=None, up_to: int = 0) -> tuple[str, ...]:
+def bl_centralizer_sequence(g: int, h: int, up_to: int) -> tuple[str, ...]:
     """Two-step centralizer sequence of B(g, h) for degrees 2..up_to.
 
     A constituent of length L is L - 1 entries y closed by one x, counted
     from the virtual degree-1 entry.
     """
-    p = _params(g, h)
+    p = bl_params(g, h)
     if up_to < 2:
         raise ValueError("need up_to >= 2")
     entries: list[str] = []  # degree 1 onward; trimmed below
-    for length in bl_constituent_lengths(p, count=up_to // (2 * p.q - 1) + 1):
+    for length in bl_constituent_lengths(g, h, up_to // (2 * p.q - 1) + 1):
         entries.extend([Y] * (length - 1))
         entries.append(X)
     return tuple(entries[1:up_to])
@@ -131,30 +123,29 @@ def constituent_lengths(entries) -> tuple[int, ...]:
     return tuple(lengths)
 
 
-def check_CL(lengths, g, h=None) -> bool:
+def check_CL(lengths, g: int, h: int) -> bool:
     """Whether every constituent length lies in {2q} | {2q - 2^s : 0 <= s <= h}."""
-    p = _params(g, h)
-    twoq = 2 * p.q
-    allowed = {twoq} | {twoq - 2 ** s for s in range(p.h + 1)}
+    twoq = 2 * bl_params(g, h).q
+    allowed = {twoq} | {twoq - 2 ** s for s in range(h + 1)}
     return all(l in allowed for l in lengths)
 
 
 # -- direct construction ------------------------------------------------------
 
 
-def construct_bl(g, h=None, class_bound: int = 0) -> GradedAlgebra:
+def construct_bl(g: int, h: int, class_bound: int) -> GradedAlgebra:
     """B(g, h) truncated at class_bound, as explicit structure-constant tables."""
-    p = _params(g, h)
+    bl_params(g, h)  # refuses a pair out of range at every bound
     if class_bound < 2:
         raise ValueError("need class_bound >= 2")
     # degree 2 is [y, x]; each degree above is [its one element, x or y]
     basis = [GENERATORS, [(1, 0)]]
     action: list[list[tuple[int, int]]] = [[(0, 1), (1, 0)]]
-    entries = bl_centralizer_sequence(p, up_to=class_bound - 1) if class_bound >= 3 else ()
+    entries = bl_centralizer_sequence(g, h, class_bound - 1) if class_bound >= 3 else ()
     for i in range(2, class_bound):
-        g = 0 if entries[i - 2] == Y else 1
-        action.append([(1, 0) if g == 0 else (0, 1)])
-        basis.append([(0, g)])
+        gi = 0 if entries[i - 2] == Y else 1
+        action.append([(1, 0) if gi == 0 else (0, 1)])
+        basis.append([(0, gi)])
     action.append([(0, 0)])
     return GradedAlgebra(class_bound, basis, action)
 
@@ -182,10 +173,9 @@ def _v_parts(p: BlParams, n: int) -> tuple:
     return head + (GroupPower(_block(p, p.eta - 1), n),)
 
 
-def v_word(g, h=None, n: int = 0) -> CommutatorWord:
+def v_word(g: int, h: int, n: int = 0) -> CommutatorWord:
     """v_n, of weight 2q + dn."""
-    p = _params(g, h)
-    return make_word(*_v_parts(p, n))
+    return make_word(*_v_parts(bl_params(g, h), n))
 
 
 def _theta_parts(p: BlParams, kind) -> tuple[tuple, tuple]:
@@ -210,9 +200,9 @@ def _theta_parts(p: BlParams, kind) -> tuple[tuple, tuple]:
     return parts, (*parts[:-1], _SWAP[parts[-1]])
 
 
-def mu_word(g, h=None, n: int = 0, i: int = 1) -> CommutatorWord:
+def mu_word(g: int, h: int, n: int = 0, i: int = 1) -> CommutatorWord:
     """mu_{n,i}, of weight 4q - 2 + dn for i = 1 and 2qi + 2q - 2 + dn for i >= 2."""
-    p = _params(g, h)
+    p = bl_params(g, h)
     if i < 1:
         raise ValueError("need i >= 1")
     if i == 1:
@@ -242,25 +232,25 @@ def _theta_start(kind, n: int) -> int:
     return 2 * n + 1 if kind == "omega" else n
 
 
-def theta_word(g, h=None, kind=1, n: int = 0) -> CommutatorWord:
+def theta_word(g: int, h: int, kind=1, n: int = 0) -> CommutatorWord:
     """The theta word of the given kind: an int 1..g+h, or "omega"."""
-    p = _params(g, h)
+    p = bl_params(g, h)
     return make_word(*_v_parts(p, _theta_start(kind, n)), *_theta_parts(p, kind)[0])
 
 
-def theta_specs(g, h=None, max_weight: int = 0) -> list[ThetaSpec]:
+def theta_specs(g: int, h: int, max_weight: int) -> list[ThetaSpec]:
     """All theta words of weight <= max_weight, sorted by weight.
 
     Each kind's words are built for n = 0, 1, ... up to the first one past
     max_weight; its suffix and partner depend on the kind only, so each is
     built once and shared by the kind's specs.
     """
-    p = _params(g, h)
+    p = bl_params(g, h)
     out = []
-    for kind in (*range(1, p.g + p.h + 1), "omega"):
+    for kind in (*range(1, g + h + 1), "omega"):
         suffix, partner = (make_word(*parts) for parts in _theta_parts(p, kind))
         n = 0
-        while (word := theta_word(p, kind=kind, n=n)).weight <= max_weight:
+        while (word := theta_word(g, h, kind, n)).weight <= max_weight:
             out.append(ThetaSpec(kind, n, word, word.weight, _theta_start(kind, n), suffix, partner))
             n += 1
     out.sort(key=lambda s: s.weight)
@@ -280,16 +270,16 @@ def lambda_admissible(p: BlParams) -> list[int]:
     return [i for i in range(p.eta - 1) if i not in excluded]
 
 
-def presentation_R(g, h=None) -> Presentation:
+def presentation_R(g: int, h: int) -> Presentation:
     """The defining relators of B(g, h): exactly q + h + eta words."""
-    p = _params(g, h)
+    p = bl_params(g, h)
     rels: list[CommutatorWord] = []
     for j in range(p.q - 1):
         rels.append(make_word(Y, GenPower(X, 2 * j + 1), Y))
-    for t in range(1, p.g + p.h + 1):
-        rels.append(make_word(*theta_word(p, kind=t, n=0).letters(), X))
+    for t in range(1, g + h + 1):
+        rels.append(make_word(*theta_word(g, h, t).letters(), X))
     rels.append(make_word(*_v_parts(p, 1), X, Y, X))
     for i in lambda_admissible(p):
-        rels.append(make_word(*mu_word(p, n=0, i=i + 2).letters(), Y))
+        rels.append(make_word(*mu_word(g, h, 0, i + 2).letters(), Y))
     assert len(rels) == p.q + p.h + p.eta
     return Presentation(tuple(rels))

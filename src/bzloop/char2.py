@@ -69,7 +69,8 @@ def lucas_row(n: int) -> int:
 # -- the progression identity -------------------------------------------------
 
 
-def _check_Q(Q: int) -> None:
+def check_Q(Q: int) -> None:
+    """Refuse a Q that is not a power of 2, at least 2, with a ValueError."""
     if Q < 2 or Q & (Q - 1):
         raise ValueError("Q must be a power of 2, at least 2")
 
@@ -81,7 +82,7 @@ def identity_I_check(Q: int, s: int, r: int, k: int) -> tuple[int, int]:
     r = 0, s >= 1 corner actually picks up an extra term (j = s contributes
     C(n, n) = 1 on top of C(0, k)), see identity_I_expected.
     """
-    _check_Q(Q)
+    check_Q(Q)
     if s < 0 or r < 0 or k < 0:
         raise ValueError("need s, r, k >= 0")
     n = (Q - 1) * s + r
@@ -98,7 +99,7 @@ def identity_I_expected(Q: int, s: int, r: int, k: int) -> int:
     n = (Q-1)s, where alpha = 1 contributes 0 instead of 1, flipping the
     parity for every k.
     """
-    _check_Q(Q)
+    check_Q(Q)
     extra = 1 if (r == 0 and s >= 1) else 0
     return binom_mod2(r, k) ^ extra
 

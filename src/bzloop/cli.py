@@ -18,19 +18,18 @@ import json
 import os
 import sys
 
-from .algebra import eval_runs
 from .analyze import analyze
 from .bl import bl_params, construct_bl, presentation_R
 from .char2 import (
-    _check_Q,
     binom_mod2,
+    check_Q,
     identity_I_check,
     identity_I_expected,
     lucas_row,
     pascal_row,
     verify_appendix,
 )
-from .nq import _algebra, _cuts, nq_compute
+from .nq import nq_compute, nq_eval
 from .words import parse_word
 
 
@@ -39,10 +38,11 @@ from .words import parse_word
 # default class bound m + 2d is at most 6652 (at g = 2, h = 8), and `analyze`
 # takes under a minute and about 210 MB at each such pair.  At the class
 # limit, `nq --class 6652` on (2, 1) takes about 22 s and peaks near 300 MB
-# (CPython 3.11, 2-core VM).  `eval` cuts the quotient once, up to its word's
-# weight, so MAX_CLASS bounds that weight too.  It stops at the first zero
-# prefix, so only a word with no zero prefix pays for the whole run: one of
-# weight 6640 takes about 23 s on (2, 1), while `y x^6651` is 0 at once.
+# (CPython 3.11, 2-core VM).  `eval` runs `nq_eval`, which cuts the quotient
+# once, up to its word's weight, so MAX_CLASS bounds that weight too.  It
+# stops at the first zero prefix, so only a word with no zero prefix pays for
+# the whole run: one of weight 6640 takes about 23 s on (2, 1), while
+# `y x^6651` is 0 at once.
 # The parity sweeps are sized so the largest allowed run takes a few
 # seconds: binom is quadratic in --check-max, identity-i about
 # s_max^2 * Q^2 / 2 binomials.
@@ -119,7 +119,7 @@ def _check_limits(ns: argparse.Namespace) -> None:
         if parse_word(ns.word).weight > MAX_CLASS:
             raise ValueError(f"word weight is above the limit {MAX_CLASS}")
     if getattr(ns, "Q", None) is not None:
-        _check_Q(ns.Q)
+        check_Q(ns.Q)
         if ns.Q > MAX_Q:
             raise ValueError(f"--Q {ns.Q} is above the limit {MAX_Q}")
     for flag, value, limit in (
@@ -145,7 +145,7 @@ def _bound(ns: argparse.Namespace, p) -> int:
 def _cmd_present(ns: argparse.Namespace) -> int:
     p = bl_params(ns.g, ns.h)
     print(_header(p))
-    for rel in presentation_R(p).relators:
+    for rel in presentation_R(ns.g, ns.h).relators:
         print(rel)
     return 0
 
@@ -153,7 +153,7 @@ def _cmd_present(ns: argparse.Namespace) -> int:
 def _cmd_nq(ns: argparse.Namespace) -> int:
     p = bl_params(ns.g, ns.h)
     bound = _bound(ns, p)
-    M = nq_compute(presentation_R(p), bound)
+    M = nq_compute(presentation_R(ns.g, ns.h), bound)
     print(_header(p))
     print(f"class bound {bound}")
     print("dims:", " ".join(str(M.dim(d)) for d in range(1, bound + 1)))
@@ -170,7 +170,7 @@ def _cmd_analyze(ns: argparse.Namespace) -> int:
         # opened for appending, which writes nothing, so a path that cannot be written costs no work
         open(path, "a", encoding="utf-8").close()
     try:
-        report = analyze(p, class_bound=_bound(ns, p))
+        report = analyze(ns.g, ns.h, _bound(ns, p))
     except BaseException:
         if created:  # a run that fails leaves no file behind, and an old file as it was
             os.remove(path)
@@ -185,7 +185,7 @@ def _cmd_analyze(ns: argparse.Namespace) -> int:
 def _cmd_construct(ns: argparse.Namespace) -> int:
     p = bl_params(ns.g, ns.h)
     bound = _bound(ns, p)
-    B = construct_bl(p, class_bound=bound)
+    B = construct_bl(ns.g, ns.h, bound)
     print(_header(p))
     print(f"class bound {bound}")
     for d in range(1, bound + 1):
@@ -196,17 +196,7 @@ def _cmd_construct(ns: argparse.Namespace) -> int:
 
 
 def _cmd_eval(ns: argparse.Namespace) -> int:
-    p = bl_params(ns.g, ns.h)
-    word = parse_word(ns.word)
-    # Once degree d is cut, the action of degree d - 1 is final: step letter d
-    # there.  The word is left-normed, so a zero prefix makes it zero and the
-    # loop stops at the first one.
-    mask = 0
-    for d, (letter, table) in enumerate(zip(word.letters(), _cuts(presentation_R(p))), 1):
-        mask = eval_runs(table.rows, ((letter, 1),), d, mask, d - 1)
-        if not mask:
-            break
-    print(_algebra(table, d).element(word.weight, mask))
+    print(nq_eval(presentation_R(ns.g, ns.h), parse_word(ns.word)))
     return 0
 
 

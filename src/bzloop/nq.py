@@ -41,8 +41,9 @@ i >= j are filled and the rest, row 1 aside, are mirrored from them.
 The loop, `_cuts`, yields the table after each cut and holds or
 refills the slice it just cut only when its caller asks for the next
 degree, so the slice of the caller's last degree is neither: no later
-cut reads it, and `nq_compute`, which stops at its class bound, keeps
-only the action rows.
+cut reads it.  Its two callers live here: `nq_compute` stops it at its
+class bound and keeps only the action rows, and `nq_eval` at a word's
+weight or at the word's first zero prefix.
 `full_jacobi=True` refills every block of every slice and builds every
 triple row; it is the cross-check.
 """
@@ -55,6 +56,7 @@ from itertools import count, islice
 
 from .algebra import (
     BracketTable,
+    Element,
     GradedAlgebra,
     define_layer,
     eval_runs,
@@ -282,8 +284,26 @@ def _algebra(table: BracketTable, class_bound: int) -> GradedAlgebra:
     return GradedAlgebra(class_bound, table.defs[1:], action + [[(0, 0)] * len(table.defs[class_bound])])
 
 
+def nq_eval(pres: Presentation, word: CommutatorWord) -> Element:
+    """The value of `word` in the graded quotient of `pres`, as an element of the word's weight.
+
+    The word is stepped along the cut loop: once degree d is cut, the action
+    of degree d - 1 is final, and letter d acts there on the prefix of
+    weight d - 1.  The word is left-normed, so a zero prefix makes it zero
+    and the loop stops at the first one; only a word with no zero prefix
+    pays for the quotient of class its weight.  A zero value is the zero of
+    the quotient of the class where the loop stopped.
+    """
+    mask = 0
+    for d, (letter, table) in enumerate(zip(word.letters(), _cuts(pres)), 1):
+        mask = eval_runs(table.rows, ((letter, 1),), d, mask, d - 1)
+        if not mask:
+            break
+    return _algebra(table, d).element(word.weight, mask)
+
+
 def _cuts(pres: Presentation, full_jacobi: bool = False) -> Iterator[BracketTable]:
-    """The cut loop of `nq_compute`: yield the table at degree 1, then after each cut.
+    """The cut loop of `nq_compute` and `nq_eval`: yield the table at degree 1, then after each cut.
 
     When degree d has been cut, the table holds degrees 1..d and the action
     rows of degrees below d are final; those of degree d are not set.  The

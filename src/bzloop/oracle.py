@@ -91,17 +91,20 @@ def witt_dimension(n: int) -> int:
 def free_nq_oracle(relators, class_bound: int) -> tuple[int, ...]:
     """Per-degree dimensions of the graded quotient, degree-indexed like dims.
 
-    Each relator is a `CommutatorWord` of weight at least 2.  Only intended
-    for small classes; refuses class_bound > ORACLE_MAX_CLASS.
+    Each relator is a `CommutatorWord` of weight at least 2; one heavier
+    than the class bound imposes nothing and is never expanded into
+    letters.  Only intended for small classes; refuses class_bound >
+    ORACLE_MAX_CLASS.
     """
     if not 1 <= class_bound <= ORACLE_MAX_CLASS:
         raise ValueError(f"class bound must be in 1..{ORACLE_MAX_CLASS}")
     by_weight: dict[int, list[tuple[str, ...]]] = {}
     for r in relators:
-        letters = r.letters()
-        if len(letters) < 2:
+        weight = r.weight
+        if weight < 2:
             raise ValueError("relators must have weight >= 2")
-        by_weight.setdefault(len(letters), []).append(letters)
+        if weight <= class_bound:
+            by_weight.setdefault(weight, []).append(r.letters())
 
     dims = [0, 2]
     prev_rows: list[int] = []

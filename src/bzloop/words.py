@@ -103,9 +103,24 @@ def _normalize(items: Iterable[Item], depth: int = 0) -> tuple:
 
 @dataclass(frozen=True)
 class CommutatorWord:
-    """A left-normed commutator word: its normalized items, a plain letter first."""
+    """A left-normed commutator word: its normalized items, a plain letter first.
+
+    The constructor normalizes the items it is given, letters, `GenPower`
+    and `GroupPower` parts alike, and peels group repetitions off the front
+    until the word starts with a plain letter.  An empty word and groups
+    nested deeper than `MAX_GROUP_DEPTH` are a `ValueError`.
+    """
 
     items: tuple
+
+    def __post_init__(self) -> None:
+        items = _normalize(self.items)
+        while items and isinstance(items[0], GroupPower):
+            first = items[0]
+            items = _normalize(first.body + (GroupPower(first.body, first.exp - 1),) + items[1:])
+        if not items:
+            raise ValueError("empty word")
+        object.__setattr__(self, "items", items)
 
     @property
     def weight(self) -> int:
@@ -134,20 +149,13 @@ class CommutatorWord:
 
 
 def make_word(*parts) -> CommutatorWord:
-    """Build a word from letters, GenPower and GroupPower parts.
+    """Build a word from letters, GenPower and GroupPower parts: `CommutatorWord(parts)`.
 
     A letter is one of the strings "x", "y", "z" (`X`, `Y`, `Z`); zero
     exponents are dropped and the result is normalized.  Groups nested
     deeper than `MAX_GROUP_DEPTH` are a `ValueError`.
     """
-    items = _normalize(parts)
-    # Peel group repetitions until the word starts with a plain letter.
-    while items and isinstance(items[0], GroupPower):
-        first = items[0]
-        items = _normalize(first.body + (GroupPower(first.body, first.exp - 1),) + items[1:])
-    if not items:
-        raise ValueError("empty word")
-    return CommutatorWord(items)
+    return CommutatorWord(parts)
 
 
 def word_from_letters(letters: Iterable[str]) -> CommutatorWord:

@@ -242,24 +242,38 @@ MUTANTS = (
     ),
     Mutant(
         "eval never stops at a zero prefix",
-        "bzloop/cli.py",
+        "bzloop/nq.py",
         "        if not mask:\n            break",
         "        if not mask:\n            pass",
         ("tests/test_cli.py::test_eval_stops_at_the_first_zero_prefix",),
     ),
     Mutant(
         "eval's last run stops short of the word's weight",
-        "bzloop/cli.py",
+        "bzloop/nq.py",
         "zip(word.letters(), _cuts(",
         "zip(word.letters()[:-1], _cuts(",
         ("tests/test_cli.py::test_eval_output_bytes_are_frozen",),
     ),
     Mutant(
         "eval steps letter d + 1 after the cut of degree d",
-        "bzloop/cli.py",
+        "bzloop/nq.py",
         "zip(word.letters(), _cuts(",
         "zip(word.letters()[1:], _cuts(",
         ("tests/test_cli.py::test_eval_output_bytes_are_frozen",),
+    ),
+    Mutant(
+        "the oracle expands relators past its class bound",
+        "bzloop/oracle.py",
+        "        if weight <= class_bound:\n",
+        "        if True:\n",
+        ("tests/test_oracle.py::test_oracle_never_expands_a_relator_past_its_class_bound",),
+    ),
+    Mutant(
+        "a word built directly is not normalized",
+        "bzloop/words.py",
+        "items = _normalize(self.items)",
+        "items = tuple(self.items)",
+        ("tests/test_words.py::test_a_word_built_directly_is_normalized",),
     ),
     Mutant(
         "the cut loop holds or refills its slice before it yields",

@@ -140,10 +140,10 @@ def test_a_partner_of_another_weight_fails_the_span_check(report22, monkeypatch)
     """
     assert _spanned(report22).passed
 
-    def longer_upper_partners(p, max_weight):
+    def longer_upper_partners(g, h, max_weight):
         return [
             replace(s, partner=make_word(*s.partner.items, Y)) if s.kind == 3 else s
-            for s in theta_specs(p, max_weight=max_weight)
+            for s in theta_specs(g, h, max_weight)
         ]
 
     monkeypatch.setattr(ANALYZE, "theta_specs", longer_upper_partners)

@@ -98,13 +98,12 @@ def _round_trip_bounds(g, h):
 
 @pytest.mark.parametrize("g,h", SMALL_PAIRS)
 def test_centralizer_sequence_round_trips_through_construction(g, h):
-    p = bl_params(g, h)
     inside = 0
     for bound in _round_trip_bounds(g, h):
-        got = centralizer_sequence(construct_bl(p, class_bound=bound))
-        assert got == bl_centralizer_sequence(p, up_to=bound - 1), bound
+        got = centralizer_sequence(construct_bl(g, h, bound))
+        assert got == bl_centralizer_sequence(g, h, bound - 1), bound
         consts = constituent_lengths(got)
-        assert consts == bl_constituent_lengths(p, count=len(consts) + 1)[: len(consts)], bound
+        assert consts == bl_constituent_lengths(g, h, len(consts) + 1)[: len(consts)], bound
         inside += sum(consts) < bound - 1
     assert inside  # some bounds end inside a constituent
 
@@ -143,61 +142,37 @@ def test_v_words():
         v_word(2, 1, -1)
 
 
-def test_blparams_first_takes_later_arguments_by_keyword_only():
-    """A positional argument after BlParams would land in h; it is refused, not dropped."""
-    p = bl_params(2, 1)
-    calls = (
-        lambda: v_word(p, 2),
-        lambda: theta_word(p, 3),
-        lambda: mu_word(p, 1),
-        lambda: theta_specs(p, 60),
-        lambda: bl_constituent_lengths(p, 12),
-        lambda: bl_centralizer_sequence(p, 7),
-        lambda: check_CL((4, 3), p, 1),
-        lambda: construct_bl(p, 48),
-    )
-    for call in calls:
-        with pytest.raises(TypeError, match="by keyword"):
-            call()
-    assert str(v_word(p, n=2)) == str(v_word(2, 1, 2))
-    assert str(theta_word(p, kind=3)) == str(theta_word(2, 1, 3))
-    assert bl_constituent_lengths(p, count=12) == bl_constituent_lengths(2, 1, 12)
-    assert bl_centralizer_sequence(p, up_to=7) == bl_centralizer_sequence(2, 1, up_to=7)
-    assert construct_bl(p, class_bound=48) == construct_bl(2, 1, 48)
-    assert str(presentation_R(p)) == str(presentation_R(2, 1))
-
-
 def test_word_weights():
     for g, h in ((2, 1), (2, 2), (3, 2)):
         p = bl_params(g, h)
         for n in range(3):
-            assert v_word(p, n=n).weight == 2 * p.q + p.d * n
-            assert theta_word(p, kind=1, n=n).weight == 2 * p.q + 1 + p.d * n
-            assert theta_word(p, kind="omega", n=n).weight == 2 * p.q + 2 + p.d * (2 * n + 1)
-            assert mu_word(p, n=n, i=1).weight == 4 * p.q - 2 + p.d * n
+            assert v_word(g, h, n=n).weight == 2 * p.q + p.d * n
+            assert theta_word(g, h, kind=1, n=n).weight == 2 * p.q + 1 + p.d * n
+            assert theta_word(g, h, kind="omega", n=n).weight == 2 * p.q + 2 + p.d * (2 * n + 1)
+            assert mu_word(g, h, n=n, i=1).weight == 4 * p.q - 2 + p.d * n
             for i in range(2, 5):
-                assert mu_word(p, n=n, i=i).weight == 2 * p.q * i + 2 * p.q - 2 + p.d * n
+                assert mu_word(g, h, n=n, i=i).weight == 2 * p.q * i + 2 * p.q - 2 + p.d * n
             for a in range(2, p.h + 2):
                 expected = 4 * p.q - 2 ** (p.h + 2 - a) + 1 + p.d * n
-                assert theta_word(p, kind=a, n=n).weight == expected
+                assert theta_word(g, h, kind=a, n=n).weight == expected
             for b in range(p.h + 2, p.g + p.h + 1):
                 e = 2 ** (p.g + p.h + 1 - b)
                 expected = 2 * p.q * (p.eta - e + 2) + 2 * p.q - 1 + p.d * n
-                assert theta_word(p, kind=b, n=n).weight == expected
+                assert theta_word(g, h, kind=b, n=n).weight == expected
 
 
 def test_theta_letter_identities():
     for g, h in ((2, 1), (3, 2)):
         p = bl_params(g, h)
         for n in range(2):
-            v = v_word(p, n=n)
-            assert theta_word(p, kind=1, n=n).letters() == v.letters() + (X,)
-            omega = theta_word(p, kind="omega", n=n)
-            assert omega.letters() == v_word(p, n=2 * n + 1).letters() + (X, Y)
+            v = v_word(g, h, n=n)
+            assert theta_word(g, h, kind=1, n=n).letters() == v.letters() + (X,)
+            omega = theta_word(g, h, kind="omega", n=n)
+            assert omega.letters() == v_word(g, h, n=2 * n + 1).letters() + (X, Y)
             for b in range(p.h + 2, p.g + p.h + 1):
                 i = p.eta - 2 ** (p.g + p.h + 1 - b) + 2
-                mu = mu_word(p, n=n, i=i)
-                assert theta_word(p, kind=b, n=n).letters() == mu.letters() + (Y,)
+                mu = mu_word(g, h, n=n, i=i)
+                assert theta_word(g, h, kind=b, n=n).letters() == mu.letters() + (Y,)
 
 
 def test_word_validation():
@@ -232,7 +207,7 @@ def test_theta_specs_frozen():
 def test_theta_specs_weights_distinct():
     for g, h in ((2, 1), (3, 1), (2, 2)):
         p = bl_params(g, h)
-        weights = [s.weight for s in theta_specs(p, max_weight=p.m + 2 * p.d)]
+        weights = [s.weight for s in theta_specs(g, h, max_weight=p.m + 2 * p.d)]
         assert weights == sorted(weights)
         assert len(set(weights)) == len(weights)
 
@@ -242,8 +217,8 @@ def test_each_spec_is_v_start_then_its_suffix_and_its_partner_swaps_the_last_let
     swap = {X: Y, Y: X}
     for g, h in SMALL_PAIRS:
         p = bl_params(g, h)
-        for s in theta_specs(p, max_weight=p.m + 2 * p.d):
-            head = v_word(p, n=s.start).letters()
+        for s in theta_specs(g, h, max_weight=p.m + 2 * p.d):
+            head = v_word(g, h, n=s.start).letters()
             word = s.word.letters()
             assert s.start == (2 * s.n + 1 if s.kind == "omega" else s.n)
             assert word == head + s.suffix.letters()
@@ -268,11 +243,11 @@ def test_theta_words_are_built_once_and_suffixes_only_for_kept_specs():
         for g, h in SMALL_PAIRS:
             p = bl_params(g, h)
             calls = 0
-            specs = theta_specs(p, max_weight=p.m + 2 * p.d)
+            specs = theta_specs(g, h, max_weight=p.m + 2 * p.d)
             assert calls == len(specs) + 3 * (p.g + p.h + 1)
             for kind in (1, p.g + p.h, "omega"):
                 calls = 0
-                theta_word(p, kind=kind, n=1)
+                theta_word(g, h, kind=kind, n=1)
                 assert calls == 1
 
 
@@ -322,17 +297,17 @@ def _shape_lines(g, h):
     """Every word, relator, sequence and the class-200 table that the parameters fix."""
     p = bl_params(g, h)
     for n in range(3):
-        yield f"v_{n} {v_word(p, n=n)}"
+        yield f"v_{n} {v_word(g, h, n=n)}"
         for kind in (*range(1, g + h + 1), "omega"):
-            yield f"theta[{kind}]_{n} {theta_word(p, kind=kind, n=n)}"
+            yield f"theta[{kind}]_{n} {theta_word(g, h, kind=kind, n=n)}"
         for i in range(1, p.eta + 2):
-            yield f"mu_{n},{i} {mu_word(p, n=n, i=i)}"
-    for r in presentation_R(p).relators:
+            yield f"mu_{n},{i} {mu_word(g, h, n=n, i=i)}"
+    for r in presentation_R(g, h).relators:
         yield f"R {r}"
     for up_to in (2, 3, 7, 50, 131):
-        yield f"cents@{up_to} " + " ".join(bl_centralizer_sequence(p, up_to=up_to))
-    yield "constituents " + " ".join(map(str, bl_constituent_lengths(p, count=12)))
-    yield json.dumps(construct_bl(p, class_bound=200).to_json_dict(), indent=2)
+        yield f"cents@{up_to} " + " ".join(bl_centralizer_sequence(g, h, up_to))
+    yield "constituents " + " ".join(map(str, bl_constituent_lengths(g, h, 12)))
+    yield json.dumps(construct_bl(g, h, 200).to_json_dict(), indent=2)
 
 
 SHAPE_DIGESTS = {

@@ -81,14 +81,15 @@ def test_eval(capsys):
 def _eval_bounds(word, monkeypatch, capsys):
     """The stdout of `eval` on (2, 1) and the last degree its cut loop cut."""
     last = 0
+    cuts = nq._cuts
 
     def recording(pres):
         nonlocal last
-        for d, table in enumerate(nq._cuts(pres), 1):
+        for d, table in enumerate(cuts(pres), 1):
             last = d
             yield table
 
-    monkeypatch.setattr(cli, "_cuts", recording)
+    monkeypatch.setattr(nq, "_cuts", recording)
     assert cli.run(["eval", "--g", "2", "--h", "1", "--word", word]) == 0
     return capsys.readouterr().out, last
 

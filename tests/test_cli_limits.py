@@ -80,6 +80,7 @@ def no_work(monkeypatch):
         "bl_params",
         "presentation_R",
         "nq_compute",
+        "nq_eval",
         "analyze",
         "construct_bl",
         "verify_appendix",

@@ -14,7 +14,7 @@ from bzloop.oracle import (
     lie_word_to_assoc,
     witt_dimension,
 )
-from bzloop.words import X, Y, parse_word
+from bzloop.words import CommutatorWord, GenPower, X, Y, make_word, parse_word
 
 
 WITT_12 = (2, 1, 2, 3, 6, 9, 18, 30, 56, 99, 186, 335)
@@ -43,6 +43,20 @@ def test_oracle_bound_validation():
         free_nq_oracle((), ORACLE_MAX_CLASS + 1)
     with pytest.raises(ValueError):
         free_nq_oracle([parse_word("x")], 4)
+
+
+def test_oracle_never_expands_a_relator_past_its_class_bound(monkeypatch):
+    """A relator heavier than the class bound imposes nothing, so its letters are never built."""
+    letters = CommutatorWord.letters
+
+    def spy(word):
+        assert word.weight <= 10, "a relator past the class bound was expanded"
+        return letters(word)
+
+    monkeypatch.setattr(CommutatorWord, "letters", spy)
+    light = parse_word("y x y")
+    heavy = make_word(Y, GenPower(X, 10**6))
+    assert free_nq_oracle([light, heavy], 10) == free_nq_oracle([light], 10)
 
 
 # -- associative expansion ---------------------------------------------------

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import bzloop
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_star_import_binds_every_export():
@@ -33,3 +34,16 @@ def test_readme_library_example_runs_on_the_public_surface():
     ]
     assert imported and [name for name in imported if name not in bzloop.__all__] == []
     exec(compile(source, f"{README}:Library", "exec"), {})
+
+
+def test_no_private_name_crosses_a_module_seam():
+    """No module of the package imports a name with a leading underscore from another."""
+    crossings = [
+        f"{path.name}: from .{node.module} import {alias.name}"
+        for path in sorted((ROOT / "src" / "bzloop").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert crossings == []

@@ -168,6 +168,31 @@ def test_make_word_refuses_groups_nested_past_the_bound(depth):
         make_word(Y, _nested_group(depth))
 
 
+def test_a_word_built_directly_is_normalized():
+    """The constructor normalizes as `make_word` does: letters, spliced groups, merged runs."""
+    assert CommutatorWord((X, Y)).weight == 2
+    assert CommutatorWord((X, Y)).items == (GenPower(X, 1), GenPower(Y, 1))
+    assert CommutatorWord((Y, X, GroupPower((Y, X), 1), GenPower(X, 2))) == make_word(Y, X, Y, GenPower(X, 3))
+    assert CommutatorWord((GroupPower((Y, X), 2),)) == make_word(Y, X, Y, X)
+    with pytest.raises(ValueError, match="empty word"):
+        CommutatorWord((GenPower(X, 0),))
+
+
+def _spliced_group(depth: int) -> GroupPower:
+    """x inside `depth` nested groups of exponent 1, built without the parser."""
+    g = GenPower(X, 1)
+    for _ in range(depth):
+        g = GroupPower((g,), 1)
+    return g
+
+
+@pytest.mark.parametrize("depth", [MAX_GROUP_DEPTH + 1, 3000])
+def test_a_word_built_directly_refuses_groups_nested_past_the_bound(depth):
+    """A ValueError at construction, so neither `.weight` nor `Presentation` can recurse past it."""
+    with pytest.raises(ValueError, match="nested deeper"):
+        CommutatorWord((GenPower(Y, 1), _spliced_group(depth)))
+
+
 _letters = st.lists(st.sampled_from([X, Y, Z]), min_size=1, max_size=30)
 
 
