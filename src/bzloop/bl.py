@@ -270,6 +270,11 @@ def lambda_admissible(p: BlParams) -> list[int]:
     return [i for i in range(p.eta - 1) if i not in excluded]
 
 
+def _runs(word: CommutatorWord) -> tuple[GenPower, ...]:
+    """The word's runs as `GenPower` parts: its letters with every group expanded, one part per run."""
+    return tuple(GenPower(letter, exp) for letter, exp in word.runs())
+
+
 def presentation_R(g: int, h: int) -> Presentation:
     """The defining relators of B(g, h): exactly q + h + eta words."""
     p = bl_params(g, h)
@@ -277,9 +282,9 @@ def presentation_R(g: int, h: int) -> Presentation:
     for j in range(p.q - 1):
         rels.append(make_word(Y, GenPower(X, 2 * j + 1), Y))
     for t in range(1, g + h + 1):
-        rels.append(make_word(*theta_word(g, h, t).letters(), X))
+        rels.append(make_word(*_runs(theta_word(g, h, t)), X))
     rels.append(make_word(*_v_parts(p, 1), X, Y, X))
     for i in lambda_admissible(p):
-        rels.append(make_word(*mu_word(g, h, 0, i + 2).letters(), Y))
+        rels.append(make_word(*_runs(mu_word(g, h, 0, i + 2)), Y))
     assert len(rels) == p.q + p.h + p.eta
     return Presentation(tuple(rels))

@@ -136,8 +136,13 @@ def kernel(images: Iterable[int], dim_codomain: int) -> EchelonBasis:
         if im >> dim_codomain:
             raise ValueError("image outside the codomain")
         aug.add(im | (1 << (dim_codomain + i)))
+    # A row whose pivot is a marker bit has a zero image part: its marker
+    # part is a kernel element.  The other rows have distinct pivots inside
+    # the image part, so their image parts are independent and no combination
+    # of them is in the kernel.  So the marker rows span the kernel whether
+    # or not the basis is fully reduced, and it is read unsettled.
     ker = EchelonBasis(len(images))
-    for pivot, row in zip(aug.pivots, aug):
+    for pivot, row in aug._row_at.items():
         if pivot >= dim_codomain:
             ker.add(row >> dim_codomain)
     return ker

@@ -25,9 +25,11 @@ the cut and the survivors use, by interleaving its two halves.  A Jacobi
 row J(u, v, g) whose symbol [v, g] survived its own cut as w is
 [u, w] + [w, u], two entries of the slice; the row of a cut symbol is
 summed in place by the fill's rule plus [[v, g], u] over the symbol's
-image, so the default mode calls no `jacobi_sum`.  Once the cut is
-known, the top degree's action is set to the survivor images.  The slice
-is linear in that action, so the image of each frontier entry over the
+image, so the default mode calls no `jacobi_sum`.  At every split but
+the last, a row J(u, v, g) whose [u, g] defined an element t is skipped:
+it repeats the row of t and v one split later.  Once the cut is known,
+the top degree's action is set to the survivor images.  The slice is
+linear in that action, so the image of each frontier entry over the
 survivors is the true bracket.  A narrow cut, of at most `NARROW`
 symbols, keeps slice n + 1 as the frontier fill left it and builds the
 cut's image table of 2^nsym entries, a local of the cut loop; the cut
@@ -52,7 +54,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import count, islice
+from itertools import chain, count, islice, repeat
 
 from .algebra import (
     BracketTable,
@@ -156,7 +158,7 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
     zero when u = [p, g].
 
     The default mode builds each bracket and each relation row once.  The
-    six shortcuts below leave every cut, and so every table, unchanged;
+    seven shortcuts below leave every cut, and so every table, unchanged;
     the first also holds in `full_jacobi` mode.  The proofs speak of the
     true table, the one `GradedAlgebra.bracket_table` fills: while degree
     n + 1 is cut it is antisymmetric in every degree <= n, row 1 included,
@@ -272,6 +274,38 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
     Every cut of R(g, h) with g + h <= 10 has at most 4 symbols (its
     degrees past the first are 1 or 2 wide), so its default run refills
     and mirrors no slice.
+
+    A row whose [u, g] defines an element repeats a pair row one split
+    later.  Take J(u, v, g) with u = e(d1, a), v = e(d2, b), d1 + d2 = n
+    and 2 * d1 + 2 <= n, and let the symbol 2a + g of degree d1 + 1 have
+    survived as t, so [u, g] = [g, u] is the one bit t.  The third term of
+    the row, [[g, u], v], is then the entry [t, v] of block (d1 + 1, d2).
+    The fill gives [v, t] as [[v, u], g] + [[v, g], u], whose first term
+    is the row's first, since [v, u] = [u, v] in slice n, and whose second
+    is the row's second.  So J(u, v, g) = [t, v] + [v, t] bit for bit.
+    Let v be defined as [q, g''], with q of degree d2 - 1 >= d1 + 1; the
+    pair row of t and v is J(t, q, g''), which the loop meets at split
+    d1 + 1 <= n // 2 and, its symbol having survived as v, builds as
+    [t, v] + [v, t] (fifth shortcut).
+    - If d1 + 1 < d2 - 1, the loop visits q's symbols for u = t.  Should
+      it skip this one too, because [t, g''] defines an element and
+      2 * d1 + 4 <= n, the same argument makes the row a pair row of split
+      d1 + 2, and so on: the splits end at n // 2, so by induction down
+      from the last split every skipped row repeats a row the loop builds.
+    - If d1 + 1 = d2 - 1, so n = 2 * d1 + 2, split d1 + 1 is the last one
+      and skips nothing, and t and q both lie in degree n / 2.  If q comes
+      after t, the loop builds J(t, q, g'') for u = t.  If q comes before
+      t, it builds J(q, t, g''), which is the same row: its terms are
+      those of J(t, q, g'') with each inner bracket transposed, and the
+      true table is antisymmetric in degrees <= n.  If q = t the row is
+      [[t, t], g''] + [[t, g''], t] + [[g'', t], t] = 0: [t, t] lies in
+      degree n, whose alternation row cut it, and the last two terms are
+      equal.
+    So the loop skips J(u, v, g) for every v, and every pivot and every
+    survivor image is unchanged (fourth shortcut).  It skips whole visits:
+    a u whose [u, x] and [u, y] both define elements visits no symbol, and
+    one with a single defining generator visits only the other's symbols,
+    every second one, in the order the full loop visits them.
     """
     if class_bound < 1:
         raise ValueError("class bound must be at least 1")
@@ -292,10 +326,13 @@ def nq_eval(pres: Presentation, word: CommutatorWord) -> Element:
     weight d - 1.  The word is left-normed, so a zero prefix makes it zero
     and the loop stops at the first one; only a word with no zero prefix
     pays for the quotient of class its weight.  A zero value is the zero of
-    the quotient of the class where the loop stopped.
+    the quotient of the class where the loop stopped.  The letters are read
+    from the word's runs as the loop needs them, so a long run past the
+    first zero prefix is never spelled out.
     """
     mask = 0
-    for d, (letter, table) in enumerate(zip(word.letters(), _cuts(pres)), 1):
+    letters = chain.from_iterable(repeat(letter, exp) for letter, exp in word.runs())
+    for d, (letter, table) in enumerate(zip(letters, _cuts(pres)), 1):
         mask = eval_runs(table.rows, ((letter, 1),), d, mask, d - 1)
         if not mask:
             break
@@ -363,6 +400,8 @@ def _cuts(pres: Presentation, full_jacobi: bool = False) -> Iterator[BracketTabl
                                 rows.append(jacobi_sum(R, off, d1, a, d2, b, d3, c))
         else:
             # a row with two generators is zero or repeats one with d1 = 2;
+            # below the last split, a row whose [u, g] defines t repeats [t, v] + [v, t],
+            # a row of split d1 + 1;
             # a symbol s = 2b + g that defines w = e(j, k) gives [u, w] + [w, u],
             # a cut one F(u; v, g) + [[v, g], u]
             append = rows.append
@@ -371,9 +410,18 @@ def _cuts(pres: Presentation, full_jacobi: bool = False) -> Iterator[BracketTabl
                 j = d2 + 1
                 survivor, wrows, col = survivors[j], R[j], off[j]
                 vrows, vcol, grows = R[d2], off[d2], R[d1 + 1]
+                stop = 2 * len(vrows)
+                defines = survivors[d1 + 1] if 2 * d1 + 2 <= n else None
                 for a in range(len(R[d1])):
+                    symbols = range(2 * a + 2 if d2 == d1 else 0, stop)
+                    if defines is not None:
+                        tx, ty = defines[2 * a] >= 0, defines[2 * a + 1] >= 0
+                        if tx and ty:
+                            continue
+                        if tx or ty:  # only the symbols of the generator that defines nothing
+                            symbols = range(int(tx), stop, 2)
                     urow, ucol = R[d1][a], off[d1] + a
-                    for s in range(2 * a + 2 if d2 == d1 else 0, 2 * len(vrows)):
+                    for s in symbols:
                         k = survivor[s]
                         if k >= 0:
                             append(urow[col + k] ^ wrows[k][ucol])

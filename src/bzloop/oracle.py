@@ -27,11 +27,14 @@ def _spread(mask: int) -> int:
     return int(format(mask, "b"), 4)
 
 
-def bracket_letter(P: int, degree: int, g: int) -> int:
-    """[P, g] in the associative algebra: P*g + g*P, for g in {0: x, 1: y}."""
-    append = _spread(P) << g
-    prepend = P << (g << degree) if g else P
-    return append ^ prepend
+def bracket_generators(P: int, degree: int) -> tuple[int, int]:
+    """([P, x], [P, y]) in the associative algebra, [P, g] = P*g + g*P, from one spread of P.
+
+    Appending x or y to a word doubles its code and adds 0 or 1; prepending
+    one adds 0 or 2^degree, its most significant digit.
+    """
+    spread = _spread(P)
+    return spread ^ P, spread << 1 ^ P << (1 << degree)
 
 
 def assoc_bracket(P: int, deg_p: int, Q: int, deg_q: int) -> int:
@@ -51,10 +54,10 @@ def lie_word_to_assoc(letters) -> int:
     cur = first
     degree = 1
     for letter in seq[1:]:
-        nxt = 0
+        brackets = bracket_generators(cur, degree)
+        cur = 0
         for g in iter_bits(_LETTER_MASK[letter]):
-            nxt ^= bracket_letter(cur, degree, g)
-        cur = nxt
+            cur ^= brackets[g]
         degree += 1
     return cur
 
@@ -111,8 +114,7 @@ def free_nq_oracle(relators, class_bound: int) -> tuple[int, ...]:
     for w in range(2, class_bound + 1):
         vecs = []
         for row in prev_rows:
-            for g in (0, 1):
-                vecs.append(bracket_letter(row, w - 1, g))
+            vecs += bracket_generators(row, w - 1)
         for letters in by_weight.get(w, ()):
             vecs.append(lie_word_to_assoc(letters))
         ideal = echelonize(vecs, 1 << w)

@@ -192,6 +192,20 @@ MUTANTS = (
         ("tests/test_engine.py::test_nq_default_rows_are_the_jacobi_sums",),
     ),
     Mutant(
+        "Jacobi loop skips the rows of a defining [u, g] at the last split too, d1 = (n - 1) / 2",
+        "bzloop/nq.py",
+        "defines = survivors[d1 + 1] if 2 * d1 + 2 <= n else None",
+        "defines = survivors[d1 + 1] if 2 * d1 + 1 <= n else None",
+        ("tests/test_engine.py::test_presentation_dims_frozen", "tests/test_analyze.py::test_minimum_bound_passes"),
+    ),
+    Mutant(
+        "Jacobi loop skips the rows of a defining [u, g] at every split",
+        "bzloop/nq.py",
+        "defines = survivors[d1 + 1] if 2 * d1 + 2 <= n else None",
+        "defines = survivors[d1 + 1]",
+        ("tests/test_engine.py::test_presentation_dims_frozen", "tests/test_analyze.py::test_minimum_bound_passes"),
+    ),
+    Mutant(
         "annihilator without its modulo",
         "bzloop/algebra.py",
         "rows = [(z.reduce(mx), z.reduce(my)) for mx, my in rows]",
@@ -250,15 +264,15 @@ MUTANTS = (
     Mutant(
         "eval's last run stops short of the word's weight",
         "bzloop/nq.py",
-        "zip(word.letters(), _cuts(",
-        "zip(word.letters()[:-1], _cuts(",
+        "zip(letters, _cuts(",
+        "zip(islice(letters, word.weight - 1), _cuts(",
         ("tests/test_cli.py::test_eval_output_bytes_are_frozen",),
     ),
     Mutant(
         "eval steps letter d + 1 after the cut of degree d",
         "bzloop/nq.py",
-        "zip(word.letters(), _cuts(",
-        "zip(word.letters()[1:], _cuts(",
+        "zip(letters, _cuts(",
+        "zip(islice(letters, 1, None), _cuts(",
         ("tests/test_cli.py::test_eval_output_bytes_are_frozen",),
     ),
     Mutant(

@@ -278,6 +278,19 @@ def test_presentation_round_trips_through_parser():
             assert parse_word(str(r)) == r
 
 
+def test_presentation_relators_are_flat_but_the_v1_one():
+    """Each theta and mu relator is built from runs, in the flat normal form its letters give.
+
+    Only the relator v_1 x y x keeps the group of v_1, as the reports print it.
+    """
+    for g, h in [(g, s - g) for s in range(3, 11) for g in range(2, s)]:
+        rels = presentation_R(g, h).relators
+        v1 = make_word(*v_word(g, h, 1).items, X, Y, X)
+        assert v1 in rels
+        for r in rels:
+            assert r == v1 or r == make_word(*r.letters()), (g, h, str(r))
+
+
 def test_lambda_admissible_rule():
     assert lambda_admissible(bl_params(2, 1)) == [0]
     assert lambda_admissible(bl_params(3, 1)) == [0, 1, 2, 4]

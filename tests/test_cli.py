@@ -12,7 +12,7 @@ from bzloop import cli, nq
 from bzloop.analyze import CheckResult
 from bzloop.bl import presentation_R
 from bzloop.nq import nq_compute
-from bzloop.words import parse_word
+from bzloop.words import CommutatorWord, parse_word
 
 
 def test_present(capsys):
@@ -99,6 +99,17 @@ def test_eval_stops_at_the_first_zero_prefix(monkeypatch, capsys):
     out, last = _eval_bounds("y x^1999", monkeypatch, capsys)
     assert out == "0\n"
     assert last == 6
+
+
+def test_eval_reads_no_letter_past_the_first_zero_prefix(monkeypatch):
+    """The letters are streamed from the word's runs: the run x^10000000 is never spelled out."""
+
+    def refuse(word):
+        raise AssertionError("the word's letters were spelled out")
+
+    monkeypatch.setattr(CommutatorWord, "letters", refuse)
+    value = nq.nq_eval(presentation_R(2, 1), parse_word("y x^10000000"))
+    assert not value and str(value) == "0"
 
 
 NONZERO_WORDS = ["x", "y", "z", "y x^4", "x y x^2 z", "y x^3 (y x^2)^2 z^3", "y x^3 (y x^2 (y x^3)^2 y x^2)^3"]

@@ -79,6 +79,24 @@ def test_rank_nullity(images):
         assert acc == 0
 
 
+def _reference_kernel(images: list[int]) -> list[int]:
+    """Every combination of the images that sums to zero, by brute force."""
+    out = []
+    for combo in range(1 << len(images)):
+        acc = 0
+        for i in iter_bits(combo):
+            acc ^= images[i]
+        if not acc:
+            out.append(combo)
+    return out
+
+
+@given(st.lists(st.integers(min_value=0, max_value=(1 << 6) - 1), max_size=10))
+def test_kernel_is_the_reduced_basis_of_the_reference_kernel(images):
+    """`kernel` reads its augmented basis unsettled; its settled rows are those of the brute-force kernel."""
+    assert kernel(images, 6).row_bits() == echelonize(_reference_kernel(images), len(images)).row_bits()
+
+
 @given(_vectors, st.integers(min_value=0, max_value=(1 << 12) - 1))
 def test_express_reproduces_target(vecs, target):
     mask = SpanSolver(vecs, 12).express(target)

@@ -9,7 +9,7 @@ from bzloop.bl import presentation_R
 from bzloop.oracle import (
     ORACLE_MAX_CLASS,
     assoc_bracket,
-    bracket_letter,
+    bracket_generators,
     free_nq_oracle,
     lie_word_to_assoc,
     witt_dimension,
@@ -71,28 +71,28 @@ def test_lie_word_to_assoc_small():
     assert lie_word_to_assoc("yx") == 0b110  # character letters work too
 
 
-@given(st.integers(1, 6), st.integers(1), st.integers(0, 1))
-def test_bracket_letter_matches_assoc_bracket(degree, seed, g):
+def _assoc_brackets(mask: int, degree: int) -> tuple[int, int]:
+    return tuple(assoc_bracket(mask, degree, 1 << g, 1) for g in (0, 1))
+
+
+@given(st.integers(1, 6), st.integers(1))
+def test_bracket_generators_matches_assoc_bracket(degree, seed):
     mask = seed % (1 << (1 << degree))
-    assert bracket_letter(mask, degree, g) == assoc_bracket(mask, degree, 1 << g, 1)
+    assert bracket_generators(mask, degree) == _assoc_brackets(mask, degree)
 
 
-@given(
-    st.integers(10, 14),
-    st.lists(st.integers(0, (1 << 14) - 1), min_size=1, max_size=8),
-    st.integers(0, 1),
-)
-def test_bracket_letter_matches_assoc_bracket_on_wide_masks(degree, words, g):
+@given(st.integers(10, 14), st.lists(st.integers(0, (1 << 14) - 1), min_size=1, max_size=8))
+def test_bracket_generators_matches_assoc_bracket_on_wide_masks(degree, words):
     """Sparse masks over 2^10 to 2^14 words: every word's code doubles, however wide."""
     mask = 0
     for word in words:
         mask |= 1 << (word % (1 << degree))
-    assert bracket_letter(mask, degree, g) == assoc_bracket(mask, degree, 1 << g, 1)
+    assert bracket_generators(mask, degree) == _assoc_brackets(mask, degree)
 
 
 def test_bracket_squares_vanish():
     for g in (0, 1):
-        assert bracket_letter(1 << g, 1, g) == 0
+        assert bracket_generators(1 << g, 1)[g] == 0
     for degree, poly in ((2, lie_word_to_assoc((Y, X))), (3, lie_word_to_assoc((Y, X, X)))):
         assert assoc_bracket(poly, degree, poly, degree) == 0
 

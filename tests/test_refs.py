@@ -92,10 +92,10 @@ def test_wide_nq_table_bytes_are_frozen(relators):
 ADDED_ROWS = {
     ("R(2,1)@48", False): (59, "9c20c707392bc18c616081ed7534f7afde9ec3fea985de503905f7a28c3afaad"),
     ("R(2,1)@48", True): (59, "9c20c707392bc18c616081ed7534f7afde9ec3fea985de503905f7a28c3afaad"),
-    ("free@10", False): (30, "074e40fa9695f38f68efbc01055d1df83a10da4e9392cd9e51d9547b4cccae82"),
+    ("free@10", False): (30, "145f21f51007fbec351e520081c30f1abee4dffa8891e9c35b1ed9c908555e6f"),
     ("free@10", True): (32, "ed4392ccb956cc03e118699ce9f1fbe6bba91716d5f70a2c19ac92b53f01d40a"),
-    # 88 of its Jacobi symbols are cut, 67 of them with a nonzero image [v, g]
-    ("y x y x y@12", False): (94, "bae563be84cee0b27f012bb6b46dc04eb1742a3d47dfe33698e97b80d488e821"),
+    # 36 of the Jacobi symbols it visits are cut, 24 of them with a nonzero image [v, g]
+    ("y x y x y@12", False): (94, "a6710c405589d6173ae110d24503d9e635dc225f00b00011558acc6a5388f422"),
 }
 
 
