@@ -262,6 +262,7 @@ def analyze(g: int, h: int, class_bound: int | None = None) -> AnalysisReport:
     def walk(state, runs):
         """The word `state`, a (weight, mask), continued by the letters of `runs`."""
         weight, mask = state
+        runs = tuple(runs)
         weight_after = weight + sum(count for _, count in runs)
         return weight_after, eval_runs(action, runs, bound, mask, weight)
 
@@ -279,8 +280,8 @@ def analyze(g: int, h: int, class_bound: int | None = None) -> AnalysisReport:
     # The v_n chain, walked once: v[n] is v_n and tails[n][i] is
     # v_n y x^{2q-2} (y x^{2q-1})^i.  The block that takes v_n to v_{n+1} is
     # a run of (y, x^k) pairs; tail i ends pair i and v_{n+1} ends the last.
-    head = v_word(g, h, 0).runs()
-    block = v_word(g, h, 1).runs()[len(head):]
+    head = tuple(v_word(g, h, 0).runs())
+    block = tuple(v_word(g, h, 1).runs())[len(head):]
     v, tails = [], []
     state = walk(_EMPTY, head)
     while state[0] <= bound:

@@ -13,8 +13,21 @@ also the basis handed to `GradedAlgebra`; no label is built here.  An
 empty degree needs no special case: it has no frontier symbols, so the
 next slice and its relation rows are zero and the cut is empty.
 
-All brackets live in one `BracketTable`.  To cut degree n + 1, the top
-degree's action is set to the frontier symbols themselves and slice n + 1
+Two loops make the cuts and yield the same tables.  Each yields the
+table after a cut and prepares the slice it just cut only when its
+caller asks for the next degree, so the slice of the caller's last degree
+is never prepared: no later cut reads it.  The default loop, `_cuts`,
+runs the table loop up to degree `PACK_FROM` and then, if every degree
+so far is at most 2 wide, the packed loop, which hands back to the table
+loop at its first cut wider than 2.  Its two callers live here:
+`nq_compute` stops it at its class bound and keeps only the action rows,
+and `nq_eval` at a word's weight or at the word's first zero prefix.
+`full_jacobi=True` runs the table loop throughout, refilling every block
+of every slice and building every triple row; it is the cross-check.
+
+The table loop, `_table_cuts`, keeps all brackets in one
+`BracketTable`.  To cut degree n + 1, the top degree's action is set to
+the frontier symbols themselves and slice n + 1
 (every bracket of total degree n + 1) is filled, except row 1, which no
 relation row reads; every relation row then reads that slice.  While the
 slice is built the symbols are split: with D = dim n, the symbol
@@ -40,14 +53,33 @@ the first are 1 or 2 wide.  A wider cut refills the slice from the
 survivor images, which makes it the true bracket table of degree n + 1;
 the refilled slice is antisymmetric, so only its blocks (i, j) with
 i >= j are filled and the rest, row 1 aside, are mirrored from them.
-The loop, `_cuts`, yields the table after each cut and holds or
-refills the slice it just cut only when its caller asks for the next
-degree, so the slice of the caller's last degree is neither: no later
-cut reads it.  Its two callers live here: `nq_compute` stops it at its
-class bound and keeps only the action rows, and `nq_eval` at a word's
-weight or at the word's first zero prefix.
-`full_jacobi=True` refills every block of every slice and builds every
-triple row; it is the cross-check.
+
+The packed loop, `_packed_cuts`, holds only slices n and n + 1, as bit
+planes, and its table only the definitions and the action rows.  Slice
+s is 4 families f = 2a + b, the entries [e(i, a), e(s - i, b)] with
+a, b < 2 at the positions i, and a family is one int per bit of its
+entries, bit i of which is that bit at position i.  For the frontier
+slice n + 1 these are bits of masks over the split symbols, as in the
+table loop; its position n is the split action itself, and the held
+slice n is mapped through its cut's images.  The fill rule gives the
+entry (a, b) at position i, column e(j, b) = [e(j - 1, p), g], as the
+held entry (a, p) at position i shifted by g * D plus the entries (t, p)
+at position i + 1 over the bits t of [e(i, a), g].  Where that sum is the
+family's own entry alone, the family is the gated suffix XOR
+T(i) = A(i) + c(i) T(i + 1), which doubling computes in O(log n) whole-
+plane operations; each other position is an event, whose sum is read,
+from the top down, off the finished position i + 1 and XORed down its
+chain of gates.  So the planes hold, bit for bit, the entries that the
+table loop's frontier fill computes: the same rule over the same split
+action and, by induction, the same held entries.  The relation rows are
+then those of the table loop, read off the planes: the alternation rows,
+and for each split d1 <= n // 2 and symbol 2b + g the row
+F(u; v, g) + [[v, g], u], which for a surviving symbol w is
+[u, w] + [w, u], read from the slice and its mirror about (n + 1) / 2.
+They include the rows the table loop skips, each 0 or a repeat of a
+built one.  The loop hands `echelonize` a basis of their span, and the
+relator rows; the reduced echelon form depends only on the span, so the
+pivots, the survivor images and every table are unchanged.
 """
 
 from __future__ import annotations
@@ -71,6 +103,12 @@ from .words import CommutatorWord
 # A cut of at most this many frontier symbols keeps its slice in frontier
 # form, read through an image table of 2^nsym entries, instead of refilling it.
 NARROW = 8
+
+# The default loop cuts the degrees up to this one with the table loop and
+# the later ones, while every degree is at most 2 wide, with the packed loop:
+# on CPython 3.11 on a 2-core VM a packed cut costs a fixed 50-70 us, a table
+# cut of degree n about 25 + n us, and the hand-over about 0.3 ms once.
+PACK_FROM = 64
 
 
 @dataclass(frozen=True)
@@ -132,11 +170,14 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
     returns the empty cut and every later degree is empty too.
 
     The degrees are cut by `_cuts`, which yields the table after each cut
-    and prepares the slice it just cut, held or refilled, only when it is
-    asked for the next degree.  `nq_compute` takes class_bound tables from
-    it and asks for no more, so the slice of degree class_bound is
-    neither held nor refilled: no later cut reads it, and the result
-    keeps only the action rows.
+    and prepares the slice it just cut, held, refilled or mapped, only
+    when it is asked for the next degree.  `nq_compute` takes class_bound
+    tables from it and asks for no more, so the slice of degree
+    class_bound is never prepared: no later cut reads it, and the result
+    keeps only the action rows.  Up to degree `PACK_FROM`, and after any
+    degree wider than 2, the cuts are the table loop's, to which the
+    arguments below refer; the packed loop's cuts are the same (last
+    paragraph).
 
     Antisymmetry is imposed by one row only, [x, y] = [y, x] in degree 2;
     in every higher degree each antisymmetry row is a Jacobi row already.
@@ -157,8 +198,9 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
     Alternation rows are not covered and stay: J(u, p, g) is trivially
     zero when u = [p, g].
 
-    The default mode builds each bracket and each relation row once.  The
-    seven shortcuts below leave every cut, and so every table, unchanged;
+    The table loop's default mode builds each bracket and each relation
+    row once.  The seven shortcuts below leave every cut, and so every
+    table, unchanged;
     the first also holds in `full_jacobi` mode.  The proofs speak of the
     true table, the one `GradedAlgebra.bracket_table` fills: while degree
     n + 1 is cut it is antisymmetric in every degree <= n, row 1 included,
@@ -306,6 +348,27 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
     a u whose [u, x] and [u, y] both define elements visits no symbol, and
     one with a single defining generator visits only the other's symbols,
     every second one, in the order the full loop visits them.
+
+    The packed loop makes the same cuts.  Its planes hold, bit for bit,
+    the entries that the table loop's frontier fill computes, positions
+    2..n - 1 of slice n + 1 being its rows 2..n - 1.  Both evaluate the
+    fill rule at the same split action: the packed loop's first term is
+    the held entry (a, p) shifted by g * D, which is the table loop's
+    image table applied to the frontier entry [u, p] and then shifted (the
+    held planes are the frontier planes mapped through the same survivor
+    images, by linearity entry by entry); its second term sums the same
+    entries of position i + 1 over the same action bits, by doubling along
+    a family where only the family's own entry is read and at an event
+    otherwise, each event solved after every position above it.  Its
+    rows are read off those planes by the rules above: the alternation
+    rows, and for each split d1 and symbol 2b + g of each u the row
+    F(u; v, g) + [[v, g], u], equal to [u, w] + [w, u] where the symbol
+    survived as w (fifth shortcut).  The packed loop builds these rows for
+    every u and symbol, the skipped ones too, which by the seventh
+    shortcut are 0 or repeats; and it hands `echelonize` a basis of their
+    span rather than the rows.  The span is the table loop's, so the
+    reduced echelon form, the pivots, the survivor images and the table
+    are unchanged.
     """
     if class_bound < 1:
         raise ValueError("class bound must be at least 1")
@@ -327,8 +390,8 @@ def nq_eval(pres: Presentation, word: CommutatorWord) -> Element:
     and the loop stops at the first one; only a word with no zero prefix
     pays for the quotient of class its weight.  A zero value is the zero of
     the quotient of the class where the loop stopped.  The letters are read
-    from the word's runs as the loop needs them, so a long run past the
-    first zero prefix is never spelled out.
+    from the word's runs as the loop needs them, so a long run or group
+    power past the first zero prefix is never expanded.
     """
     mask = 0
     letters = chain.from_iterable(repeat(letter, exp) for letter, exp in word.runs())
@@ -342,18 +405,366 @@ def nq_eval(pres: Presentation, word: CommutatorWord) -> Element:
 def _cuts(pres: Presentation, full_jacobi: bool = False) -> Iterator[BracketTable]:
     """The cut loop of `nq_compute` and `nq_eval`: yield the table at degree 1, then after each cut.
 
-    When degree d has been cut, the table holds degrees 1..d and the action
-    rows of degrees below d are final; those of degree d are not set.  The
-    slice of degree d is held or refilled only when the caller asks for the
-    next degree, so a caller that stops at degree c prepares no slice of
-    degree c.  The same table is yielded each time and changes as the loop
-    goes on.
+    When degree d has been cut, the table holds the definitions of degrees
+    1..d and the action rows of the degrees below d, which are final; those
+    of degree d are not set.  The slice of degree d is prepared only when
+    the caller asks for the next degree, so a caller that stops at degree c
+    prepares no slice of degree c.  The same table is yielded each time and
+    changes as the loop goes on.  The table loop cuts up to degree
+    `PACK_FROM`; then, unless `full_jacobi` is set or some degree is wider
+    than 2, the packed loop takes its table and goes on.
     """
+    cuts = _table_cuts(pres, full_jacobi)
+    for table in islice(cuts, PACK_FROM):
+        yield table
+    if full_jacobi or any(len(layer) > 2 for layer in table.defs):
+        yield from cuts
+    else:
+        yield from _packed_cuts(pres, table)
+
+
+def _relators_by_weight(pres: Presentation) -> dict[int, list[CommutatorWord]]:
     by_weight: dict[int, list[CommutatorWord]] = {}
     for r in pres.relators:
         by_weight.setdefault(r.weight, []).append(r)
+    return by_weight
 
-    table = BracketTable()
+
+def _cut(table: BracketTable, n: int, rows: list[int], relators) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """Cut degree n + 1 by `rows` and the relator rows; set the action of degree n and add the new degree.
+
+    The rows are masks over the split symbols, [e(n, w), g] at bit
+    w + g * D; each distinct nonzero one is put in symbol order s = 2w + g
+    and handed to `echelonize`.  Returns the new degree's definitions and
+    the action rows of degree n.
+    """
+    R = table.rows
+    # defining relators of the new weight; the last letter meets the
+    # frontier symbols through the top degree's action
+    for r in relators:
+        rows.append(eval_runs(R, r.runs(), n + 1))
+    D = len(R[n])
+    low = (1 << D) - 1
+    rows = [_interleave(r & low, r >> D) for r in dict.fromkeys(rows) if r]
+    defs, action = define_layer(2 * D, echelonize(rows, 2 * D))
+    table.set_action(n, action)
+    table.add_degree(defs)
+    return defs, action
+
+
+# _REV8[b] is the byte b with its bits in reverse order
+_REV8 = bytes(int(format(b, "08b")[::-1], 2) for b in range(256))
+
+
+def _mirror(plane: int, s: int) -> int:
+    """The plane with bit d moved to bit s - d, for a plane with no bit above s."""
+    size = s // 8 + 1
+    return int.from_bytes(plane.to_bytes(size, "little").translate(_REV8), "big") >> 8 * size - 1 - s
+
+
+def _read(planes: list[int], i: int) -> int:
+    """The entry at position i of a family: bit k is bit i of planes[k]."""
+    out = 0
+    for k, plane in enumerate(planes):
+        out |= (plane >> i & 1) << k
+    return out
+
+
+def _span(planes: list[int], basis: list[int]) -> None:
+    """Extend `basis` by entries read from the planes until it spans every entry they hold.
+
+    The basis is kept in echelon form, each entry's pivot its lowest bit
+    and no entry holding an earlier one's pivot: the planes are reduced by
+    each basis entry in turn, so a position still nonzero holds an entry
+    outside the span, which joins the basis.
+    """
+    done = 0
+    while True:
+        for v in basis[done:]:
+            m = planes[(v & -v).bit_length() - 1]
+            if m:
+                for k in range(len(planes)):
+                    if v >> k & 1:
+                        planes[k] ^= m
+        done = len(basis)
+        rest = 0
+        for plane in planes:
+            rest |= plane
+        if not rest:
+            return
+        basis.append(_read(planes, (rest & -rest).bit_length() - 1))
+
+
+class _Masks:
+    """The per-position masks the packed scans read, one bit per degree.
+
+    `wide` has bit d when degree d is 2 wide, and acts[4a + 2g + t] bit d
+    when [e(d, a), g] holds bit t.  The others are read by column degree,
+    so they are kept reversed: after the columns of degree n were added,
+    bit i of `rwide` is set when degree n - i is 2 wide; with
+    e(n - i, b) = [e(n - i - 1, p), g], that of rpar[b] when p = 1 and
+    that of rgen[b] when g = 1; and that of racts[4b + 2g + t] when
+    [e(n - 1 - i, b), g] holds bit t.
+    """
+
+    __slots__ = ("wide", "acts", "rwide", "rpar", "rgen", "racts")
+
+    def __init__(self):
+        self.wide, self.acts = 0, [0] * 8
+        self.rwide, self.rpar, self.rgen, self.racts = 0, [0, 0], [0, 0], [0] * 8
+
+    def add_row(self, n: int, width: int, action) -> None:
+        """Degree n + 1 is cut, `width` wide, and degree n acts by `action`."""
+        if width == 2:
+            self.wide |= 1 << n + 1
+        acts = self.acts
+        for a, row in enumerate(action):
+            for g in (0, 1):
+                if row[g] & 1:
+                    acts[4 * a + 2 * g] |= 1 << n
+                if row[g] & 2:
+                    acts[4 * a + 2 * g + 1] |= 1 << n
+
+    def add_column(self, defs, action) -> None:
+        """Shift in the next degree, defined by `defs`, and the action of the degree below it."""
+        self.rwide = self.rwide << 1 | (len(defs) == 2)
+        rpar = self.rpar = [m << 1 for m in self.rpar]
+        rgen = self.rgen = [m << 1 for m in self.rgen]
+        racts = self.racts = [m << 1 for m in self.racts]
+        for k, (p, g) in enumerate(defs):
+            rpar[k] |= p
+            rgen[k] |= g
+        for b, row in enumerate(action):
+            for g in (0, 1):
+                racts[4 * b + 2 * g] |= row[g] & 1
+                racts[4 * b + 2 * g + 1] |= row[g] >> 1 & 1
+
+
+def _packed_cuts(pres: Presentation, table: BracketTable) -> Iterator[BracketTable]:
+    """The packed loop: slices n and n + 1 as bit planes while every degree is at most 2 wide.
+
+    It goes on from a table the table loop has just cut, from degree 2
+    up, every degree at most 2 wide: it packs that table's frontier slice
+    and from then on keeps only definitions and action rows in the table.
+    Position i of slice s is its field (i, s - i).  The entry
+    [e(i, a), e(s - i, b)] belongs to family f = 2a + b, and plane k of a
+    family holds bit k of its entries, bit i for position i; a slice is 4
+    families of 2 * D planes.  The frontier slice n + 1 is over the split
+    symbols, bit w + g * D for [e(n, w), g]: its positions 2..n - 1 are
+    filled and its position n is the action field, [e(n, a), b] the bit
+    a + b * D.  `held` is slice n mapped through its cut's images.
+    """
+    by_weight = _relators_by_weight(pres)
+    R, defs = table.rows, table.defs
+    top = len(R) - 1  # the degree last cut
+    masks = _Masks()
+    for d in range(1, top):
+        masks.add_row(d, len(defs[d + 1]), R[d])
+        if d > 1:
+            masks.add_column(defs[d], R[d - 1])
+    held = _true_planes(_pack(table), [(row[0], row[1]) for row in R[top - 1]], len(R[top]))
+
+    for n in count(top):
+        D = len(R[n])
+        masks.add_column(defs[n], R[n - 1])
+        table.set_action(n, [(1 << w, 1 << w + D) for w in range(D)])
+        planes, rows = [[]] * 4, []
+        if D:
+            planes = _fill_planes(n, R, defs, held, masks)
+            if n % 2:  # alternation: [u, u] = 0 for u of half the new degree
+                h = (n + 1) // 2
+                rows = [_read(planes[3 * a], h) for a in range(len(R[h]))]
+            _jacobi_basis(n, planes, held, masks, rows)
+        new, action = _cut(table, n, rows, by_weight.get(n + 1, ()))
+        masks.add_row(n, len(new), action)
+        yield table
+
+        # the caller asks for degree n + 2, whose cut reads slice n + 1
+        if len(new) > 2:  # hand over to the table loop
+            _unpack(table, planes, n)
+            yield from _table_cuts(pres, table=table, image=_image_table(action))
+            return
+        held = _true_planes(planes, action, len(new))
+
+
+def _fill_planes(n, R, defs, held, masks: _Masks) -> list[list[int]]:
+    """The frontier slice n + 1, each family a gated suffix XOR T(i) = A(i) + c(i) T(i + 1).
+
+    The entry (a, b) at position i, with j = n + 1 - i and
+    e(j, b) = [e(j - 1, p), g], is [[u, p], g] + [[u, g], p] by the fill
+    rule.  A(i), the first term, is the held entry (a, p) at position i,
+    shifted by g * D.  The second sums the entries (t, p) at position
+    i + 1 over the bits t of [e(i, a), g].  Where that sum is the family's
+    own entry, t = a and p = b only, the bit is the gate c(i), and the
+    family is scanned by doubling, in O(log n) plane operations.  Every
+    other nonzero [e(i, a), g] makes position i an event: its gate is 0,
+    and, from the top down, its sum is read from the finished position
+    i + 1 and XORed into the family's chain of gates down from i.
+    """
+    s, D = n + 1, len(R[n])
+    wide, acts, rwide, rpar, rgen = masks.wide, masks.acts, masks.rwide, masks.rpar, masks.rgen
+    top = 1 << n
+    inner = top - 4  # positions 2 .. n - 1
+    planes, gates, events = [], [], []
+    for f in range(4):
+        a, b = f >> 1, f & 1
+        T = [0] * (2 * D)
+        if a < D:
+            T[a + b * D] = top  # the action field: [e(n, a), b] is bit a + b * D
+        valid = inner & (wide if a else -1) & (rwide << 1 if b else -1)
+        rp, rg = rpar[b] << 1, rgen[b] << 1
+        for c, (m0, m1) in enumerate(zip(held[2 * a], held[2 * a + 1])):
+            m = (m0 & ~rp | m1 & rp) & valid
+            T[c] |= m & ~rg
+            T[c + D] |= m & rg
+        own = acts[5 * a] & ~rg | acts[5 * a + 2] & rg  # bit a of [e(i, a), g]
+        other = acts[3 * a + 1] & ~rg | acts[3 * a + 3] & rg  # bit 1 - a
+        gate = own & ~other & (rp if b else ~rp) & valid
+        events.append((own | other) & valid & ~gate)
+        gates.append(gate)
+        C, step = gate, 1
+        while C:
+            for k, m in enumerate(T):
+                T[k] = m ^ C & m >> step
+            C &= C >> step
+            step <<= 1
+        planes.append(T)
+
+    todo = events[0] | events[1] | events[2] | events[3]
+    while todo:
+        i = todo.bit_length() - 1
+        todo ^= 1 << i
+        for f in range(4):
+            if events[f] >> i & 1:
+                p, g = defs[s - i][f & 1]
+                m, x = R[i][f >> 1][g], 0
+                while m:
+                    low = m & -m
+                    x ^= _read(planes[2 * low.bit_length() - 2 + p], i + 1)
+                    m ^= low
+                if x:
+                    # the chain of gates below i ends above the first position whose gate is 0
+                    chain = (1 << i + 1) - (1 << (~gates[f] & (1 << i) - 1).bit_length())
+                    T = planes[f]
+                    for k in range(2 * D):
+                        if x >> k & 1:
+                            T[k] ^= chain
+    return planes
+
+
+def _jacobi_basis(n, planes, held, masks: _Masks, rows) -> None:
+    """Append to `rows` a basis of the span of the default Jacobi rows of degree n + 1.
+
+    Split d1 is position d1, 2 <= d1 <= n // 2, with d2 = n - d1 and
+    j = n + 1 - d1.  For u = e(d1, a), v = e(d2, b) and a generator g,
+    the row of J(u, v, g) is F(u; v, g) + [[v, g], u]: the fill's rule
+    applied to the symbol 2b + g, the held entry (a, b) shifted by g * D
+    plus the entries (t, b) at position d1 + 1 over the bits t of [u, g],
+    and then the entries (t, a) at position j over the bits t of [v, g].
+    Where the symbol defines w = e(j, k), F is the filled entry [u, w] and
+    [v, g] the one bit k, so the row is [u, w] + [w, u], as the table loop
+    builds it.  Position j of a plane is position d1 of the plane mirrored
+    about (n + 1) / 2.
+    """
+    half = n // 2
+    if half < 2:
+        return
+    wide, acts, rwide, racts = masks.wide, masks.acts, masks.rwide, masks.racts
+    nsym = len(planes[0])
+    D = nsym // 2
+    lo = (1 << half + 1) - 4  # positions 2 .. half
+    shift = n + 1 - half
+    up = [[m >> 1 for m in field] for field in planes]  # position d1 + 1 at d1
+    mirrored = [[m >> shift and _mirror(m >> shift, half) for m in field] for field in planes]  # position j at d1
+    basis: list[int] = []
+    for a in (0, 1):
+        for b in (0, 1):
+            ok = lo & (wide if a else -1) & (rwide if b else -1)
+            if b <= a and not n % 2:  # d1 = d2: only the symbols of the elements after u
+                ok &= ~(1 << half)
+            if not ok:
+                continue
+            for g in (0, 1):
+                row = [0] * nsym
+                for c, m in enumerate(held[2 * a + b]):
+                    row[c + g * D] = ok & m
+                for t in (0, 1):
+                    m = acts[4 * a + 2 * g + t] & ok
+                    if m:
+                        for q, u in enumerate(up[2 * t + b]):
+                            row[q] ^= m & u
+                    m = racts[4 * b + 2 * g + t] << 1 & ok
+                    if m:
+                        for q, w in enumerate(mirrored[2 * t + a]):
+                            row[q] ^= m & w
+                _span(row, basis)
+    rows += basis
+
+
+def _true_planes(planes: list[list[int]], action: list[tuple[int, int]], width: int) -> list[list[int]]:
+    """A cut slice's planes mapped through the cut: bit w + g * D of an entry becomes action[w][g]."""
+    images = [m for pair in zip(*action) for m in pair]  # images[w + g * D] = action[w][g]
+    out = []
+    for field in planes:
+        true = [0] * width
+        for plane, m in zip(field, images):
+            if plane:
+                while m:
+                    low = m & -m
+                    true[low.bit_length() - 1] ^= plane
+                    m ^= low
+        out.append(true)
+    return out
+
+
+def _pack(table: BracketTable) -> list[list[int]]:
+    """The planes of the frontier slice the table loop has just cut, the last degree at most 2 wide."""
+    R, off = table.rows, table.offset
+    n = len(R) - 1
+    D = len(R[n - 1])
+    planes = [[0] * (2 * D) for _ in range(4)]
+    for a in range(D):  # the action field: [e(n - 1, a), b] is bit a + b * D
+        planes[2 * a][a] |= 1 << n - 1
+        planes[2 * a + 1][a + D] |= 1 << n - 1
+    for i in range(2, n - 1):
+        j = n - i
+        for a, row in enumerate(R[i]):
+            for b in range(len(R[j])):
+                m = row[off[j] + b]
+                while m:
+                    low = m & -m
+                    planes[2 * a + b][low.bit_length() - 1] |= 1 << i
+                    m ^= low
+    return planes
+
+
+def _unpack(table: BracketTable, planes: list[list[int]], n: int) -> None:
+    """Write the frontier slice n + 1 into the table's rows, for the table loop.
+
+    Each row of degree i gets zeros up to the block of degree n + 1 - i,
+    then that block; no later cut reads a block of an older slice.
+    """
+    R, off = table.rows, table.offset
+    for i in range(2, n):
+        j = n + 1 - i
+        for a, row in enumerate(R[i]):
+            row += [0] * (off[j] - len(row))
+            row += [_read(planes[2 * a + b], i) for b in range(len(R[j]))]
+
+
+def _table_cuts(
+    pres: Presentation, full_jacobi: bool = False, table: BracketTable | None = None, image: list[int] | None = None
+) -> Iterator[BracketTable]:
+    """The table loop: every slice in one `BracketTable`.
+
+    `full_jacobi` runs it from degree 1; the packed loop hands it the
+    table it has yielded, its frontier slice written into the rows, and
+    the image table of that slice, and the loop goes on from there.
+    """
+    by_weight = _relators_by_weight(pres)
+    if table is None:
+        table = BracketTable()
+        yield table
     # R[i][a][off[j] + b] is [e(i,a), e(j,b)]; while degree n + 1 is cut,
     # the entries of total degree n + 1 are masks over the split frontier symbols.
     R = table.rows
@@ -361,10 +772,14 @@ def _cuts(pres: Presentation, full_jacobi: bool = False) -> Iterator[BracketTabl
     # survivors[d][s] is the index of the basis element of degree d that
     # symbol s = 2 * parent + generator defines, or -1 if the cut killed s
     survivors: list[list[int]] = [[], []]
-    image = None  # the image table of slice n while that slice is held in frontier form
-    yield table
+    for d in range(2, len(R)):
+        survivor = [-1] * (2 * len(R[d - 1]))
+        for k, (p, g) in enumerate(table.defs[d]):
+            survivor[2 * p + g] = k
+        survivors.append(survivor)
+    # image: the image table of slice n while that slice is held in frontier form
 
-    for n in count(1):
+    for n in count(len(R) - 1):
         D = len(R[n])
         nsym = 2 * D
         # the split frontier: the symbol (w, g) is bit w + g * D until the cut
@@ -442,17 +857,7 @@ def _cuts(pres: Presentation, full_jacobi: bool = False) -> Iterator[BracketTabl
                             m ^= low
                         append(out)
 
-        # defining relators of the new weight; the last letter meets the
-        # frontier symbols through the top degree's action
-        for r in by_weight.get(n + 1, ()):
-            rows.append(eval_runs(R, r.runs(), n + 1))
-
-        # each distinct nonzero row, once, in symbol order s = 2w + g
-        low = (1 << D) - 1
-        rows = [_interleave(r & low, r >> D) for r in dict.fromkeys(rows) if r]
-        defs, action = define_layer(nsym, echelonize(rows, nsym))
-        table.set_action(n, action)
-        table.add_degree(defs)
+        defs, action = _cut(table, n, rows, by_weight.get(n + 1, ()))
         survivor = [-1] * nsym
         for k, (p, g) in enumerate(defs):
             survivor[2 * p + g] = k

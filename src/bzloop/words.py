@@ -13,7 +13,7 @@ merge.  `_normalize` is the one place a letter becomes a `GenPower`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 X, Y, Z = "x", "y", "z"
 LETTERS = (X, Y, Z)
@@ -126,26 +126,29 @@ class CommutatorWord:
     def weight(self) -> int:
         return sum(item.weight for item in self.items)
 
-    def runs(self) -> tuple[tuple[str, int], ...]:
-        """The letters as (letter, run length) pairs, with groups expanded."""
-        out: list[tuple[str, int]] = []
+    def runs(self) -> Iterator[tuple[str, int]]:
+        """The letters as (letter, run length) pairs, with groups expanded.
 
-        def emit(items):
-            for item in items:
-                if isinstance(item, GenPower):
-                    out.append((item.gen, item.exp))
-                else:
-                    for _ in range(item.exp):
-                        emit(item.body)
-
-        emit(self.items)
-        return tuple(out)
+        The pairs are yielded as the walk reaches them, so a walk that stops
+        early expands no group past its stop; a caller that reads them twice
+        or indexes them takes a tuple.
+        """
+        return _runs(self.items)
 
     def letters(self) -> tuple[str, ...]:
         return tuple(gen for gen, exp in self.runs() for _ in range(exp))
 
     def __str__(self) -> str:
         return " ".join(str(item) for item in self.items)
+
+
+def _runs(items: tuple) -> Iterator[tuple[str, int]]:
+    for item in items:
+        if isinstance(item, GenPower):
+            yield item.gen, item.exp
+        else:
+            for _ in range(item.exp):
+                yield from _runs(item.body)
 
 
 def make_word(*parts) -> CommutatorWord:

@@ -206,6 +206,34 @@ MUTANTS = (
         ("tests/test_engine.py::test_presentation_dims_frozen", "tests/test_analyze.py::test_minimum_bound_passes"),
     ),
     Mutant(
+        "packed fill drops its last doubling round",
+        "bzloop/nq.py",
+        "        while C:\n            for k, m in enumerate(T):",
+        "        while C & C >> step:\n            for k, m in enumerate(T):",
+        ("tests/test_engine.py::test_the_packed_planes_hold_the_table_loops_frontier_entries",),
+    ),
+    Mutant(
+        "packed fill puts an event's sum at its position only, not down its chain of gates",
+        "bzloop/nq.py",
+        "chain = (1 << i + 1) - (1 << (~gates[f] & (1 << i) - 1).bit_length())",
+        "chain = 1 << i",
+        ("tests/test_engine.py::test_the_packed_planes_hold_the_table_loops_frontier_entries",),
+    ),
+    Mutant(
+        "packed Jacobi rows read position j from the unmirrored plane",
+        "bzloop/nq.py",
+        "for q, w in enumerate(mirrored[2 * t + a]):",
+        "for q, w in enumerate(planes[2 * t + a]):",
+        ("tests/test_engine.py::test_the_packed_rows_span_the_table_loops_rows",),
+    ),
+    Mutant(
+        "packed loop hands over one cut after its first wide cut",
+        "bzloop/nq.py",
+        "        if len(new) > 2:  # hand over to the table loop",
+        "        if D > 2:  # hand over to the table loop",
+        ("tests/test_engine.py::test_the_packed_loop_hands_over_at_its_first_wide_cut",),
+    ),
+    Mutant(
         "annihilator without its modulo",
         "bzloop/algebra.py",
         "rows = [(z.reduce(mx), z.reduce(my)) for mx, my in rows]",

@@ -3,9 +3,11 @@
 import copy
 import random
 import sys
+from itertools import islice
 from types import SimpleNamespace
 from unittest import mock
 
+import paths_agree
 import pytest
 
 from bzloop import nq
@@ -23,9 +25,19 @@ from bzloop.algebra import (
 )
 from bzloop.bl import centralizer_sequence, construct_bl, presentation_R
 from bzloop.gf2 import EchelonBasis, echelonize, kernel
-from bzloop.nq import Presentation, _algebra, _cuts, _interleave, nq_compute
+from bzloop.nq import Presentation, _algebra, _cuts, _interleave, _read, _table_cuts, nq_compute
 from bzloop.oracle import ORACLE_MAX_CLASS, free_nq_oracle, witt_dimension
 from bzloop.words import X, Y, Z, make_word, parse_word, word_from_letters
+
+
+def _table_quotient(pres: Presentation, bound: int, full_jacobi: bool = False) -> GradedAlgebra:
+    """`nq_compute` on the table loop alone."""
+    return _algebra(next(islice(_table_cuts(pres, full_jacobi), bound - 1, None)), bound)
+
+
+def _packed_quotient(pres: Presentation, bound: int) -> GradedAlgebra:
+    """`nq_compute` on the packed loop from degree 3, which hands over to the table loop at its first wide cut."""
+    return _algebra(next(islice(paths_agree.packed_cuts(pres), bound - 1, None)), bound)
 
 
 @pytest.fixture(scope="module")
@@ -176,6 +188,7 @@ def test_nq_default_mode_calls_no_jacobi_sum(name, pres, bound):
     """The default loop builds every Jacobi row in place; only `full_jacobi` mode calls `jacobi_sum`."""
     with mock.patch("bzloop.nq.jacobi_sum", wraps=jacobi_sum) as counted:
         nq_compute(pres, bound)
+        _packed_quotient(pres, bound)
     assert counted.call_count == 0
     with mock.patch("bzloop.nq.jacobi_sum", wraps=jacobi_sum) as counted:
         nq_compute(pres, bound, full_jacobi=True)
@@ -248,7 +261,7 @@ def test_nq_default_rows_are_the_jacobi_sums(name, pres, bound):
     with mock.patch.object(BracketTable, "fill", recording_fill), mock.patch(
         "bzloop.nq.echelonize", recording_echelonize
     ):
-        A = nq_compute(pres, bound)
+        A = _table_quotient(pres, bound)
     true = A.bracket_table().rows
     skips = 0
     for rows, cut, off in cuts:
@@ -293,7 +306,7 @@ def test_nq_refills_no_narrow_slice(g, h, bound):
     with mock.patch.object(BracketTable, "fill", recording_fill), mock.patch.object(
         BracketTable, "mirror", recording_mirror
     ):
-        A = nq_compute(pres, bound)
+        A = _table_quotient(pres, bound)
         assert calls == []
         F = nq_compute(pres, bound, full_jacobi=True)
     assert A == F
@@ -341,7 +354,7 @@ def test_nq_prepares_no_slice_of_its_top_degree():
     with mock.patch.object(nq, "_image_table", recording_image_table), mock.patch.object(
         BracketTable, "fill", recording_fill
     ), mock.patch.object(BracketTable, "mirror", recording_mirror):
-        nq_compute(presentation_R(2, 1), 48)
+        _table_quotient(presentation_R(2, 1), 48)
     assert (calls.count("image"), calls.count("refill")) == (46, 0)
 
 
@@ -368,7 +381,7 @@ def test_frontier_shift_equals_the_generic_loop(name, pres, bound):
         checked.append(s)
 
     with mock.patch.object(BracketTable, "fill", checked_fill):
-        A = nq_compute(pres, bound)
+        A = _table_quotient(pres, bound)
     assert checked == [n + 1 for n in range(1, bound) if A.dim(n)]
 
 
@@ -410,7 +423,7 @@ def test_fill_through_an_image_is_a_fill_of_the_mapped_slice(name, pres, bound, 
         seen.add("split" if split else "walk")
 
     with mock.patch.object(BracketTable, "fill", checked_fill):
-        nq_compute(pres, bound)
+        _table_quotient(pres, bound)
     assert seen == modes
 
 
@@ -445,6 +458,210 @@ def test_interleave_matches_the_bitwise_reference(width, int_str_limit_640):
         got = _interleave(lo, hi)
         want = _interleave_reference(lo, hi, width)
         assert got == want, f"width {width}: {format(lo, 'x')}, {format(hi, 'x')}"
+
+
+# -- the packed loop ----------------------------------------------------------
+
+
+def _without_relator(g: int, h: int, weight: int) -> Presentation:
+    """R(g, h) without its relator of the given weight: 1 or 2 wide below that degree, wider from it on."""
+    relators = presentation_R(g, h).relators
+    return Presentation(r for r in relators if r.weight != weight)
+
+
+# degree 7 of the first is 4 wide: the packed loop cuts degrees 3 to 7 and hands over;
+# degree 69 of the second is 3 wide: the default loop packs at 64 and hands over after 69
+HANDOVER_CASES = [
+    ("y^2; x^2 y^3 z; x z y", Presentation(map(parse_word, ["y^2", "x^2 y^3 z", "x z y"])), 12),
+    ("R(4,1) without its weight-69 relator", _without_relator(4, 1, 69), 80),
+]
+# the desk pairs at m + 2d, one ladder rung, the two handovers, and R(2, 1) with
+# degree 12, spanned by y x^3 y x^2 y x^3 y, killed: its packed loop cuts only
+# empty degrees (the word is spelled out, so collecting runs no cut loop)
+PATH_CASES = (
+    paths_agree.r_cases(4)
+    + [("R(4,1)@192", presentation_R(4, 1), 192)]
+    + HANDOVER_CASES
+    + [
+        (
+            "R(2,1) with degree 12 killed",
+            Presentation(presentation_R(2, 1).relators + (parse_word("y x^3 y x^2 y x^3 y"),)),
+            70,
+        )
+    ]
+)
+
+
+@pytest.mark.parametrize("name,pres,bound", PATH_CASES, ids=[c[0] for c in PATH_CASES])
+def test_the_packed_the_table_and_the_default_loop_agree(name, pres, bound):
+    """The fast cases of tests/paths_agree.py: the three loops give the same quotient, byte for byte."""
+    assert paths_agree.agree(pres, bound) is None
+    if name.endswith("killed"):
+        assert nq_compute(pres, bound).dims[12:] == (0,) * (bound - 11)
+
+
+def test_the_packed_loop_hands_over_at_its_first_wide_cut():
+    """The packed loop fills slices up to its first cut wider than 2, then the table loop goes on."""
+    name, pres, bound = HANDOVER_CASES[0]
+    fill_planes, unpack = nq._fill_planes, nq._unpack
+    filled, unpacked = [], []
+
+    def recording_fill(n, *args):
+        filled.append(n)
+        return fill_planes(n, *args)
+
+    def recording_unpack(table, planes, n):
+        unpacked.append(n)
+        unpack(table, planes, n)
+
+    with mock.patch.object(nq, "_fill_planes", recording_fill), mock.patch.object(nq, "_unpack", recording_unpack):
+        A = _packed_quotient(pres, bound)
+    assert A == _table_quotient(pres, bound)
+    wide = min(d for d in range(1, bound + 1) if A.dim(d) > 2)
+    assert wide == 7
+    assert filled == list(range(2, wide))  # the cuts of degrees 3 .. 7
+    assert unpacked == [wide - 1]
+
+
+def test_the_default_loop_packs_at_pack_from_and_hands_over_at_its_first_wide_cut():
+    name, pres, bound = HANDOVER_CASES[1]
+    pack, unpack = nq._pack, nq._unpack
+    calls = []
+
+    def recording_pack(table):
+        calls.append(("pack", len(table.rows) - 1))
+        return pack(table)
+
+    def recording_unpack(table, planes, n):
+        calls.append(("unpack", n + 1))
+        unpack(table, planes, n)
+
+    with mock.patch.object(nq, "_pack", recording_pack), mock.patch.object(nq, "_unpack", recording_unpack):
+        A = nq_compute(pres, bound)
+    assert A == _table_quotient(pres, bound)
+    assert calls == [("pack", nq.PACK_FROM), ("unpack", 69)]
+    assert max(A.dims[: nq.PACK_FROM + 1]) == 2 and A.dim(69) == 3
+
+
+def _table_frontiers(table, s, lowest):
+    """The entries (i, a, b) of the table's slice s, rows `lowest` .. s - 2."""
+    R, off = table.rows, table.offset
+    return {
+        (i, a, b): row[off[s - i] + b]
+        for i in range(lowest, s - 1)
+        for a, row in enumerate(R[i])
+        for b in range(len(R[s - i]))
+    }
+
+
+def _packed_frontiers(R, planes, s):
+    """The entries (i, a, b) of a packed slice s, positions 2 .. s - 2, read from its planes."""
+    return {
+        (i, a, b): _read(planes[2 * a + b], i)
+        for i in range(2, s - 1)
+        for a in range(len(R[i]))
+        for b in range(len(R[s - i]))
+    }
+
+
+FRONTIER_CASES = SHIFT_CASES + [("R(3,1)", presentation_R(3, 1), 96), ("R(2,2)", presentation_R(2, 2), 100)]
+
+
+@pytest.mark.parametrize("name,pres,bound", FRONTIER_CASES, ids=[c[0] for c in FRONTIER_CASES])
+def test_the_packed_planes_hold_the_table_loops_frontier_entries(name, pres, bound):
+    """Each frontier slice the packed loop fills holds, bit for bit, the entries the table loop's split fill computes.
+
+    Compared over every position 2 .. n - 1 of slice n + 1, every row and
+    column element, at every cut the packed loop makes before it hands over.
+    """
+    fill, fill_planes = BracketTable.fill, nq._fill_planes
+    table_slices, packed_slices = {}, {}
+
+    def recording_fill(table, s, lowest=1, split=0, image=None):
+        fill(table, s, lowest, split, image)
+        if split:
+            table_slices[s] = _table_frontiers(table, s, lowest)
+
+    def recording_fill_planes(n, R, *args):
+        planes = fill_planes(n, R, *args)
+        packed_slices[n + 1] = _packed_frontiers(R, planes, n + 1)
+        return planes
+
+    with mock.patch.object(BracketTable, "fill", recording_fill):
+        A = _table_quotient(pres, bound)
+    with mock.patch.object(nq, "_fill_planes", recording_fill_planes):
+        P = _packed_quotient(pres, bound)
+    for s, entries in sorted(packed_slices.items()):
+        assert entries == table_slices[s], f"slice {s}"
+    assert P == A
+    wide = min([d for d in range(1, bound + 1) if A.dim(d) > 2] + [bound])
+    assert sorted(packed_slices) == [n + 1 for n in range(2, wide) if A.dim(n)]
+
+
+@pytest.mark.parametrize("name,pres,bound", CALL_COUNT_CASES, ids=[c[0] for c in CALL_COUNT_CASES])
+def test_the_packed_rows_span_the_table_loops_rows(name, pres, bound):
+    """At every cut the packed loop hands `echelonize` rows with the same span as the table loop's Jacobi sums.
+
+    The table loop's rows are the Jacobi sums (`test_nq_default_rows_are_the_jacobi_sums`),
+    and equal spans give equal reduced echelon bases, so `define_layer`
+    makes the same cut.
+    """
+    spans = {}
+    for name, run in (("table", _table_quotient), ("packed", _packed_quotient)):
+        bases = spans[name] = []
+
+        def recording_echelonize(rows, nsym):
+            basis = echelonize(rows, nsym)
+            bases.append((nsym, basis.row_bits()))
+            return basis
+
+        with mock.patch("bzloop.nq.echelonize", recording_echelonize):
+            run(pres, bound)
+    assert spans["packed"] == spans["table"]
+    assert len(spans["packed"]) == bound - 1
+
+
+@pytest.mark.parametrize("g,h,bound", NARROW_CASES, ids=[f"R({g},{h})@{c}" for g, h, c in NARROW_CASES])
+def test_the_packed_loop_fills_no_table_slice(g, h, bound):
+    """On R(g, h) the packed loop never fills, mirrors or maps a table slice: its slices are planes."""
+    calls = []
+
+    def refuse(name):
+        def record(*args, **kwargs):
+            calls.append(name)
+
+        return record
+
+    pres = presentation_R(g, h)
+    cuts = paths_agree.packed_cuts(pres)
+    next(islice(cuts, 1, None))  # degree 2, cut by the table loop
+    with mock.patch.object(BracketTable, "fill", refuse("fill")), mock.patch.object(
+        BracketTable, "mirror", refuse("mirror")
+    ), mock.patch.object(nq, "_image_table", refuse("image")):
+        A = _algebra(next(islice(cuts, bound - 3, None)), bound)
+    assert calls == []
+    assert A == _table_quotient(pres, bound)
+
+
+def test_the_packed_loop_maps_no_slice_of_its_top_degree():
+    """Run to class 48, the packed loop maps the slices of degrees 2 to 47 through their cuts, and not 48.
+
+    Slice 2 comes from the table loop, with its table; the default loop to
+    192 on R(4,1) likewise maps slice 64, and then slices 65 to 191.
+    """
+    true_planes = nq._true_planes
+    mapped = []
+
+    def recording(planes, action, width):
+        mapped.append(planes)
+        return true_planes(planes, action, width)
+
+    with mock.patch.object(nq, "_true_planes", recording):
+        _packed_quotient(presentation_R(2, 1), 48)
+        assert len(mapped) == 46
+        mapped.clear()
+        nq_compute(presentation_R(4, 1), 192)
+        assert len(mapped) == 192 - nq.PACK_FROM
 
 
 # -- bracket consistency -----------------------------------------------------

@@ -273,3 +273,39 @@ def test_extended_label_is_the_word_label(letters):
     for letter in letters[1:]:
         label = extend_label(label, letter)
     assert label == str(make_word(*letters))
+
+
+class _CountedPower(GenPower):
+    """A power that counts the reads of its letter: the runs walker reads it once per run it yields."""
+
+    reads = 0
+
+    def __getattribute__(self, name):
+        if name == "gen":
+            type(self).reads += 1
+        return super().__getattribute__(name)
+
+
+def _long_word(repeats: int) -> CommutatorWord:
+    """y x^5 (y x)^repeats, its group made of counted powers."""
+    return CommutatorWord((Y, GenPower(X, 5), GroupPower((_CountedPower(Y, 1), _CountedPower(X, 1)), repeats)))
+
+
+def test_a_walk_that_stops_early_expands_no_group_past_its_stop():
+    """The runs are yielded as the walk reaches them, so a walk that stops early reads no run past its stop.
+
+    y x^5 is zero in the quotient of R(2, 1), so `nq_eval` stops at degree 6,
+    before the group; `eval_word` on a class-8 algebra stops once the word
+    passes degree 8, two repeats into the group.
+    """
+    from bzloop.bl import presentation_R
+    from bzloop.nq import nq_compute, nq_eval
+
+    word = _long_word(100_000)
+    _CountedPower.reads = 0
+    assert not nq_eval(presentation_R(2, 1), word)
+    assert _CountedPower.reads == 0
+    word = CommutatorWord((Y, GenPower(X, 3), GroupPower((_CountedPower(Y, 1), _CountedPower(X, 1)), 100_000)))
+    _CountedPower.reads = 0
+    assert not nq_compute(presentation_R(2, 1), 8).eval_word(word)
+    assert 0 < _CountedPower.reads <= 6
