@@ -20,7 +20,10 @@ gives [u, w] + [w, u], two entries of the frontier slice), and
 `jacobi_check` reads every square, every antisymmetry pair and the
 Jacobi sums straight from the algebra's filled table, building an `Element`
 only for a failure: the squares and pairs in one list comparison per row,
-the triples in one walk over a degree-ordered list of elements.  While
+the triples in one walk over a degree-ordered list of elements.  An
+algebra at most 2 wide with no table built yet is checked first without
+one, its columns as bit planes (`_packed_jacobi`); only a failure there
+builds the table.  While
 every square and pair passes, only the Jacobi triples J(g, v, w) that
 hold a generator g, and go through no defining pair, are summed.  When
 (v, g) defines w' = [v, g], whatever its action row w' + delta holds, the
@@ -44,8 +47,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import comb
+from operator import xor
 from typing import Iterable, Sequence
 
 from .gf2 import EchelonBasis, iter_bits, kernel
@@ -550,17 +554,127 @@ def _instances(dims: Sequence[int], bound: int) -> int:
     return count
 
 
+def _transpose(ms: list[int], W: int) -> list[int]:
+    """The W x W bit matrices ms, bit (r, c) at r * W + c, each transposed in place; W is a power of 2, at least 8.
+
+    Round s, for s = W / 2 down to 1, swaps in every 2s x 2s block its
+    upper-right s x s block with its lower-left one: bit (r, c) with
+    r & s = 0 and c & s != 0 with bit (r + s, c - s), s * W - s places up.
+    Each round's mask of W^2 bits is built once for all the matrices.
+    """
+    zero = bytes(W // 8)
+    s = W // 2
+    while s:
+        row = ((1 << W) - 1) // ((1 << 2 * s) - 1) * ((1 << s) - 1) << s  # the columns c with c & s
+        mask = int.from_bytes((row.to_bytes(W // 8, "little") * s + zero * s) * (W // (2 * s)), "little")
+        for k, m in enumerate(ms):
+            t = (m ^ m >> s * W - s) & mask
+            ms[k] = m ^ t ^ t << s * W - s
+        s //= 2
+    return ms
+
+
+def _packed_jacobi(A: GradedAlgebra) -> bool:
+    """Whether every square, pair and generator triple of A is zero; A is at most 2 wide.
+
+    The bracket table is kept by columns, as bit planes.  The column of
+    w = e(j, b) is a 2 x 2 matrix Q of ints: Q[a][l] holds bit l of
+    [e(i, a), w] at bit i, for every row degree i.  C_g[a][t] holds bit t
+    of [e(i, a), g] at bit i, so C_g is the column of the generator g, and
+    H_g[t][l], row j of the Hankel matrix of the action, holds bit l of
+    [e(i + j, t), g] at bit i.  With AND as product and XOR as sum,
+    `BracketTable.fill`'s rule [u, [w, g]] = [[u, w], g] + [[u, g], w] is
+    the column F(w, g) = Q H_g + C_g (Q >> 1), where the shift by one
+    reads [e(i + 1, t), w] at bit i.  So column j + 1 reads only column j
+    and the action, and the planes hold, bit for bit, the entries that
+    `bracket_table()` fills.
+
+    Each symbol (w, g) with w of degree j < bound - 1 is checked: F(w, g)
+    must be [., [w, g]], the columns of degree j + 1 summed over the bits
+    of its action row, read one row on.  With squares and antisymmetry,
+    J(g, v, w) = [[v, g], w] + [[v, w], g] + [v, [w, g]], so the
+    difference at row v is J(g, v, w), and every generator triple is
+    checked.  Where (w, g) defines e(j + 1, k), F(w, g) is that column,
+    and the check says [v, delta] = 0 for every v, with delta the action
+    row [w, g] + e(j + 1, k).  The squares are the bits (b, b) of each
+    column at its own degree.  The planes (a, l) of the columns e(j, b),
+    row j for degree j, make a W x W bit matrix, and the pairs are
+    antisymmetric when the matrix of (b, a, l) is the transpose of that
+    of (a, b, l).  Only when all of these pass is the answer True, so the
+    squares and pairs the triples assume do hold.
+    """
+    bound, basis, action = A.class_bound, A.basis, A.action
+    acts = [0] * 8  # acts[4a + 2g + t] is C_g[a][t], and hank[4t + 2g + l] below is H_g[t][l]
+    for d in range(1, bound):
+        for a, row in enumerate(action[d]):
+            for g, m in enumerate(row):
+                for t in range(m.bit_length()):
+                    if m >> t & 1:
+                        acts[4 * a + 2 * g + t] |= 1 << d
+    gens = [(acts[2 * g], acts[2 * g + 1], acts[2 * g + 4], acts[2 * g + 5]) for g in (0, 1)]
+    col, cols, hank = gens, [gens], acts  # col: the columns of degree j, each Q as (Q00, Q01, Q10, Q11)
+    for j in range(1, bound - 1):
+        hank = [m >> 1 for m in hank]
+        syms = []
+        for q0, q1, q2, q3 in col:
+            u0, u1, u2, u3 = q0 >> 1, q1 >> 1, q2 >> 1, q3 >> 1
+            for g in (0, 1):
+                c0, c1, c2, c3 = gens[g]
+                h0, h1, h2, h3 = hank[2 * g], hank[2 * g + 1], hank[2 * g + 4], hank[2 * g + 5]
+                syms.append((
+                    q0 & h0 ^ q1 & h2 ^ c0 & u0 ^ c1 & u2,
+                    q0 & h1 ^ q1 & h3 ^ c0 & u1 ^ c1 & u3,
+                    q2 & h0 ^ q3 & h2 ^ c2 & u0 ^ c3 & u2,
+                    q2 & h1 ^ q3 & h3 ^ c2 & u1 ^ c3 & u3,
+                ))
+        col = [syms[2 * p + g] for p, g in basis[j + 1]]
+        images = [(0, 0, 0, 0), *col]  # [., [w, g]] by the action row [w, g]: 0, 1, 2 and 3 below
+        if len(col) == 2:
+            images.append(tuple(map(xor, *col)))
+        if syms != [images[m] for row in action[j] for m in row]:
+            return False
+        cols.append(col)
+    if any((c[b][2 * b] | c[b][2 * b + 1]) >> j & 1 for j, c in enumerate(cols, 1) for b in range(len(c))):
+        return False
+    W = max(8, 1 << (bound - 1).bit_length())  # above every degree below the bound
+    zero = bytes(W // 8)
+    fams = []  # fams[4b + 2a + l]
+    for b in (0, 1):
+        for planes in zip(*[c[b] if b < len(c) else (0, 0, 0, 0) for c in cols]):
+            rows = b"".join(map(int.to_bytes, planes, repeat(W // 8), repeat("little")))
+            fams.append(int.from_bytes(zero + rows, "little"))
+    del cols  # the planes are in fams now; at c = 3072 each family is 1.5 MB
+    pairs = [(4 * b + 2 * a + l, 4 * a + 2 * b + l) for b in (0, 1) for a in range(b, 2) for l in (0, 1)]
+    return _transpose([fams[f] for f, _ in pairs], W) == [fams[swapped] for _, swapped in pairs]
+
+
 def jacobi_check(A: GradedAlgebra) -> JacobiReport:
     """Check [u,u]=0, [u,v]=[v,u] and the Jacobi identity on in-range basis elements.
 
-    Every square, pair and Jacobi sum is read from the algebra's
-    `BracketTable`, filled once through the class bound.  Over GF(2) a
-    bracket alternates on all elements exactly when it does on the basis
-    and is antisymmetric on basis pairs, so both are checked.  Pairs (u, v)
-    and triples (u, v, w) run over degrees d1 <= d2 <= d3 and, within equal
-    degrees, indices in order; a pair's two elements differ.  `checked`
-    counts every square, pair and triple by the closed forms of
+    Over GF(2) a bracket alternates on all elements exactly when it does on
+    the basis and is antisymmetric on basis pairs, so both are checked.
+    Pairs (u, v) and triples (u, v, w) run over degrees d1 <= d2 <= d3 and,
+    within equal degrees, indices in order; a pair's two elements differ.
+    `checked` counts every square, pair and triple by the closed forms of
     `_instances`; only the triples that may fail are summed.
+
+    The packed path comes first.  An algebra at most 2 wide whose bracket
+    table is not built yet, as every M, Q and B of R(g, h) is, goes to
+    `_packed_jacobi`, which builds no table.  It fills the table's columns
+    as bit planes: column j reads only column j - 1 and the action, by the
+    rule `BracketTable.fill` applies, so the planes equal the entries of
+    `bracket_table()` bit for bit, and no scan is needed.  It checks every
+    square, every pair and every generator triple J(g, v, w), in whole-int
+    operations.  Those sums include every one the row path below makes;
+    on a table whose squares and pairs pass, the generator triples the row
+    path skips are zero by the argument below, so either path finds every
+    sum zero or neither does.  When every sum is zero the report is the
+    pass the row path gives.  A nonzero sum, a wider algebra or a built
+    table takes the row path, unchanged: it alone lists the failures, and
+    it reads a built table as it stands.
+
+    On the row path every square, pair and Jacobi sum is read from the
+    algebra's `BracketTable`, filled once through the class bound.
 
     The elements are laid end to end in one degree-ordered list, so that
     flat index ``offset[d] + a`` is e(d, a).  The row of u at flat index c
@@ -615,7 +729,9 @@ def jacobi_check(A: GradedAlgebra) -> JacobiReport:
     generator triple every triple with d1 >= 2, so the report lists every
     failing triple in the same order either way.
     """
-    bound = A.class_bound
+    bound, dims = A.class_bound, A.dims
+    if A._table is None and max(dims) <= 2 and _packed_jacobi(A):
+        return JacobiReport(True, _instances(dims, bound), [])
     table = A.bracket_table()
     rows, offset = table.rows, table.offset
     flat = [row for layer in rows[1:bound] for row in layer]  # flat[offset[d] + a]: the row of e(d, a)
@@ -652,7 +768,7 @@ def jacobi_check(A: GradedAlgebra) -> JacobiReport:
     for (d1, d2, d3, a, b, c), jac in sorted(triples):
         labels = (A.labels[d1][a], A.labels[d2][b], A.labels[d3][c])
         failures.append(("jacobi", labels, Element(A, d1 + d2 + d3, jac)))
-    return JacobiReport(not failures, _instances(A.dims, bound), failures)
+    return JacobiReport(not failures, _instances(dims, bound), failures)
 
 
 # -- graded subspaces -------------------------------------------------------

@@ -157,6 +157,34 @@ MUTANTS = (
         ("tests/test_kernels.py::test_jacobi_check_sums_only_open_generator_triples_on_a_sound_table",),
     ),
     Mutant(
+        "packed transpose skips its last round",
+        "bzloop/algebra.py",
+        "    while s:\n        row = ((1 << W) - 1)",
+        "    while s > 1:\n        row = ((1 << W) - 1)",
+        ("tests/test_kernels.py::test_fresh_sound_narrow_tables_take_the_packed_path",),
+    ),
+    Mutant(
+        "packed fill reads [[u, g], p] at position i, not i + 1",
+        "bzloop/algebra.py",
+        "u0, u1, u2, u3 = q0 >> 1, q1 >> 1, q2 >> 1, q3 >> 1",
+        "u0, u1, u2, u3 = q0, q1, q2, q3",
+        ("tests/test_kernels.py::test_fresh_sound_narrow_tables_take_the_packed_path",),
+    ),
+    Mutant(
+        "packed triples read [[w, g], v] without its one-row shift",
+        "bzloop/algebra.py",
+        "images = [(0, 0, 0, 0), *col]",
+        "images = [(0, 0, 0, 0), *cols[-1]]",
+        ("tests/test_kernels.py::test_fresh_sound_narrow_tables_take_the_packed_path",),
+    ),
+    Mutant(
+        "packed path runs on an already-built table",
+        "bzloop/algebra.py",
+        "if A._table is None and max(dims) <= 2 and _packed_jacobi(A):",
+        "if max(dims) <= 2 and _packed_jacobi(A):",
+        ("tests/test_kernels.py::test_jacobi_check_matches_reference_on_table_entry_flips",),
+    ),
+    Mutant(
         "pair failures left unsorted",
         "bzloop/algebra.py",
         "for (d1, d2, a, b), diff in sorted(pairs):",

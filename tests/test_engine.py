@@ -668,9 +668,10 @@ def test_the_packed_loop_maps_no_slice_of_its_top_degree():
 
 
 def test_bracket_fills_the_table_on_demand():
-    """Brackets on a fresh algebra, highest degree first, equal those read after jacobi_check filled the table.
+    """Brackets on a fresh algebra, highest degree first, equal those read from a table built first.
 
-    The first call fills every slice at once; later calls find theirs filled.
+    The first call fills every slice at once; later calls find theirs
+    filled.  `jacobi_check` reads the built table, so it passes on it.
     """
     for A in (
         nq_compute(presentation_R(2, 1), 20),
@@ -681,6 +682,7 @@ def test_bracket_fills_the_table_on_demand():
         bound = A.class_bound
         fresh = GradedAlgebra(bound, A.basis[1:], A.action[1:])
         filled = GradedAlgebra(bound, A.basis[1:], A.action[1:])
+        filled.bracket_table()
         assert jacobi_check(filled).ok
         for s in range(bound, 1, -1):
             for i in range(1, s):

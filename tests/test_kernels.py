@@ -13,7 +13,12 @@ of two small tables gives the
 reference report, both of an action row and of an entry of the filled
 table at the edges of the pair comparison, and so does every small table
 whose degree 2 is defined as [x, x] or whose [y, x] row is not the
-element it defines.  `quotient` reads its action rows from
+element it defines.  On a fresh algebra at most 2 wide `jacobi_check`
+takes its packed path: on the desk tables it builds no bracket table and
+calls no `jacobi_sum`, a wide algebra still takes the row path, and every
+single-bit flip of M(2,1)@48 gets the report of its table built first.
+The call counts of the row path are pinned on tables built first.
+`quotient` reads its action rows from
 the images `define_layer` returns; its reference solves each candidate
 over the survivors with a `SpanSolver`, as it once did.  The GF(2) echelon
 routines are compared with naive Gaussian elimination and brute-force
@@ -30,12 +35,15 @@ import random
 from itertools import groupby, product
 from unittest import mock
 
+import jacobi_agree
+import paths_agree
 import pytest
 from hypothesis import example, given, strategies as st
 
 from bzloop.algebra import (
     GENERATORS,
     GradedAlgebra,
+    _transpose,
     eval_runs,
     graded_center,
     jacobi_check,
@@ -256,6 +264,7 @@ def _counted_report(A: GradedAlgebra):
 
 def test_jacobi_check_sums_only_open_generator_triples_on_a_sound_table(presented):
     for A in presented:
+        A.bracket_table()  # a built table takes the row path
         got, calls = _counted_report(A)
         opened, higher, every = _triple_counts(A)
         assert got == reference_jacobi(A)  # `checked` counts every triple, summed or not
@@ -285,6 +294,7 @@ def test_jacobi_check_sum_calls_on_the_desk_tables_are_pinned():
     for g, h, c in ((2, 1, 48), (3, 1, 96), (2, 2, 100)):
         M = nq_compute(presentation_R(g, h), c)
         for A in (M, quotient(M, second_center(M)), construct_bl(g, h, c)):
+            A.bracket_table()  # a built table takes the row path
             report, n = _counted_report(A)
             assert report[0]
             calls += n
@@ -361,6 +371,61 @@ def test_jacobi_check_matches_reference_on_table_entry_flips(build, counts):
         squares += kinds.count("square")
         pairs += kinds.count("antisymmetry")
     assert (flips, squares, pairs) == counts
+
+
+# -- the packed path of jacobi_check ------------------------------------------------
+
+
+DESK_PAIRS = [(2, 1), (3, 1), (2, 2)]
+
+
+@pytest.mark.parametrize("g,h", DESK_PAIRS)
+def test_fresh_sound_narrow_tables_take_the_packed_path(g, h):
+    """The desk cases of tests/jacobi_agree.py.
+
+    Fresh, M, Q and B of a desk triple get the report of their tables
+    built first, without building a table or calling `jacobi_sum`.
+    """
+    for name, A in jacobi_agree.tables(g, h):
+        assert jacobi_agree.agree(A) is None, name
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: nq_compute(Presentation(()), 8), lambda: nq_compute(paths_agree.wide_cases()[0][1], 10)],
+    ids=["free@8", "wide-nq seed 1 #0@10"],
+)
+def test_a_wide_algebra_takes_the_row_path(build):
+    A = build()
+    assert max(A.dims) > 2
+    fresh, row_path, row = jacobi_agree.reports(A)
+    assert fresh.ok and row_path
+    assert fresh == row
+
+
+@given(st.sampled_from([8, 16, 64]), st.data())
+def test_transpose_matches_the_bitwise_reference(W, data):
+    m = data.draw(st.integers(0, (1 << W * W) - 1))
+    want = sum(1 << c * W + r for r in range(W) for c in range(W) if m >> r * W + c & 1)
+    assert _transpose([m, 0], W) == [want, 0]
+
+
+def test_every_single_bit_flip_of_M48_gets_the_report_of_its_built_table():
+    """Fresh, each of the 148 flips of an action bit of M(2,1)@48 gets the report of its table built first.
+
+    125 fail and 23 pass: the 11 flips that `analyze` passes, each of which
+    changes a defining row (test_analyze.py), and 12 that `analyze` fails
+    on another check.  A built table is read as built, entry flips included
+    (`test_jacobi_check_matches_reference_on_table_entry_flips`).
+    """
+    flips = failing = 0
+    for bad in _single_bit_flips(nq_compute(presentation_R(2, 1), 48)):
+        got = _report(bad)
+        bad.bracket_table()
+        assert got == _report(bad)
+        flips += 1
+        failing += not got[0]
+    assert (flips, failing) == (148, 125)
 
 
 def _every_table(dims: tuple, deg2: tuple):
