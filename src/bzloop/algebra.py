@@ -47,8 +47,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import accumulate, repeat
-from math import comb
+from itertools import repeat
 from operator import xor
 from typing import Iterable, Sequence
 
@@ -531,27 +530,30 @@ def _open_rows(A: GradedAlgebra) -> tuple[list[tuple[int, int]], list[tuple[int,
 
 
 def _instances(dims: Sequence[int], bound: int) -> int:
-    """The squares, pairs and triples `jacobi_check` covers, by closed forms per degree pair.
+    """The squares, pairs and triples `jacobi_check` covers, by generating functions.
 
-    Per degree d1 <= bound // 2 of n1 elements: n1 squares, C(n1, 2) pairs
-    inside d1 and n1 pairs with each element of degrees d1 < d2 <= bound - d1.
-    Per degree pair d1 <= d2 with d1 + 2 * d2 <= bound, and `more` elements
-    of degrees d2 < d3 <= bound - d1 - d2: when d1 = d2, C(n1 + 2, 3) triples
-    inside the degree and C(n1 + 1, 2) pairs (u, v) with each of the `more`;
-    otherwise n1 * C(n2 + 1, 2) with d3 = d2, and n1 * n2 * more.
+    With S(t) = sum of dims[d] t^d, the elements u with 2 deg u = e are
+    counted by S(t^2), the pairs of distinct elements by
+    (S(t)^2 - S(t^2)) / 2 and the 3-multisets of elements by
+    (S(t)^3 + 3 S(t) S(t^2) + 2 S(t^3)) / 6, each at t^e for degree sum e.
+    Six times their sum is 3 S(t^2) + 3 S^2 + S^3 + 3 S S(t^2) + 2 S(t^3);
+    its coefficients up to t^bound add up to the coefficient of t^bound in
+    its product with 1 + t + ... + t^bound.  Each polynomial is one int,
+    coefficient e in `size` bytes at byte e * size: no coefficient or sum
+    here reaches 6 (N + 1)^3 for N elements, so none carries into the next.
     """
-    below = list(accumulate(dims))  # below[d]: the elements of degree at most d
-    count = 0
-    for d1 in range(1, bound // 2 + 1):
-        n1 = dims[d1]
-        count += n1 + comb(n1, 2) + n1 * (below[bound - d1] - below[d1])
-        for d2 in range(d1, (bound - d1) // 2 + 1):  # empty once 3 * d1 > bound
-            n2, more = dims[d2], below[bound - d1 - d2] - below[d2]
-            if d1 == d2:
-                count += comb(n1 + 2, 3) + comb(n1 + 1, 2) * more
-            else:
-                count += n1 * comb(n2 + 1, 2) + n1 * n2 * more
-    return count
+    top = dims[: bound + 1]
+    size = (6 * (sum(top) + 1) ** 3).bit_length() // 8 + 1
+    keep = (1 << 8 * size * (bound + 1)) - 1  # the coefficients of t^0 .. t^bound
+
+    def poly(k: int) -> int:  # S(t^k)
+        return int.from_bytes(b"".join(n.to_bytes(k * size, "little") for n in top[: bound // k + 1]), "little")
+
+    s1, s2, s3 = poly(1), poly(2), poly(3)
+    square = s1 * s1 & keep
+    six = 3 * s2 + 3 * square + (square * s1 & keep) + 3 * (s1 * s2 & keep) + 2 * s3
+    ones = int.from_bytes((b"\1" + bytes(size - 1)) * (bound + 1), "little")
+    return (six * ones >> 8 * size * bound & (1 << 8 * size) - 1) // 6
 
 
 def _transpose(ms: list[int], W: int) -> list[int]:

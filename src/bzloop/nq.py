@@ -57,29 +57,34 @@ i >= j are filled and the rest, row 1 aside, are mirrored from them.
 The packed loop, `_packed_cuts`, holds only slices n and n + 1, as bit
 planes, and its table only the definitions and the action rows.  Slice
 s is 4 families f = 2a + b, the entries [e(i, a), e(s - i, b)] with
-a, b < 2 at the positions i, and a family is one int per bit of its
-entries, bit i of which is that bit at position i.  For the frontier
-slice n + 1 these are bits of masks over the split symbols, as in the
-table loop; its position n is the split action itself, and the held
-slice n is mapped through its cut's images.  The fill rule gives the
-entry (a, b) at position i, column e(j, b) = [e(j - 1, p), g], as the
-held entry (a, p) at position i shifted by g * D plus the entries (t, p)
+a, b < 2 at the positions i, interleaved: plane k is one int, whose bit
+4i + f is bit k of the entry of family f at position i.  For the frontier
+slice n + 1 the entries are masks over the frontier symbols in symbol
+order, [e(n, w), g] at bit 2w + g, so the rows read off the planes go to
+the cut as they are; the table loop's split bit w + g * D is plane
+2w + g.  Position n of slice n + 1 is the frontier action itself, and
+the held slice n is mapped through its cut's images.  The fill rule gives the entry
+(a, b) at position i, column e(j, b) = [e(j - 1, p), g], as the held
+entry (a, p) at position i moved to generator g plus the entries (t, p)
 at position i + 1 over the bits t of [e(i, a), g].  Where that sum is the
 family's own entry alone, the family is the gated suffix XOR
-T(i) = A(i) + c(i) T(i + 1), which doubling computes in O(log n) whole-
-plane operations; each other position is an event, whose sum is read,
-from the top down, off the finished position i + 1 and XORed down its
-chain of gates.  So the planes hold, bit for bit, the entries that the
-table loop's frontier fill computes: the same rule over the same split
-action and, by induction, the same held entries.  The relation rows are
-then those of the table loop, read off the planes: the alternation rows,
-and for each split d1 <= n // 2 and symbol 2b + g the row
-F(u; v, g) + [[v, g], u], which for a surviving symbol w is
+T(i) = A(i) + c(i) T(i + 1); with the gates of all four families in one
+lane mask, doubling computes it in O(log n) operations per plane, each a
+shift by a multiple of 4 bits.  Each other position of a family is an
+event, whose sum is read, from the top down, off the finished position
+i + 1 and XORed down its chain of gates.  So the planes hold, bit for
+bit, the entries that the table loop's frontier fill computes: the same
+rule over the same action and, by induction, the same held entries.  The
+relation rows are then those of the table loop, read off the planes: the
+alternation rows, and for each split d1 <= n // 2 and symbol 2b + g the
+row F(u; v, g) + [[v, g], u], which for a surviving symbol w is
 [u, w] + [w, u], read from the slice and its mirror about (n + 1) / 2.
-They include the rows the table loop skips, each 0 or a repeat of a
-built one.  The loop hands `echelonize` a basis of their span, and the
-relator rows; the reduced echelon form depends only on the span, so the
-pivots, the survivor images and every table are unchanged.
+All of them, four families and two generators, are one row of planes,
+and the entries another family reads are one or two bits away in the
+same position.  They include the rows the table loop skips, each 0 or a
+repeat of a built one.  The loop hands `echelonize` a basis of their
+span, and the relator rows; the reduced echelon form depends only on the
+span, so the pivots, the survivor images and every table are unchanged.
 """
 
 from __future__ import annotations
@@ -106,9 +111,11 @@ NARROW = 8
 
 # The default loop cuts the degrees up to this one with the table loop and
 # the later ones, while every degree is at most 2 wide, with the packed loop:
-# on CPython 3.11 on a 2-core VM a packed cut costs a fixed 50-70 us, a table
-# cut of degree n about 25 + n us, and the hand-over about 0.3 ms once.
-PACK_FROM = 64
+# on CPython 3.11 on a 2-core VM a table cut of degree n costs about
+# 15 + 0.9 n us (29 us over degrees 9-24, 55 us over 25-64), a packed cut
+# about 35 us over degrees 9-24, 40 us over 25-64 and 50 us at 384, and the
+# hand-over 0.05-0.2 ms once.
+PACK_FROM = 24
 
 
 @dataclass(frozen=True)
@@ -351,15 +358,23 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
 
     The packed loop makes the same cuts.  Its planes hold, bit for bit,
     the entries that the table loop's frontier fill computes, positions
-    2..n - 1 of slice n + 1 being its rows 2..n - 1.  Both evaluate the
-    fill rule at the same split action: the packed loop's first term is
-    the held entry (a, p) shifted by g * D, which is the table loop's
-    image table applied to the frontier entry [u, p] and then shifted (the
-    held planes are the frontier planes mapped through the same survivor
-    images, by linearity entry by entry); its second term sums the same
-    entries of position i + 1 over the same action bits, by doubling along
-    a family where only the family's own entry is read and at an event
-    otherwise, each event solved after every position above it.  Its
+    2..n - 1 of slice n + 1 being its rows 2..n - 1, with the symbols in
+    symbol order: plane 2w + g holds what the table loop keeps at bit
+    w + g * D, and that bijection commutes with the fill rule's XORs and
+    shifts.  Both evaluate the fill rule at the same action: the packed
+    loop's first term is the held entry (a, p) moved to generator g, which
+    is the table loop's image table applied to the frontier entry [u, p]
+    and then shifted by g * D (the held planes are the frontier planes
+    mapped through the same survivor images, by linearity entry by entry);
+    its second term sums the same entries of position i + 1 over the same
+    action bits, by doubling along a family where only the family's own
+    entry is read and at an event otherwise, each event solved after every
+    position above it.  The four families share each plane, in lanes 4i +
+    f, and each whole-plane operation acts on each lane as the four-family
+    operation acts on its family: a doubling shift moves by whole
+    positions, a mask has each lane's own bit, and the lane moves within a
+    position (one bit for the column family b, two for the row family a)
+    are confined to its four bits by masks of their target lanes.  Its
     rows are read off those planes by the rules above: the alternation
     rows, and for each split d1 and symbol 2b + g of each u the row
     F(u; v, g) + [[v, g], u], equal to [u, w] + [w, u] where the symbol
@@ -430,114 +445,120 @@ def _relators_by_weight(pres: Presentation) -> dict[int, list[CommutatorWord]]:
     return by_weight
 
 
-def _cut(table: BracketTable, n: int, rows: list[int], relators) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """Cut degree n + 1 by `rows` and the relator rows; set the action of degree n and add the new degree.
+def _cut(table: BracketTable, n: int, rows: list[int]) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """Cut degree n + 1 by `rows`; set the action of degree n and add the new degree.
 
-    The rows are masks over the split symbols, [e(n, w), g] at bit
-    w + g * D; each distinct nonzero one is put in symbol order s = 2w + g
-    and handed to `echelonize`.  Returns the new degree's definitions and
-    the action rows of degree n.
+    The rows are distinct nonzero masks over the frontier symbols in
+    symbol order, [e(n, w), g] at bit s = 2w + g, and go to `echelonize`
+    as they are.  Returns the new degree's definitions and the action rows
+    of degree n.
     """
-    R = table.rows
-    # defining relators of the new weight; the last letter meets the
-    # frontier symbols through the top degree's action
-    for r in relators:
-        rows.append(eval_runs(R, r.runs(), n + 1))
-    D = len(R[n])
-    low = (1 << D) - 1
-    rows = [_interleave(r & low, r >> D) for r in dict.fromkeys(rows) if r]
-    defs, action = define_layer(2 * D, echelonize(rows, 2 * D))
+    nsym = 2 * len(table.rows[n])
+    defs, action = define_layer(nsym, echelonize(rows, nsym))
     table.set_action(n, action)
     table.add_degree(defs)
     return defs, action
 
 
-# _REV8[b] is the byte b with its bits in reverse order
-_REV8 = bytes(int(format(b, "08b")[::-1], 2) for b in range(256))
+# _MIRROR8[b] is the byte b, two positions of four lanes, with its positions
+# swapped and, in each, lanes 1 and 2 swapped
+_SWAP12 = [v & 9 | (v & 2) << 1 | (v & 4) >> 1 for v in range(16)]
+_MIRROR8 = bytes(_SWAP12[b >> 4] | _SWAP12[b & 15] << 4 for b in range(256))
 
 
 def _mirror(plane: int, s: int) -> int:
-    """The plane with bit d moved to bit s - d, for a plane with no bit above s."""
-    size = s // 8 + 1
-    return int.from_bytes(plane.to_bytes(size, "little").translate(_REV8), "big") >> 8 * size - 1 - s
+    """The plane with position i moved to s - i and, at each, lanes 1 and 2 swapped; no position above s.
+
+    Lane f = 2a + b of the result is lane 2b + a of the plane: family (a, b) is read as (b, a).
+    """
+    size = s // 2 + 1
+    return int.from_bytes(plane.to_bytes(size, "little").translate(_MIRROR8), "big") >> 4 * (2 * size - 1 - s)
 
 
-def _read(planes: list[int], i: int) -> int:
-    """The entry at position i of a family: bit k is bit i of planes[k]."""
+def _read(planes: list[int], bit: int) -> int:
+    """The entry at a bit of the planes, 4i + f for family f at position i: bit k is that bit of planes[k]."""
     out = 0
     for k, plane in enumerate(planes):
-        out |= (plane >> i & 1) << k
+        out |= (plane >> bit & 1) << k
     return out
 
 
-def _span(planes: list[int], basis: list[int]) -> None:
-    """Extend `basis` by entries read from the planes until it spans every entry they hold.
+def _span(planes: list[int]) -> list[int]:
+    """A basis of the span of the entries the planes hold, read off them as they are reduced.
 
-    The basis is kept in echelon form, each entry's pivot its lowest bit
-    and no entry holding an earlier one's pivot: the planes are reduced by
-    each basis entry in turn, so a position still nonzero holds an entry
-    outside the span, which joins the basis.
+    The basis is in echelon form, each entry's pivot its lowest bit and no
+    entry holding an earlier one's pivot: once an entry joins the basis,
+    every entry holding its pivot has it added, so a bit still set holds
+    an entry outside the span, the next to join.  The planes are reduced
+    in place.
     """
-    done = 0
+    basis = []
     while True:
-        for v in basis[done:]:
-            m = planes[(v & -v).bit_length() - 1]
-            if m:
-                for k in range(len(planes)):
-                    if v >> k & 1:
-                        planes[k] ^= m
-        done = len(basis)
         rest = 0
         for plane in planes:
             rest |= plane
         if not rest:
-            return
-        basis.append(_read(planes, (rest & -rest).bit_length() - 1))
+            return basis
+        v = _read(planes, (rest & -rest).bit_length() - 1)
+        basis.append(v)
+        m = planes[(v & -v).bit_length() - 1]
+        for k, plane in enumerate(planes):
+            if v >> k & 1:
+                planes[k] = plane ^ m
 
 
 class _Masks:
-    """The per-position masks the packed scans read, one bit per degree.
+    """The per-position masks the packed loop reads, in lane form: bit 4i + 2a + b is family (a, b) at position i.
 
-    `wide` has bit d when degree d is 2 wide, and acts[4a + 2g + t] bit d
-    when [e(d, a), g] holds bit t.  The others are read by column degree,
-    so they are kept reversed: after the columns of degree n were added,
-    bit i of `rwide` is set when degree n - i is 2 wide; with
-    e(n - i, b) = [e(n - i - 1, p), g], that of rpar[b] when p = 1 and
-    that of rgen[b] when g = 1; and that of racts[4b + 2g + t] when
-    [e(n - 1 - i, b), g] holds bit t.
+    Read by row degree d, at position d: `rows` has the lanes (a, 0) and
+    (a, 1) set when e(d, a) exists, own[g] when [e(d, a), g] holds bit a
+    and other[g] when it holds bit 1 - a.  The others are read by column
+    degree, so they are kept reversed: once degree n is added, position i
+    stands for degree n + 1 - i, the column of position i in slice n + 1.
+    The lanes (0, b) and (1, b) are set in `cols` when e(n + 1 - i, b)
+    exists; with e(n + 1 - i, b) = [e(n - i, p), g], in `same` when p = b
+    and in `gen` when g = 1; in rown[g] when [e(n - i, b), g] holds bit b
+    and in rother[g] when it holds bit 1 - b.
     """
 
-    __slots__ = ("wide", "acts", "rwide", "rpar", "rgen", "racts")
+    __slots__ = ("rows", "own", "other", "cols", "same", "gen", "rown", "rother")
 
     def __init__(self):
-        self.wide, self.acts = 0, [0] * 8
-        self.rwide, self.rpar, self.rgen, self.racts = 0, [0, 0], [0, 0], [0] * 8
+        self.rows = self.cols = self.same = self.gen = 0
+        self.own, self.other, self.rown, self.rother = [0, 0], [0, 0], [0, 0], [0, 0]
 
     def add_row(self, n: int, width: int, action) -> None:
-        """Degree n + 1 is cut, `width` wide, and degree n acts by `action`."""
-        if width == 2:
-            self.wide |= 1 << n + 1
-        acts = self.acts
+        """Degree n + 1 is cut, `width` <= 2 wide, and degree n acts by `action`."""
+        self.rows |= (0, 3, 15)[width] << 4 * n + 4
+        own, other = self.own, self.other
         for a, row in enumerate(action):
+            lanes = 3 << 4 * n + 2 * a  # (a, 0) and (a, 1) at position n
             for g in (0, 1):
-                if row[g] & 1:
-                    acts[4 * a + 2 * g] |= 1 << n
-                if row[g] & 2:
-                    acts[4 * a + 2 * g + 1] |= 1 << n
+                if row[g] >> a & 1:
+                    own[g] |= lanes
+                if row[g] >> 1 - a & 1:
+                    other[g] |= lanes
 
     def add_column(self, defs, action) -> None:
-        """Shift in the next degree, defined by `defs`, and the action of the degree below it."""
-        self.rwide = self.rwide << 1 | (len(defs) == 2)
-        rpar = self.rpar = [m << 1 for m in self.rpar]
-        rgen = self.rgen = [m << 1 for m in self.rgen]
-        racts = self.racts = [m << 1 for m in self.racts]
-        for k, (p, g) in enumerate(defs):
-            rpar[k] |= p
-            rgen[k] |= g
-        for b, row in enumerate(action):
-            for g in (0, 1):
-                racts[4 * b + 2 * g] |= row[g] & 1
-                racts[4 * b + 2 * g + 1] |= row[g] >> 1 & 1
+        """Add the next degree, defined by `defs`, and the action of the degree below it."""
+        cols, same, gen = self.cols, self.same, self.gen
+        for b, (p, g) in enumerate(defs):
+            lanes = 5 << b  # (0, b) and (1, b)
+            cols |= lanes
+            if p == b:
+                same |= lanes
+            if g:
+                gen |= lanes
+        self.cols, self.same, self.gen = cols << 4, same << 4, gen << 4
+        rown, rother = self.rown, self.rother
+        for g in (0, 1):
+            for b, row in enumerate(action):
+                if row[g] >> b & 1:
+                    rown[g] |= 5 << b
+                if row[g] >> 1 - b & 1:
+                    rother[g] |= 5 << b
+            rown[g] <<= 4
+            rother[g] <<= 4
 
 
 def _packed_cuts(pres: Presentation, table: BracketTable) -> Iterator[BracketTable]:
@@ -548,11 +569,14 @@ def _packed_cuts(pres: Presentation, table: BracketTable) -> Iterator[BracketTab
     and from then on keeps only definitions and action rows in the table.
     Position i of slice s is its field (i, s - i).  The entry
     [e(i, a), e(s - i, b)] belongs to family f = 2a + b, and plane k of a
-    family holds bit k of its entries, bit i for position i; a slice is 4
-    families of 2 * D planes.  The frontier slice n + 1 is over the split
-    symbols, bit w + g * D for [e(n, w), g]: its positions 2..n - 1 are
-    filled and its position n is the action field, [e(n, a), b] the bit
-    a + b * D.  `held` is slice n mapped through its cut's images.
+    slice holds bit k of every entry, the entry of family f at position i
+    at bit 4i + f; a slice is 2 * D planes.  The frontier slice n + 1 is
+    over the symbols in symbol order, plane 2w + g for [e(n, w), g]: its
+    positions 2..n - 1 are filled and its position n is the action field,
+    [e(n, a), b] in plane 2a + b.  `held` is slice n mapped through its
+    cut's images.  The relation rows read off the planes are in symbol
+    order, as `_cut` takes them; only the relator rows need the frontier
+    action set, in the same order.
     """
     by_weight = _relators_by_weight(pres)
     R, defs = table.rows, table.defs
@@ -567,16 +591,17 @@ def _packed_cuts(pres: Presentation, table: BracketTable) -> Iterator[BracketTab
     for n in count(top):
         D = len(R[n])
         masks.add_column(defs[n], R[n - 1])
-        table.set_action(n, [(1 << w, 1 << w + D) for w in range(D)])
-        planes, rows = [[]] * 4, []
+        planes, rows = [], []
         if D:
             planes = _fill_planes(n, R, defs, held, masks)
             if n % 2:  # alternation: [u, u] = 0 for u of half the new degree
                 h = (n + 1) // 2
-                rows = [_read(planes[3 * a], h) for a in range(len(R[h]))]
+                rows = [_read(planes, 4 * h + 3 * a) for a in range(len(R[h]))]
             _jacobi_basis(n, planes, held, masks, rows)
-        new, action = _cut(table, n, rows, by_weight.get(n + 1, ()))
-        masks.add_row(n, len(new), action)
+        if n + 1 in by_weight:  # the relators' last letter meets [e(n, w), g], bit 2w + g
+            table.set_action(n, [(1 << 2 * w, 2 << 2 * w) for w in range(D)])
+            rows += [eval_runs(R, r.runs(), n + 1) for r in by_weight[n + 1]]
+        new, action = _cut(table, n, [r for r in dict.fromkeys(rows) if r])
         yield table
 
         # the caller asks for degree n + 2, whose cut reads slice n + 1
@@ -584,72 +609,69 @@ def _packed_cuts(pres: Presentation, table: BracketTable) -> Iterator[BracketTab
             _unpack(table, planes, n)
             yield from _table_cuts(pres, table=table, image=_image_table(action))
             return
+        masks.add_row(n, len(new), action)
         held = _true_planes(planes, action, len(new))
 
 
-def _fill_planes(n, R, defs, held, masks: _Masks) -> list[list[int]]:
+def _fill_planes(n, R, defs, held, masks: _Masks) -> list[int]:
     """The frontier slice n + 1, each family a gated suffix XOR T(i) = A(i) + c(i) T(i + 1).
 
     The entry (a, b) at position i, with j = n + 1 - i and
     e(j, b) = [e(j - 1, p), g], is [[u, p], g] + [[u, g], p] by the fill
     rule.  A(i), the first term, is the held entry (a, p) at position i,
-    shifted by g * D.  The second sums the entries (t, p) at position
-    i + 1 over the bits t of [e(i, a), g].  Where that sum is the family's
-    own entry, t = a and p = b only, the bit is the gate c(i), and the
-    family is scanned by doubling, in O(log n) plane operations.  Every
-    other nonzero [e(i, a), g] makes position i an event: its gate is 0,
-    and, from the top down, its sum is read from the finished position
-    i + 1 and XORed into the family's chain of gates down from i.
+    moved from plane c to plane 2c + g; lane (a, p) moves to lane (a, b) by
+    a shift of one bit when p != b.  The second sums the entries (t, p)
+    at position i + 1 over the bits t of [e(i, a), g].  Where that sum is
+    the family's own entry, t = a and p = b only, the bit is the gate c(i),
+    and all four families are scanned at once by doubling, in O(log n)
+    operations per plane.  Every other nonzero [e(i, a), g] makes the bit
+    of position i an event: its gate is 0, and, from the top down, its sum
+    is read from the finished position i + 1 and XORed into the family's
+    chain of gates down from i.
     """
     s, D = n + 1, len(R[n])
-    wide, acts, rwide, rpar, rgen = masks.wide, masks.acts, masks.rwide, masks.rpar, masks.rgen
-    top = 1 << n
-    inner = top - 4  # positions 2 .. n - 1
-    planes, gates, events = [], [], []
-    for f in range(4):
-        a, b = f >> 1, f & 1
-        T = [0] * (2 * D)
-        if a < D:
-            T[a + b * D] = top  # the action field: [e(n, a), b] is bit a + b * D
-        valid = inner & (wide if a else -1) & (rwide << 1 if b else -1)
-        rp, rg = rpar[b] << 1, rgen[b] << 1
-        for c, (m0, m1) in enumerate(zip(held[2 * a], held[2 * a + 1])):
-            m = (m0 & ~rp | m1 & rp) & valid
-            T[c] |= m & ~rg
-            T[c + D] |= m & rg
-        own = acts[5 * a] & ~rg | acts[5 * a + 2] & rg  # bit a of [e(i, a), g]
-        other = acts[3 * a + 1] & ~rg | acts[3 * a + 3] & rg  # bit 1 - a
-        gate = own & ~other & (rp if b else ~rp) & valid
-        events.append((own | other) & valid & ~gate)
-        gates.append(gate)
-        C, step = gate, 1
-        while C:
-            for k, m in enumerate(T):
-                T[k] = m ^ C & m >> step
-            C &= C >> step
-            step <<= 1
-        planes.append(T)
+    ones = (1 << 4 * s) // 15  # lane 0 of every position up to n
+    valid = ((1 << 4 * n) - (1 << 8)) & masks.rows & masks.cols  # positions 2 .. n - 1
+    same = masks.same & valid  # p = b
+    down = (valid ^ same) & ones * 5  # b = 0 and p = 1: lane (a, 1), one bit up
+    up = valid ^ same ^ down  # b = 1 and p = 0: lane (a, 0), one bit down
+    gen = masks.gen
+    (own0, own1), (other0, other1) = masks.own, masks.other
+    own = own0 ^ (own0 ^ own1) & gen  # bit a of [e(i, a), g]
+    other = other0 ^ (other0 ^ other1) & gen  # bit 1 - a
+    gate = own & ~other & same
+    events = (own | other) & valid ^ gate
 
-    todo = events[0] | events[1] | events[2] | events[3]
-    while todo:
-        i = todo.bit_length() - 1
-        todo ^= 1 << i
-        for f in range(4):
-            if events[f] >> i & 1:
-                p, g = defs[s - i][f & 1]
-                m, x = R[i][f >> 1][g], 0
-                while m:
-                    low = m & -m
-                    x ^= _read(planes[2 * low.bit_length() - 2 + p], i + 1)
-                    m ^= low
-                if x:
-                    # the chain of gates below i ends above the first position whose gate is 0
-                    chain = (1 << i + 1) - (1 << (~gates[f] & (1 << i) - 1).bit_length())
-                    T = planes[f]
-                    for k in range(2 * D):
-                        if x >> k & 1:
-                            T[k] ^= chain
-    return planes
+    T = []
+    for c, m in enumerate(held):  # the action field: [e(n, c), b] is symbol 2c + b
+        m = m & same | m >> 1 & down | m << 1 & up
+        T += m & ~gen | 1 << 4 * n + 2 * c, m & gen | 2 << 4 * n + 2 * c
+    C, step = gate, 4
+    while C:
+        for k, m in enumerate(T):
+            T[k] = m ^ C & m >> step
+        C &= C >> step
+        step <<= 1
+
+    while events:
+        e = events.bit_length() - 1  # family f = 2a + b at position i
+        events ^= 1 << e
+        i = e >> 2
+        p, g = defs[s - i][e & 1]
+        # the entries (t, p) at position i + 1 over the bits t of [e(i, a), g], bits 4i + 4 + 2t + p
+        read = (0, 1, 4, 5)[R[i][e >> 1 & 1][g]] << 4 * i + 4 + p
+        x = 0
+        for k, m in enumerate(T):
+            if (m & read).bit_count() & 1:
+                x |= 1 << k
+        if x:
+            # the chain of gates below i ends above the first position whose gate is 0
+            lane = ones << (e & 3)
+            chain = (2 << e) - (8 << (~gate & lane & (1 << e) - 1).bit_length()) & lane
+            for k, m in enumerate(T):
+                if x >> k & 1:
+                    T[k] = m ^ chain
+    return T
 
 
 def _jacobi_basis(n, planes, held, masks: _Masks, rows) -> None:
@@ -658,98 +680,102 @@ def _jacobi_basis(n, planes, held, masks: _Masks, rows) -> None:
     Split d1 is position d1, 2 <= d1 <= n // 2, with d2 = n - d1 and
     j = n + 1 - d1.  For u = e(d1, a), v = e(d2, b) and a generator g,
     the row of J(u, v, g) is F(u; v, g) + [[v, g], u]: the fill's rule
-    applied to the symbol 2b + g, the held entry (a, b) shifted by g * D
-    plus the entries (t, b) at position d1 + 1 over the bits t of [u, g],
+    applied to the symbol 2b + g, the held entry (a, b) moved from plane c
+    to plane 2c + g, plus the entries (t, b) at position d1 + 1 over the bits t of [u, g],
     and then the entries (t, a) at position j over the bits t of [v, g].
     Where the symbol defines w = e(j, k), F is the filled entry [u, w] and
     [v, g] the one bit k, so the row is [u, w] + [w, u], as the table loop
-    builds it.  Position j of a plane is position d1 of the plane mirrored
-    about (n + 1) / 2.
+    builds it.  The rows of all four families and both generators are one
+    row of planes, family (a, b) of position d1 at bit 4 * d1 + 2a + b,
+    those of g = 1 W bits above those of g = 0.  The entry (t, b) with
+    t != a is one lane pair away, two bits; position j of the planes is
+    position d1 of their mirror about (n + 1) / 2, which reads family
+    (t, a) in lane (a, t), so the entry (a, t) with t != b is one bit away.
     """
     half = n // 2
     if half < 2:
         return
-    wide, acts, rwide, racts = masks.wide, masks.acts, masks.rwide, masks.racts
-    nsym = len(planes[0])
-    D = nsym // 2
-    lo = (1 << half + 1) - 4  # positions 2 .. half
-    shift = n + 1 - half
-    up = [[m >> 1 for m in field] for field in planes]  # position d1 + 1 at d1
-    mirrored = [[m >> shift and _mirror(m >> shift, half) for m in field] for field in planes]  # position j at d1
-    basis: list[int] = []
-    for a in (0, 1):
-        for b in (0, 1):
-            ok = lo & (wide if a else -1) & (rwide if b else -1)
-            if b <= a and not n % 2:  # d1 = d2: only the symbols of the elements after u
-                ok &= ~(1 << half)
-            if not ok:
-                continue
-            for g in (0, 1):
-                row = [0] * nsym
-                for c, m in enumerate(held[2 * a + b]):
-                    row[c + g * D] = ok & m
-                for t in (0, 1):
-                    m = acts[4 * a + 2 * g + t] & ok
-                    if m:
-                        for q, u in enumerate(up[2 * t + b]):
-                            row[q] ^= m & u
-                    m = racts[4 * b + 2 * g + t] << 1 & ok
-                    if m:
-                        for q, w in enumerate(mirrored[2 * t + a]):
-                            row[q] ^= m & w
-                _span(row, basis)
-    rows += basis
+    W = 4 * half + 4  # positions 0 .. half
+    ok = ((1 << W) - (1 << 8)) & masks.rows & masks.cols >> 4  # positions 2 .. half
+    if not n % 2:  # d1 = d2: only the symbols of the elements after u, lane (0, 1)
+        ok &= ~(13 << 4 * half)
+    if not ok:
+        return
+    ones = (1 << 2 * W) // 15
+    (own0, own1), (other0, other1) = masks.own, masks.other
+    (rown0, rown1), (rother0, rother1) = masks.rown, masks.rother
+    own = own0 & ok | (own1 & ok) << W
+    other = other0 & ok | (other1 & ok) << W
+    other_a0 = other & ones * 3  # a = 0: lane (1, b), two bits up
+    other_a1 = other ^ other_a0
+    rown = rown0 & ok | (rown1 & ok) << W  # [v, g] = [e(n - d1, b), g]
+    rother = rother0 & ok | (rother1 & ok) << W
+    rother_b0 = rother & ones * 5  # b = 0: lane (a, 1), one bit up
+    rother_b1 = rother ^ rother_b0
+    shift = 4 * (n + 1 - half)
+    row = []
+    for m in held:
+        m &= ok
+        row += m, m << W
+    low = (1 << W) - 1
+    for k, plane in enumerate(planes):
+        u = plane >> 4 & low  # position d1 + 1 at d1
+        u |= u << W
+        w = plane >> shift and _mirror(plane >> shift, half)  # position j at d1
+        w |= w << W
+        row[k] ^= own & u ^ other_a0 & u >> 2 ^ other_a1 & u << 2 ^ rown & w ^ rother_b0 & w >> 1 ^ rother_b1 & w << 1
+    rows += _span(row)
 
 
-def _true_planes(planes: list[list[int]], action: list[tuple[int, int]], width: int) -> list[list[int]]:
-    """A cut slice's planes mapped through the cut: bit w + g * D of an entry becomes action[w][g]."""
-    images = [m for pair in zip(*action) for m in pair]  # images[w + g * D] = action[w][g]
-    out = []
-    for field in planes:
-        true = [0] * width
-        for plane, m in zip(field, images):
-            if plane:
-                while m:
-                    low = m & -m
-                    true[low.bit_length() - 1] ^= plane
-                    m ^= low
-        out.append(true)
-    return out
+def _true_planes(planes: list[int], action: list[tuple[int, int]], width: int) -> list[int]:
+    """A cut slice's planes mapped through the cut: plane 2w + g goes to the planes of the bits of action[w][g]."""
+    images = [m for pair in action for m in pair]  # images[2w + g] = action[w][g]
+    true = [0] * width
+    for plane, m in zip(planes, images):
+        if plane:
+            while m:
+                low = m & -m
+                true[low.bit_length() - 1] ^= plane
+                m ^= low
+    return true
 
 
-def _pack(table: BracketTable) -> list[list[int]]:
-    """The planes of the frontier slice the table loop has just cut, the last degree at most 2 wide."""
+def _pack(table: BracketTable) -> list[int]:
+    """The planes of the frontier slice the table loop has just cut, the last degree at most 2 wide.
+
+    The table's entries are over the split symbols, [e(n - 1, w), g] at
+    bit w + g * D; the planes take them in symbol order, plane 2w + g.
+    """
     R, off = table.rows, table.offset
     n = len(R) - 1
     D = len(R[n - 1])
-    planes = [[0] * (2 * D) for _ in range(4)]
-    for a in range(D):  # the action field: [e(n - 1, a), b] is bit a + b * D
-        planes[2 * a][a] |= 1 << n - 1
-        planes[2 * a + 1][a + D] |= 1 << n - 1
+    planes = [1 << 4 * n - 4 + f for f in range(2 * D)]  # the action field: [e(n - 1, a), b] is symbol 2a + b
     for i in range(2, n - 1):
         j = n - i
         for a, row in enumerate(R[i]):
             for b in range(len(R[j])):
                 m = row[off[j] + b]
+                m = _interleave(m & (1 << D) - 1, m >> D)  # into symbol order
                 while m:
                     low = m & -m
-                    planes[2 * a + b][low.bit_length() - 1] |= 1 << i
+                    planes[low.bit_length() - 1] |= 1 << 4 * i + 2 * a + b
                     m ^= low
     return planes
 
 
-def _unpack(table: BracketTable, planes: list[list[int]], n: int) -> None:
+def _unpack(table: BracketTable, planes: list[int], n: int) -> None:
     """Write the frontier slice n + 1 into the table's rows, for the table loop.
 
     Each row of degree i gets zeros up to the block of degree n + 1 - i,
     then that block; no later cut reads a block of an older slice.
     """
     R, off = table.rows, table.offset
+    split = planes[0::2] + planes[1::2]  # [e(n, w), g] at bit w + g * D, the table loop's order
     for i in range(2, n):
         j = n + 1 - i
         for a, row in enumerate(R[i]):
             row += [0] * (off[j] - len(row))
-            row += [_read(planes[2 * a + b], i) for b in range(len(R[j]))]
+            row += [_read(split, 4 * i + 2 * a + b) for b in range(len(R[j]))]
 
 
 def _table_cuts(
@@ -857,7 +883,11 @@ def _table_cuts(
                             m ^= low
                         append(out)
 
-        defs, action = _cut(table, n, rows, by_weight.get(n + 1, ()))
+        # defining relators of the new weight; the last letter meets the
+        # frontier symbols through the top degree's action
+        rows += [eval_runs(R, r.runs(), n + 1) for r in by_weight.get(n + 1, ())]
+        low = (1 << D) - 1  # into symbol order
+        defs, action = _cut(table, n, [_interleave(r & low, r >> D) for r in dict.fromkeys(rows) if r])
         survivor = [-1] * nsym
         for k, (p, g) in enumerate(defs):
             survivor[2 * p + g] = k

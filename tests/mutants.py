@@ -108,11 +108,11 @@ MUTANTS = (
         ("tests/test_kernels.py::test_jacobi_check_catches_jacobi_only_corruptions",),
     ),
     Mutant(
-        "closed form C(n+1, 3) for C(n+2, 3)",
+        "closed form counts 3-sets for 3-multisets",
         "bzloop/algebra.py",
-        "comb(n1 + 2, 3)",
-        "comb(n1 + 1, 3)",
-        ("tests/test_kernels.py::test_jacobi_check_sums_only_open_generator_triples_on_a_sound_table",),
+        "+ 3 * (s1 * s2 & keep)",
+        "- 3 * (s1 * s2 & keep)",
+        ("tests/test_kernels.py::test_instances_counts_the_squares_pairs_and_triples_one_by_one",),
     ),
     Mutant(
         "generator triples skipped after a failed square or pair",
@@ -122,10 +122,10 @@ MUTANTS = (
         ("tests/test_kernels.py::test_jacobi_check_sums_more_triples_once_a_check_fails",),
     ),
     Mutant(
-        "closed form reads one degree too few",
+        "closed form sums the coefficients of one degree too few",
         "bzloop/algebra.py",
-        "more = dims[d2], below[bound - d1 - d2] - below[d2]",
-        "more = dims[d2], below[bound - d1 - d2 - 1] - below[d2]",
+        ">> 8 * size * bound &",
+        ">> 8 * size * (bound - 1) &",
         ("tests/test_kernels.py::test_jacobi_check_matches_reference_on_sound_tables",),
     ),
     Mutant(
@@ -236,22 +236,36 @@ MUTANTS = (
     Mutant(
         "packed fill drops its last doubling round",
         "bzloop/nq.py",
-        "        while C:\n            for k, m in enumerate(T):",
-        "        while C & C >> step:\n            for k, m in enumerate(T):",
+        "    while C:\n        for k, m in enumerate(T):",
+        "    while C & C >> step:\n        for k, m in enumerate(T):",
+        ("tests/test_engine.py::test_the_packed_planes_hold_the_table_loops_frontier_entries",),
+    ),
+    Mutant(
+        "packed fill doubles with a lane stride of 1, not 4",
+        "bzloop/nq.py",
+        "C, step = gate, 4",
+        "C, step = gate, 1",
         ("tests/test_engine.py::test_the_packed_planes_hold_the_table_loops_frontier_entries",),
     ),
     Mutant(
         "packed fill puts an event's sum at its position only, not down its chain of gates",
         "bzloop/nq.py",
-        "chain = (1 << i + 1) - (1 << (~gates[f] & (1 << i) - 1).bit_length())",
-        "chain = 1 << i",
+        "chain = (2 << e) - (8 << (~gate & lane & (1 << e) - 1).bit_length()) & lane",
+        "chain = 1 << e",
         ("tests/test_engine.py::test_the_packed_planes_hold_the_table_loops_frontier_entries",),
     ),
     Mutant(
         "packed Jacobi rows read position j from the unmirrored plane",
         "bzloop/nq.py",
-        "for q, w in enumerate(mirrored[2 * t + a]):",
-        "for q, w in enumerate(planes[2 * t + a]):",
+        "w = plane >> shift and _mirror(plane >> shift, half)",
+        "w = plane >> shift",
+        ("tests/test_engine.py::test_the_packed_rows_span_the_table_loops_rows",),
+    ),
+    Mutant(
+        "packed mirror keeps lanes 1 and 2 in place",
+        "bzloop/nq.py",
+        "_SWAP12 = [v & 9 | (v & 2) << 1 | (v & 4) >> 1 for v in range(16)]",
+        "_SWAP12 = list(range(16))",
         ("tests/test_engine.py::test_the_packed_rows_span_the_table_loops_rows",),
     ),
     Mutant(

@@ -25,7 +25,7 @@ from bzloop.algebra import (
 )
 from bzloop.bl import centralizer_sequence, construct_bl, presentation_R
 from bzloop.gf2 import EchelonBasis, echelonize, kernel
-from bzloop.nq import Presentation, _algebra, _cuts, _interleave, _read, _table_cuts, nq_compute
+from bzloop.nq import Presentation, _algebra, _cuts, _interleave, _Masks, _mirror, _read, _table_cuts, nq_compute
 from bzloop.oracle import ORACLE_MAX_CLASS, free_nq_oracle, witt_dimension
 from bzloop.words import X, Y, Z, make_word, parse_word, word_from_letters
 
@@ -463,6 +463,67 @@ def test_interleave_matches_the_bitwise_reference(width, int_str_limit_640):
 # -- the packed loop ----------------------------------------------------------
 
 
+def _lanes_reference(planes: list[int], positions: int) -> dict[tuple[int, int, int], int]:
+    """Bit k of the entry of family f at position i, for each (i, f, k), read one binary digit at a time."""
+    digits = [format(plane, "b").zfill(4 * positions)[::-1] for plane in planes]
+    return {(i, f, k): int(d[4 * i + f]) for i in range(positions) for f in range(4) for k, d in enumerate(digits)}
+
+
+@pytest.mark.parametrize("width", [1, 2, 63, 64, 65, 5000])
+def test_mirror_and_read_match_the_bitwise_reference(width, int_str_limit_640):
+    """A lane plane of `width` positions: the mirror sends family (a, b) at i to (b, a) at width - 1 - i."""
+    rng = random.Random(width)
+    ones = (1 << 4 * width) - 1
+    for planes in [[rng.getrandbits(4 * width) for _ in range(4)] for _ in range(2)] + [[0, ones, 1, ones ^ 1]]:
+        want = _lanes_reference(planes, width)
+        got = {(i, f, k): _read(planes, 4 * i + f) >> k & 1 for i in range(width) for f in range(4) for k in range(4)}
+        assert got == want, f"width {width}: read"
+        mirrored = _lanes_reference([_mirror(plane, width - 1) for plane in planes], width)
+        for (i, f, k), bit in want.items():
+            assert mirrored[width - 1 - i, 2 * (f & 1) + (f >> 1), k] == bit, f"width {width}: mirror of {(i, f, k)}"
+
+
+@pytest.mark.parametrize("g,h,bound", [(2, 1, 130), (4, 1, 200), (3, 2, 160)])
+def test_the_lane_masks_match_the_bitwise_reference(g, h, bound):
+    """Each mask of `_Masks`, built a degree at a time, holds in each lane what its docstring says of that family.
+
+    The masks are replayed over M up to `bound` as the packed loop builds
+    them, then compared lane by lane with the definitions and the action.
+    """
+    M = nq_compute(presentation_R(g, h), bound)
+    dims, basis, action = M.dims, M.basis, M.action
+    n = bound - 1
+    masks = _Masks()
+    for d in range(1, n):
+        masks.add_row(d, dims[d + 1], action[d])
+        masks.add_column(basis[d + 1], action[d])
+    got = {name: getattr(masks, name) for name in ("rows", "cols", "same", "gen")}
+    got.update({f"{name}{k}": getattr(masks, name)[k] for name in ("own", "other", "rown", "rother") for k in (0, 1)})
+    want = dict.fromkeys(got, 0)
+    for i in range(n + 1):
+        for f in range(4):
+            a, b = f >> 1, f & 1
+            bit = 1 << 4 * i + f
+            # by row degree i: the widths of degrees 2 .. n, the action of degrees 1 .. n - 1
+            want["rows"] |= bit * (2 <= i <= n and a < dims[i])
+            if 1 <= i < n and a < dims[i]:
+                for k in (0, 1):
+                    want[f"own{k}"] |= bit * (action[i][a][k] >> a & 1)
+                    want[f"other{k}"] |= bit * (action[i][a][k] >> 1 - a & 1)
+            # by column degree j = n + 1 - i, 2 .. n, and the action of degree j - 1
+            j = n + 1 - i
+            if 2 <= j <= n and b < dims[j]:
+                p, gen = basis[j][b]
+                want["cols"] |= bit
+                want["same"] |= bit * (p == b)
+                want["gen"] |= bit * gen
+            if 1 <= j - 1 < n and b < dims[j - 1]:
+                for k in (0, 1):
+                    want[f"rown{k}"] |= bit * (action[j - 1][b][k] >> b & 1)
+                    want[f"rother{k}"] |= bit * (action[j - 1][b][k] >> 1 - b & 1)
+    assert got == want
+
+
 def _without_relator(g: int, h: int, weight: int) -> Presentation:
     """R(g, h) without its relator of the given weight: 1 or 2 wide below that degree, wider from it on."""
     relators = presentation_R(g, h).relators
@@ -470,7 +531,7 @@ def _without_relator(g: int, h: int, weight: int) -> Presentation:
 
 
 # degree 7 of the first is 4 wide: the packed loop cuts degrees 3 to 7 and hands over;
-# degree 69 of the second is 3 wide: the default loop packs at 64 and hands over after 69
+# degree 69 of the second is 3 wide: the default loop packs at PACK_FROM and hands over after 69
 HANDOVER_CASES = [
     ("y^2; x^2 y^3 z; x z y", Presentation(map(parse_word, ["y^2", "x^2 y^3 z", "x z y"])), 12),
     ("R(4,1) without its weight-69 relator", _without_relator(4, 1, 69), 80),
@@ -555,9 +616,14 @@ def _table_frontiers(table, s, lowest):
 
 
 def _packed_frontiers(R, planes, s):
-    """The entries (i, a, b) of a packed slice s, positions 2 .. s - 2, read from its planes."""
+    """The entries (i, a, b) of a packed slice s, positions 2 .. s - 2, read from its lanes in the table loop's order.
+
+    Plane 2w + g holds the bit the table loop keeps at w + g * D; the entry
+    of family (a, b) at position i is bit 4i + 2a + b of the planes.
+    """
+    split = planes[0::2] + planes[1::2]
     return {
-        (i, a, b): _read(planes[2 * a + b], i)
+        (i, a, b): _read(split, 4 * i + 2 * a + b)
         for i in range(2, s - 1)
         for a in range(len(R[i]))
         for b in range(len(R[s - i]))
@@ -647,7 +713,8 @@ def test_the_packed_loop_maps_no_slice_of_its_top_degree():
     """Run to class 48, the packed loop maps the slices of degrees 2 to 47 through their cuts, and not 48.
 
     Slice 2 comes from the table loop, with its table; the default loop to
-    192 on R(4,1) likewise maps slice 64, and then slices 65 to 191.
+    192 on R(4,1) likewise maps slice PACK_FROM, and then the slices above
+    it up to 191.
     """
     true_planes = nq._true_planes
     mapped = []

@@ -32,7 +32,7 @@ whole word.
 
 import functools
 import random
-from itertools import groupby, product
+from itertools import combinations, combinations_with_replacement, groupby, product
 from unittest import mock
 
 import jacobi_agree
@@ -43,6 +43,7 @@ from hypothesis import example, given, strategies as st
 from bzloop.algebra import (
     GENERATORS,
     GradedAlgebra,
+    _instances,
     _transpose,
     eval_runs,
     graded_center,
@@ -401,6 +402,17 @@ def test_a_wide_algebra_takes_the_row_path(build):
     fresh, row_path, row = jacobi_agree.reports(A)
     assert fresh.ok and row_path
     assert fresh == row
+
+
+@given(st.integers(1, 14), st.data())
+def test_instances_counts_the_squares_pairs_and_triples_one_by_one(bound, data):
+    """The closed form of `checked` equals a count of the squares, pairs and 3-multisets themselves."""
+    dims = [0] + data.draw(st.lists(st.integers(0, 5), min_size=bound, max_size=bound))
+    degrees = [d for d in range(1, bound + 1) for _ in range(dims[d])]
+    squares = sum(2 * d <= bound for d in degrees)
+    pairs = sum(d + e <= bound for d, e in combinations(degrees, 2))
+    triples = sum(sum(t) <= bound for t in combinations_with_replacement(degrees, 3))
+    assert _instances(dims, bound) == squares + pairs + triples
 
 
 @given(st.sampled_from([8, 16, 64]), st.data())
