@@ -109,7 +109,7 @@ class BracketTable:
         for row, (mx, my) in zip(self.rows[degree], action):
             row[:] = (mx, my)
 
-    def fill(self, s: int, lowest: int = 1, split: int = 0, image: list[int] | None = None) -> None:
+    def fill(self, s: int, lowest: int = 1, split: int = 0) -> None:
         """Fill the rows i = s - 2 down to `lowest` of slice s.
 
         Each block reads the slices below it, the action of degree s - 1
@@ -117,34 +117,22 @@ class BracketTable:
         row s - 2 is self-contained.  A slice that was filled before is
         replaced, so the cut slice can be refilled once the action of
         degree s - 1 changes basis.  A nonzero `split` says that action is
-        the split one, [e(s-1,t), g] = bit t + g * split.  A given `image`
-        says the blocks (i, j) with j >= 2 of slice s - 1 hold masks m whose
-        bracket is image[m]; each block (i, j) with j >= 3 of slice s then
-        reads the mask m of [u, p] through one table built once per call,
-        ``[image, [m << split for m in image]]``.  A split fill looks its
-        first term [[u, p], g] up there; any other fill maps m to image[m],
-        the true [u, p], and walks the action as in any block, which by
-        linearity is the XOR of [e(s-1,k), g] over the bits k of image[m].
+        the split one, [e(s-1,t), g] = bit t + g * split.
         """
         rows, offset = self.rows, self.offset
         act = rows[s - 1]
-        # the true [u, p] and, for [[u, p], g], its shift by g * split
-        lookup = None if image is None else [image, [m << split for m in image]]
         for i in range(s - 2, lowest - 1, -1):
             j = s - i
             below = rows[i + 1]
             start, end = offset[j - 1], offset[j]
             defs = self.defs[j]
-            held = lookup if j > 2 else None  # block (i, 1) is the true action
             for row in rows[i]:
                 del row[end:]
                 for p, g in defs:
                     m = row[start + p]  # [u, p]
                     if split:
-                        out = held[g][m] if held else m << g * split
+                        out = m << g * split
                     else:
-                        if held:
-                            m = held[0][m]  # image[m], walked like any true [u, p]
                         out = 0
                         while m:
                             low = m & -m

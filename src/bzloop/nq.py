@@ -17,9 +17,9 @@ Two loops make the cuts and yield the same tables.  Each yields the
 table after a cut and prepares the slice it just cut only when its
 caller asks for the next degree, so the slice of the caller's last degree
 is never prepared: no later cut reads it.  The default loop, `_cuts`,
-runs the table loop up to degree `PACK_FROM` and then, if every degree
-so far is at most 2 wide, the packed loop, which hands back to the table
-loop at its first cut wider than 2.  Its two callers live here:
+runs the table loop to degree 2 and then the packed loop, which hands
+back to the table loop at its first cut wider than 2.  Its two callers
+live here:
 `nq_compute` stops it at its class bound and keeps only the action rows,
 and `nq_eval` at a word's weight or at the word's first zero prefix.
 `full_jacobi=True` runs the table loop throughout, refilling every block
@@ -43,13 +43,7 @@ the last, a row J(u, v, g) whose [u, g] defined an element t is skipped:
 it repeats the row of t and v one split later.  Once the cut is known,
 the top degree's action is set to the survivor images.  The slice is
 linear in that action, so the image of each frontier entry over the
-survivors is the true bracket.  A narrow cut, of at most `NARROW`
-symbols, keeps slice n + 1 as the frontier fill left it and builds the
-cut's image table of 2^nsym entries, a local of the cut loop; the cut
-of degree n + 2, the one later reader, reads the slice through it, since
-the loop hands it to each of that cut's fills and to its cut-symbol
-rows.  Every cut of R(g, h) with g + h <= 10 is narrow: its degrees past
-the first are 1 or 2 wide.  A wider cut refills the slice from the
+survivors is the true bracket.  The loop refills the slice from the
 survivor images, which makes it the true bracket table of degree n + 1;
 the refilled slice is antisymmetric, so only its blocks (i, j) with
 i >= j are filled and the rest, row 1 aside, are mirrored from them.
@@ -63,8 +57,11 @@ slice n + 1 the entries are masks over the frontier symbols in symbol
 order, [e(n, w), g] at bit 2w + g, so the rows read off the planes go to
 the cut as they are; the table loop's split bit w + g * D is plane
 2w + g.  Position n of slice n + 1 is the frontier action itself, and
-the held slice n is mapped through its cut's images.  The fill rule gives the entry
-(a, b) at position i, column e(j, b) = [e(j - 1, p), g], as the held
+the held slice n is mapped through its cut's images.  The loop starts
+from the table loop's cut of degree 2, whose slice is its action field
+alone; every degree of R(g, h) with g + h <= 10 past the first is 1 or 2
+wide, so the packed loop cuts all the others.  The fill rule gives the
+entry (a, b) at position i, column e(j, b) = [e(j - 1, p), g], as the held
 entry (a, p) at position i moved to generator g plus the entries (t, p)
 at position i + 1 over the bits t of [e(i, a), g].  Where that sum is the
 family's own entry alone, the family is the gated suffix XOR
@@ -105,19 +102,6 @@ from .gf2 import echelonize
 from .words import CommutatorWord
 
 
-# A cut of at most this many frontier symbols keeps its slice in frontier
-# form, read through an image table of 2^nsym entries, instead of refilling it.
-NARROW = 8
-
-# The default loop cuts the degrees up to this one with the table loop and
-# the later ones, while every degree is at most 2 wide, with the packed loop:
-# on CPython 3.11 on a 2-core VM a table cut of degree n costs about
-# 15 + 0.9 n us (29 us over degrees 9-24, 55 us over 25-64), a packed cut
-# about 35 us over degrees 9-24, 40 us over 25-64 and 50 us at 384, and the
-# hand-over 0.05-0.2 ms once.
-PACK_FROM = 24
-
-
 @dataclass(frozen=True)
 class Presentation:
     """Relators (left-normed commutator words) over the fixed generators x, y."""
@@ -147,19 +131,6 @@ def _interleave(lo: int, hi: int) -> int:
     return int(format(lo, "b"), 4) | int(format(hi, "b"), 4) << 1
 
 
-def _image_table(action: list[tuple[int, int]]) -> list[int]:
-    """The image table of a cut: entry m is the XOR of the survivor images of the split bits in m.
-
-    The split symbol t + g * D is [e(n, t), g], whose image over the
-    survivors is ``action[t][g]``, so the table has 2^(2D) entries.
-    """
-    image = [0]
-    for g in (0, 1):
-        for row in action:
-            image += [m ^ row[g] for m in image]
-    return image
-
-
 def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) -> GradedAlgebra:
     """Largest graded quotient of the presentation with the given class bound.
 
@@ -177,14 +148,13 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
     returns the empty cut and every later degree is empty too.
 
     The degrees are cut by `_cuts`, which yields the table after each cut
-    and prepares the slice it just cut, held, refilled or mapped, only
-    when it is asked for the next degree.  `nq_compute` takes class_bound
-    tables from it and asks for no more, so the slice of degree
-    class_bound is never prepared: no later cut reads it, and the result
-    keeps only the action rows.  Up to degree `PACK_FROM`, and after any
-    degree wider than 2, the cuts are the table loop's, to which the
-    arguments below refer; the packed loop's cuts are the same (last
-    paragraph).
+    and prepares the slice it just cut, refilled or mapped, only when it
+    is asked for the next degree.  `nq_compute` takes class_bound tables
+    from it and asks for no more, so the slice of degree class_bound is
+    never prepared: no later cut reads it, and the result keeps only the
+    action rows.  Up to degree 2, and after any degree wider than 2, the
+    cuts are the table loop's, to which the arguments below refer; the
+    packed loop's cuts are the same (last paragraph).
 
     Antisymmetry is imposed by one row only, [x, y] = [y, x] in degree 2;
     in every higher degree each antisymmetry row is a Jacobi row already.
@@ -206,7 +176,7 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
     zero when u = [p, g].
 
     The table loop's default mode builds each bracket and each relation
-    row once.  The seven shortcuts below leave every cut, and so every
+    row once.  The six shortcuts below leave every cut, and so every
     table, unchanged;
     the first also holds in `full_jacobi` mode.  The proofs speak of the
     true table, the one `GradedAlgebra.bracket_table` fills: while degree
@@ -232,8 +202,7 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
     only; this is self-contained, since block (i, j) reads (i + 1, j - 1)
     of its slice, also in that half.  Every block (i, j) with 2 <= i < j
     is then the transpose of block (j, i).  Row 1 is left as it is: by the
-    first, fifth and sixth shortcuts no reader in the default mode reads
-    it.
+    first and fifth shortcuts no reader in the default mode reads it.
 
     No row with two generators is built: each is zero or repeats a row
     the loop builds.  Take J(x, v, y) with v = e(n - 1, b) = [q, g'] and
@@ -268,12 +237,12 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
     J(u, v, g) = F(u; v, g) + [[v, g], u], term by term.  The first term
     of `jacobi_sum` sums [t, g] over t in [u, v]; over the split frontier
     each [t, g] is the bit t + g * D, so it is [u, v] shifted by g * D, the
-    one shift `fill` makes ([u, v] lies in slice n, read through its image
-    table when that slice is held; sixth shortcut).  The third sums [t, v]
-    over t in [g, u], the row-1 entry R[1][g][off[d1] + a] of the true
-    table; F sums over [u, g] = R[d1][a][g] instead, and these are the same
-    mask, because the true table is antisymmetric in degree d1 + 1 <= n;
-    so the loop reads no row 1.
+    one shift `fill` makes ([u, v] lies in slice n, refilled and true).
+    The third sums [t, v] over t in [g, u], the row-1 entry
+    R[1][g][off[d1] + a] of the true table; F sums over [u, g] =
+    R[d1][a][g] instead, and these are the same mask, because the true
+    table is antisymmetric in degree d1 + 1 <= n; so the loop reads no
+    row 1.
     The second sums [e(j, k), u] over the bits k of [v, g], the image of s
     over the survivors of degree j.  If s survived its cut as w = e(j, k),
     defined as [v, g], F is the filled entry [u, w] =
@@ -286,43 +255,6 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
     for bit to its Jacobi sum, `echelonize` receives the same rows in the
     same order, and `jacobi_sum` is left to `full_jacobi` mode and
     `jacobi_check`.
-
-    A narrow cut keeps its slice in frontier form.  When degree n + 1 is
-    cut from nsym <= `NARROW` symbols, slice n + 1 is neither refilled nor
-    mirrored; `_image_table` builds the cut's image table, phi[m] the XOR
-    of the survivor images of the split bits t + g * D in m.  It is a
-    local of the cut loop, not state of the table: the loop hands it to
-    the fills of degree n + 2 as their `image` and reads the cut rows'
-    [u, v] through it.  Every reader then sees the entry the refill would have
-    written:
-    - Linearity, both halves.  Each block (i, j) of slice n + 1 with
-      i, j >= 2 is, by the fill rule, a sum of action entries [e(n, t), g]
-      with coefficients from the slices below (read true: through phi of
-      slice n when that one is held, by induction).  The frontier fill
-      evaluates it at the split action, where [e(n, t), g] is the bit
-      t + g * D, and the refill at the survivor images, where it is the
-      image of that bit.  So phi of the frontier entry is the refilled
-      entry, in every block the frontier fill computes: the rows i >= 2,
-      blocks with i >= j and with i < j alike.  In a block with i < j the
-      fill rule gives the transpose the mirror would write, because the
-      refilled slice is antisymmetric (second shortcut).
-    - The action block.  Block (n, 1) is excluded: after the cut it holds
-      the true action rows, the survivor images, never a frontier mask.
-      So a reader maps only blocks (i, j) with j >= 2 through phi.
-    - The readers.  The cut of degree n + 1 reads, besides the action
-      blocks, only slices n and n + 1: the frontier fill reads [u, p] in
-      slice n and slice n + 1 itself, a Jacobi row reads [u, v] in slice
-      n and the rest in slice n + 1, alternation and the survivors' rows
-      read slice n + 1, and the relator rows read only action rows.  So
-      slice n + 1 is read once more, by the cut of degree n + 2, through
-      phi: the frontier fill's term [u, p] (block (i, j - 1), j - 1 >= 2)
-      and the cut row's term [[u, v], g] (v of degree d2 >= 2).  When that
-      cut is wide, its refill maps the same [u, p] through phi too, and
-      then walks the true action of degree n + 1 as for any other block.
-      Later cuts read only its action block, which is true.
-    Every cut of R(g, h) with g + h <= 10 has at most 4 symbols (its
-    degrees past the first are 1 or 2 wide), so its default run refills
-    and mirrors no slice.
 
     A row whose [u, g] defines an element repeats a pair row one split
     later.  Take J(u, v, g) with u = e(d1, a), v = e(d2, b), d1 + d2 = n
@@ -363,9 +295,9 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
     w + g * D, and that bijection commutes with the fill rule's XORs and
     shifts.  Both evaluate the fill rule at the same action: the packed
     loop's first term is the held entry (a, p) moved to generator g, which
-    is the table loop's image table applied to the frontier entry [u, p]
-    and then shifted by g * D (the held planes are the frontier planes
-    mapped through the same survivor images, by linearity entry by entry);
+    is the table loop's refilled entry [u, p] shifted by g * D (the held
+    planes are the frontier planes mapped through the same survivor images,
+    which by linearity, entry by entry, is what the refill computes);
     its second term sums the same entries of position i + 1 over the same
     action bits, by doubling along a family where only the family's own
     entry is read and at an event otherwise, each event solved after every
@@ -379,7 +311,7 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
     rows, and for each split d1 and symbol 2b + g of each u the row
     F(u; v, g) + [[v, g], u], equal to [u, w] + [w, u] where the symbol
     survived as w (fifth shortcut).  The packed loop builds these rows for
-    every u and symbol, the skipped ones too, which by the seventh
+    every u and symbol, the skipped ones too, which by the sixth
     shortcut are 0 or repeats; and it hands `echelonize` a basis of their
     span rather than the rows.  The span is the table loop's, so the
     reduced echelon form, the pivots, the survivor images and the table
@@ -425,17 +357,15 @@ def _cuts(pres: Presentation, full_jacobi: bool = False) -> Iterator[BracketTabl
     of degree d are not set.  The slice of degree d is prepared only when
     the caller asks for the next degree, so a caller that stops at degree c
     prepares no slice of degree c.  The same table is yielded each time and
-    changes as the loop goes on.  The table loop cuts up to degree
-    `PACK_FROM`; then, unless `full_jacobi` is set or some degree is wider
-    than 2, the packed loop takes its table and goes on.
+    changes as the loop goes on.  The table loop cuts degree 2; then,
+    unless `full_jacobi` is set, the packed loop takes its table and goes
+    on.
     """
     cuts = _table_cuts(pres, full_jacobi)
-    for table in islice(cuts, PACK_FROM):
-        yield table
-    if full_jacobi or any(len(layer) > 2 for layer in table.defs):
-        yield from cuts
-    else:
-        yield from _packed_cuts(pres, table)
+    yield next(cuts)
+    table = next(cuts)
+    yield table
+    yield from cuts if full_jacobi else _packed_cuts(pres, table)
 
 
 def _relators_by_weight(pres: Presentation) -> dict[int, list[CommutatorWord]]:
@@ -564,9 +494,10 @@ class _Masks:
 def _packed_cuts(pres: Presentation, table: BracketTable) -> Iterator[BracketTable]:
     """The packed loop: slices n and n + 1 as bit planes while every degree is at most 2 wide.
 
-    It goes on from a table the table loop has just cut, from degree 2
-    up, every degree at most 2 wide: it packs that table's frontier slice
-    and from then on keeps only definitions and action rows in the table.
+    It goes on from the table the table loop has just cut at degree 2, at
+    most 1 wide, and from then on keeps only definitions and action rows
+    in the table.  At its first cut wider than 2 it writes the cut slice,
+    mapped through the cut, into the table and hands it to the table loop.
     Position i of slice s is its field (i, s - i).  The entry
     [e(i, a), e(s - i, b)] belongs to family f = 2a + b, and plane k of a
     slice holds bit k of every entry, the entry of family f at position i
@@ -580,15 +511,11 @@ def _packed_cuts(pres: Presentation, table: BracketTable) -> Iterator[BracketTab
     """
     by_weight = _relators_by_weight(pres)
     R, defs = table.rows, table.defs
-    top = len(R) - 1  # the degree last cut
     masks = _Masks()
-    for d in range(1, top):
-        masks.add_row(d, len(defs[d + 1]), R[d])
-        if d > 1:
-            masks.add_column(defs[d], R[d - 1])
-    held = _true_planes(_pack(table), [(row[0], row[1]) for row in R[top - 1]], len(R[top]))
+    masks.add_row(1, len(defs[2]), R[1])
+    held = _true_planes([16, 32, 64, 128], R[1], len(R[2]))  # slice 2 is its action field, [e(1, a), b] at 4 + 2a + b
 
-    for n in count(top):
+    for n in count(2):
         D = len(R[n])
         masks.add_column(defs[n], R[n - 1])
         planes, rows = [], []
@@ -605,12 +532,12 @@ def _packed_cuts(pres: Presentation, table: BracketTable) -> Iterator[BracketTab
         yield table
 
         # the caller asks for degree n + 2, whose cut reads slice n + 1
+        held = _true_planes(planes, action, len(new))
         if len(new) > 2:  # hand over to the table loop
-            _unpack(table, planes, n)
-            yield from _table_cuts(pres, table=table, image=_image_table(action))
+            _unpack(table, held, n)
+            yield from _table_cuts(pres, table=table)
             return
         masks.add_row(n, len(new), action)
-        held = _true_planes(planes, action, len(new))
 
 
 def _fill_planes(n, R, defs, held, masks: _Masks) -> list[int]:
@@ -740,52 +667,28 @@ def _true_planes(planes: list[int], action: list[tuple[int, int]], width: int) -
     return true
 
 
-def _pack(table: BracketTable) -> list[int]:
-    """The planes of the frontier slice the table loop has just cut, the last degree at most 2 wide.
-
-    The table's entries are over the split symbols, [e(n - 1, w), g] at
-    bit w + g * D; the planes take them in symbol order, plane 2w + g.
-    """
-    R, off = table.rows, table.offset
-    n = len(R) - 1
-    D = len(R[n - 1])
-    planes = [1 << 4 * n - 4 + f for f in range(2 * D)]  # the action field: [e(n - 1, a), b] is symbol 2a + b
-    for i in range(2, n - 1):
-        j = n - i
-        for a, row in enumerate(R[i]):
-            for b in range(len(R[j])):
-                m = row[off[j] + b]
-                m = _interleave(m & (1 << D) - 1, m >> D)  # into symbol order
-                while m:
-                    low = m & -m
-                    planes[low.bit_length() - 1] |= 1 << 4 * i + 2 * a + b
-                    m ^= low
-    return planes
-
-
 def _unpack(table: BracketTable, planes: list[int], n: int) -> None:
-    """Write the frontier slice n + 1 into the table's rows, for the table loop.
+    """Write the cut slice n + 1, the planes of its true entries, into the table's rows, for the table loop.
 
     Each row of degree i gets zeros up to the block of degree n + 1 - i,
     then that block; no later cut reads a block of an older slice.
     """
     R, off = table.rows, table.offset
-    split = planes[0::2] + planes[1::2]  # [e(n, w), g] at bit w + g * D, the table loop's order
     for i in range(2, n):
         j = n + 1 - i
         for a, row in enumerate(R[i]):
             row += [0] * (off[j] - len(row))
-            row += [_read(split, 4 * i + 2 * a + b) for b in range(len(R[j]))]
+            row += [_read(planes, 4 * i + 2 * a + b) for b in range(len(R[j]))]
 
 
 def _table_cuts(
-    pres: Presentation, full_jacobi: bool = False, table: BracketTable | None = None, image: list[int] | None = None
+    pres: Presentation, full_jacobi: bool = False, table: BracketTable | None = None
 ) -> Iterator[BracketTable]:
     """The table loop: every slice in one `BracketTable`.
 
     `full_jacobi` runs it from degree 1; the packed loop hands it the
-    table it has yielded, its frontier slice written into the rows, and
-    the image table of that slice, and the loop goes on from there.
+    table it has yielded, its cut slice written into the rows as true
+    brackets, and the loop goes on from there.
     """
     by_weight = _relators_by_weight(pres)
     if table is None:
@@ -803,14 +706,12 @@ def _table_cuts(
         for k, (p, g) in enumerate(table.defs[d]):
             survivor[2 * p + g] = k
         survivors.append(survivor)
-    # image: the image table of slice n while that slice is held in frontier form
 
     for n in count(len(R) - 1):
         D = len(R[n])
-        nsym = 2 * D
         # the split frontier: the symbol (w, g) is bit w + g * D until the cut
         table.set_action(n, [(1 << w, 1 << w + D) for w in range(D)])
-        table.fill(n + 1, 2, split=D, image=image)  # no relation row reads row 1
+        table.fill(n + 1, 2, split=D)  # no relation row reads row 1
 
         rows = []
 
@@ -869,8 +770,7 @@ def _table_cuts(
                             continue
                         b, g = s >> 1, s & 1
                         c = vcol + b
-                        uv = urow[c] if image is None else image[urow[c]]  # [u, v]
-                        out = uv << g * D  # [[u, v], g]
+                        out = urow[c] << g * D  # [[u, v], g]
                         m = urow[g]  # [[u, g], v]
                         while m:
                             low = m & -m
@@ -887,8 +787,8 @@ def _table_cuts(
         # frontier symbols through the top degree's action
         rows += [eval_runs(R, r.runs(), n + 1) for r in by_weight.get(n + 1, ())]
         low = (1 << D) - 1  # into symbol order
-        defs, action = _cut(table, n, [_interleave(r & low, r >> D) for r in dict.fromkeys(rows) if r])
-        survivor = [-1] * nsym
+        defs, _ = _cut(table, n, [_interleave(r & low, r >> D) for r in dict.fromkeys(rows) if r])
+        survivor = [-1] * (2 * D)
         for k, (p, g) in enumerate(defs):
             survivor[2 * p + g] = k
         survivors.append(survivor)
@@ -897,9 +797,6 @@ def _table_cuts(
         # the caller asks for degree n + 2, whose cut reads slice n + 1
         if full_jacobi:
             table.fill(n + 1)
-        elif nsym <= NARROW:  # keep the frontier slice, read through its image table
-            image = _image_table(action)
         else:  # the cut slice is antisymmetric: fill the blocks i >= j, mirror the rest
-            table.fill(n + 1, (n + 2) // 2, image=image)
+            table.fill(n + 1, (n + 2) // 2)
             table.mirror(n + 1)
-            image = None  # slice n + 1 is true

@@ -54,44 +54,9 @@ MUTANTS = (
     Mutant(
         "frontier shift by D - 1",
         "bzloop/algebra.py",
-        "else m << g * split",
-        "else m << g * (split - 1)",
+        "out = m << g * split",
+        "out = m << g * (split - 1)",
         ("tests/test_engine.py::test_frontier_shift_equals_the_generic_loop",),
-    ),
-    Mutant(
-        "frontier fill reads a frontier-form slice without its image table",
-        "bzloop/algebra.py",
-        "held = lookup if j > 2 else None",
-        "held = None",
-        ("tests/test_engine.py::test_jacobi_modes_agree",),
-    ),
-    Mutant(
-        "walk-mode fill reads a held slice without its image",
-        "bzloop/algebra.py",
-        "m = held[0][m]",
-        "m = m",
-        ("tests/test_refs.py::test_wide_nq_table_bytes_are_frozen",),
-    ),
-    Mutant(
-        "image table applied to the action block (i, 1)",
-        "bzloop/algebra.py",
-        "held = lookup if j > 2 else None",
-        "held = lookup if j > 1 else None",
-        ("tests/test_engine.py::test_jacobi_modes_agree",),
-    ),
-    Mutant(
-        "image table built with the x and y images swapped",
-        "bzloop/nq.py",
-        "for g in (0, 1):\n        for row in action:",
-        "for g in (1, 0):\n        for row in action:",
-        ("tests/test_engine.py::test_jacobi_modes_agree",),
-    ),
-    Mutant(
-        "refill after a held cut gets no image",
-        "bzloop/nq.py",
-        "table.fill(n + 1, (n + 2) // 2, image=image)",
-        "table.fill(n + 1, (n + 2) // 2)",
-        ("tests/test_refs.py::test_wide_nq_table_bytes_are_frozen",),
     ),
     Mutant(
         "interleave halves swapped",
@@ -201,15 +166,8 @@ MUTANTS = (
     Mutant(
         "cut-symbol row shifted by (1 - g) * D",
         "bzloop/nq.py",
-        "out = uv << g * D  # [[u, v], g]",
-        "out = uv << (1 - g) * D  # [[u, v], g]",
-        ("tests/test_engine.py::test_nq_default_rows_are_the_jacobi_sums",),
-    ),
-    Mutant(
-        "cut-symbol row reads [u, v] without the image table",
-        "bzloop/nq.py",
-        "uv = urow[c] if image is None else image[urow[c]]  # [u, v]",
-        "uv = urow[c]  # [u, v]",
+        "out = urow[c] << g * D  # [[u, v], g]",
+        "out = urow[c] << (1 - g) * D  # [[u, v], g]",
         ("tests/test_engine.py::test_nq_default_rows_are_the_jacobi_sums",),
     ),
     Mutant(
@@ -224,14 +182,14 @@ MUTANTS = (
         "bzloop/nq.py",
         "defines = survivors[d1 + 1] if 2 * d1 + 2 <= n else None",
         "defines = survivors[d1 + 1] if 2 * d1 + 1 <= n else None",
-        ("tests/test_engine.py::test_presentation_dims_frozen", "tests/test_analyze.py::test_minimum_bound_passes"),
+        ("tests/test_engine.py::test_the_packed_the_table_and_the_default_loop_agree",),
     ),
     Mutant(
         "Jacobi loop skips the rows of a defining [u, g] at every split",
         "bzloop/nq.py",
         "defines = survivors[d1 + 1] if 2 * d1 + 2 <= n else None",
         "defines = survivors[d1 + 1]",
-        ("tests/test_engine.py::test_presentation_dims_frozen", "tests/test_analyze.py::test_minimum_bound_passes"),
+        ("tests/test_engine.py::test_the_packed_the_table_and_the_default_loop_agree",),
     ),
     Mutant(
         "packed fill drops its last doubling round",
@@ -273,7 +231,21 @@ MUTANTS = (
         "bzloop/nq.py",
         "        if len(new) > 2:  # hand over to the table loop",
         "        if D > 2:  # hand over to the table loop",
-        ("tests/test_engine.py::test_the_packed_loop_hands_over_at_its_first_wide_cut",),
+        ("tests/test_refs.py::test_wide_nq_table_bytes_are_frozen",),
+    ),
+    Mutant(
+        "hand-over unpacks the frontier planes, not the true ones",
+        "bzloop/nq.py",
+        "_unpack(table, held, n)",
+        "_unpack(table, planes, n)",
+        ("tests/test_engine.py::test_the_hand_over_leaves_the_table_loop_a_true_slice",),
+    ),
+    Mutant(
+        "packed loop starts with degree 2 left out of its masks",
+        "bzloop/nq.py",
+        "masks.add_row(1, len(defs[2]), R[1])",
+        "masks.add_row(1, 0, R[1])",
+        ("tests/test_engine.py::test_the_packed_rows_span_the_table_loops_rows",),
     ),
     Mutant(
         "annihilator without its modulo",
@@ -364,20 +336,14 @@ MUTANTS = (
         "bzloop/nq.py",
         "        yield table\n\n        # the caller asks for degree n + 2, whose cut reads slice n + 1\n"
         "        if full_jacobi:\n            table.fill(n + 1)\n"
-        "        elif nsym <= NARROW:  # keep the frontier slice, read through its image table\n"
-        "            image = _image_table(action)\n"
         "        else:  # the cut slice is antisymmetric: fill the blocks i >= j, mirror the rest\n"
-        "            table.fill(n + 1, (n + 2) // 2, image=image)\n"
-        "            table.mirror(n + 1)\n"
-        "            image = None  # slice n + 1 is true\n",
+        "            table.fill(n + 1, (n + 2) // 2)\n"
+        "            table.mirror(n + 1)\n",
         "        # the caller asks for degree n + 2, whose cut reads slice n + 1\n"
         "        if full_jacobi:\n            table.fill(n + 1)\n"
-        "        elif nsym <= NARROW:  # keep the frontier slice, read through its image table\n"
-        "            image = _image_table(action)\n"
         "        else:  # the cut slice is antisymmetric: fill the blocks i >= j, mirror the rest\n"
-        "            table.fill(n + 1, (n + 2) // 2, image=image)\n"
+        "            table.fill(n + 1, (n + 2) // 2)\n"
         "            table.mirror(n + 1)\n"
-        "            image = None  # slice n + 1 is true\n"
         "        yield table\n",
         ("tests/test_engine.py::test_nq_prepares_no_slice_of_its_top_degree",),
     ),

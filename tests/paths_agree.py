@@ -1,16 +1,14 @@
-"""Path agreement: the packed and the table cut loops give the same tables, byte for byte.
+"""Path agreement: the default and the table cut loops give the same tables, byte for byte.
 
 For every admissible R(g, h) with g + h <= 9 at its default bound m + 2d,
 and for the wide-nq presentations of the benchmark's seeds 1 and 2 at its
-class 14, the script runs the cut loops of `bzloop.nq` to the bound and
+class 14, the script runs the two cut loops of `bzloop.nq` to the bound and
 compares the JSON bytes of the quotients they give:
 
 - `_table_cuts`, the table loop alone;
-- `packed_cuts`, the packed loop from degree 3 on, handed the table of
-  degree 2; it hands back to the table loop at its first cut wider
-  than 2;
-- `_cuts`, the default loop: the table loop up to degree `PACK_FROM`, then
-  the packed loop while every degree is at most 2 wide.
+- `_cuts`, the default loop: the table loop cuts degree 2, then the packed
+  loop cuts from degree 3 on and hands back to the table loop at its first
+  cut wider than 2.
 
 Run it from anywhere (the g + h = 9 pairs take several seconds each on the
 table loop)::
@@ -73,25 +71,14 @@ def wide_cases() -> list[tuple[str, nq.Presentation, int]]:
     return cases
 
 
-def packed_cuts(pres: nq.Presentation):
-    """The packed loop from degree 3 on: the table loop cuts degree 2, at most 1 wide, and hands over its table."""
-    cuts = nq._table_cuts(pres)
-    yield next(cuts)
-    table = next(cuts)
-    yield table
-    yield from nq._packed_cuts(pres, table)
-
-
 def _bytes(table, bound: int) -> bytes:
     return json.dumps(nq._algebra(table, bound).to_json_dict()).encode()
 
 
 def agree(pres: nq.Presentation, bound: int) -> str | None:
-    """None when the three loops give the same quotient at `bound`, else which loop differs."""
-    loops = {"table": nq._table_cuts, "packed": packed_cuts, "default": nq._cuts}
-    got = {name: _bytes(next(islice(cuts(pres), bound - 1, None)), bound) for name, cuts in loops.items()}
-    bad = [name for name in ("packed", "default") if got[name] != got["table"]]
-    return f"the {' and '.join(bad)} loop differs from the table loop" if bad else None
+    """None when the two loops give the same quotient at `bound`, else a message that they differ."""
+    table, default = (_bytes(next(islice(loop(pres), bound - 1, None)), bound) for loop in (nq._table_cuts, nq._cuts))
+    return None if default == table else "the default loop differs from the table loop"
 
 
 def main() -> int:

@@ -1,6 +1,5 @@
 """Graded algebra engine: nilpotent quotients, brackets, centers, quotients."""
 
-import copy
 import random
 import sys
 from itertools import islice
@@ -33,11 +32,6 @@ from bzloop.words import X, Y, Z, make_word, parse_word, word_from_letters
 def _table_quotient(pres: Presentation, bound: int, full_jacobi: bool = False) -> GradedAlgebra:
     """`nq_compute` on the table loop alone."""
     return _algebra(next(islice(_table_cuts(pres, full_jacobi), bound - 1, None)), bound)
-
-
-def _packed_quotient(pres: Presentation, bound: int) -> GradedAlgebra:
-    """`nq_compute` on the packed loop from degree 3, which hands over to the table loop at its first wide cut."""
-    return _algebra(next(islice(paths_agree.packed_cuts(pres), bound - 1, None)), bound)
 
 
 @pytest.fixture(scope="module")
@@ -94,8 +88,8 @@ def _free_killed_at(t: int) -> Presentation:
     return Presentation(map(parse_word, nq_compute(Presentation(()), t).labels[t]))
 
 
-# degree 5 dies after a cut of 6 symbols, whose slice is held; degree 8 after
-# one of 36, whose slice is refilled (the random cases die at degree 2 if at all)
+# degree 5 dies after a cut of 6 symbols, degree 8 after one of 36, both cut by the
+# table loop (the random cases die at degree 2 if at all)
 ANTISYMMETRY_CASES = (
     [("R(2,1)", presentation_R(2, 1), 48), ("R(3,1)", presentation_R(3, 1), 96)]
     + [("R(2,2)", presentation_R(2, 2), 100), ("free", Presentation(()), 10)]
@@ -188,7 +182,7 @@ def test_nq_default_mode_calls_no_jacobi_sum(name, pres, bound):
     """The default loop builds every Jacobi row in place; only `full_jacobi` mode calls `jacobi_sum`."""
     with mock.patch("bzloop.nq.jacobi_sum", wraps=jacobi_sum) as counted:
         nq_compute(pres, bound)
-        _packed_quotient(pres, bound)
+        _table_quotient(pres, bound)
     assert counted.call_count == 0
     with mock.patch("bzloop.nq.jacobi_sum", wraps=jacobi_sum) as counted:
         nq_compute(pres, bound, full_jacobi=True)
@@ -235,21 +229,21 @@ def _jacobi_sum_default_rows(table, pres: Presentation, basis) -> tuple[list[int
 def test_nq_default_rows_are_the_jacobi_sums(name, pres, bound):
     """At each cut `echelonize` receives the rows `jacobi_sum` gives over the same frontier slice, in order.
 
-    `nq_compute`'s own table holds narrow slices below n + 1 in frontier
-    form and no row 1, so the sums read the lower slices and row 1 from the
-    returned algebra's table and slice n + 1 from a copy taken at the cut.
-    The inline rows of cut symbols are then checked on tables where some
-    symbols are cut and some survive.  Every triple the loop skips, because
-    its [u, g] defines an element, has a Jacobi sum that is 0 or one of the
-    rows of the same cut (seventh shortcut of `nq_compute`).
+    The table loop's own table holds no row 1 past the action, so the sums
+    read the lower slices and row 1 from the returned algebra's table and
+    slice n + 1 from a copy taken at the cut.  The inline rows of cut
+    symbols are then checked on tables where some symbols are cut and some
+    survive.  Every triple the loop skips, because its [u, g] defines an
+    element, has a Jacobi sum that is 0 or one of the rows of the same cut
+    (sixth shortcut of `nq_compute`).
     """
     fill = BracketTable.fill
     frontier = []
 
-    def recording_fill(table, s, lowest=1, split=0, image=None):
+    def recording_fill(table, s, lowest=1, split=0):
         if split:
             frontier.append(table)
-        fill(table, s, lowest, split, image)
+        fill(table, s, lowest, split)
 
     cuts = []
 
@@ -285,18 +279,18 @@ NARROW_CASES = [(2, 1, 48), (3, 1, 96)]
 
 @pytest.mark.parametrize("g,h,bound", NARROW_CASES, ids=[f"R({g},{h})@{c}" for g, h, c in NARROW_CASES])
 def test_nq_refills_no_narrow_slice(g, h, bound):
-    """Every cut of R(g, h) has at most 4 symbols: the default mode refills and mirrors no slice.
+    """Every cut of R(g, h) has at most 4 symbols: the default mode fills no table slice past slice 2 and mirrors none.
 
-    It keeps each cut slice in frontier form and reads it through the cut's
-    image table; `full_jacobi` still refills every slice below the last.
+    The table loop fills slice 2 to cut degree 2, and the packed loop cuts
+    every later degree off its planes; `full_jacobi` still fills every
+    frontier slice and refills every slice below the last.
     """
     fill, mirror = BracketTable.fill, BracketTable.mirror
     calls = []
 
-    def recording_fill(table, s, lowest=1, split=0, image=None):
-        if not split:
-            calls.append(("fill", s))
-        fill(table, s, lowest, split, image)
+    def recording_fill(table, s, lowest=1, split=0):
+        calls.append(("frontier" if split else "fill", s))
+        fill(table, s, lowest, split)
 
     def recording_mirror(table, s):
         calls.append(("mirror", s))
@@ -306,15 +300,16 @@ def test_nq_refills_no_narrow_slice(g, h, bound):
     with mock.patch.object(BracketTable, "fill", recording_fill), mock.patch.object(
         BracketTable, "mirror", recording_mirror
     ):
-        A = _table_quotient(pres, bound)
-        assert calls == []
+        A = nq_compute(pres, bound)
+        assert calls == [("frontier", 2)]
+        calls.clear()
         F = nq_compute(pres, bound, full_jacobi=True)
     assert A == F
     assert max(A.dims[1:]) <= 2
-    assert calls == [("fill", s) for s in range(2, bound)]
+    assert calls == [c for s in range(2, bound) for c in (("frontier", s), ("fill", s))] + [("frontier", bound)]
 
 
-# R(2, 1) holds every cut slice; the two wide presentations hold some and refill others
+# R(2, 1) is packed from degree 3 on; the two wide presentations hand over to the table loop
 STEPPER_CASES = [("R(2,1)", presentation_R(2, 1), 48)] + [
     (name, Presentation(map(parse_word, name.split("; "))), 12)
     for name in ("y^2; x^2 y^3 z; x z y", "z y x; y x y z^3 x; y^2")
@@ -330,32 +325,28 @@ def test_each_table_the_cut_loop_yields_is_the_quotient_of_its_degree(name, pres
 
 
 def test_nq_prepares_no_slice_of_its_top_degree():
-    """A run to class 48 builds the image tables of the cuts of degrees 2 to 47 only, and refills no slice.
+    """A run of the table loop to class 48 refills and mirrors the slices of degrees 2 to 47 only.
 
-    The cut loop holds or refills a slice only when its caller asks for the
-    next degree, and `nq_compute` asks for none past its class bound.
+    The cut loop refills a slice only when its caller asks for the next
+    degree, and `nq_compute` asks for none past its class bound.
     """
-    image_table, fill, mirror = nq._image_table, BracketTable.fill, BracketTable.mirror
+    fill, mirror = BracketTable.fill, BracketTable.mirror
     calls = []
 
-    def recording_image_table(action):
-        calls.append("image")
-        return image_table(action)
-
-    def recording_fill(table, s, lowest=1, split=0, image=None):
+    def recording_fill(table, s, lowest=1, split=0):
         if not split:
-            calls.append("refill")
-        fill(table, s, lowest, split, image)
+            calls.append(("refill", s))
+        fill(table, s, lowest, split)
 
     def recording_mirror(table, s):
-        calls.append("refill")
+        calls.append(("mirror", s))
         mirror(table, s)
 
-    with mock.patch.object(nq, "_image_table", recording_image_table), mock.patch.object(
-        BracketTable, "fill", recording_fill
-    ), mock.patch.object(BracketTable, "mirror", recording_mirror):
+    with mock.patch.object(BracketTable, "fill", recording_fill), mock.patch.object(
+        BracketTable, "mirror", recording_mirror
+    ):
         _table_quotient(presentation_R(2, 1), 48)
-    assert (calls.count("image"), calls.count("refill")) == (46, 0)
+    assert calls == [c for s in range(2, 48) for c in (("refill", s), ("mirror", s))]
 
 
 SHIFT_CASES = [c for c in ANTISYMMETRY_CASES if c[0] in ("R(2,1)", "free") or c[0].startswith("random")]
@@ -367,8 +358,8 @@ def test_frontier_shift_equals_the_generic_loop(name, pres, bound):
     fill = BracketTable.fill
     checked = []
 
-    def checked_fill(table, s, lowest=1, split=0, image=None):
-        fill(table, s, lowest, split, image)
+    def checked_fill(table, s, lowest=1, split=0):
+        fill(table, s, lowest, split)
         if not split:
             return
 
@@ -376,55 +367,13 @@ def test_frontier_shift_equals_the_generic_loop(name, pres, bound):
             return [[list(row) for row in table.rows[i]] for i in range(lowest, s - 1)]
 
         shifted = snapshot()
-        fill(table, s, lowest, 0, image)  # the same split action and held slice, read bit by bit
+        fill(table, s, lowest)  # the same split action, read bit by bit
         assert snapshot() == shifted, f"slice {s}"
         checked.append(s)
 
     with mock.patch.object(BracketTable, "fill", checked_fill):
         A = _table_quotient(pres, bound)
     assert checked == [n + 1 for n in range(1, bound) if A.dim(n)]
-
-
-# R(2, 1) holds every cut slice; the two wide presentations hold a cut of 8
-# symbols and refill the next one, so their refill reads a held slice too
-HELD_CASES = [
-    ("R(2,1)@48", presentation_R(2, 1), 48, {"split"}),
-    ("y^2; x^2 y^3 z; x z y", Presentation(map(parse_word, ["y^2", "x^2 y^3 z", "x z y"])), 12, {"split", "walk"}),
-    ("z y x; y x y z^3 x; y^2", Presentation(map(parse_word, ["z y x", "y x y z^3 x", "y^2"])), 12, {"split", "walk"}),
-]
-
-
-@pytest.mark.parametrize("name,pres,bound,modes", HELD_CASES, ids=[c[0] for c in HELD_CASES])
-def test_fill_through_an_image_is_a_fill_of_the_mapped_slice(name, pres, bound, modes):
-    """`fill(s, lowest, split, image)` fills slice s as a plain fill does once slice s - 1 is mapped through `image`.
-
-    At each fill `nq_compute` hands an image table, a copy of the table has
-    its blocks (i, j) with j >= 2 of slice s - 1 replaced by their images;
-    the same fill without `image` on the copy must give the same slice s,
-    in split mode (a frontier fill) and in walk mode (a wide refill).
-    """
-    fill = BracketTable.fill
-    seen = set()
-
-    def checked_fill(table, s, lowest=1, split=0, image=None):
-        if image is None:
-            fill(table, s, lowest, split)
-            return
-        mapped = copy.deepcopy(table)
-        for i in range(1, s - 2):
-            lo, hi = mapped.offset[s - 1 - i], mapped.offset[s - i]
-            for row in mapped.rows[i]:
-                row[lo:hi] = [image[m] for m in row[lo:hi]]
-        fill(mapped, s, lowest, split)
-        fill(table, s, lowest, split, image)
-        for i in range(lowest, s - 1):
-            col = table.offset[s - i]
-            assert [row[col:] for row in table.rows[i]] == [row[col:] for row in mapped.rows[i]], f"slice {s}, row {i}"
-        seen.add("split" if split else "walk")
-
-    with mock.patch.object(BracketTable, "fill", checked_fill):
-        _table_quotient(pres, bound)
-    assert seen == modes
 
 
 def _interleave_reference(lo: int, hi: int, width: int) -> int:
@@ -531,7 +480,7 @@ def _without_relator(g: int, h: int, weight: int) -> Presentation:
 
 
 # degree 7 of the first is 4 wide: the packed loop cuts degrees 3 to 7 and hands over;
-# degree 69 of the second is 3 wide: the default loop packs at PACK_FROM and hands over after 69
+# degree 69 of the second is 3 wide: the packed loop cuts degrees 3 to 69 and hands over
 HANDOVER_CASES = [
     ("y^2; x^2 y^3 z; x z y", Presentation(map(parse_word, ["y^2", "x^2 y^3 z", "x z y"])), 12),
     ("R(4,1) without its weight-69 relator", _without_relator(4, 1, 69), 80),
@@ -555,7 +504,7 @@ PATH_CASES = (
 
 @pytest.mark.parametrize("name,pres,bound", PATH_CASES, ids=[c[0] for c in PATH_CASES])
 def test_the_packed_the_table_and_the_default_loop_agree(name, pres, bound):
-    """The fast cases of tests/paths_agree.py: the three loops give the same quotient, byte for byte."""
+    """The fast cases of tests/paths_agree.py: the two loops give the same quotient, byte for byte."""
     assert paths_agree.agree(pres, bound) is None
     if name.endswith("killed"):
         assert nq_compute(pres, bound).dims[12:] == (0,) * (bound - 11)
@@ -576,7 +525,7 @@ def test_the_packed_loop_hands_over_at_its_first_wide_cut():
         unpack(table, planes, n)
 
     with mock.patch.object(nq, "_fill_planes", recording_fill), mock.patch.object(nq, "_unpack", recording_unpack):
-        A = _packed_quotient(pres, bound)
+        A = nq_compute(pres, bound)
     assert A == _table_quotient(pres, bound)
     wide = min(d for d in range(1, bound + 1) if A.dim(d) > 2)
     assert wide == 7
@@ -584,24 +533,37 @@ def test_the_packed_loop_hands_over_at_its_first_wide_cut():
     assert unpacked == [wide - 1]
 
 
-def test_the_default_loop_packs_at_pack_from_and_hands_over_at_its_first_wide_cut():
+def test_the_default_loop_packs_from_degree_3_and_hands_over_at_its_first_wide_cut():
     name, pres, bound = HANDOVER_CASES[1]
-    pack, unpack = nq._pack, nq._unpack
+    unpack = nq._unpack
     calls = []
-
-    def recording_pack(table):
-        calls.append(("pack", len(table.rows) - 1))
-        return pack(table)
 
     def recording_unpack(table, planes, n):
         calls.append(("unpack", n + 1))
         unpack(table, planes, n)
 
-    with mock.patch.object(nq, "_pack", recording_pack), mock.patch.object(nq, "_unpack", recording_unpack):
+    with mock.patch.object(nq, "_unpack", recording_unpack):
         A = nq_compute(pres, bound)
     assert A == _table_quotient(pres, bound)
-    assert calls == [("pack", nq.PACK_FROM), ("unpack", 69)]
-    assert max(A.dims[: nq.PACK_FROM + 1]) == 2 and A.dim(69) == 3
+    assert calls == [("unpack", 69)]
+    assert max(A.dims[:69]) == 2 and A.dim(69) == 3
+
+
+@pytest.mark.parametrize("name,pres,bound", HANDOVER_CASES, ids=[c[0] for c in HANDOVER_CASES])
+def test_the_hand_over_leaves_the_table_loop_a_true_slice(name, pres, bound):
+    """After the hand-over, rows 2 .. n - 1 of the table's slice n + 1 are the true brackets of the returned algebra."""
+    unpack = nq._unpack
+    slices = []
+
+    def recording_unpack(table, planes, n):
+        unpack(table, planes, n)
+        slices.append((n + 1, _table_frontiers(table, n + 1, 2)))
+
+    with mock.patch.object(nq, "_unpack", recording_unpack):
+        A = nq_compute(pres, bound)
+    [(s, entries)] = slices
+    assert entries == _table_frontiers(A.bracket_table(), s, 2)
+    assert any(entries.values())
 
 
 def _table_frontiers(table, s, lowest):
@@ -643,8 +605,8 @@ def test_the_packed_planes_hold_the_table_loops_frontier_entries(name, pres, bou
     fill, fill_planes = BracketTable.fill, nq._fill_planes
     table_slices, packed_slices = {}, {}
 
-    def recording_fill(table, s, lowest=1, split=0, image=None):
-        fill(table, s, lowest, split, image)
+    def recording_fill(table, s, lowest=1, split=0):
+        fill(table, s, lowest, split)
         if split:
             table_slices[s] = _table_frontiers(table, s, lowest)
 
@@ -656,7 +618,7 @@ def test_the_packed_planes_hold_the_table_loops_frontier_entries(name, pres, bou
     with mock.patch.object(BracketTable, "fill", recording_fill):
         A = _table_quotient(pres, bound)
     with mock.patch.object(nq, "_fill_planes", recording_fill_planes):
-        P = _packed_quotient(pres, bound)
+        P = nq_compute(pres, bound)
     for s, entries in sorted(packed_slices.items()):
         assert entries == table_slices[s], f"slice {s}"
     assert P == A
@@ -673,7 +635,7 @@ def test_the_packed_rows_span_the_table_loops_rows(name, pres, bound):
     makes the same cut.
     """
     spans = {}
-    for name, run in (("table", _table_quotient), ("packed", _packed_quotient)):
+    for name, run in (("table", _table_quotient), ("packed", nq_compute)):
         bases = spans[name] = []
 
         def recording_echelonize(rows, nsym):
@@ -689,7 +651,7 @@ def test_the_packed_rows_span_the_table_loops_rows(name, pres, bound):
 
 @pytest.mark.parametrize("g,h,bound", NARROW_CASES, ids=[f"R({g},{h})@{c}" for g, h, c in NARROW_CASES])
 def test_the_packed_loop_fills_no_table_slice(g, h, bound):
-    """On R(g, h) the packed loop never fills, mirrors or maps a table slice: its slices are planes."""
+    """On R(g, h) the packed loop never fills or mirrors a table slice: its slices are planes."""
     calls = []
 
     def refuse(name):
@@ -699,11 +661,11 @@ def test_the_packed_loop_fills_no_table_slice(g, h, bound):
         return record
 
     pres = presentation_R(g, h)
-    cuts = paths_agree.packed_cuts(pres)
+    cuts = _cuts(pres)
     next(islice(cuts, 1, None))  # degree 2, cut by the table loop
     with mock.patch.object(BracketTable, "fill", refuse("fill")), mock.patch.object(
         BracketTable, "mirror", refuse("mirror")
-    ), mock.patch.object(nq, "_image_table", refuse("image")):
+    ):
         A = _algebra(next(islice(cuts, bound - 3, None)), bound)
     assert calls == []
     assert A == _table_quotient(pres, bound)
@@ -712,9 +674,8 @@ def test_the_packed_loop_fills_no_table_slice(g, h, bound):
 def test_the_packed_loop_maps_no_slice_of_its_top_degree():
     """Run to class 48, the packed loop maps the slices of degrees 2 to 47 through their cuts, and not 48.
 
-    Slice 2 comes from the table loop, with its table; the default loop to
-    192 on R(4,1) likewise maps slice PACK_FROM, and then the slices above
-    it up to 191.
+    Slice 2 comes from the table loop, with its table; to 192 on R(4,1) it
+    likewise maps the slices of degrees 2 to 191.
     """
     true_planes = nq._true_planes
     mapped = []
@@ -724,11 +685,11 @@ def test_the_packed_loop_maps_no_slice_of_its_top_degree():
         return true_planes(planes, action, width)
 
     with mock.patch.object(nq, "_true_planes", recording):
-        _packed_quotient(presentation_R(2, 1), 48)
+        nq_compute(presentation_R(2, 1), 48)
         assert len(mapped) == 46
         mapped.clear()
         nq_compute(presentation_R(4, 1), 192)
-        assert len(mapped) == 192 - nq.PACK_FROM
+        assert len(mapped) == 190
 
 
 # -- bracket consistency -----------------------------------------------------

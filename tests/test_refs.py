@@ -15,14 +15,13 @@ from itertools import islice
 from pathlib import Path
 from unittest import mock
 
-import paths_agree
 import pytest
 
 from bzloop.algebra import quotient, second_center
 from bzloop.analyze import analyze
 from bzloop.bl import bl_params, construct_bl, presentation_R
 from bzloop.gf2 import EchelonBasis
-from bzloop.nq import Presentation, _table_cuts, nq_compute
+from bzloop.nq import Presentation, _cuts, _table_cuts, nq_compute
 from bzloop.words import parse_word
 
 REFS = json.loads((Path(__file__).resolve().parent.parent / "perfbench" / "refs.json").read_text())
@@ -65,8 +64,8 @@ WIDE = {
     ("y x y^3 x y",): "6d1ee5c5bad68e3698e867d087933b0c238120b8d0c8aeb30c6c343c7153ee92",
     ("y x^2 y x^2", "y x y^3 x^2"): "525eb5dff527074e4388df25da2ebfb75c964fc8ac4b0b696e7532f0cb5aad2f",
     ("y x^4", "x y^3 x y", "y x y^5"): "09f60346b23cdf3004894369df37b3a8a09ef941649667eff8d26144e9444df3",
-    # dims 2, 1, 1, 1, 2, 2, 4, 5, ... and 2, 1, 1, 1, 2, 2, 3, 4, 6, ...: a cut of 8 symbols
-    # from the degree of dim 4 is held, the next one, of 10 or 12, refilled
+    # dims 2, 1, 1, 1, 2, 2, 4, 5, ... and 2, 1, 1, 1, 2, 2, 3, 4, 6, ...: the packed loop
+    # cuts up to the first degree wider than 2, the table loop the later ones
     ("y^2", "x^2 y^3 z", "x z y"): "ceb2505d871c2a86a6d0a4b4a232d4036b41fdcae7fbb7d72c632c65ce8ab4b1",
     ("z y x", "y x y z^3 x", "y^2"): "37aef08e74281ace389d92611fade295b0186fe95a9260bf5c0ddef19a927295",
 }
@@ -76,12 +75,8 @@ WIDE = {
 def test_wide_nq_table_bytes_are_frozen(relators):
     """Both Jacobi modes: `full_jacobi` refills every cut slice whole, the default one only the wide cuts.
 
-    The default mode keeps the slice of a cut of at most `NARROW` symbols in
-    frontier form and refills half of a wider one, reading the slice below
-    through its image table when that one was held.  Each presentation here
-    holds its slices up to some degree and refills the later ones: up to
-    slice 5 for the first four, 8 and 9 for the last two, whose last held
-    cut has 8 symbols, the most `NARROW` allows.
+    The default mode cuts with the packed loop up to the first degree wider
+    than 2 and then refills half of each cut slice in the table loop.
     """
     pres = Presentation(parse_word(r) for r in relators)
     for full_jacobi in (False, True):
@@ -129,7 +124,7 @@ def test_nq_echelon_rows_are_frozen(name, full_jacobi):
     assert _added_rows(lambda pres: _table_cuts(pres, full_jacobi), name) == ADDED_ROWS[name, full_jacobi]
 
 
-# the same record for the packed loop from degree 3: per cut, the span basis it
+# the same record for the default loop, packed from degree 3: per cut, the span basis it
 # reads off its planes, then the relator rows.  On R(2, 1) these are the table
 # loop's 59 rows, reordered within some cuts; the other two hand over within
 # their first cuts and match the table loop's record.
@@ -142,4 +137,4 @@ PACKED_ROWS = {
 
 @pytest.mark.parametrize("name", list(PACKED_ROWS))
 def test_packed_echelon_rows_are_frozen(name):
-    assert _added_rows(paths_agree.packed_cuts, name) == PACKED_ROWS[name]
+    assert _added_rows(_cuts, name) == PACKED_ROWS[name]
