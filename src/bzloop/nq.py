@@ -79,15 +79,19 @@ row F(u; v, g) + [[v, g], u], which for a surviving symbol w is
 All of them, four families and two generators, are one row of planes,
 and the entries another family reads are one or two bits away in the
 same position.  They include the rows the table loop skips, each 0 or a
-repeat of a built one.  The loop hands `echelonize` a basis of their
-span, and the relator rows; the reduced echelon form depends only on the
-span, so the pivots, the survivor images and every table are unchanged.
+repeat of a built one.  The loop folds a basis of their span, and the
+relator rows, into a span of at most 4 symbols, one of the 67 subspaces
+of GF(2)^4, and reads its cut from `_narrow_table`, which `echelonize`
+and `define_layer` fill once per process; the reduced echelon form
+depends only on the span, so the pivots, the survivor images and every
+table are unchanged.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain, count, islice, repeat
 
 from .algebra import (
@@ -98,7 +102,7 @@ from .algebra import (
     eval_runs,
     jacobi_sum,
 )
-from .gf2 import echelonize
+from .gf2 import echelonize, iter_bits
 from .words import CommutatorWord
 
 
@@ -312,10 +316,11 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
     F(u; v, g) + [[v, g], u], equal to [u, w] + [w, u] where the symbol
     survived as w (fifth shortcut).  The packed loop builds these rows for
     every u and symbol, the skipped ones too, which by the sixth
-    shortcut are 0 or repeats; and it hands `echelonize` a basis of their
-    span rather than the rows.  The span is the table loop's, so the
-    reduced echelon form, the pivots, the survivor images and the table
-    are unchanged.
+    shortcut are 0 or repeats.  It folds a basis of their span, and the
+    relator rows, into the state of `_narrow_table` and reads the cut
+    there, the one that `define_layer` makes from `echelonize` over the
+    span's members.  The span is the table loop's, so the reduced echelon
+    form, the pivots, the survivor images and the table are unchanged.
     """
     if class_bound < 1:
         raise ValueError("class bound must be at least 1")
@@ -376,15 +381,70 @@ def _relators_by_weight(pres: Presentation) -> dict[int, list[CommutatorWord]]:
 
 
 def _cut(table: BracketTable, n: int, rows: list[int]) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """Cut degree n + 1 by `rows`; set the action of degree n and add the new degree.
+    """The table loop's cut of degree n + 1 by `rows`; set the action of degree n and add the new degree.
 
     The rows are distinct nonzero masks over the frontier symbols in
     symbol order, [e(n, w), g] at bit s = 2w + g, and go to `echelonize`
     as they are.  Returns the new degree's definitions and the action rows
-    of degree n.
+    of degree n.  The packed loop reads its cuts from `_narrow_table`,
+    which `echelonize` and `define_layer` fill as here.
     """
     nsym = 2 * len(table.rows[n])
     defs, action = define_layer(nsym, echelonize(rows, nsym))
+    table.set_action(n, action)
+    table.add_degree(defs)
+    return defs, action
+
+
+@cache
+def _narrow_table() -> tuple[tuple[tuple[int, ...], ...], dict[int, tuple]]:
+    """The cut of every span of rows over at most 4 symbols: the 67 subspaces of GF(2)^4.
+
+    A span is a state, numbered as the walk from {0}, state 0, finds it;
+    add[state][r] is the state of the span with the row r < 16 added.
+    The reduced echelon form depends only on the span, so
+    cuts[nsym][state], for nsym in {0, 2, 4}, is the `define_layer` cut
+    of `echelonize` over the span's members, the same for every row list
+    that spans it; it is None for a span with a member of 2^nsym or above.
+    Built on first use, once per process.
+    """
+    spans = [1]  # bit v of a span is set when the row v lies in it
+    state = {1: 0}
+    add = []
+    for members in spans:  # the walk reaches the spans it appends
+        row = []
+        for r in range(16):
+            closed = members
+            for v in iter_bits(members):
+                closed |= 1 << (v ^ r)
+            if closed not in state:
+                state[closed] = len(spans)
+                spans.append(closed)
+            row.append(state[closed])
+        add.append(tuple(row))
+    cuts = {
+        nsym: tuple(
+            tuple(map(tuple, define_layer(nsym, echelonize(iter_bits(members), nsym))))
+            if members >> (1 << nsym) == 0
+            else None
+            for members in spans
+        )
+        for nsym in (0, 2, 4)
+    }
+    return tuple(add), cuts
+
+
+def _narrow_cut(table: BracketTable, n: int, rows: list[int]) -> tuple[tuple, tuple]:
+    """The packed loop's cut of degree n + 1, at most 4 symbols, read from `_narrow_table`; as `_cut` does.
+
+    The rows are masks over the frontier symbols in symbol order; a zero
+    or repeated row leaves the span, and so the cut, as it is.
+    """
+    add, cuts = _narrow_table()
+    state = 0
+    for r in rows:
+        state = add[state][r]
+    defs, action = cuts[2 * len(table.rows[n])][state]
     table.set_action(n, action)
     table.add_degree(defs)
     return defs, action
@@ -506,8 +566,9 @@ def _packed_cuts(pres: Presentation, table: BracketTable) -> Iterator[BracketTab
     positions 2..n - 1 are filled and its position n is the action field,
     [e(n, a), b] in plane 2a + b.  `held` is slice n mapped through its
     cut's images.  The relation rows read off the planes are in symbol
-    order, as `_cut` takes them; only the relator rows need the frontier
-    action set, in the same order.
+    order, as `_narrow_cut` takes them, zeros and repeats included; only
+    the relator rows need the frontier action set, in the same order.
+    Each cut, at most 4 symbols, is read from `_narrow_table`.
     """
     by_weight = _relators_by_weight(pres)
     R, defs = table.rows, table.defs
@@ -528,7 +589,7 @@ def _packed_cuts(pres: Presentation, table: BracketTable) -> Iterator[BracketTab
         if n + 1 in by_weight:  # the relators' last letter meets [e(n, w), g], bit 2w + g
             table.set_action(n, [(1 << 2 * w, 2 << 2 * w) for w in range(D)])
             rows += [eval_runs(R, r.runs(), n + 1) for r in by_weight[n + 1]]
-        new, action = _cut(table, n, [r for r in dict.fromkeys(rows) if r])
+        new, action = _narrow_cut(table, n, rows)
         yield table
 
         # the caller asks for degree n + 2, whose cut reads slice n + 1

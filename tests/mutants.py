@@ -248,6 +248,21 @@ MUTANTS = (
         ("tests/test_engine.py::test_the_packed_rows_span_the_table_loops_rows",),
     ),
     Mutant(
+        "narrow table closes a span under r alone, not under every translate v ^ r",
+        "bzloop/nq.py",
+        "closed |= 1 << (v ^ r)",
+        "closed |= 1 << r",
+        ("tests/test_engine.py::test_the_narrow_table_has_the_67_subspaces_of_gf2_4",),
+    ),
+    Mutant(
+        "narrow cut of a 1-wide degree read from the 4-symbol cuts",
+        "bzloop/nq.py",
+        "defs, action = cuts[2 * len(table.rows[n])][state]",
+        "defs, action = cuts[min(4 * len(table.rows[n]), 4)][state]",
+        # test_engine.py builds quotients at collection, which this mutant breaks
+        ("tests/test_refs.py::test_packed_echelon_rows_are_frozen",),
+    ),
+    Mutant(
         "annihilator without its modulo",
         "bzloop/algebra.py",
         "rows = [(z.reduce(mx), z.reduce(my)) for mx, my in rows]",

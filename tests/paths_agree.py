@@ -1,14 +1,19 @@
 """Path agreement: the default and the table cut loops give the same tables, byte for byte.
 
 For every admissible R(g, h) with g + h <= 9 at its default bound m + 2d,
-and for the wide-nq presentations of the benchmark's seeds 1 and 2 at its
-class 14, the script runs the two cut loops of `bzloop.nq` to the bound and
-compares the JSON bytes of the quotients they give:
+for the desk pairs (2, 1), (3, 1) and (2, 2) at m + 16d, and for the
+wide-nq presentations of the benchmark's seeds 1 and 2 at its class 14,
+the script runs the two cut loops of `bzloop.nq` to the bound and compares
+the JSON bytes of the quotients they give:
 
 - `_table_cuts`, the table loop alone;
 - `_cuts`, the default loop: the table loop cuts degree 2, then the packed
   loop cuts from degree 3 on and hands back to the table loop at its first
   cut wider than 2.
+
+Over the last period, the packed cuts make 55 to 64 fill events each at
+m + 16d, against about 10 at m + 2d.  Each pair's rows span the same 7
+states of the narrow cut table as at m + 2d: 4 over 4 symbols and 3 over 2.
 
 Run it from anywhere (the g + h = 9 pairs take several seconds each on the
 table loop)::
@@ -37,13 +42,15 @@ from bzloop import nq, words  # noqa: E402
 from bzloop.bl import bl_params, presentation_R  # noqa: E402
 
 MAX_GH = 9
+DESK = ((2, 1), (3, 1), (2, 2))
+LONG_PERIODS = 16
 WIDE_SEEDS = (1, 2)
 WIDE_CLASS = 14
 
 
-def default_bound(g: int, h: int) -> int:
+def default_bound(g: int, h: int, periods: int = 2) -> int:
     p = bl_params(g, h)
-    return p.m + 2 * p.d
+    return p.m + periods * p.d
 
 
 def r_cases(max_gh: int = MAX_GH) -> list[tuple[str, nq.Presentation, int]]:
@@ -53,6 +60,14 @@ def r_cases(max_gh: int = MAX_GH) -> list[tuple[str, nq.Presentation, int]]:
         for gh in range(3, max_gh + 1)
         for g in range(2, gh)
         for h in (gh - g,)
+    ]
+
+
+def long_cases() -> list[tuple[str, nq.Presentation, int]]:
+    """The desk pairs at m + LONG_PERIODS * d."""
+    return [
+        (f"R({g},{h})@{default_bound(g, h, LONG_PERIODS)}", presentation_R(g, h), default_bound(g, h, LONG_PERIODS))
+        for g, h in DESK
     ]
 
 
@@ -83,7 +98,7 @@ def agree(pres: nq.Presentation, bound: int) -> str | None:
 
 def main() -> int:
     start = time.perf_counter()
-    cases = r_cases() + wide_cases()
+    cases = r_cases() + long_cases() + wide_cases()
     bad = 0
     for name, pres, bound in cases:
         t0 = time.perf_counter()

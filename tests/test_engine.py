@@ -2,7 +2,7 @@
 
 import random
 import sys
-from itertools import islice
+from itertools import combinations, islice
 from types import SimpleNamespace
 from unittest import mock
 
@@ -15,6 +15,7 @@ from bzloop.algebra import (
     BracketTable,
     GradedAlgebra,
     GradedSubspaceFamily,
+    define_layer,
     eval_runs,
     graded_center,
     jacobi_check,
@@ -628,12 +629,16 @@ def test_the_packed_planes_hold_the_table_loops_frontier_entries(name, pres, bou
 
 @pytest.mark.parametrize("name,pres,bound", CALL_COUNT_CASES, ids=[c[0] for c in CALL_COUNT_CASES])
 def test_the_packed_rows_span_the_table_loops_rows(name, pres, bound):
-    """At every cut the packed loop hands `echelonize` rows with the same span as the table loop's Jacobi sums.
+    """At every cut the packed loop hands `_narrow_cut` rows with the same span as the table loop's Jacobi sums.
 
     The table loop's rows are the Jacobi sums (`test_nq_default_rows_are_the_jacobi_sums`),
-    and equal spans give equal reduced echelon bases, so `define_layer`
-    makes the same cut.
+    and equal spans give equal reduced echelon bases, so the narrow
+    table, which `define_layer` fills, holds the same cut.  The cuts the
+    table loop makes in the default loop, degree 2 and any after the
+    hand-over, are recorded at `echelonize` in both runs.
     """
+    nq._narrow_table()  # its echelon forms are not cuts
+    narrow_cut = nq._narrow_cut
     spans = {}
     for name, run in (("table", _table_quotient), ("packed", nq_compute)):
         bases = spans[name] = []
@@ -643,10 +648,86 @@ def test_the_packed_rows_span_the_table_loops_rows(name, pres, bound):
             bases.append((nsym, basis.row_bits()))
             return basis
 
-        with mock.patch("bzloop.nq.echelonize", recording_echelonize):
+        def recording_narrow_cut(table, n, rows):
+            nsym = 2 * len(table.rows[n])
+            bases.append((nsym, echelonize(rows, nsym).row_bits()))
+            return narrow_cut(table, n, rows)
+
+        with mock.patch("bzloop.nq.echelonize", recording_echelonize), mock.patch.object(
+            nq, "_narrow_cut", recording_narrow_cut
+        ):
             run(pres, bound)
     assert spans["packed"] == spans["table"]
     assert len(spans["packed"]) == bound - 1
+
+
+def test_the_narrow_table_has_the_67_subspaces_of_gf2_4():
+    """The table's states are the 67 subspaces of GF(2)^4; the rows below 4 reach the 5 of GF(2)^2.
+
+    GF(2)^4 has 1, 15, 35, 15 and 1 subspaces of dimension 0 to 4.
+    """
+    add, cuts = nq._narrow_table()
+    assert len(add) == 67
+    assert all(len(row) == 16 for row in add)
+    reached, todo = {0}, [0]
+    while todo:
+        for state in add[todo.pop()][:4]:
+            if state not in reached:
+                reached.add(state)
+                todo.append(state)
+    assert len(reached) == 5
+    assert [sum(cut is not None for cut in cuts[nsym]) for nsym in (0, 2, 4)] == [1, 5, 67]
+
+
+@pytest.mark.parametrize("nsym", [0, 2, 4])
+def test_the_narrow_cut_is_the_echelon_cut_of_its_rows(nsym):
+    """For every set of at most 4 distinct rows below 2^nsym, in two orders, `_narrow_cut` makes the echelon cut.
+
+    The cut is that of `define_layer(nsym, echelonize(rows, nsym))`, on a
+    table whose degree n has nsym / 2 elements: the new degree's
+    definitions and the action rows of degree n.
+    """
+    for size in range(5):
+        for rows in combinations(range(1 << nsym), size):
+            defs, action = define_layer(nsym, echelonize(rows, nsym))
+            for order in (rows, rows[::-1]):
+                table = BracketTable()
+                if nsym < 4:
+                    table.add_degree([(0, 1)] * (nsym // 2))
+                n = len(table.rows) - 1
+                got = nq._narrow_cut(table, n, list(order))
+                assert got == (tuple(defs), tuple(action)), order
+                assert table.defs[-1] == defs
+                assert [tuple(row) for row in table.rows[n]] == action
+
+
+@pytest.mark.parametrize("g,h,bound", [(2, 1, 48), (5, 1, 384)], ids=["R(2,1)@48", "R(5,1)@384"])
+def test_the_packed_loop_makes_no_echelon_basis(g, h, bound):
+    """Once the narrow table is built, the packed loop cuts every degree from it: no `echelonize`, no `EchelonBasis`.
+
+    The table loop cuts degree 2 by `echelonize`; every later degree of
+    these presentations is at most 2 wide, so the packed loop cuts it.
+    """
+    nq._narrow_table()
+    calls = []
+
+    def recording(name, real):
+        def record(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return record
+
+    cuts = _cuts(presentation_R(g, h))
+    next(islice(cuts, 1, None))  # degree 2, cut by the table loop
+    with mock.patch("bzloop.nq.echelonize", recording("echelonize", echelonize)), mock.patch.object(
+        EchelonBasis, "add", recording("add", EchelonBasis.add)
+    ), mock.patch.object(EchelonBasis, "__init__", recording("EchelonBasis", EchelonBasis.__init__)), mock.patch.object(
+        nq, "_narrow_cut", recording("_narrow_cut", nq._narrow_cut)
+    ):
+        A = _algebra(next(islice(cuts, bound - 3, None)), bound)
+    assert calls == ["_narrow_cut"] * (bound - 2)
+    assert max(A.dims) <= 2
 
 
 @pytest.mark.parametrize("g,h,bound", NARROW_CASES, ids=[f"R({g},{h})@{c}" for g, h, c in NARROW_CASES])

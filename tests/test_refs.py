@@ -17,6 +17,7 @@ from unittest import mock
 
 import pytest
 
+from bzloop import nq
 from bzloop.algebra import quotient, second_center
 from bzloop.analyze import analyze
 from bzloop.bl import bl_params, construct_bl, presentation_R
@@ -104,16 +105,28 @@ ECHELON_CASES = {
 
 
 def _added_rows(cuts, name: str) -> tuple[int, str]:
-    """The number and the digest of the rows `EchelonBasis.add` receives from the cut loop `cuts` to the case's bound."""
+    """The number and the digest of the rows the cut loop `cuts` cuts by, in call order, to the case's bound.
+
+    A table loop's cut is recorded at `EchelonBasis.add`, which receives
+    each of its rows.  A packed cut is recorded at `_narrow_cut`, as its
+    distinct nonzero rows, those an echelon basis of its span would receive.
+    """
     pres, bound = ECHELON_CASES[name]
+    nq._narrow_table()  # its echelon forms are not cuts
     added = []
-    add = EchelonBasis.add
+    add, narrow_cut = EchelonBasis.add, nq._narrow_cut
 
     def recording_add(basis, v):
         added.append(v)
         return add(basis, v)
 
-    with mock.patch.object(EchelonBasis, "add", recording_add):
+    def recording_narrow_cut(table, n, rows):
+        added.extend(r for r in dict.fromkeys(rows) if r)
+        return narrow_cut(table, n, rows)
+
+    with mock.patch.object(EchelonBasis, "add", recording_add), mock.patch.object(
+        nq, "_narrow_cut", recording_narrow_cut
+    ):
         next(islice(cuts(pres), bound - 1, None))
     return len(added), hashlib.sha256(",".join(format(v, "x") for v in added).encode()).hexdigest()
 
@@ -124,8 +137,8 @@ def test_nq_echelon_rows_are_frozen(name, full_jacobi):
     assert _added_rows(lambda pres: _table_cuts(pres, full_jacobi), name) == ADDED_ROWS[name, full_jacobi]
 
 
-# the same record for the default loop, packed from degree 3: per cut, the span basis it
-# reads off its planes, then the relator rows.  On R(2, 1) these are the table
+# the same record for the default loop, packed from degree 3: per packed cut, the
+# alternation rows and the span basis it reads off its planes, then the relator rows.  On R(2, 1) these are the table
 # loop's 59 rows, reordered within some cuts; the other two hand over within
 # their first cuts and match the table loop's record.
 PACKED_ROWS = {
