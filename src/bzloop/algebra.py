@@ -23,7 +23,9 @@ only for a failure: the squares and pairs in one list comparison per row,
 the triples in one walk over a degree-ordered list of elements.  An
 algebra at most 2 wide with no table built yet is checked first without
 one, its columns as bit planes (`_packed_jacobi`); only a failure there
-builds the table.  While
+builds the table.  That path checks the generator pairs [g, v] = [v, g]
+and each symbol (w, g) against its action row, and the two give every
+pair by induction on the degree.  While
 every square and pair passes, only the Jacobi triples J(g, v, w) that
 hold a generator g, and go through no defining pair, are summed.  When
 (v, g) defines w' = [v, g], whatever its action row w' + delta holds, the
@@ -47,7 +49,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import repeat
 from operator import xor
 from typing import Iterable, Sequence
 
@@ -544,26 +545,6 @@ def _instances(dims: Sequence[int], bound: int) -> int:
     return (six * ones >> 8 * size * bound & (1 << 8 * size) - 1) // 6
 
 
-def _transpose(ms: list[int], W: int) -> list[int]:
-    """The W x W bit matrices ms, bit (r, c) at r * W + c, each transposed in place; W is a power of 2, at least 8.
-
-    Round s, for s = W / 2 down to 1, swaps in every 2s x 2s block its
-    upper-right s x s block with its lower-left one: bit (r, c) with
-    r & s = 0 and c & s != 0 with bit (r + s, c - s), s * W - s places up.
-    Each round's mask of W^2 bits is built once for all the matrices.
-    """
-    zero = bytes(W // 8)
-    s = W // 2
-    while s:
-        row = ((1 << W) - 1) // ((1 << 2 * s) - 1) * ((1 << s) - 1) << s  # the columns c with c & s
-        mask = int.from_bytes((row.to_bytes(W // 8, "little") * s + zero * s) * (W // (2 * s)), "little")
-        for k, m in enumerate(ms):
-            t = (m ^ m >> s * W - s) & mask
-            ms[k] = m ^ t ^ t << s * W - s
-        s //= 2
-    return ms
-
-
 def _packed_jacobi(A: GradedAlgebra) -> bool:
     """Whether every square, pair and generator triple of A is zero; A is at most 2 wide.
 
@@ -576,22 +557,35 @@ def _packed_jacobi(A: GradedAlgebra) -> bool:
     `BracketTable.fill`'s rule [u, [w, g]] = [[u, w], g] + [[u, g], w] is
     the column F(w, g) = Q H_g + C_g (Q >> 1), where the shift by one
     reads [e(i + 1, t), w] at bit i.  So column j + 1 reads only column j
-    and the action, and the planes hold, bit for bit, the entries that
-    `bracket_table()` fills.
+    and the action, the planes hold, bit for bit, the entries that
+    `bracket_table()` fills, and only the columns of one degree are live.
+    Three checks are made, with A(w, g) the action row [w, g]:
 
-    Each symbol (w, g) with w of degree j < bound - 1 is checked: F(w, g)
-    must be [., [w, g]], the columns of degree j + 1 summed over the bits
-    of its action row, read one row on.  With squares and antisymmetry,
-    J(g, v, w) = [[v, g], w] + [[v, w], g] + [v, [w, g]], so the
-    difference at row v is J(g, v, w), and every generator triple is
-    checked.  Where (w, g) defines e(j + 1, k), F(w, g) is that column,
-    and the check says [v, delta] = 0 for every v, with delta the action
-    row [w, g] + e(j + 1, k).  The squares are the bits (b, b) of each
-    column at its own degree.  The planes (a, l) of the columns e(j, b),
-    row j for degree j, make a W x W bit matrix, and the pairs are
-    antisymmetric when the matrix of (b, a, l) is the transpose of that
-    of (a, b, l).  Only when all of these pass is the answer True, so the
-    squares and pairs the triples assume do hold.
+    - (S) the squares: the bits (b, b) of each column at its own degree;
+    - (G) the generator pairs [e(1, a), v] = [v, e(1, a)]: row 1 of the
+      column of v is v's action row;
+    - (C) each symbol (w, g) with w of degree j <= bound - 2: F(w, g) is
+      [., A(w, g)], the columns of degree j + 1 summed over the bits of
+      A(w, g), read one row on.
+
+    (C) and (G) give every pair (P), [v, u] = [u, v]; induct on deg u, and
+    degree 1 is (G).  Let u be defined as (p, g), so its column is
+    F(p, g), and let delta = A(p, g) + u.  By the fill rule, the
+    hypothesis twice and (C) at (v, g), whose degree is at most
+    bound - 2 because deg u >= 2,
+
+        [v, u] = [[v, p], g] + [[v, g], p] = [[p, v], g] + [p, [v, g]]
+               = [[p, v], g] + [[p, v], g] + [[p, g], v] = [u, v] + [delta, v].
+
+    (C) at (p, g) gives [., delta] = 0, and (G) summed over delta gives
+    [delta, g'] = [g', delta] = 0 for each generator g', so delta acts as
+    zero, and the fill rule makes [delta, v] = 0 by induction on deg v.
+    (G) is part of (P), so the answer is True exactly when every square,
+    pair and (C) holds.  With squares and pairs, J(g, v, w) = [[v, g], w]
+    + [[v, w], g] + [v, [w, g]], so the difference (C) finds at row v is
+    J(g, v, w), and every generator triple is checked.  Where (w, g)
+    defines e(j + 1, k), (C) says [v, delta] = 0 for every v, with delta
+    the action row [w, g] + e(j + 1, k).
     """
     bound, basis, action = A.class_bound, A.basis, A.action
     acts = [0] * 8  # acts[4a + 2g + t] is C_g[a][t], and hank[4t + 2g + l] below is H_g[t][l]
@@ -602,8 +596,15 @@ def _packed_jacobi(A: GradedAlgebra) -> bool:
                     if m >> t & 1:
                         acts[4 * a + 2 * g + t] |= 1 << d
     gens = [(acts[2 * g], acts[2 * g + 1], acts[2 * g + 4], acts[2 * g + 5]) for g in (0, 1)]
-    col, cols, hank = gens, [gens], acts  # col: the columns of degree j, each Q as (Q00, Q01, Q10, Q11)
-    for j in range(1, bound - 1):
+    col, hank = gens, acts  # col: the columns of degree j, each Q as (Q00, Q01, Q10, Q11)
+    for j in range(1, bound):
+        for b, (q0, q1, q2, q3) in enumerate(col):
+            if (q0 | q1, q2 | q3)[b] >> j & 1:  # (S): [e(j, b), e(j, b)]
+                return False
+            if (q0 >> 1 & 1 | q1 & 2, q2 >> 1 & 1 | q3 & 2) != action[j][b]:  # (G): ([x, v], [y, v])
+                return False
+        if j == bound - 1:
+            break
         hank = [m >> 1 for m in hank]
         syms = []
         for q0, q1, q2, q3 in col:
@@ -617,25 +618,14 @@ def _packed_jacobi(A: GradedAlgebra) -> bool:
                     q2 & h0 ^ q3 & h2 ^ c2 & u0 ^ c3 & u2,
                     q2 & h1 ^ q3 & h3 ^ c2 & u1 ^ c3 & u3,
                 ))
-        col = [syms[2 * p + g] for p, g in basis[j + 1]]
-        images = [(0, 0, 0, 0), *col]  # [., [w, g]] by the action row [w, g]: 0, 1, 2 and 3 below
-        if len(col) == 2:
-            images.append(tuple(map(xor, *col)))
-        if syms != [images[m] for row in action[j] for m in row]:
+        nxt = [syms[2 * p + g] for p, g in basis[j + 1]]
+        images = [(0, 0, 0, 0), *nxt]  # [., [w, g]] by the action row [w, g]: 0, 1, 2 and 3 below
+        if len(nxt) == 2:
+            images.append(tuple(map(xor, *nxt)))
+        if syms != [images[m] for row in action[j] for m in row]:  # (C)
             return False
-        cols.append(col)
-    if any((c[b][2 * b] | c[b][2 * b + 1]) >> j & 1 for j, c in enumerate(cols, 1) for b in range(len(c))):
-        return False
-    W = max(8, 1 << (bound - 1).bit_length())  # above every degree below the bound
-    zero = bytes(W // 8)
-    fams = []  # fams[4b + 2a + l]
-    for b in (0, 1):
-        for planes in zip(*[c[b] if b < len(c) else (0, 0, 0, 0) for c in cols]):
-            rows = b"".join(map(int.to_bytes, planes, repeat(W // 8), repeat("little")))
-            fams.append(int.from_bytes(zero + rows, "little"))
-    del cols  # the planes are in fams now; at c = 3072 each family is 1.5 MB
-    pairs = [(4 * b + 2 * a + l, 4 * a + 2 * b + l) for b in (0, 1) for a in range(b, 2) for l in (0, 1)]
-    return _transpose([fams[f] for f, _ in pairs], W) == [fams[swapped] for _, swapped in pairs]
+        col = nxt
+    return True
 
 
 def jacobi_check(A: GradedAlgebra) -> JacobiReport:
@@ -653,9 +643,15 @@ def jacobi_check(A: GradedAlgebra) -> JacobiReport:
     `_packed_jacobi`, which builds no table.  It fills the table's columns
     as bit planes: column j reads only column j - 1 and the action, by the
     rule `BracketTable.fill` applies, so the planes equal the entries of
-    `bracket_table()` bit for bit, and no scan is needed.  It checks every
-    square, every pair and every generator triple J(g, v, w), in whole-int
-    operations.  Those sums include every one the row path below makes;
+    `bracket_table()` bit for bit, and no scan is needed.  It keeps only
+    the columns of one degree, and checks every square, the generator
+    pairs [g, v] = [v, g] and every symbol (w, g) against its action row,
+    in whole-int operations.  The symbol checks and the generator pairs
+    give every pair: for u defined as (p, g) with delta = [p, g] + u, the
+    fill rule gives [v, u] = [u, v] + [delta, v] by induction on deg u,
+    and delta acts as zero (`_packed_jacobi` has the steps).  So it checks every
+    square, every pair and every generator triple J(g, v, w).  Those sums
+    include every one the row path below makes;
     on a table whose squares and pairs pass, the generator triples the row
     path skips are zero by the argument below, so either path finds every
     sum zero or neither does.  When every sum is zero the report is the
@@ -696,7 +692,9 @@ def jacobi_check(A: GradedAlgebra) -> JacobiReport:
       [v, g] holds.  Write that row w' + delta.  With the pairs (u, w')
       and (u, g), both inside the class bound, J(u, v, g) = [delta, u].
     - Each such delta is central, so each generator triple through a
-      defining pair is zero.  [delta, g] = J(g, v, g) is zero by the
+      defining pair is zero.  On the packed path the pairs used here are
+      not compared one by one: they follow from the generator pairs and
+      the symbol checks, as `_packed_jacobi` proves.  [delta, g] = J(g, v, g) is zero by the
       square [g, g] and the pair (g, v).  For the other generator h,
       [delta, h] = J(h, v, g), the sum on {x, y, v}.  If some element of
       degree 2 is defined by two different generators (a, b), with defect

@@ -12,14 +12,23 @@ The two reports must be equal, failures and `checked` included, and a
 sound table at most 2 wide must pass without building its bracket table
 or calling `jacobi_sum`.
 
+First, as a memory gate, it runs a fresh `jacobi_check` on M(8,1)@3072
+right after its `nq_compute`: the check must pass and may raise the
+process's peak RSS (`ru_maxrss`) by at most `MAX_RSS_RISE_MB`.  The
+packed path keeps only one degree's columns, a few c-bit planes.  The
+gate runs before the other tables, whose bracket tables would raise the
+peak first and hide the check's own rise.
+
 Run it from anywhere (the g + h = 7 tables take about 0.2 s each, most of
 it on the row path)::
 
     python tests/jacobi_agree.py
 
-It prints one line per table and exits 1 if any report differs or a sound
-narrow table took the row path.  pytest does not collect this file;
-`tests/test_kernels.py` runs the desk pairs through `agree`.
+It prints the gate's time and rise and one line per table, and exits 1 if
+the gate fails, any report differs or a sound narrow table took the row
+path.  The gate reads `resource`, so the script runs on POSIX only.
+pytest does not collect this file; `tests/test_kernels.py` runs the desk
+pairs through `agree`.
 """
 
 from __future__ import annotations
@@ -39,6 +48,7 @@ from bzloop.nq import nq_compute  # noqa: E402
 from paths_agree import default_bound  # noqa: E402  (this file's directory is on the path)
 
 MAX_GH = 7
+MAX_RSS_RISE_MB = 4
 
 
 def tables(g: int, h: int) -> list[tuple[str, GradedAlgebra]]:
@@ -73,8 +83,30 @@ def agree(A: GradedAlgebra) -> str | None:
     return None
 
 
+def memory_gate() -> str | None:
+    """None when a fresh `jacobi_check` of M(8,1)@3072 passes within `MAX_RSS_RISE_MB` of peak RSS."""
+    import resource  # POSIX only; pytest imports this file through test_kernels.py and never calls this
+
+    M = nq_compute(presentation_R(8, 1), 3072)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
+    t0 = time.perf_counter()
+    report = jacobi_check(M)
+    seconds = time.perf_counter() - t0
+    rise = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024
+    print(f"memory gate: fresh jacobi_check of M(8,1)@3072 {report}, {seconds:.3f} s, peak RSS +{rise:.1f} MB")
+    if not report.ok:
+        return "the check failed"
+    if rise > MAX_RSS_RISE_MB:
+        return f"the check raised peak RSS by more than {MAX_RSS_RISE_MB} MB"
+    return None
+
+
 def main() -> int:
     start = time.perf_counter()
+    error = memory_gate()
+    if error:
+        print(f"memory gate FAILED: {error}")
+        return 1
     pairs = [(g, gh - g) for gh in range(3, MAX_GH + 1) for g in range(2, gh)]
     count = bad = 0
     for g, h in pairs:

@@ -122,11 +122,25 @@ MUTANTS = (
         ("tests/test_kernels.py::test_jacobi_check_sums_only_open_generator_triples_on_a_sound_table",),
     ),
     Mutant(
-        "packed transpose skips its last round",
+        "packed path skips the generator pairs",
         "bzloop/algebra.py",
-        "    while s:\n        row = ((1 << W) - 1)",
-        "    while s > 1:\n        row = ((1 << W) - 1)",
+        "if (q0 >> 1 & 1 | q1 & 2, q2 >> 1 & 1 | q3 & 2) != action[j][b]:",
+        "if False:",
+        ("tests/test_kernels.py::test_every_single_bit_flip_of_M48_gets_the_report_of_its_built_table",),
+    ),
+    Mutant(
+        "packed generator pairs read row 2 of the column",
+        "bzloop/algebra.py",
+        "if (q0 >> 1 & 1 | q1 & 2, q2 >> 1 & 1 | q3 & 2) != action[j][b]:",
+        "if (q0 >> 2 & 1 | q1 >> 1 & 2, q2 >> 2 & 1 | q3 >> 1 & 2) != action[j][b]:",
         ("tests/test_kernels.py::test_fresh_sound_narrow_tables_take_the_packed_path",),
+    ),
+    Mutant(
+        "packed path leaves the last column degree unchecked",
+        "bzloop/algebra.py",
+        "    for j in range(1, bound):\n        for b, (q0, q1, q2, q3) in enumerate(col):",
+        "    for j in range(1, bound - 1):\n        for b, (q0, q1, q2, q3) in enumerate(col):",
+        ("tests/test_kernels.py::test_jacobi_check_matches_reference_on_every_single_bit_flip",),
     ),
     Mutant(
         "packed fill reads [[u, g], p] at position i, not i + 1",
@@ -138,8 +152,8 @@ MUTANTS = (
     Mutant(
         "packed triples read [[w, g], v] without its one-row shift",
         "bzloop/algebra.py",
+        "images = [(0, 0, 0, 0), *nxt]",
         "images = [(0, 0, 0, 0), *col]",
-        "images = [(0, 0, 0, 0), *cols[-1]]",
         ("tests/test_kernels.py::test_fresh_sound_narrow_tables_take_the_packed_path",),
     ),
     Mutant(

@@ -16,7 +16,10 @@ whose degree 2 is defined as [x, x] or whose [y, x] row is not the
 element it defines.  On a fresh algebra at most 2 wide `jacobi_check`
 takes its packed path: on the desk tables it builds no bracket table and
 calls no `jacobi_sum`, a wide algebra still takes the row path, and every
-single-bit flip of M(2,1)@48 gets the report of its table built first.
+single-bit flip of M(2,1)@48, and random flips of 1-4 action bits of the
+desk tables, get the report of their tables built first, though the
+packed path compares only the generator pairs where the row path
+compares every pair.
 The call counts of the row path are pinned on tables built first.
 `quotient` reads its action rows from
 the images `define_layer` returns; its reference solves each candidate
@@ -38,13 +41,12 @@ from unittest import mock
 import jacobi_agree
 import paths_agree
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bzloop.algebra import (
     GENERATORS,
     GradedAlgebra,
     _instances,
-    _transpose,
     eval_runs,
     graded_center,
     jacobi_check,
@@ -415,11 +417,36 @@ def test_instances_counts_the_squares_pairs_and_triples_one_by_one(bound, data):
     assert _instances(dims, bound) == squares + pairs + triples
 
 
-@given(st.sampled_from([8, 16, 64]), st.data())
-def test_transpose_matches_the_bitwise_reference(W, data):
-    m = data.draw(st.integers(0, (1 << W * W) - 1))
-    want = sum(1 << c * W + r for r in range(W) for c in range(W) if m >> r * W + c & 1)
-    assert _transpose([m, 0], W) == [want, 0]
+@functools.cache
+def _desk_tables() -> tuple[GradedAlgebra, ...]:
+    """M, Q = M / Z_2(M) and B of the desk pairs at classes 12, 20 and 30."""
+    tables = []
+    for (g, h), c in product(DESK_PAIRS, (12, 20, 30)):
+        M = nq_compute(presentation_R(g, h), c)
+        tables += [M, quotient(M, second_center(M)), construct_bl(g, h, c)]
+    return tuple(tables)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_multi_bit_flips_of_the_desk_tables_get_the_report_of_their_built_table(data):
+    """Fresh, a table with 1-4 action bits flipped gets the report of its table built first.
+
+    The packed path checks the generator pairs where the row path checks
+    every pair, so on a flip that breaks antisymmetry the two agree only
+    if the generator pairs and the symbol checks catch what the pairs do.
+    """
+    A = data.draw(st.sampled_from(_desk_tables()))
+    rows = [[list(r) for r in layer] for layer in A.action[1:]]
+    degrees = [d for d in range(1, A.class_bound) if A.dim(d + 1)]
+    for _ in range(data.draw(st.integers(1, 4))):
+        d = data.draw(st.sampled_from(degrees))
+        row = rows[d - 1][data.draw(st.integers(0, A.dim(d) - 1))]
+        row[data.draw(st.integers(0, 1))] ^= 1 << data.draw(st.integers(0, A.dim(d + 1) - 1))
+    bad = GradedAlgebra(A.class_bound, A.basis[1:], rows)
+    got = _report(bad)
+    bad.bracket_table()
+    assert got == _report(bad)
 
 
 def test_every_single_bit_flip_of_M48_gets_the_report_of_its_built_table():
