@@ -17,9 +17,9 @@ Two loops make the cuts and yield the same tables.  Each yields the
 table after a cut and prepares the slice it just cut only when its
 caller asks for the next degree, so the slice of the caller's last degree
 is never prepared: no later cut reads it.  The default loop, `_cuts`,
-runs the table loop to degree 2 and then the packed loop, which hands
-back to the table loop at its first cut wider than 2.  Its two callers
-live here:
+is the packed loop, which at its first cut wider than 2 restarts the table
+loop: that cuts degrees 2 and up again and goes on.  Its two callers live
+here:
 `nq_compute` stops it at its class bound and keeps only the action rows,
 and `nq_eval` at a word's weight or at the word's first zero prefix.
 `full_jacobi=True` runs the table loop throughout, refilling every block
@@ -58,13 +58,14 @@ order, [e(n, w), g] at bit 2w + g, so the rows read off the planes go to
 the cut as they are; the table loop's split bit w + g * D is plane
 2w + g.  Position n of slice n + 1 is the frontier action itself, and
 the held slice n is mapped through its cut's images.  The loop starts
-from the table loop's cut of degree 2, whose slice is its action field
-alone; every degree of R(g, h) with g + h <= 10 past the first is 1 or 2
-wide, so the packed loop cuts all the others.  The fill rule gives the
-entry (a, b) at position i, column e(j, b) = [e(j - 1, p), g], as the held
-entry (a, p) at position i moved to generator g plus the entries (t, p)
-at position i + 1 over the bits t of [e(i, a), g].  Where that sum is the
-family's own entry alone, the family is the gated suffix XOR
+from the empty table: slice 2 is its action field alone, off which it
+reads the one antisymmetry row.  Every degree of R(g, h) with g + h <= 10
+past the first is 1 or 2 wide, so the packed loop cuts them all.  The fill
+rule gives the entry (a, b) at position i, column e(j, b) =
+[e(j - 1, p), g], as the held entry (a, p) at position i moved to
+generator g plus the entries (t, p) at position i + 1 over the bits t of
+[e(i, a), g].  Where that sum is the family's own entry alone, the family
+is the gated suffix XOR
 T(i) = A(i) + c(i) T(i + 1); with the gates of all four families in one
 lane mask, doubling computes it in O(log n) operations per plane, each a
 shift by a multiple of 4 bits.  Each other position of a family is an
@@ -142,12 +143,13 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
     generator; with the defining relators this is enough to cut the next
     degree down exactly (antisymmetry plus generator-triple Jacobi force the
     general identity degree by degree).  `full_jacobi=True` imposes every
-    basis triple instead.  Both modes build the relation rows of degree
-    n + 1 over the split frontier symbols, [e(n, w), g] at bit w + g * D
-    with D = dim n, and hand `echelonize` each distinct nonzero row once,
-    interleaved into symbol order s = 2w + g.  The interleaving is a
-    bijection on rows, so `echelonize` receives the rows it would receive
-    had they been built in symbol order, in the same order.  A degree of
+    basis triple instead.  In both modes the table loop builds the
+    relation rows of degree n + 1 over the split frontier symbols,
+    [e(n, w), g] at bit w + g * D with D = dim n, and hands `echelonize`
+    each distinct nonzero row once, interleaved into symbol order
+    s = 2w + g.  The interleaving is a bijection on rows, so `echelonize`
+    receives the rows it would receive had they been built in symbol
+    order, in the same order.  A degree of
     dimension 0 is cut like any other: from no symbols, so `define_layer`
     returns the empty cut and every later degree is empty too.
 
@@ -156,9 +158,9 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
     is asked for the next degree.  `nq_compute` takes class_bound tables
     from it and asks for no more, so the slice of degree class_bound is
     never prepared: no later cut reads it, and the result keeps only the
-    action rows.  Up to degree 2, and after any degree wider than 2, the
-    cuts are the table loop's, to which the arguments below refer; the
-    packed loop's cuts are the same (last paragraph).
+    action rows.  The arguments below speak of the table loop; the packed
+    loop, which the default mode runs up to its first degree wider than 2,
+    makes the same cuts (last paragraph).
 
     Antisymmetry is imposed by one row only, [x, y] = [y, x] in degree 2;
     in every higher degree each antisymmetry row is a Jacobi row already.
@@ -292,7 +294,9 @@ def nq_compute(pres: Presentation, class_bound: int, full_jacobi: bool = False) 
     one with a single defining generator visits only the other's symbols,
     every second one, in the order the full loop visits them.
 
-    The packed loop makes the same cuts.  Its planes hold, bit for bit,
+    The packed loop makes the same cuts.  Slice 2 is the action field, in
+    both loops, and the alternation and antisymmetry rows of degree 2 are
+    read off it at the same symbols.  Its planes hold, bit for bit,
     the entries that the table loop's frontier fill computes, positions
     2..n - 1 of slice n + 1 being its rows 2..n - 1, with the symbols in
     symbol order: plane 2w + g holds what the table loop keeps at bit
@@ -362,15 +366,11 @@ def _cuts(pres: Presentation, full_jacobi: bool = False) -> Iterator[BracketTabl
     of degree d are not set.  The slice of degree d is prepared only when
     the caller asks for the next degree, so a caller that stops at degree c
     prepares no slice of degree c.  The same table is yielded each time and
-    changes as the loop goes on.  The table loop cuts degree 2; then,
-    unless `full_jacobi` is set, the packed loop takes its table and goes
-    on.
+    changes as the loop goes on, except once: where the packed loop restarts
+    the table loop, the tables after it are the table loop's.  `full_jacobi`
+    runs the table loop, and the default the packed loop.
     """
-    cuts = _table_cuts(pres, full_jacobi)
-    yield next(cuts)
-    table = next(cuts)
-    yield table
-    yield from cuts if full_jacobi else _packed_cuts(pres, table)
+    return _table_cuts(pres, full_jacobi) if full_jacobi else _packed_cuts(pres)
 
 
 def _relators_by_weight(pres: Presentation) -> dict[int, list[CommutatorWord]]:
@@ -508,7 +508,8 @@ class _Masks:
     The lanes (0, b) and (1, b) are set in `cols` when e(n + 1 - i, b)
     exists; with e(n + 1 - i, b) = [e(n - i, p), g], in `same` when p = b
     and in `gen` when g = 1; in rown[g] when [e(n - i, b), g] holds bit b
-    and in rother[g] when it holds bit 1 - b.
+    and in rother[g] when it holds bit 1 - b.  Degree 1 is added too, as
+    the generators (None, b), at position n, which no reader reads.
     """
 
     __slots__ = ("rows", "own", "other", "cols", "same", "gen", "rown", "rother")
@@ -551,32 +552,33 @@ class _Masks:
             rother[g] <<= 4
 
 
-def _packed_cuts(pres: Presentation, table: BracketTable) -> Iterator[BracketTable]:
+def _packed_cuts(pres: Presentation) -> Iterator[BracketTable]:
     """The packed loop: slices n and n + 1 as bit planes while every degree is at most 2 wide.
 
-    It goes on from the table the table loop has just cut at degree 2, at
-    most 1 wide, and from then on keeps only definitions and action rows
-    in the table.  At its first cut wider than 2 it writes the cut slice,
-    mapped through the cut, into the table and hands it to the table loop.
-    Position i of slice s is its field (i, s - i).  The entry
+    It starts from an empty table and keeps only definitions and action
+    rows in it.  At its first cut wider than 2, of degree n + 1, it
+    restarts the table loop, which cuts degrees 2 .. n + 1 again and goes
+    on from there.  Position i of slice s is its field (i, s - i).  The entry
     [e(i, a), e(s - i, b)] belongs to family f = 2a + b, and plane k of a
     slice holds bit k of every entry, the entry of family f at position i
     at bit 4i + f; a slice is 2 * D planes.  The frontier slice n + 1 is
     over the symbols in symbol order, plane 2w + g for [e(n, w), g]: its
     positions 2..n - 1 are filled and its position n is the action field,
-    [e(n, a), b] in plane 2a + b.  `held` is slice n mapped through its
-    cut's images.  The relation rows read off the planes are in symbol
-    order, as `_narrow_cut` takes them, zeros and repeats included; only
-    the relator rows need the frontier action set, in the same order.
+    [e(n, a), b] in plane 2a + b.  Slice 2 is its action field alone, so
+    the loop starts from an empty held slice 1.  `held` is slice n mapped
+    through its cut's images.  The relation rows read off the planes are in
+    symbol order, as `_narrow_cut` takes them, zeros and repeats included;
+    only the relator rows need the frontier action set, in the same order.
     Each cut, at most 4 symbols, is read from `_narrow_table`.
     """
     by_weight = _relators_by_weight(pres)
+    table = BracketTable()
+    yield table
     R, defs = table.rows, table.defs
     masks = _Masks()
-    masks.add_row(1, len(defs[2]), R[1])
-    held = _true_planes([16, 32, 64, 128], R[1], len(R[2]))  # slice 2 is its action field, [e(1, a), b] at 4 + 2a + b
+    held = [0, 0]
 
-    for n in count(2):
+    for n in count(1):
         D = len(R[n])
         masks.add_column(defs[n], R[n - 1])
         planes, rows = [], []
@@ -585,6 +587,8 @@ def _packed_cuts(pres: Presentation, table: BracketTable) -> Iterator[BracketTab
             if n % 2:  # alternation: [u, u] = 0 for u of half the new degree
                 h = (n + 1) // 2
                 rows = [_read(planes, 4 * h + 3 * a) for a in range(len(R[h]))]
+            if n == 1:  # antisymmetry: [x, y] = [y, x]; above degree 2 the Jacobi rows repeat it
+                rows.append(_read(planes, 5) ^ _read(planes, 6))
             _jacobi_basis(n, planes, held, masks, rows)
         if n + 1 in by_weight:  # the relators' last letter meets [e(n, w), g], bit 2w + g
             table.set_action(n, [(1 << 2 * w, 2 << 2 * w) for w in range(D)])
@@ -592,12 +596,11 @@ def _packed_cuts(pres: Presentation, table: BracketTable) -> Iterator[BracketTab
         new, action = _narrow_cut(table, n, rows)
         yield table
 
+        if len(new) > 2:  # restart the table loop after degree n + 1
+            yield from islice(_table_cuts(pres), n + 1, None)
+            return
         # the caller asks for degree n + 2, whose cut reads slice n + 1
         held = _true_planes(planes, action, len(new))
-        if len(new) > 2:  # hand over to the table loop
-            _unpack(table, held, n)
-            yield from _table_cuts(pres, table=table)
-            return
         masks.add_row(n, len(new), action)
 
 
@@ -728,33 +731,11 @@ def _true_planes(planes: list[int], action: list[tuple[int, int]], width: int) -
     return true
 
 
-def _unpack(table: BracketTable, planes: list[int], n: int) -> None:
-    """Write the cut slice n + 1, the planes of its true entries, into the table's rows, for the table loop.
-
-    Each row of degree i gets zeros up to the block of degree n + 1 - i,
-    then that block; no later cut reads a block of an older slice.
-    """
-    R, off = table.rows, table.offset
-    for i in range(2, n):
-        j = n + 1 - i
-        for a, row in enumerate(R[i]):
-            row += [0] * (off[j] - len(row))
-            row += [_read(planes, 4 * i + 2 * a + b) for b in range(len(R[j]))]
-
-
-def _table_cuts(
-    pres: Presentation, full_jacobi: bool = False, table: BracketTable | None = None
-) -> Iterator[BracketTable]:
-    """The table loop: every slice in one `BracketTable`.
-
-    `full_jacobi` runs it from degree 1; the packed loop hands it the
-    table it has yielded, its cut slice written into the rows as true
-    brackets, and the loop goes on from there.
-    """
+def _table_cuts(pres: Presentation, full_jacobi: bool = False) -> Iterator[BracketTable]:
+    """The table loop: every slice in one `BracketTable`, from degree 1."""
     by_weight = _relators_by_weight(pres)
-    if table is None:
-        table = BracketTable()
-        yield table
+    table = BracketTable()
+    yield table
     # R[i][a][off[j] + b] is [e(i,a), e(j,b)]; while degree n + 1 is cut,
     # the entries of total degree n + 1 are masks over the split frontier symbols.
     R = table.rows
@@ -762,13 +743,8 @@ def _table_cuts(
     # survivors[d][s] is the index of the basis element of degree d that
     # symbol s = 2 * parent + generator defines, or -1 if the cut killed s
     survivors: list[list[int]] = [[], []]
-    for d in range(2, len(R)):
-        survivor = [-1] * (2 * len(R[d - 1]))
-        for k, (p, g) in enumerate(table.defs[d]):
-            survivor[2 * p + g] = k
-        survivors.append(survivor)
 
-    for n in count(len(R) - 1):
+    for n in count(1):
         D = len(R[n])
         # the split frontier: the symbol (w, g) is bit w + g * D until the cut
         table.set_action(n, [(1 << w, 1 << w + D) for w in range(D)])

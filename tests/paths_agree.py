@@ -1,15 +1,20 @@
 """Path agreement: the default and the table cut loops give the same tables, byte for byte.
 
 For every admissible R(g, h) with g + h <= 9 at its default bound m + 2d,
-for the desk pairs (2, 1), (3, 1) and (2, 2) at m + 16d, and for the
-wide-nq presentations of the benchmark's seeds 1 and 2 at its class 14,
-the script runs the two cut loops of `bzloop.nq` to the bound and compares
-the JSON bytes of the quotients they give:
+for the desk pairs (2, 1), (3, 1) and (2, 2) at m + 16d, for two late
+restarts and for the wide-nq presentations of the benchmark's seeds 1 and
+2 at its class 14, the script runs the two cut loops of `bzloop.nq` to the
+bound and compares the JSON bytes of the quotients they give:
 
 - `_table_cuts`, the table loop alone;
-- `_cuts`, the default loop: the table loop cuts degree 2, then the packed
-  loop cuts from degree 3 on and hands back to the table loop at its first
-  cut wider than 2.
+- `_cuts`, the default loop: the packed loop cuts from degree 2 on and, at
+  its first cut wider than 2, restarts the table loop, which cuts degrees 2
+  and up again and goes on.
+
+The wide-nq presentations restart at degree 4.  The late restarts are R(g,
+h) without one relator, at most 2 wide below its weight: R(5, 1) without
+its weight-133 relator at class 160 restarts at degree 133, R(3, 2)
+without its weight-73 relator at class 100 at degree 75.
 
 Over the last period, the packed cuts make 55 to 64 fill events each at
 m + 16d, against about 10 at m + 2d.  Each pair's rows span the same 7
@@ -46,6 +51,7 @@ DESK = ((2, 1), (3, 1), (2, 2))
 LONG_PERIODS = 16
 WIDE_SEEDS = (1, 2)
 WIDE_CLASS = 14
+RESTARTS = ((5, 1, 133, 160), (3, 2, 73, 100))  # g, h, the weight of the relator left out, the bound
 
 
 def default_bound(g: int, h: int, periods: int = 2) -> int:
@@ -68,6 +74,19 @@ def long_cases() -> list[tuple[str, nq.Presentation, int]]:
     return [
         (f"R({g},{h})@{default_bound(g, h, LONG_PERIODS)}", presentation_R(g, h), default_bound(g, h, LONG_PERIODS))
         for g, h in DESK
+    ]
+
+
+def without_relator(g: int, h: int, weight: int) -> nq.Presentation:
+    """R(g, h) without its relator of the given weight: 1 or 2 wide below that degree, wider from it on."""
+    return nq.Presentation(r for r in presentation_R(g, h).relators if r.weight != weight)
+
+
+def restart_cases() -> list[tuple[str, nq.Presentation, int]]:
+    """Two presentations on which the packed loop runs long before it restarts the table loop."""
+    return [
+        (f"R({g},{h}) without its weight-{weight} relator@{bound}", without_relator(g, h, weight), bound)
+        for g, h, weight, bound in RESTARTS
     ]
 
 
@@ -98,7 +117,7 @@ def agree(pres: nq.Presentation, bound: int) -> str | None:
 
 def main() -> int:
     start = time.perf_counter()
-    cases = r_cases() + long_cases() + wide_cases()
+    cases = r_cases() + long_cases() + restart_cases() + wide_cases()
     bad = 0
     for name, pres, bound in cases:
         t0 = time.perf_counter()

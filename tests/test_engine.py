@@ -280,11 +280,10 @@ NARROW_CASES = [(2, 1, 48), (3, 1, 96)]
 
 @pytest.mark.parametrize("g,h,bound", NARROW_CASES, ids=[f"R({g},{h})@{c}" for g, h, c in NARROW_CASES])
 def test_nq_refills_no_narrow_slice(g, h, bound):
-    """Every cut of R(g, h) has at most 4 symbols: the default mode fills no table slice past slice 2 and mirrors none.
+    """Every cut of R(g, h) has at most 4 symbols: the default mode fills no table slice and mirrors none.
 
-    The table loop fills slice 2 to cut degree 2, and the packed loop cuts
-    every later degree off its planes; `full_jacobi` still fills every
-    frontier slice and refills every slice below the last.
+    The packed loop cuts every degree off its planes; `full_jacobi` still
+    fills every frontier slice and refills every slice below the last.
     """
     fill, mirror = BracketTable.fill, BracketTable.mirror
     calls = []
@@ -302,15 +301,14 @@ def test_nq_refills_no_narrow_slice(g, h, bound):
         BracketTable, "mirror", recording_mirror
     ):
         A = nq_compute(pres, bound)
-        assert calls == [("frontier", 2)]
-        calls.clear()
+        assert calls == []
         F = nq_compute(pres, bound, full_jacobi=True)
     assert A == F
     assert max(A.dims[1:]) <= 2
     assert calls == [c for s in range(2, bound) for c in (("frontier", s), ("fill", s))] + [("frontier", bound)]
 
 
-# R(2, 1) is packed from degree 3 on; the two wide presentations hand over to the table loop
+# R(2, 1) is packed throughout; the two wide presentations restart the table loop
 STEPPER_CASES = [("R(2,1)", presentation_R(2, 1), 48)] + [
     (name, Presentation(map(parse_word, name.split("; "))), 12)
     for name in ("y^2; x^2 y^3 z; x z y", "z y x; y x y z^3 x; y^2")
@@ -444,6 +442,7 @@ def test_the_lane_masks_match_the_bitwise_reference(g, h, bound):
     dims, basis, action = M.dims, M.basis, M.action
     n = bound - 1
     masks = _Masks()
+    masks.add_column(basis[1], ())
     for d in range(1, n):
         masks.add_row(d, dims[d + 1], action[d])
         masks.add_column(basis[d + 1], action[d])
@@ -460,9 +459,9 @@ def test_the_lane_masks_match_the_bitwise_reference(g, h, bound):
                 for k in (0, 1):
                     want[f"own{k}"] |= bit * (action[i][a][k] >> a & 1)
                     want[f"other{k}"] |= bit * (action[i][a][k] >> 1 - a & 1)
-            # by column degree j = n + 1 - i, 2 .. n, and the action of degree j - 1
+            # by column degree j = n + 1 - i, 1 .. n, and the action of degree j - 1
             j = n + 1 - i
-            if 2 <= j <= n and b < dims[j]:
+            if 1 <= j <= n and b < dims[j]:
                 p, gen = basis[j][b]
                 want["cols"] |= bit
                 want["same"] |= bit * (p == b)
@@ -474,19 +473,13 @@ def test_the_lane_masks_match_the_bitwise_reference(g, h, bound):
     assert got == want
 
 
-def _without_relator(g: int, h: int, weight: int) -> Presentation:
-    """R(g, h) without its relator of the given weight: 1 or 2 wide below that degree, wider from it on."""
-    relators = presentation_R(g, h).relators
-    return Presentation(r for r in relators if r.weight != weight)
-
-
-# degree 7 of the first is 4 wide: the packed loop cuts degrees 3 to 7 and hands over;
-# degree 69 of the second is 3 wide: the packed loop cuts degrees 3 to 69 and hands over
+# degree 7 of the first is 4 wide: the packed loop cuts degrees 2 to 7 and restarts the table loop;
+# degree 69 of the second is 3 wide: the packed loop cuts degrees 2 to 69 and restarts it
 HANDOVER_CASES = [
     ("y^2; x^2 y^3 z; x z y", Presentation(map(parse_word, ["y^2", "x^2 y^3 z", "x z y"])), 12),
-    ("R(4,1) without its weight-69 relator", _without_relator(4, 1, 69), 80),
+    ("R(4,1) without its weight-69 relator", paths_agree.without_relator(4, 1, 69), 80),
 ]
-# the desk pairs at m + 2d, one ladder rung, the two handovers, and R(2, 1) with
+# the desk pairs at m + 2d, one ladder rung, the two restarts, and R(2, 1) with
 # degree 12, spanned by y x^3 y x^2 y x^3 y, killed: its packed loop cuts only
 # empty degrees (the word is spelled out, so collecting runs no cut loop)
 PATH_CASES = (
@@ -511,60 +504,57 @@ def test_the_packed_the_table_and_the_default_loop_agree(name, pres, bound):
         assert nq_compute(pres, bound).dims[12:] == (0,) * (bound - 11)
 
 
-def test_the_packed_loop_hands_over_at_its_first_wide_cut():
-    """The packed loop fills slices up to its first cut wider than 2, then the table loop goes on."""
-    name, pres, bound = HANDOVER_CASES[0]
-    fill_planes, unpack = nq._fill_planes, nq._unpack
-    filled, unpacked = [], []
+def _restart_record(pres: Presentation, bound: int) -> tuple[GradedAlgebra, list]:
+    """`nq_compute(pres, bound)`, with the packed fills and the table loop's restarts recorded in call order."""
+    fill_planes, table_cuts = nq._fill_planes, nq._table_cuts
+    calls = []
 
     def recording_fill(n, *args):
-        filled.append(n)
+        calls.append(("fill", n))
         return fill_planes(n, *args)
 
-    def recording_unpack(table, planes, n):
-        unpacked.append(n)
-        unpack(table, planes, n)
+    def recording_table_cuts(*args):
+        calls.append(("restart",))
+        return table_cuts(*args)
 
-    with mock.patch.object(nq, "_fill_planes", recording_fill), mock.patch.object(nq, "_unpack", recording_unpack):
+    with mock.patch.object(nq, "_fill_planes", recording_fill), mock.patch.object(
+        nq, "_table_cuts", recording_table_cuts
+    ):
         A = nq_compute(pres, bound)
+    return A, calls
+
+
+def test_the_packed_loop_hands_over_at_its_first_wide_cut():
+    """The packed loop fills slices up to its first cut wider than 2, then restarts the table loop once."""
+    name, pres, bound = HANDOVER_CASES[0]
+    A, calls = _restart_record(pres, bound)
     assert A == _table_quotient(pres, bound)
     wide = min(d for d in range(1, bound + 1) if A.dim(d) > 2)
     assert wide == 7
-    assert filled == list(range(2, wide))  # the cuts of degrees 3 .. 7
-    assert unpacked == [wide - 1]
+    assert calls == [("fill", n) for n in range(1, wide)] + [("restart",)]  # the cuts of degrees 2 .. 7
 
 
-def test_the_default_loop_packs_from_degree_3_and_hands_over_at_its_first_wide_cut():
+def test_the_default_loop_packs_from_degree_2_and_hands_over_at_its_first_wide_cut():
     name, pres, bound = HANDOVER_CASES[1]
-    unpack = nq._unpack
-    calls = []
-
-    def recording_unpack(table, planes, n):
-        calls.append(("unpack", n + 1))
-        unpack(table, planes, n)
-
-    with mock.patch.object(nq, "_unpack", recording_unpack):
-        A = nq_compute(pres, bound)
+    A, calls = _restart_record(pres, bound)
     assert A == _table_quotient(pres, bound)
-    assert calls == [("unpack", 69)]
+    assert calls == [("fill", n) for n in range(1, 69)] + [("restart",)]
     assert max(A.dims[:69]) == 2 and A.dim(69) == 3
 
 
 @pytest.mark.parametrize("name,pres,bound", HANDOVER_CASES, ids=[c[0] for c in HANDOVER_CASES])
-def test_the_hand_over_leaves_the_table_loop_a_true_slice(name, pres, bound):
-    """After the hand-over, rows 2 .. n - 1 of the table's slice n + 1 are the true brackets of the returned algebra."""
-    unpack = nq._unpack
-    slices = []
+def test_nq_eval_keeps_its_mask_across_the_restart(name, pres, bound):
+    """Each basis label of M, read back as a word, evaluates to its own basis element.
 
-    def recording_unpack(table, planes, n):
-        unpack(table, planes, n)
-        slices.append((n + 1, _table_frontiers(table, n + 1, 2)))
-
-    with mock.patch.object(nq, "_unpack", recording_unpack):
-        A = nq_compute(pres, bound)
-    [(s, entries)] = slices
-    assert entries == _table_frontiers(A.bracket_table(), s, 2)
-    assert any(entries.values())
+    Past the restart the cut loop yields the table loop's table, not the
+    packed loop's, and `nq_eval` carries its mask from the one to the other.
+    """
+    M = nq_compute(pres, bound)
+    assert max(M.dims) > 2
+    for d in range(1, bound + 1):
+        for k, label in enumerate(M.labels[d]):
+            value = nq.nq_eval(pres, parse_word(label))
+            assert (value.degree, value.bits) == (d, 1 << k), label
 
 
 def _table_frontiers(table, s, lowest):
@@ -601,7 +591,8 @@ def test_the_packed_planes_hold_the_table_loops_frontier_entries(name, pres, bou
     """Each frontier slice the packed loop fills holds, bit for bit, the entries the table loop's split fill computes.
 
     Compared over every position 2 .. n - 1 of slice n + 1, every row and
-    column element, at every cut the packed loop makes before it hands over.
+    column element, at every cut the packed loop makes before it restarts
+    the table loop.
     """
     fill, fill_planes = BracketTable.fill, nq._fill_planes
     table_slices, packed_slices = {}, {}
@@ -624,7 +615,7 @@ def test_the_packed_planes_hold_the_table_loops_frontier_entries(name, pres, bou
         assert entries == table_slices[s], f"slice {s}"
     assert P == A
     wide = min([d for d in range(1, bound + 1) if A.dim(d) > 2] + [bound])
-    assert sorted(packed_slices) == [n + 1 for n in range(2, wide) if A.dim(n)]
+    assert sorted(packed_slices) == [n + 1 for n in range(1, wide) if A.dim(n)]
 
 
 @pytest.mark.parametrize("name,pres,bound", CALL_COUNT_CASES, ids=[c[0] for c in CALL_COUNT_CASES])
@@ -633,32 +624,42 @@ def test_the_packed_rows_span_the_table_loops_rows(name, pres, bound):
 
     The table loop's rows are the Jacobi sums (`test_nq_default_rows_are_the_jacobi_sums`),
     and equal spans give equal reduced echelon bases, so the narrow
-    table, which `define_layer` fills, holds the same cut.  The cuts the
-    table loop makes in the default loop, degree 2 and any after the
-    hand-over, are recorded at `echelonize` in both runs.
+    table, which `define_layer` fills, holds the same cut.  Where the
+    packed loop restarts the table loop, at its first degree wider than 2,
+    the table loop's cuts of degrees 2 and up follow, recorded at
+    `echelonize` as in the table loop's own run.
     """
     nq._narrow_table()  # its echelon forms are not cuts
     narrow_cut = nq._narrow_cut
-    spans = {}
+    spans, kinds = {}, {}
     for name, run in (("table", _table_quotient), ("packed", nq_compute)):
-        bases = spans[name] = []
+        bases, kind = spans[name], kinds[name] = [], []
 
         def recording_echelonize(rows, nsym):
             basis = echelonize(rows, nsym)
             bases.append((nsym, basis.row_bits()))
+            kind.append("echelonize")
             return basis
 
         def recording_narrow_cut(table, n, rows):
             nsym = 2 * len(table.rows[n])
             bases.append((nsym, echelonize(rows, nsym).row_bits()))
+            kind.append("narrow")
             return narrow_cut(table, n, rows)
 
         with mock.patch("bzloop.nq.echelonize", recording_echelonize), mock.patch.object(
             nq, "_narrow_cut", recording_narrow_cut
         ):
-            run(pres, bound)
-    assert spans["packed"] == spans["table"]
-    assert len(spans["packed"]) == bound - 1
+            A = run(pres, bound)
+    table = spans["table"]
+    assert kinds["table"] == ["echelonize"] * (bound - 1)
+    wide = next((d for d in range(2, bound + 1) if A.dim(d) > 2), None)
+    if wide is None:
+        assert spans["packed"] == table
+        assert kinds["packed"] == ["narrow"] * (bound - 1)
+    else:
+        assert spans["packed"] == table[: wide - 1] + table
+        assert kinds["packed"] == ["narrow"] * (wide - 1) + kinds["table"]
 
 
 def test_the_narrow_table_has_the_67_subspaces_of_gf2_4():
@@ -705,8 +706,8 @@ def test_the_narrow_cut_is_the_echelon_cut_of_its_rows(nsym):
 def test_the_packed_loop_makes_no_echelon_basis(g, h, bound):
     """Once the narrow table is built, the packed loop cuts every degree from it: no `echelonize`, no `EchelonBasis`.
 
-    The table loop cuts degree 2 by `echelonize`; every later degree of
-    these presentations is at most 2 wide, so the packed loop cuts it.
+    Every degree of these presentations is at most 2 wide, so the packed
+    loop cuts them all, degree 2 too.
     """
     nq._narrow_table()
     calls = []
@@ -718,15 +719,13 @@ def test_the_packed_loop_makes_no_echelon_basis(g, h, bound):
 
         return record
 
-    cuts = _cuts(presentation_R(g, h))
-    next(islice(cuts, 1, None))  # degree 2, cut by the table loop
     with mock.patch("bzloop.nq.echelonize", recording("echelonize", echelonize)), mock.patch.object(
         EchelonBasis, "add", recording("add", EchelonBasis.add)
     ), mock.patch.object(EchelonBasis, "__init__", recording("EchelonBasis", EchelonBasis.__init__)), mock.patch.object(
         nq, "_narrow_cut", recording("_narrow_cut", nq._narrow_cut)
     ):
-        A = _algebra(next(islice(cuts, bound - 3, None)), bound)
-    assert calls == ["_narrow_cut"] * (bound - 2)
+        A = nq_compute(presentation_R(g, h), bound)
+    assert calls == ["_narrow_cut"] * (bound - 1)
     assert max(A.dims) <= 2
 
 
@@ -742,12 +741,10 @@ def test_the_packed_loop_fills_no_table_slice(g, h, bound):
         return record
 
     pres = presentation_R(g, h)
-    cuts = _cuts(pres)
-    next(islice(cuts, 1, None))  # degree 2, cut by the table loop
     with mock.patch.object(BracketTable, "fill", refuse("fill")), mock.patch.object(
         BracketTable, "mirror", refuse("mirror")
     ):
-        A = _algebra(next(islice(cuts, bound - 3, None)), bound)
+        A = nq_compute(pres, bound)
     assert calls == []
     assert A == _table_quotient(pres, bound)
 
@@ -755,8 +752,7 @@ def test_the_packed_loop_fills_no_table_slice(g, h, bound):
 def test_the_packed_loop_maps_no_slice_of_its_top_degree():
     """Run to class 48, the packed loop maps the slices of degrees 2 to 47 through their cuts, and not 48.
 
-    Slice 2 comes from the table loop, with its table; to 192 on R(4,1) it
-    likewise maps the slices of degrees 2 to 191.
+    To 192 on R(4,1) it likewise maps the slices of degrees 2 to 191.
     """
     true_planes = nq._true_planes
     mapped = []

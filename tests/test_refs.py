@@ -77,7 +77,8 @@ def test_wide_nq_table_bytes_are_frozen(relators):
     """Both Jacobi modes: `full_jacobi` refills every cut slice whole, the default one only the wide cuts.
 
     The default mode cuts with the packed loop up to the first degree wider
-    than 2 and then refills half of each cut slice in the table loop.
+    than 2 and then restarts the table loop, which refills half of each cut
+    slice.
     """
     pres = Presentation(parse_word(r) for r in relators)
     for full_jacobi in (False, True):
@@ -104,50 +105,67 @@ ECHELON_CASES = {
 }
 
 
-def _added_rows(cuts, name: str) -> tuple[int, str]:
-    """The number and the digest of the rows the cut loop `cuts` cuts by, in call order, to the case's bound.
+def _record(cuts, name: str) -> tuple[list[tuple[str, int]], list[int]]:
+    """The rows the cut loop `cuts` cuts by, in call order, to the case's bound, and the degrees of its packed cuts.
 
-    A table loop's cut is recorded at `EchelonBasis.add`, which receives
-    each of its rows.  A packed cut is recorded at `_narrow_cut`, as its
-    distinct nonzero rows, those an echelon basis of its span would receive.
+    Each row is paired with the loop that cut by it.  A table loop's cut is
+    recorded at `EchelonBasis.add`, which receives each of its rows.  A
+    packed cut is recorded at `_narrow_cut`, as its distinct nonzero rows,
+    those an echelon basis of its span would receive.
     """
     pres, bound = ECHELON_CASES[name]
     nq._narrow_table()  # its echelon forms are not cuts
-    added = []
+    added, packed_degrees = [], []
     add, narrow_cut = EchelonBasis.add, nq._narrow_cut
 
     def recording_add(basis, v):
-        added.append(v)
+        added.append(("table", v))
         return add(basis, v)
 
     def recording_narrow_cut(table, n, rows):
-        added.extend(r for r in dict.fromkeys(rows) if r)
+        added.extend(("packed", r) for r in dict.fromkeys(rows) if r)
+        packed_degrees.append(n + 1)
         return narrow_cut(table, n, rows)
 
     with mock.patch.object(EchelonBasis, "add", recording_add), mock.patch.object(
         nq, "_narrow_cut", recording_narrow_cut
     ):
         next(islice(cuts(pres), bound - 1, None))
-    return len(added), hashlib.sha256(",".join(format(v, "x") for v in added).encode()).hexdigest()
+    return added, packed_degrees
+
+
+def _summary(rows: list[int]) -> tuple[int, str]:
+    """The number of the rows and the digest of their comma-joined hex."""
+    return len(rows), hashlib.sha256(",".join(format(v, "x") for v in rows).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("name,full_jacobi", list(ADDED_ROWS), ids=[f"{n} full_jacobi={f}" for n, f in ADDED_ROWS])
 def test_nq_echelon_rows_are_frozen(name, full_jacobi):
     """The table loop's relation rows reach the echelon basis in symbol order, each once, in the same order."""
-    assert _added_rows(lambda pres: _table_cuts(pres, full_jacobi), name) == ADDED_ROWS[name, full_jacobi]
+    added, packed_degrees = _record(lambda pres: _table_cuts(pres, full_jacobi), name)
+    assert packed_degrees == []
+    assert _summary([v for _, v in added]) == ADDED_ROWS[name, full_jacobi]
 
 
-# the same record for the default loop, packed from degree 3: per packed cut, the
-# alternation rows and the span basis it reads off its planes, then the relator rows.  On R(2, 1) these are the table
-# loop's 59 rows, reordered within some cuts; the other two hand over within
-# their first cuts and match the table loop's record.
-PACKED_ROWS = {
-    "R(2,1)@48": (59, "55fada6c3444a474581bb4d3feefac666021b6b97ddaa2c102260e1cd413e889"),
-    "free@10": (30, "145f21f51007fbec351e520081c30f1abee4dffa8891e9c35b1ed9c908555e6f"),
-    "y x y x y@12": (94, "a6710c405589d6173ae110d24503d9e635dc225f00b00011558acc6a5388f422"),
-}
+# the same record for the default loop, the packed loop: per packed cut, the alternation
+# rows and the span basis it reads off its planes, then the relator rows.  On R(2, 1)
+# these are the table loop's 59 rows, reordered within some cuts.  The other two cases
+# restart the table loop at their first degree wider than 2, so their record is the
+# packed cuts' rows up to that degree, then exactly the table loop's record.
+PACKED_ROWS = {"R(2,1)@48": (59, "55fada6c3444a474581bb4d3feefac666021b6b97ddaa2c102260e1cd413e889")}
+FIRST_WIDE = {"free@10": 4, "y x y x y@12": 4}  # the first degree wider than 2
 
 
-@pytest.mark.parametrize("name", list(PACKED_ROWS))
+@pytest.mark.parametrize("name", list(ECHELON_CASES))
 def test_packed_echelon_rows_are_frozen(name):
-    assert _added_rows(_cuts, name) == PACKED_ROWS[name]
+    added, packed_degrees = _record(_cuts, name)
+    packed = [v for loop, v in added if loop == "packed"]
+    table = [v for loop, v in added if loop == "table"]
+    assert added == [("packed", v) for v in packed] + [("table", v) for v in table]
+    if name in PACKED_ROWS:
+        assert packed_degrees == list(range(2, ECHELON_CASES[name][1] + 1))
+        assert _summary(packed) == PACKED_ROWS[name]
+        assert table == []
+    else:
+        assert packed_degrees == list(range(2, FIRST_WIDE[name] + 1))
+        assert _summary(table) == ADDED_ROWS[name, False]
