@@ -36,12 +36,12 @@ from .words import parse_word
 # Input limits, checked before any other work.  Each bounds the work one flag
 # can ask for while keeping the stretch range g + h = 10 in reach: there the
 # default class bound m + 2d is at most 6652 (at g = 2, h = 8), and `analyze`
-# takes under 3 s and at most about 80 MB (at g = 9, h = 1) at each such pair.
-# At the class limit, `nq --class 6652` on (2, 1) takes about 25 s and peaks
+# takes under 2 s and at most about 80 MB (at g = 9, h = 1) at each such pair.
+# At the class limit, `nq --class 6652` on (2, 1) takes about 21 s and peaks
 # near 70 MB (CPython 3.11, 2-core VM).  `eval` runs `nq_eval`, which cuts the
 # quotient once, up to its word's weight, so MAX_CLASS bounds that weight too.
 # It stops at the first zero prefix, so only a word with no zero prefix pays
-# for the whole run: one of weight 6640 takes about 27 s on (2, 1), while
+# for the whole run: one of weight 6640 takes about 20 s on (2, 1), while
 # `y x^6651` is 0 at once.
 # The parity sweeps are sized so the largest allowed run takes a few
 # seconds: binom is quadratic in --check-max, identity-i about
