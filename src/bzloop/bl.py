@@ -89,17 +89,23 @@ def centralizer_sequence(A: GradedAlgebra) -> tuple[str, ...]:
     Entry j - 2 names the element of degree 1 that spans the centralizer of
     degree j inside degree 1: "x", "y" or "other" (x + y).  Every such
     centralizer must be one-dimensional, and degree 2 must be centralized
-    by y; otherwise ValueError.
+    by y; otherwise ValueError.  The entry depends on the degree's action
+    rows alone, so a degree whose rows an earlier degree had reuses its entry.
     """
     names = {0b01: X, 0b10: Y, 0b11: OTHER}
     entries = []
+    seen: dict[tuple, str] = {}  # action rows -> their entry, for this call only
     for j in range(2, A.class_bound):
-        n, width = A.dim(j), A.dim(j + 1)
-        images = [sum(A.act_index(j, i, gi) << (i * width) for i in range(n)) for gi in (0, 1)]
-        ker = kernel(images, n * width)
-        if ker.rank != 1:
-            raise ValueError(f"degree {j}: centralizer is not one-dimensional")
-        entries.append(names[ker.row_bits()[0]])
+        rows = A.action[j]
+        entry = seen.get(rows)
+        if entry is None:
+            n, width = A.dim(j), A.dim(j + 1)
+            images = [sum(A.act_index(j, i, gi) << (i * width) for i in range(n)) for gi in (0, 1)]
+            ker = kernel(images, n * width)
+            if ker.rank != 1:
+                raise ValueError(f"degree {j}: centralizer is not one-dimensional")
+            entry = seen[rows] = names[ker.row_bits()[0]]
+        entries.append(entry)
     if entries and entries[0] != Y:
         raise ValueError("degree 2 must be centralized by y")
     return tuple(entries)

@@ -99,6 +99,13 @@ class EchelonBasis:
     def contains(self, v: int) -> bool:
         return self.reduce(v) == 0
 
+    def copy(self) -> "EchelonBasis":
+        """An independent basis of the same span, settled as this one is."""
+        out = EchelonBasis(self.dim_ambient)
+        out._mask, out._row_at = self._mask, dict(self._row_at)
+        out._pivots = None if self._pivots is None else list(self._pivots)
+        return out
+
     def __iter__(self) -> Iterator[int]:
         return iter(self.row_bits())
 

@@ -285,6 +285,41 @@ MUTANTS = (
         ("tests/test_engine.py::test_centers_match_the_act_index_construction",),
     ),
     Mutant(
+        "second center keyed on the unreduced rows",
+        "bzloop/algebra.py",
+        "key = tuple(rows)",
+        "key = A._action[d]",
+        ("tests/test_engine.py::test_centers_match_the_act_index_construction",),
+    ),
+    Mutant(
+        "a repeated center degree gets the first degree's basis",
+        "bzloop/algebra.py",
+        "ker = ker.copy()",
+        "ker = ker",
+        ("tests/test_engine.py::test_each_degree_of_a_center_has_a_basis_of_its_own",),
+    ),
+    Mutant(
+        "quotient key without the ideal's rows",
+        "bzloop/algebra.py",
+        "key = (tuple(reps), A._action[d - 1 : d], tuple(idl.row_bits()), A.dim(d))",
+        "key = (tuple(reps), A._action[d - 1 : d], A.dim(d))",
+        ("tests/test_kernels.py::test_quotient_matches_span_solver_reference",),
+    ),
+    Mutant(
+        "quotient key indexes the action past the class bound",
+        "bzloop/algebra.py",
+        "A._action[d - 1 : d]",
+        "A._action[d - 1]",
+        ("tests/test_engine.py::test_quotient_past_the_class_bound_has_zero_degrees",),
+    ),
+    Mutant(
+        "centralizer key ignores the rows",
+        "bzloop/bl.py",
+        "rows = A.action[j]",
+        "rows = ()",
+        ("tests/test_engine.py::test_centralizer_sequence_matches_a_per_degree_loop",),
+    ),
+    Mutant(
         "z evaluated as x",
         "bzloop/algebra.py",
         "out ^= row[0] ^ row[1] if gi == 2 else row[gi]",

@@ -985,10 +985,28 @@ def test_second_center_over_a_given_center_is_the_same():
 
 
 @pytest.fixture(scope="module")
-def walk_tables():
-    """R(2,1)@48, free@10 and the seeded x/y/z presentations at class 12."""
+def M192():
+    """R(4,1) at its default bound m + 2d: two full periods of d = 62."""
+    return nq_compute(presentation_R(4, 1), 192)
+
+
+def _same_rows_other_centers() -> GradedAlgebra:
+    """A chain whose degrees 2 and 4 both have the row [e, x] = the next element, but only e(3) is central.
+
+    So e(2) is second-central and e(4) is not, though both degrees have the
+    same action rows before their reduction modulo the center.
+    """
+    action = [[(0, 0), (1, 0)], [(1, 0)], [(0, 0)], [(1, 0)], [(1, 0)], [(0, 0)]]
+    return GradedAlgebra(6, [GENERATORS, *[[(0, 0)]] * 5], action)
+
+
+@pytest.fixture(scope="module")
+def walk_tables(M192):
+    """R(2,1)@48, R(4,1)@192, free@10, a hand-made chain and the seeded x/y/z presentations at class 12."""
     return [
         nq_compute(presentation_R(2, 1), 48),
+        M192,
+        _same_rows_other_centers(),
         nq_compute(Presentation(()), 10),
         *(nq_compute(_random_presentation(seed), 12) for seed in range(30)),
     ]
@@ -1056,6 +1074,43 @@ def test_centers_match_the_act_index_construction(walk_tables):
                 assert family.at(d).row_bits() == want[d].row_bits(), d
 
 
+def _reduced_rows(A: GradedAlgebra, center, d: int) -> tuple:
+    """The action rows of degree d modulo the center at d + 1: what `second_center` takes the kernel of."""
+    z = center.at(d + 1)
+    return tuple((z.reduce(mx), z.reduce(my)) for mx, my in A.action[d])
+
+
+def test_each_degree_of_a_center_has_a_basis_of_its_own(M192):
+    """Degrees with the same rows share one kernel computation, never one `EchelonBasis`.
+
+    The period of R(4,1) repeats the rows of most degrees, so each family
+    takes one kernel per distinct list of rows.  Growing the basis of one
+    degree leaves every other degree of its group as it was.
+    """
+    with mock.patch("bzloop.algebra.kernel", wraps=kernel) as spy:
+        Z = graded_center(M192)
+        Z2 = second_center(M192, Z)
+    groups = []
+    for family, key in ((Z, lambda d: M192.action[d]), (Z2, lambda d: _reduced_rows(M192, Z, d))):
+        by_key = {}
+        for d in range(1, family.valid_up_to + 1):
+            by_key.setdefault(key(d), []).append(d)
+        groups += [(family, degrees) for degrees in by_key.values()]
+        assert max(map(len, by_key.values())) > 10
+    assert spy.call_count == len(groups)
+    grown = 0
+    for family, (first, *rest) in groups:
+        bases = [family.at(d) for d in (first, *rest)]
+        assert len(set(map(id, bases))) == len(bases)
+        before = [b.row_bits() for b in bases[1:]]
+        outside = [1 << i for i in range(bases[0].dim_ambient) if not bases[0].contains(1 << i)]
+        if rest and outside:
+            assert bases[0].add(outside[0])
+            assert [b.row_bits() for b in bases[1:]] == before
+            grown += 1
+    assert grown
+
+
 def test_quotient_matches_direct_construction():
     M = nq_compute(presentation_R(2, 1), 24)
     Q = quotient(M, second_center(M))
@@ -1086,6 +1141,14 @@ def test_quotient_rejects_foreign_family(B8, M8):
         quotient(B8, family)
 
 
+@pytest.mark.parametrize("top", [10, 11])
+def test_quotient_past_the_class_bound_has_zero_degrees(B8, top):
+    """A family valid two or more degrees past A's class bound gives zero degrees there."""
+    family = GradedSubspaceFamily(B8, {d: EchelonBasis(B8.dim(d)) for d in range(1, top + 1)}, top)
+    pad = [()] * (top - B8.class_bound)
+    assert quotient(B8, family) == GradedAlgebra(top, [*B8.basis[1:], *pad], [*B8.action[1:], *pad])
+
+
 # -- derived structure -------------------------------------------------------
 
 
@@ -1102,3 +1165,28 @@ def test_centralizer_sequence_error_texts(M8):
     with pytest.raises(ValueError, match="^degree 3: centralizer is not one-dimensional$"):
         centralizer_sequence(GradedAlgebra(4, basis, action))
 
+
+def _reference_centralizer_sequence(A: GradedAlgebra) -> tuple[str, ...]:
+    """Per degree j, the one nonzero c of degree 1 with [e, c] = 0 for every e of degree j, found by trying all three."""
+    entries = []
+    for j in range(2, A.class_bound):
+        killers = [
+            name
+            for c, name in ((0b01, X), (0b10, Y), (0b11, "other"))
+            if not any((mx if c & 1 else 0) ^ (my if c & 2 else 0) for mx, my in A.action[j])
+        ]
+        assert len(killers) == 1, j
+        entries.append(killers[0])
+    return tuple(entries)
+
+
+def test_centralizer_sequence_matches_a_per_degree_loop(M192):
+    """Q = M / Z_2(M) and B of the desk pairs and of R(4,1)@192, with one kernel per distinct row list."""
+    tables = [(nq_compute(presentation_R(g, h), c), g, h) for g, h, c in ((2, 1, 48), (3, 1, 96), (2, 2, 100))]
+    for M, g, h in [*tables, (M192, 4, 1)]:
+        Q = quotient(M, second_center(M))
+        for A in (Q, construct_bl(g, h, Q.class_bound)):
+            with mock.patch("bzloop.bl.kernel", wraps=kernel) as spy:
+                got = centralizer_sequence(A)
+            assert got == _reference_centralizer_sequence(A), (g, h)
+            assert spy.call_count == len(set(A.action[2 : A.class_bound]))

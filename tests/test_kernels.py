@@ -558,7 +558,7 @@ def _random_relator(rng: random.Random):
 
 
 def _quotient_tables():
-    desk = [nq_compute(presentation_R(g, h), c) for g, h, c in ((2, 1, 48), (3, 1, 96), (2, 2, 100))]
+    desk = [nq_compute(presentation_R(g, h), c) for g, h, c in ((2, 1, 48), (3, 1, 96), (2, 2, 100), (4, 1, 192))]
     rng = random.Random(7)
     randoms = [
         nq_compute(Presentation(_random_relator(rng) for _ in range(rng.randint(1, 3))), 13)
